@@ -3,20 +3,21 @@
 Three maximizers live here: the superposition solver for the standardized
 MAC wiretap channel (the optimum is a cap-or-zero prefix of the gain
 ordering), the TDMA share optimizer (closed form when all gains are equal
-and below 1, numeric otherwise), and the two-way solver (a three-branch
-corner rule).  Each returns a SumRateSolution.
+and below 1; otherwise the water-filling KKT point, found by Newton on the
+dual multiplier with every user's burst power solved at once), and the
+two-way solver (a three-branch corner rule).  Each returns a
+SumRateSolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .channels import (
-    GAIN_MERGE_RTOL,
     TOL_ABS,
     PowerAllocation,
     StdMacChannel,
@@ -26,8 +27,6 @@ from .channels import (
     to_jsonable,
 )
 from .regions import TdmaShares
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -81,8 +80,13 @@ def _require_strict_gains(ch: StdMacChannel) -> None:
         )
 
 
-def _zero_solution(k: int, mode: str, branch: str, shares=None) -> SumRateSolution:
-    return SumRateSolution(PowerAllocation.zeros(k), (), 0.0, mode, shares, branch)
+def _solution(powers: np.ndarray, rate: float, mode: str, branch: str, shares=None):
+    """The solution at these powers; a rate clamped to 0 means all-zero powers."""
+    k = len(powers)
+    if rate <= 0.0:
+        return SumRateSolution(PowerAllocation.zeros(k), (), 0.0, mode, shares, branch)
+    transmit = tuple(i for i in range(k) if powers[i] > 0)
+    return SumRateSolution(PowerAllocation(powers), transmit, rate, mode, shares, branch)
 
 
 def mac_sup_optimal(ch: StdMacChannel) -> SumRateSolution:
@@ -113,11 +117,7 @@ def mac_sup_optimal(ch: StdMacChannel) -> SumRateSolution:
             break
     powers = np.zeros(k)
     powers[:prefix] = caps[:prefix]
-    rate = sup_sum_rate(powers, h)
-    if rate <= 0.0:
-        return _zero_solution(k, "SUP", f"T={prefix}")
-    transmit = tuple(i for i in range(prefix) if powers[i] > 0)
-    return SumRateSolution(PowerAllocation(powers), transmit, rate, "SUP", None, f"T={prefix}")
+    return _solution(powers, sup_sum_rate(powers, h), "SUP", f"T={prefix}")
 
 
 def mac_two_user_closed_form(ch: StdMacChannel) -> SumRateSolution:
@@ -143,177 +143,90 @@ def mac_two_user_closed_form(ch: StdMacChannel) -> SumRateSolution:
     else:
         powers = np.zeros(2)
         branch = "all-silent"
-    rate = sup_sum_rate(powers, ch.eve_gains)
-    if rate <= 0.0:
-        return _zero_solution(2, "SUP", branch)
-    transmit = tuple(i for i in range(2) if powers[i] > 0)
-    return SumRateSolution(PowerAllocation(powers), transmit, rate, "SUP", None, branch)
-
-
-def _tdma_user_rate(h: float, cap: float, share: float) -> float:
-    if share <= 0.0 or cap <= 0.0:
-        return 0.0
-    burst = cap / share
-    raw = 0.5 * share * (math.log2(1.0 + burst) - math.log2(1.0 + h * burst))
-    return max(raw, 0.0)
+    return _solution(powers, sup_sum_rate(powers, ch.eve_gains), "SUP", branch)
 
 
 def _tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
-    return sum(
-        _tdma_user_rate(float(h[k]), float(caps[k]), float(shares[k])) for k in range(len(h))
-    )
+    """TDMA sum rate in bits; each user bursts at cap / share in its slot, clamped at 0."""
+    total = 0.0
+    for hk, ck, sk in zip(h.tolist(), caps.tolist(), shares.tolist()):
+        if sk > 0.0 and ck > 0.0:
+            burst = ck / sk
+            total += max(0.5 * sk * (math.log2(1.0 + burst) - math.log2(1.0 + hk * burst)), 0.0)
+    return total
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _marginal(x: np.ndarray, h: np.ndarray):
+    """Marginal m = G - x G' of G(x) = ln((1+x)/(1+hx)), twice the slot rate in nats, and m'."""
+    hx1 = 1.0 + h * x
+    z = (1.0 - h) * x / hx1
+    dm = x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / ((1.0 + x) * hx1) ** 2
+    return np.log1p(z) - z / (1.0 + x), dm
 
 
-def _tdma_starts(eligible: List[int], caps: np.ndarray, k: int, restarts: int) -> List[np.ndarray]:
-    starts: List[np.ndarray] = []
-    for u in eligible:
-        s = np.zeros(k)
-        s[u] = 1.0
-        starts.append(s)
-    centroid = np.zeros(k)
-    centroid[eligible] = 1.0 / len(eligible)
-    starts.append(centroid)
-    cap_sum = float(caps[eligible].sum())
-    if cap_sum > 0:
-        prop = np.zeros(k)
-        prop[eligible] = caps[eligible] / cap_sum
-        starts.append(prop)
-    i = 0
-    while len(starts) < restarts and i < len(eligible):
-        s = np.zeros(k)
-        s[eligible] = 1.0 / (2.0 * len(eligible))
-        s[eligible[i]] += 0.5
-        starts.append(s)
-        i += 1
-    return starts[:restarts]
+def _bursts(lam: float, h: np.ndarray, g_inf: np.ndarray, x: np.ndarray):
+    """Bursts solving m_k(x_k) = lam < ln(1/h_k) for all users, and the slopes there.
+
+    Newton in 1/x from the warm start x inside a bracket, falling back to its
+    geometric midpoint.  The bracket starts at sqrt(2 lam / (1-h^2)), since
+    m(x) <= (1-h^2) x^2 / 2, and at 2(1-h) / (h (ln(1/h) - lam)), since
+    ln(1/h) - m(x) < 2(1-h) / (h x), or at expm1(lam + 1) when h = 0.
+    """
+    lo = np.sqrt(2.0 * lam / (1.0 - h * h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(h > 0.0, 2.0 * (1.0 - h) / (h * (g_inf - lam)), math.expm1(lam + 1.0))
+    x = np.clip(x, lo, hi)
+    for _ in range(200):
+        m, dm = _marginal(x, h)
+        lo = np.where(m < lam, x, lo)
+        hi = np.where(m > lam, x, hi)
+        step = x / (1.0 + (m - lam) / (x * dm))
+        nxt = np.where((lo <= step) & (step <= hi), step, np.sqrt(lo * hi))
+        if np.all((np.abs(nxt - x) <= 1e-10 * x) | (np.abs(m - lam) <= 1e-15 * lam)):
+            return nxt, dm
+        x = nxt
+    return x, dm
 
 
-def tdma_share_search(ch: StdMacChannel, restarts: int = 8):
-    """Numeric TDMA share optimization on the simplex.
+def tdma_share_search(ch: StdMacChannel):
+    """Optimal TDMA time shares from the KKT conditions, solved in the dual.
 
-    Users with gain at or above 1 (or zero cap) get share 0.  The rest are
-    optimized by coordinate sweeps over share pairs with golden-section
-    line searches, stopping when a full sweep improves the rate by less
-    than 1e-10, restarted from simplex corners, the centroid, and a
-    cap-proportional point.  With at most three active users an exact
-    nested golden-section pass then tightens the result (the objective is
-    concave there, built from perspectives of concave functions).
+    The rate sum_k a_k g_k(c_k / a_k), g_k(x) = 1/2 log2((1+x)/(1+h_k x)), is
+    a sum of perspectives of concave functions, so the optimum water-fills:
+    users with h_k < 1 and a positive cap share one marginal
+    g_k(x_k) - x_k g_k'(x_k) = lam at their bursts x_k = c_k / a_k, except
+    those silenced by lam >= g_k(inf) = 1/2 log2(1/h_k).  The total share
+    S(lam) = sum_k c_k / x_k(lam) falls with lam; S(lam) = 1 is bracketed by
+    the marginals at the cap-proportional shares, where Newton on S
+    (bisection as safeguard) starts and, with equal gains, ends.
 
     Returns:
         (shares, rate): the share vector over all users and the rate in bits.
     """
-    h = ch.eve_gains
-    caps = ch.power_caps
-    k = ch.k_users
-    eligible = [u for u in range(k) if h[u] < 1.0 and caps[u] > 0]
-    if not eligible:
+    h, caps, k = ch.eve_gains, ch.power_caps, ch.k_users
+    active = np.flatnonzero((h < 1.0) & (caps > 0))
+    if len(active) == 0:
         return np.full(k, 1.0 / k), 0.0
-    if len(eligible) == 1:
-        shares = np.zeros(k)
-        shares[eligible[0]] = 1.0
-        return shares, _tdma_rate(h, caps, shares)
-
-    def rate_of(shares: np.ndarray) -> float:
-        return _tdma_rate(h, caps, shares)
-
-    best_shares = None
-    best_rate = -1.0
-    pairs = [(eligible[i], eligible[j]) for i in range(len(eligible)) for j in range(i + 1, len(eligible))]
-    for start in _tdma_starts(eligible, caps, k, restarts):
-        shares = start.copy()
-        current = rate_of(shares)
-        for _ in range(300):
-            sweep_base = current
-            for i, j in pairs:
-                budget = shares[i] + shares[j]
-                if budget <= 0:
-                    continue
-                others = current - _tdma_user_rate(h[i], caps[i], shares[i]) - _tdma_user_rate(
-                    h[j], caps[j], shares[j]
-                )
-
-                def line(t: float) -> float:
-                    return (
-                        others
-                        + _tdma_user_rate(h[i], caps[i], t)
-                        + _tdma_user_rate(h[j], caps[j], budget - t)
-                    )
-
-                t_star, val = _golden_max(line, 0.0, budget)
-                if val > current:
-                    shares[i] = t_star
-                    shares[j] = budget - t_star
-                    current = val
-            if current - sweep_base < 1e-10:
-                break
-        if current > best_rate:
-            best_rate = current
-            best_shares = shares
-
-    if len(eligible) in (2, 3):
-        refined, refined_rate = _tdma_nested_exact(h, caps, eligible, k)
-        if refined_rate > best_rate:
-            best_rate = refined_rate
-            best_shares = refined
-    return best_shares, best_rate
-
-
-def _tdma_nested_exact(h: np.ndarray, caps: np.ndarray, eligible: List[int], k: int):
-    """Exact nested golden-section maximization for 2 or 3 active users."""
-    a = eligible[0]
-    b = eligible[1]
-
-    if len(eligible) == 2:
-
-        def outer(t: float) -> float:
-            return _tdma_user_rate(h[a], caps[a], t) + _tdma_user_rate(h[b], caps[b], 1.0 - t)
-
-        t_star, rate = _golden_max(outer, 0.0, 1.0)
-        shares = np.zeros(k)
-        shares[a], shares[b] = t_star, 1.0 - t_star
-        return shares, rate
-
-    c = eligible[2]
-
-    def inner(t_a: float):
-        rest = 1.0 - t_a
-
-        def g(t_b: float) -> float:
-            return _tdma_user_rate(h[b], caps[b], t_b) + _tdma_user_rate(h[c], caps[c], rest - t_b)
-
-        return _golden_max(g, 0.0, rest)
-
-    def outer(t_a: float) -> float:
-        return _tdma_user_rate(h[a], caps[a], t_a) + inner(t_a)[1]
-
-    t_a, _ = _golden_max(outer, 0.0, 1.0)
-    t_b, _ = inner(t_a)
+    ha, c = h[active], caps[active]
+    with np.errstate(divide="ignore"):
+        g_inf = -np.log(ha)
+    x = np.full(len(c), float(c.sum()))
+    at_prop, _ = _marginal(x, ha)
+    lo, hi = float(at_prop.min()), float(at_prop.max())
+    lam = float(np.dot(c, at_prop) / c.sum())
+    for _ in range(100):
+        on = g_inf > lam
+        x[~on] = np.inf
+        x[on], dm = _bursts(lam, ha[on], g_inf[on], x[on])
+        total = float(np.sum(c / x))
+        lo, hi = (lam, hi) if total > 1.0 else (lo, lam)
+        step = (total - 1.0) / float(np.sum(c[on] / (x[on] ** 2 * dm)))
+        if abs(step) <= 1e-15 * lam or hi - lo <= 1e-15 * lam:
+            break
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
     shares = np.zeros(k)
-    shares[a] = t_a
-    shares[b] = t_b
-    shares[c] = max(1.0 - t_a - t_b, 0.0)
+    shares[active] = c / x
+    shares /= shares.sum()
     return shares, _tdma_rate(h, caps, shares)
 
 
@@ -338,12 +251,8 @@ def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:
         shares, rate = tdma_share_search(ch)
         branch = "numeric"
     if rate <= 0.0:
-        return _zero_solution(k, "TDMA", branch, TdmaShares(np.full(k, 1.0 / k)))
-    powers = np.where(shares > 0, caps, 0.0)
-    transmit = tuple(i for i in range(k) if powers[i] > 0)
-    return SumRateSolution(
-        PowerAllocation(powers), transmit, rate, "TDMA", TdmaShares(shares), branch
-    )
+        shares = np.full(k, 1.0 / k)
+    return _solution(np.where(shares > 0, caps, 0.0), rate, "TDMA", branch, TdmaShares(shares))
 
 
 def mac_best_sum_rate(ch: StdMacChannel) -> SumRateSolution:
@@ -380,8 +289,4 @@ def tw_optimal(ch: StdTwChannel) -> SumRateSolution:
     powers = np.empty(2)
     powers[order[0]] = local[0]
     powers[order[1]] = local[1]
-    rate = tw_sum_rate(powers, h)
-    if rate <= 0.0:
-        return _zero_solution(2, "TW", branch)
-    transmit = tuple(i for i in range(2) if powers[i] > 0)
-    return SumRateSolution(PowerAllocation(powers), transmit, rate, "TW", None, branch)
+    return _solution(powers, tw_sum_rate(powers, h), "TW", branch)

@@ -363,6 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.grid is not None and args.grid < 2:
+            raise ValueError(f"invalid --grid: expected at least 2 points per axis, got {args.grid}")
         args.func(args)
     except (ValueError, NonStandardizableChannel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +47,17 @@ def _normalize_mode(mode: str) -> str:
     if key not in _MODE_ALIASES:
         raise ValueError(f"unknown sweep mode {mode!r}; use {MODE_MAC} or {MODE_TW}")
     return _MODE_ALIASES[key]
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_pair(values, name: str) -> tuple:
+    pair = tuple(values) if isinstance(values, (list, tuple, np.ndarray)) else ()
+    if len(pair) != 2 or not all(_is_finite_number(v) for v in pair):
+        raise ValueError(f"{name} must be exactly two finite numbers, got {values!r}")
+    return pair
 
 
 @dataclass
@@ -89,6 +101,16 @@ class Scene:
             raise ValueError("distance_floor must be positive")
         if not self.reference_gain > 0:
             raise ValueError("reference_gain must be positive")
+        self.raw_power_caps = _finite_pair(self.raw_power_caps, "raw_power_caps")
+        if min(self.raw_power_caps) < 0:
+            raise ValueError(f"raw_power_caps must be nonnegative, got {list(self.raw_power_caps)}")
+        self.receiver_noises = _finite_pair(self.receiver_noises, "receiver_noises")
+        if min(self.receiver_noises) <= 0:
+            raise ValueError(f"receiver_noises must be positive, got {list(self.receiver_noises)}")
+        for name in ("main_noise", "tap_noise"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     def to_json(self) -> Dict:
         return to_jsonable(

@@ -160,6 +160,108 @@ def test_tdma_share_search_three_users():
     assert np.isclose(sol.sum_rate, rate, rtol=0, atol=1e-12)
 
 
+# TDMA optimum of StdMacChannel([0.1, 0.3], [4, 4]): user 1's time share and
+# the sum rate, from a root of the first-order condition found in 50-digit
+# arithmetic (mpmath, which the tests do not import).
+TWO_USER_SHARE = 0.72629894911399024478634
+TWO_USER_RATE = 0.96160840090851905969156
+
+
+def _tdma_marginals(h, caps, shares):
+    """Marginal g(x) - x g'(x) in bits at each user's burst x = cap / share."""
+    x = caps / shares
+    g = 0.5 * np.log2((1.0 + x) / (1.0 + h * x))
+    slope = 0.5 / np.log(2.0) * (1.0 - h) / ((1.0 + x) * (1.0 + h * x))
+    return g - x * slope
+
+
+def _half_weak_channel(rng, k):
+    """K users, half of them with gain below 1, caps spread over 0.1..10."""
+    low = k // 2
+    h = np.concatenate(
+        [np.sort(rng.uniform(0.02, 0.98, low)), np.sort(rng.uniform(1.02, 2.0, k - low))]
+    )
+    return StdMacChannel(h, rng.uniform(0.1, 10.0, k))
+
+
+@pytest.mark.parametrize("k", [4, 8, 32, 128])
+def test_tdma_kkt_certificate(k):
+    """Active users share one marginal; silent users could not earn more."""
+    rng = np.random.default_rng(40 + k)
+    for _ in range(5):
+        ch = _half_weak_channel(rng, k)
+        h, caps = ch.eve_gains, ch.power_caps
+        shares, _ = tdma_share_search(ch)
+        assert abs(shares.sum() - 1.0) <= 1e-12
+        on = shares > 0
+        marg = _tdma_marginals(h[on], caps[on], shares[on])
+        lam = float(np.mean(marg))
+        assert lam > 0
+        assert np.max(np.abs(marg - lam)) <= 1e-9 * lam, f"marginals {marg}"
+        with np.errstate(divide="ignore"):
+            ceiling = -0.5 * np.log2(h[~on])
+        assert np.all(ceiling <= lam * (1.0 + 1e-9)), f"silent ceilings {ceiling} above {lam}"
+
+
+def test_tdma_two_user_exact_optimum():
+    ch = StdMacChannel([0.1, 0.3], [4.0, 4.0])
+    shares, rate = tdma_share_search(ch)
+    assert abs(shares[0] - TWO_USER_SHARE) <= 1e-12, repr(shares[0])
+    assert abs(shares[1] - (1.0 - TWO_USER_SHARE)) <= 1e-12
+    assert abs(rate - TWO_USER_RATE) <= 1e-12
+    sol = mac_tdma_optimal(ch)
+    assert sol.branch == "numeric"
+    assert abs(sol.shares.shares[0] - TWO_USER_SHARE) <= 1e-12
+
+
+def test_tdma_equal_gains_numeric_path_is_cap_proportional():
+    """The degraded closed form falls out of the general solver."""
+    rng = np.random.default_rng(41)
+    for k in (2, 3, 5, 8, 32):
+        for _ in range(10):
+            h = float(rng.uniform(0.0, 0.99))
+            caps = rng.uniform(0.1, 10.0, k)
+            shares, rate = tdma_share_search(StdMacChannel(np.full(k, h), caps))
+            assert np.max(np.abs(shares - caps / caps.sum())) <= 1e-12, (h, caps, shares)
+            assert rate > 0
+
+
+def test_tdma_three_users_simplex_grid_never_beats_solver():
+    steps = np.arange(1001) / 1000.0
+    a1, a2 = np.meshgrid(steps, steps, indexing="ij")
+    a3 = 1.0 - a1 - a2
+    keep = a3 >= -1e-12
+    grid = np.stack([a1[keep], a2[keep], np.maximum(a3[keep], 0.0)])
+
+    def slot(a, cap, gain):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            burst = cap / a
+            rate = 0.5 * a * np.log2((1.0 + burst) / (1.0 + gain * burst))
+        return np.where(a > 0, np.maximum(rate, 0.0), 0.0)
+
+    rng = np.random.default_rng(42)
+    for i in range(6):
+        h = np.sort(rng.uniform(0.0, 1.0 if i % 2 == 0 else 1.3, 3))
+        caps = rng.uniform(0.1, 10.0, 3)
+        _, rate = tdma_share_search(StdMacChannel(h, caps))
+        best = sum(slot(grid[u], caps[u], h[u]) for u in range(3)).max()
+        assert best <= rate + 1e-12, f"grid {best!r} beats solver {rate!r} at h={h}, caps={caps}"
+
+
+def test_tdma_deaf_silent_and_capless_users():
+    """h = 0 never saturates; zero caps, h >= 1 and saturated users get no time."""
+    ch = StdMacChannel([0.0, 0.1, 0.2, 0.9, 1.5], [2.0, 0.0, 3.0, 1.0, 5.0])
+    shares, rate = tdma_share_search(ch)
+    assert abs(shares.sum() - 1.0) <= 1e-12
+    assert shares[0] > 0 and shares[2] > 0
+    assert shares[1] == 0.0 and shares[3] == 0.0 and shares[4] == 0.0
+    marg = _tdma_marginals(ch.eve_gains[[0, 2]], ch.power_caps[[0, 2]], shares[[0, 2]])
+    lam = float(marg.mean())
+    assert np.max(np.abs(marg - lam)) <= 1e-9 * lam
+    assert -0.5 * np.log2(0.9) <= lam
+    assert rate > 0
+
+
 def test_best_sum_rate_degraded_prefers_sup():
     """Equal-gain users merge to one, the schemes tie, and ties go to SUP."""
     rng = np.random.default_rng(35)

@@ -266,6 +266,34 @@ def test_sweep_scene_file(capsys, tmp_path):
     assert "wrong_field" in err
 
 
+def test_sweep_scene_with_bad_noise_exits_one(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(
+        json.dumps({"transmitter_positions": [[-1.0, 0.0], [1.0, 0.0]], "main_noise": -1})
+    )
+    code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert "main_noise" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3", "1"])
+@pytest.mark.parametrize("command", ["sweep", "region", "sumrate"])
+def test_bad_grid_exits_one_naming_the_flag(capsys, command, grid):
+    code, out, err = run_cli(
+        capsys, command, "--caps", "4,4", "--eve-gains", "0.1,0.3", f"--grid={grid}"
+    )
+    assert code == 1
+    assert out == ""
+    assert "invalid --grid" in err and grid in err
+
+
+def test_negative_grid_as_separate_argument(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--grid", "-3")
+    assert code == 1
+    assert "invalid --grid" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [

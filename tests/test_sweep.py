@@ -53,6 +53,41 @@ def test_scene_validation():
         Scene(transmitter_positions=((0.0, 0.0), (np.inf, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("raw_power_caps", (1.0, 2.0, 3.0)),
+        ("raw_power_caps", (1.0,)),
+        ("raw_power_caps", (1.0, np.nan)),
+        ("raw_power_caps", (-1.0, 2.0)),
+        ("raw_power_caps", 2.0),
+        ("receiver_noises", (1.0, np.inf)),
+        ("receiver_noises", (1.0, 0.0)),
+        ("receiver_noises", (1.0, 1.0, 1.0)),
+        ("main_noise", -1.0),
+        ("main_noise", 0.0),
+        ("main_noise", np.nan),
+        ("main_noise", "1"),
+        ("tap_noise", 0.0),
+        ("tap_noise", np.inf),
+    ],
+)
+def test_scene_rejects_bad_caps_and_noises(field, value):
+    with pytest.raises(ValueError, match=field):
+        Scene(transmitter_positions=((0.0, 0.0), (1.0, 0.0)), **{field: value})
+
+
+def test_scene_accepts_zero_cap_and_keeps_values():
+    scene = Scene(
+        transmitter_positions=((0.0, 0.0), (1.0, 0.0)),
+        raw_power_caps=[0.0, 3],
+        receiver_noises=np.array([0.5, 2.0]),
+    )
+    assert scene.raw_power_caps == (0.0, 3)
+    assert scene.to_json()["raw_power_caps"] == [0.0, 3]
+    assert scene.to_json()["receiver_noises"] == [0.5, 2.0]
+
+
 def test_sweep_argument_validation():
     scene = default_scene()
     with pytest.raises(ValueError):
