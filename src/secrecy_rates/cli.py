@@ -6,7 +6,8 @@ from the --caps/--eve-gains/--main-gains/--noises flags; raw channels are
 standardized automatically.  All output is deterministic: floats are
 rounded to 12 significant digits before serialization, JSON keys are
 sorted, and rates carry a _bits suffix.  Exit codes: 0 success, 1
-validation error, 2 internal numerical failure.
+validation error, 2 internal numerical failure; a sweep with failed cells
+writes its output, then exits 2.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .oracle import (
     grid_max_tw_cj,
 )
 from .regions import mac_hull_region, tw_region
-from .sweep import MODE_MAC, MODE_TW, Scene, default_scene, sweep
+from .sweep import MODE_MAC, MODE_TW, SWEEP_COLUMNS, Scene, default_scene, sweep
 
 
 def _parse_floats(text: str, flag: str, expect: Optional[int] = None) -> List[float]:
@@ -260,34 +261,19 @@ def _cmd_sweep(args) -> None:
     resolution = args.grid or 64
     result = sweep(scene, bounds, resolution, mode)
     if args.format == "json":
-        rows = []
-        for iy, y in enumerate(result.ys):
-            for ix, x in enumerate(result.xs):
-                rows.append(
-                    [
-                        float(x),
-                        float(y),
-                        float(result.tx_power[iy, ix, 0]),
-                        float(result.tx_power[iy, ix, 1]),
-                        float(result.jam_power[iy, ix, 0]),
-                        float(result.jam_power[iy, ix, 1]),
-                        float(result.sum_rate[iy, ix]),
-                        result.branch[iy][ix],
-                    ]
-                )
-        doc = {
-            "metadata": result.metadata_json(),
-            "columns": ["x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch"],
-            "rows": rows,
-        }
+        doc = {"metadata": result.metadata_json(), "columns": SWEEP_COLUMNS, "rows": list(result.rows())}
         _emit(_dump_json(doc), args.out)
-        return
-    if args.out:
+    elif args.out:
         result.to_csv(args.out)
         with open(args.out + ".meta.json", "w") as handle:
             handle.write(_dump_json(result.metadata_json()))
     else:
         _emit(result.csv_text(), None)
+    if result.error_messages:
+        raise RuntimeError(
+            f"{len(result.error_messages)} of {result.error.size} cells failed; "
+            f"first: {result.error_messages[0]}"
+        )
 
 
 def _cmd_verify(args) -> None:

@@ -5,8 +5,7 @@ sweep moves a hypothetical eavesdropper over a 2-D grid, derives the raw
 channel for each cell, standardizes it, runs the matching
 cooperative-jamming optimizer, and records per-user transmit/jam powers
 (mapped back to raw-domain watts) plus the secrecy sum rate.  Cells are
-independent and evaluated in parallel with ordered, deterministic
-assembly.
+evaluated in order, row by row, on the calling thread.
 """
 
 from __future__ import annotations
@@ -16,21 +15,21 @@ import io
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channels import (
     RawMacChannel,
     RawTwChannel,
-    canonical_float,
     standardize_mac,
     standardize_tw,
     to_jsonable,
 )
 from .jamming import mac_cj_optimal, tw_cj_optimal
+
+SWEEP_COLUMNS = ("x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch")
 
 MODE_MAC = "MAC-CJ"
 MODE_TW = "TW-CJ"
@@ -80,37 +79,26 @@ class Scene:
     distance_floor: float = 1e-3
 
     def __post_init__(self):
+        positions = self.transmitter_positions
+        if not isinstance(positions, (list, tuple, np.ndarray)) or len(positions) != 2:
+            raise ValueError(f"transmitter_positions must be exactly two positions, got {positions!r}")
         self.transmitter_positions = tuple(
-            (float(p[0]), float(p[1])) for p in self.transmitter_positions
+            tuple(float(c) for c in _finite_pair(p, "transmitter_positions")) for p in positions
         )
-        if len(self.transmitter_positions) != 2:
-            raise ValueError("exactly two transmitter positions are required")
         if self.receiver_position is not None:
-            self.receiver_position = (
-                float(self.receiver_position[0]),
-                float(self.receiver_position[1]),
+            self.receiver_position = tuple(
+                float(c) for c in _finite_pair(self.receiver_position, "receiver_position")
             )
-        coords = [c for p in self.transmitter_positions for c in p]
-        if self.receiver_position is not None:
-            coords.extend(self.receiver_position)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError("positions must be finite")
-        if not self.path_loss_exponent > 0:
-            raise ValueError("path_loss_exponent must be positive")
-        if not self.distance_floor > 0:
-            raise ValueError("distance_floor must be positive")
-        if not self.reference_gain > 0:
-            raise ValueError("reference_gain must be positive")
+        for name in ("path_loss_exponent", "reference_gain", "distance_floor", "main_noise", "tap_noise"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         self.raw_power_caps = _finite_pair(self.raw_power_caps, "raw_power_caps")
         if min(self.raw_power_caps) < 0:
             raise ValueError(f"raw_power_caps must be nonnegative, got {list(self.raw_power_caps)}")
         self.receiver_noises = _finite_pair(self.receiver_noises, "receiver_noises")
         if min(self.receiver_noises) <= 0:
             raise ValueError(f"receiver_noises must be positive, got {list(self.receiver_noises)}")
-        for name in ("main_noise", "tap_noise"):
-            value = getattr(self, name)
-            if not (_is_finite_number(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     def to_json(self) -> Dict:
         return to_jsonable(
@@ -182,7 +170,11 @@ def gains_from_geometry(scene: Scene, eve_position, mode: Optional[str] = None):
 
 @dataclass
 class SweepResult:
-    """Grid of per-cell optimal powers (raw domain) and secrecy sum rates."""
+    """Grid of per-cell optimal powers (raw domain) and secrecy sum rates.
+
+    ``error`` flags the cells whose solve raised; ``error_messages`` holds
+    one message per flagged cell, in row order, naming the cell's (x, y).
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -194,30 +186,26 @@ class SweepResult:
     mode: str
     scene: Scene
     metadata: Dict = field(default_factory=dict)
+    error_messages: List[str] = field(default_factory=list)
+
+    def rows(self) -> Iterator[tuple]:
+        """Yield one row per cell, y-major, with the fields of SWEEP_COLUMNS."""
+        for iy, y in enumerate(self.ys.tolist()):
+            for ix, x in enumerate(self.xs.tolist()):
+                tx = self.tx_power[iy, ix].tolist()
+                jam = self.jam_power[iy, ix].tolist()
+                rate = float(self.sum_rate[iy, ix])
+                yield (x, y, tx[0], tx[1], jam[0], jam[1], rate, self.branch[iy][ix])
 
     def to_csv(self, target) -> None:
-        """Write rows x,y,p1_tx,p2_tx,p1_jam,p2_jam,sum_rate_bits,branch."""
+        """Write a SWEEP_COLUMNS header and one row per cell, floats to 12 digits."""
         own = isinstance(target, (str, os.PathLike))
         handle = open(target, "w", newline="") if own else target
         try:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch"]
-            )
-            for iy, y in enumerate(self.ys):
-                for ix, x in enumerate(self.xs):
-                    writer.writerow(
-                        [
-                            f"{float(x):.12g}",
-                            f"{float(y):.12g}",
-                            f"{self.tx_power[iy, ix, 0]:.12g}",
-                            f"{self.tx_power[iy, ix, 1]:.12g}",
-                            f"{self.jam_power[iy, ix, 0]:.12g}",
-                            f"{self.jam_power[iy, ix, 1]:.12g}",
-                            f"{self.sum_rate[iy, ix]:.12g}",
-                            self.branch[iy][ix],
-                        ]
-                    )
+            writer.writerow(SWEEP_COLUMNS)
+            for *values, branch in self.rows():
+                writer.writerow([f"{v:.12g}" for v in values] + [branch])
         finally:
             if own:
                 handle.close()
@@ -231,7 +219,7 @@ class SweepResult:
         return to_jsonable(self.metadata)
 
 
-def _solve_mac_cell(scene: Scene, x: float, y: float) -> Dict:
+def _solve_mac_cell(scene: Scene, x: float, y: float) -> tuple:
     raw = gains_from_geometry(scene, (x, y), MODE_MAC)
     std = standardize_mac(raw)
     sol = mac_cj_optimal(std)
@@ -247,10 +235,10 @@ def _solve_mac_cell(scene: Scene, x: float, y: float) -> Dict:
             continue
         for orig in group:
             bucket[orig] = split[orig] * scene.main_noise / raw.main_gains[orig]
-    return {"tx": tx, "jam": jam, "rate": sol.sum_rate, "branch": sol.diagnostics["branch"]}
+    return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
 
 
-def _solve_tw_cell(scene: Scene, x: float, y: float) -> Dict:
+def _solve_tw_cell(scene: Scene, x: float, y: float) -> tuple:
     raw = gains_from_geometry(scene, (x, y), MODE_TW)
     std = standardize_tw(raw)
     sol = tw_cj_optimal(std)
@@ -263,33 +251,7 @@ def _solve_tw_cell(scene: Scene, x: float, y: float) -> Dict:
             tx[u] = raw_p
         elif u in sol.jam_set:
             jam[u] = raw_p
-    return {"tx": tx, "jam": jam, "rate": sol.sum_rate, "branch": sol.diagnostics["branch"]}
-
-
-def _solve_cell(scene: Scene, mode: str, x: float, y: float) -> Dict:
-    try:
-        if mode == MODE_MAC:
-            return _solve_mac_cell(scene, x, y)
-        return _solve_tw_cell(scene, x, y)
-    except Exception as exc:  # per-cell failures become flagged zero cells
-        return {
-            "tx": np.zeros(2),
-            "jam": np.zeros(2),
-            "rate": 0.0,
-            "branch": "error",
-            "error": str(exc),
-        }
-
-
-def _worker_count() -> int:
-    env = os.environ.get("SECRECY_RATES_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError("SECRECY_RATES_THREADS must be an integer") from exc
-        return max(1, n)
-    return max(1, min(8, os.cpu_count() or 1))
+    return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
 
 
 def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
@@ -302,8 +264,10 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         mode: "MAC-CJ" or "TW-CJ".
 
     Returns:
-        SweepResult with per-cell raw-domain powers, rates, branch labels,
-        and error flags (a failed cell is recorded as zero rate).
+        SweepResult with per-cell raw-domain powers, rates and branch
+        labels.  A cell whose solve raises is recorded as zero powers,
+        zero rate and branch "error"; it is flagged in ``error`` and its
+        message, naming the cell's (x, y), is kept in ``error_messages``.
     """
     mode = _normalize_mode(mode)
     resolution = int(resolution)
@@ -314,24 +278,21 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         raise ValueError("grid_bounds must satisfy xmax > xmin and ymax > ymin")
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    cells = [(iy, ix, float(ys[iy]), float(xs[ix])) for iy in range(resolution) for ix in range(resolution)]
-    workers = _worker_count()
-    if workers == 1:
-        results = [_solve_cell(scene, mode, x, y) for (_, _, y, x) in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _solve_cell(scene, mode, c[3], c[2]), cells))
+    solve = _solve_mac_cell if mode == MODE_MAC else _solve_tw_cell
     tx = np.zeros((resolution, resolution, 2))
     jam = np.zeros((resolution, resolution, 2))
     rate = np.zeros((resolution, resolution))
     branch = [["" for _ in range(resolution)] for _ in range(resolution)]
     error = np.zeros((resolution, resolution), dtype=bool)
-    for (iy, ix, _, _), res in zip(cells, results):
-        tx[iy, ix] = res["tx"]
-        jam[iy, ix] = res["jam"]
-        rate[iy, ix] = res["rate"]
-        branch[iy][ix] = res["branch"]
-        error[iy, ix] = "error" in res
+    messages = []
+    for iy, y in enumerate(ys.tolist()):
+        for ix, x in enumerate(xs.tolist()):
+            try:
+                tx[iy, ix], jam[iy, ix], rate[iy, ix], branch[iy][ix] = solve(scene, x, y)
+            except Exception as exc:  # a failed cell stays zero and is flagged
+                error[iy, ix] = True
+                branch[iy][ix] = "error"
+                messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
     from . import __version__
 
     metadata = {
@@ -342,6 +303,5 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         "grid_bounds": [xmin, xmax, ymin, ymax],
         "distance_floor": scene.distance_floor,
         "library_version": __version__,
-        "workers": workers,
     }
-    return SweepResult(xs, ys, tx, jam, rate, branch, error, mode, scene, metadata)
+    return SweepResult(xs, ys, tx, jam, rate, branch, error, mode, scene, metadata, messages)

@@ -277,6 +277,57 @@ def test_sweep_scene_with_bad_noise_exits_one(capsys, tmp_path):
     assert "main_noise" in err
 
 
+def test_sweep_scene_with_bad_position_exits_one(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"transmitter_positions": [[0.0], [1.0, 0.0]]}))
+    code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert "transmitter_positions" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, fmt):
+    """d ** -400 overflows for an eavesdropper on a transmitter: 2 of 25 cells."""
+    path = tmp_path / "scene.json"
+    path.write_text(
+        json.dumps(
+            {
+                "transmitter_positions": [[-0.5, 0.0], [0.5, 0.0]],
+                "receiver_position": [0.0, 0.0],
+                "path_loss_exponent": 400,
+            }
+        )
+    )
+    code, out, err = run_cli(
+        capsys, "sweep", "--scene", str(path), "--grid", "5", "--format", fmt
+    )
+    assert code == 2
+    if fmt == "csv":
+        branches = [row[-1] for row in csv.reader(out.splitlines()[1:])]
+    else:
+        branches = [row[-1] for row in json.loads(out)["rows"]]
+    assert len(branches) == 25
+    assert branches.count("error") == 2
+    assert "2 of 25 cells failed" in err
+    assert "x=-0.5, y=0" in err and "OverflowError" in err
+
+
+@pytest.mark.parametrize("model", ["mac", "tw"])
+def test_sweep_json_and_csv_rows_agree(capsys, model):
+    argv = ("sweep", "--model", model, "--grid", "4", "--bounds=-1,1,-1,1")
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    code_json, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code_csv == 0 and code_json == 0
+    csv_rows = list(csv.reader(out_csv.splitlines()))
+    doc = json.loads(out_json)
+    assert csv_rows[0] == doc["columns"]
+    assert len(csv_rows) - 1 == len(doc["rows"]) == 16
+    for csv_row, json_row in zip(csv_rows[1:], doc["rows"]):
+        assert csv_row[-1] == json_row[-1]
+        for text, value in zip(csv_row[:-1], json_row[:-1]):
+            assert float(text) == float(f"{value:.12g}")
+
 @pytest.mark.parametrize("grid", ["0", "-3", "1"])
 @pytest.mark.parametrize("command", ["sweep", "region", "sumrate"])
 def test_bad_grid_exits_one_naming_the_flag(capsys, command, grid):

@@ -11,6 +11,7 @@ from secrecy_rates import (
     gains_from_geometry,
     sweep,
 )
+from secrecy_rates.sweep import SWEEP_COLUMNS
 
 BOUNDS = (-1.0, 1.0, -1.0, 1.0)
 
@@ -70,11 +71,29 @@ def test_scene_validation():
         ("main_noise", "1"),
         ("tap_noise", 0.0),
         ("tap_noise", np.inf),
+        ("transmitter_positions", [[0.0], [1.0, 0.0]]),
+        ("transmitter_positions", 5),
+        ("transmitter_positions", [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]),
+        ("transmitter_positions", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        ("transmitter_positions", [[0.0, "0"], [1.0, 0.0]]),
+        ("receiver_position", (0.0, 0.0, 1.0)),
+        ("receiver_position", (np.nan, 0.0)),
+        ("receiver_position", 0.0),
+        ("path_loss_exponent", "2"),
+        ("path_loss_exponent", np.inf),
+        ("path_loss_exponent", -2.0),
+        ("reference_gain", "1"),
+        ("reference_gain", np.nan),
+        ("reference_gain", 0.0),
+        ("distance_floor", np.inf),
+        ("distance_floor", -1e-3),
+        ("distance_floor", None),
     ],
 )
 def test_scene_rejects_bad_caps_and_noises(field, value):
+    kwargs = {"transmitter_positions": ((0.0, 0.0), (1.0, 0.0)), field: value}
     with pytest.raises(ValueError, match=field):
-        Scene(transmitter_positions=((0.0, 0.0), (1.0, 0.0)), **{field: value})
+        Scene(**kwargs)
 
 
 def test_scene_accepts_zero_cap_and_keeps_values():
@@ -109,6 +128,7 @@ def test_sweep_receiver_cell_and_transmitter_cells():
     assert result.jam_power[iy0, ixt, 0] > 0.0
     assert result.tx_power[iy0, ixt, 1] > 0.0
     assert not result.error.any()
+    assert result.error_messages == []
     assert (result.sum_rate >= 0.0).all()
 
 
@@ -190,24 +210,43 @@ def test_sweep_csv_and_metadata():
         "grid_bounds",
         "distance_floor",
         "library_version",
-        "workers",
     ):
         assert key in meta, f"metadata missing {key}"
+    assert "workers" not in meta
     assert meta["resolution"] == 5
     assert meta["mode"] == "MAC-CJ"
 
 
-def test_sweep_single_worker_matches_default(monkeypatch):
-    base = sweep(default_scene(), BOUNDS, 7, "TW-CJ")
-    monkeypatch.setenv("SECRECY_RATES_THREADS", "1")
-    serial = sweep(default_scene(), BOUNDS, 7, "TW-CJ")
-    assert np.array_equal(base.sum_rate, serial.sum_rate)
-    assert np.array_equal(base.tx_power, serial.tx_power)
-    assert base.branch == serial.branch
-    assert serial.metadata["workers"] == 1
+
+def test_sweep_keeps_failed_cell_messages():
+    """Cells on a transmitter overflow d ** -400 and are flagged with a reason."""
+    scene = Scene(
+        transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
+        receiver_position=(0.0, 0.0),
+        path_loss_exponent=400,
+    )
+    result = sweep(scene, BOUNDS, 5, "MAC-CJ")
+    failed = [(float(result.xs[ix]), float(result.ys[iy])) for iy, ix in np.argwhere(result.error)]
+    assert failed == [(-0.5, 0.0), (0.5, 0.0)]
+    assert len(result.error_messages) == 2
+    for (x, y), message in zip(failed, result.error_messages):
+        assert f"x={x:.12g}, y={y:.12g}" in message
+        assert "OverflowError" in message
+    for iy, ix in np.argwhere(result.error):
+        assert result.branch[iy][ix] == "error"
+        assert result.sum_rate[iy, ix] == 0.0
+        assert not result.tx_power[iy, ix].any() and not result.jam_power[iy, ix].any()
+    assert sum(row.count("error") for row in result.branch) == 2
 
 
-def test_sweep_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("SECRECY_RATES_THREADS", "many")
-    with pytest.raises(ValueError):
-        sweep(default_scene(), BOUNDS, 3, "MAC-CJ")
+def test_sweep_rows_follow_columns():
+    result = sweep(default_scene(), BOUNDS, 3, "MAC-CJ")
+    rows = list(result.rows())
+    assert len(SWEEP_COLUMNS) == 8 and all(len(row) == 8 for row in rows)
+    assert [row[:2] for row in rows[:4]] == [(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, 0.0)]
+    x, y, p1_tx, p2_tx, p1_jam, p2_jam, rate, branch = rows[5]
+    assert (x, y) == (1.0, 0.0)
+    assert (p1_tx, p2_tx) == tuple(result.tx_power[1, 2])
+    assert (p1_jam, p2_jam) == tuple(result.jam_power[1, 2])
+    assert rate == result.sum_rate[1, 2] and branch == result.branch[1][2]
+    assert result.csv_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)
