@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -22,11 +22,14 @@ from .channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
+    _gains_of,
     _powers_of,
+    cap_eve_tilde,
+    gaussian_bits,
     is_degraded,
     to_jsonable,
 )
-from .regions import TdmaShares
+from .regions import TdmaShares, _tdma_user_bounds
 
 
 @dataclass
@@ -52,24 +55,36 @@ class SumRateSolution:
         )
 
 
+def _mac_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
+    """MAC secrecy sum rate [C(P_T / (1 + P_N)) - C(H_T / (1 + H_N))]^+ in bits.
+
+    T is the transmit set and N the rest, heard as noise; P sums powers, H
+    gain-weighted powers.  The sums are masked over all users, so a silent
+    N gives the same bits as T = everyone.
+    """
+    in_t = np.zeros(len(powers), dtype=bool)
+    in_t[list(transmit)] = True
+    hp = h * powers
+    p_t, hp_t = powers * in_t, hp * in_t
+    heard = gaussian_bits(float(p_t.sum()) / (1.0 + float((powers - p_t).sum())))
+    return max(heard - gaussian_bits(float(hp_t.sum()) / (1.0 + float((hp - hp_t).sum()))), 0.0)
+
+
+def _tw_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
+    """Two-way secrecy sum rate [sum_T C(P_k) - C(H_T / (1 + H_N))]^+ in bits."""
+    t = sorted(set(transmit))
+    return max(sum(gaussian_bits(float(powers[k])) for k in t) - cap_eve_tilde(powers, h, t), 0.0)
+
+
 def sup_sum_rate(alloc, gains) -> float:
     """Clamped superposition secrecy sum rate at an allocation, in bits."""
     powers = _powers_of(alloc)
-    h = gains.eve_gains if isinstance(gains, StdMacChannel) else np.asarray(gains, dtype=float)
-    raw = 0.5 * (math.log2(1.0 + float(powers.sum())) - math.log2(1.0 + float((h * powers).sum())))
-    return max(raw, 0.0)
+    return _mac_secrecy_bits(powers, _gains_of(gains), range(len(powers)))
 
 
 def tw_sum_rate(alloc, gains) -> float:
     """Clamped two-way secrecy sum rate at an allocation, in bits."""
-    powers = _powers_of(alloc)
-    h = gains.eve_gains if isinstance(gains, StdTwChannel) else np.asarray(gains, dtype=float)
-    raw = 0.5 * (
-        math.log2(1.0 + float(powers[0]))
-        + math.log2(1.0 + float(powers[1]))
-        - math.log2(1.0 + float((h * powers).sum()))
-    )
-    return max(raw, 0.0)
+    return _tw_secrecy_bits(_powers_of(alloc), _gains_of(gains), (0, 1))
 
 
 def _require_strict_gains(ch: StdMacChannel) -> None:
@@ -147,21 +162,37 @@ def mac_two_user_closed_form(ch: StdMacChannel) -> SumRateSolution:
 
 
 def _tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
-    """TDMA sum rate in bits; each user bursts at cap / share in its slot, clamped at 0."""
-    total = 0.0
-    for hk, ck, sk in zip(h.tolist(), caps.tolist(), shares.tolist()):
-        if sk > 0.0 and ck > 0.0:
-            burst = ck / sk
-            total += max(0.5 * sk * (math.log2(1.0 + burst) - math.log2(1.0 + hk * burst)), 0.0)
-    return total
+    """TDMA sum rate in bits: each user's clamped slot secrecy rate at cap / share."""
+    users = zip(h.tolist(), caps.tolist(), shares.tolist())
+    return sum(_tdma_user_bounds(hk, ck, sk)[1] for hk, ck, sk in users)
 
 
 def _marginal(x: np.ndarray, h: np.ndarray):
-    """Marginal m = G - x G' of G(x) = ln((1+x)/(1+hx)), twice the slot rate in nats, and m'."""
+    """Marginal m = G - x G' of G(x) = ln((1+x)/(1+hx)), twice the slot rate in nats, and m'.
+
+    m = ln(1+z) - z/(1+x) with z = (1-h) x / (1+hx).  Below z = 0.1 the two
+    terms cancel, so m is summed there as (ln(1+z) - z) + z x / (1+x), with
+    ln(1+z) - z = 2 u^3 sum_k u^2k / (2k+3) - z^2 / (2+z) for u = z / (2+z),
+    from ln(1+z) = 2 atanh(u); five terms leave a relative error below 1e-15.
+    """
     hx1 = 1.0 + h * x
+    x1 = 1.0 + x
     z = (1.0 - h) * x / hx1
-    dm = x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / ((1.0 + x) * hx1) ** 2
-    return np.log1p(z) - z / (1.0 + x), dm
+    dm = x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / (x1 * hx1) ** 2
+    m = np.log1p(z) - z / x1
+    small = z < 0.1
+    if small.any():
+        zs, z2 = z[small], 2.0 + z[small]
+        u = zs / z2
+        w = u * u
+        tail = 1.0 / 3.0 + w * (1.0 / 5.0 + w * (1.0 / 7.0 + w * (1.0 / 9.0 + w / 11.0)))
+        m[small] = (2.0 * u * w * tail - zs * zs / z2) + zs * x[small] / x1[small]
+    return m, dm
+
+
+# Bursts beyond the float range mean a share of 0; a finite bracket keeps the
+# geometric midpoint finite.
+_MAX_BURST = np.finfo(float).max
 
 
 def _bursts(lam: float, h: np.ndarray, g_inf: np.ndarray, x: np.ndarray):
@@ -173,15 +204,16 @@ def _bursts(lam: float, h: np.ndarray, g_inf: np.ndarray, x: np.ndarray):
     ln(1/h) - m(x) < 2(1-h) / (h x), or at expm1(lam + 1) when h = 0.
     """
     lo = np.sqrt(2.0 * lam / (1.0 - h * h))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = np.where(h > 0.0, 2.0 * (1.0 - h) / (h * (g_inf - lam)), math.expm1(lam + 1.0))
+    hi = np.minimum(hi, _MAX_BURST)
     x = np.clip(x, lo, hi)
     for _ in range(200):
         m, dm = _marginal(x, h)
         lo = np.where(m < lam, x, lo)
         hi = np.where(m > lam, x, hi)
         step = x / (1.0 + (m - lam) / (x * dm))
-        nxt = np.where((lo <= step) & (step <= hi), step, np.sqrt(lo * hi))
+        nxt = np.where((lo <= step) & (step <= hi), step, np.sqrt(lo) * np.sqrt(hi))
         if np.all((np.abs(nxt - x) <= 1e-10 * x) | (np.abs(m - lam) <= 1e-15 * lam)):
             return nxt, dm
         x = nxt

@@ -7,7 +7,9 @@ other's receivers).  Standardization rescales either setup to unit main
 gains and unit noise, condensing the eavesdropper's advantage for user k
 into a single dimensionless gain h_k.  Everything downstream (regions,
 optimizers, oracles) works on the standardized form, and all rates are
-reported in bits per channel use.
+reported in bits per channel use.  Every solver and region rate takes its
+logarithm in one kernel, ``gaussian_bits`` (C(snr) = 1/2 log2(1 + snr)
+through log1p, so small SNRs keep their relative accuracy).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ TOL_ABS = 1e-12
 # Relative tolerance under which two standardized gains count as equal and
 # their users are merged into one super-user with the summed power cap.
 GAIN_MERGE_RTOL = 1e-9
+
+_LN2 = math.log(2.0)
 
 
 class NonStandardizableChannel(ValueError):
@@ -356,16 +360,19 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     return StdTwChannel(np.array([h1, h2]), np.array([a1, a2]), np.array([p1, p2]))
 
 
+def gaussian_bits(snr: float) -> float:
+    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits, computed with log1p."""
+    return 0.5 * math.log1p(snr) / _LN2
+
+
 def cap_main(alloc, subset: Iterable[int]) -> float:
     """Receiver-side Gaussian sum capacity of a user subset, in bits.
 
-    Returns 0.5 * log2(1 + sum of subset powers); the empty subset gives 0.
+    Returns C(sum of subset powers); the empty subset gives 0.
     """
     powers = _powers_of(alloc)
     idx = list(subset)
-    if not idx:
-        return 0.0
-    return 0.5 * math.log2(1.0 + float(powers[idx].sum()))
+    return gaussian_bits(float(powers[idx].sum()))
 
 
 def cap_eve(alloc, gains, subset: Iterable[int]) -> float:
@@ -373,9 +380,7 @@ def cap_eve(alloc, gains, subset: Iterable[int]) -> float:
     powers = _powers_of(alloc)
     h = _gains_of(gains)
     idx = list(subset)
-    if not idx:
-        return 0.0
-    return 0.5 * math.log2(1.0 + float((h[idx] * powers[idx]).sum()))
+    return gaussian_bits(float((h[idx] * powers[idx]).sum()))
 
 
 def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
@@ -383,12 +388,11 @@ def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
     powers = _powers_of(alloc)
     h = _gains_of(gains)
     idx = list(subset)
-    if not idx:
-        return 0.0
     inside = float((h[idx] * powers[idx]).sum())
-    comp = [k for k in range(len(powers)) if k not in set(idx)]
+    members = set(idx)
+    comp = [k for k in range(len(powers)) if k not in members]
     outside = float((h[comp] * powers[comp]).sum()) if comp else 0.0
-    return 0.5 * math.log2(1.0 + inside / (1.0 + outside))
+    return gaussian_bits(inside / (1.0 + outside))
 
 
 def phi(alloc, gains, subset: Iterable[int]) -> float:

@@ -6,7 +6,10 @@ optimum has an ordered structure: a prefix of the gain-sorted users
 transmits at cap, a gap stays silent, and a suffix jams at cap except for
 at most one "pivot" jammer whose power solves a quadratic.  The solver
 enumerates every (prefix, pivot) pattern and keeps the best.  The two-way
-variant only ever jams at full power, decided by a five-branch rule.
+variant only ever jams at full power, decided by a five-branch rule.  The
+rates are the superposition and two-way rate expressions of ``allocation``
+with jammers counted as noise, so they take their logarithms in the one
+kernel, ``channels.gaussian_bits``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from .channels import (
     StdTwChannel,
     _powers_of,
     phi,
-    psi,
     to_jsonable,
 )
-from .allocation import _require_strict_gains
+from .allocation import _mac_secrecy_bits, _require_strict_gains, _tw_secrecy_bits
 
 # Rates closer than this count as equal when ranking candidate role
 # patterns; see mac_cj_optimal.
@@ -65,10 +67,11 @@ class JammingSolution:
 
 
 def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
-    """Ratio phi(all users) / phi(non-transmitters); rate = half of [-log2]^+.
+    """Ratio phi(all users) / phi(non-transmitters), the structure behind the rate.
 
     Smaller is better: jamming power inflates the denominator, discounting
-    the eavesdropper's gain on the jammers.
+    the eavesdropper's gain on the jammers.  The rate, -1/2 log2 of this
+    ratio clamped at 0, is computed by mac_cj_rate without forming it.
     """
     powers = _powers_of(alloc)
     t_set = set(transmit_set)
@@ -77,22 +80,13 @@ def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> f
 
 
 def mac_cj_rate(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
-    """Clamped cooperative-jamming secrecy sum rate in bits."""
-    ratio = cj_objective_mac(ch, alloc, transmit_set)
-    return max(-0.5 * math.log2(ratio), 0.0)
+    """Clamped cooperative-jamming secrecy sum rate in bits; sup_sum_rate's expression."""
+    return _mac_secrecy_bits(_powers_of(alloc), ch.eve_gains, transmit_set)
 
 
 def tw_cj_rate(ch: StdTwChannel, alloc, transmit_set: Iterable[int]) -> float:
     """Clamped two-way cooperative-jamming secrecy sum rate in bits."""
-    powers = _powers_of(alloc)
-    h = ch.eve_gains
-    t_set = sorted(set(transmit_set))
-    comp = [k for k in range(2) if k not in t_set]
-    gross = sum(0.5 * math.log2(1.0 + float(powers[k])) for k in t_set)
-    seen = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
-    cover = float((h[comp] * powers[comp]).sum()) if comp else 0.0
-    leak = 0.5 * math.log2(1.0 + seen / (1.0 + cover))
-    return max(gross - leak, 0.0)
+    return _tw_secrecy_bits(_powers_of(alloc), ch.eve_gains, transmit_set)
 
 
 def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:

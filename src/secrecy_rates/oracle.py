@@ -40,11 +40,9 @@ _TRANSMIT, _JAM, _SILENT = "T", "J", "S"
 
 @dataclass
 class GridSpec:
-    """Grid density and candidate-injection switches for the oracles."""
+    """Grid density for the oracles: points per power axis, corners included."""
 
     points_per_axis: int = 101
-    include_corners: bool = True
-    include_analytic_candidates: bool = True
 
     def __post_init__(self):
         self.points_per_axis = int(self.points_per_axis)
@@ -56,16 +54,8 @@ def _axis(cap: float, spec: GridSpec, extras: Sequence[float] = ()) -> np.ndarra
     cap = float(cap)
     if cap <= 0:
         return np.zeros(1)
-    base = np.linspace(0.0, cap, spec.points_per_axis)
-    if not spec.include_corners:
-        base = np.linspace(0.0, cap, spec.points_per_axis + 2)[1:-1]
-    points = [base]
-    if spec.include_corners:
-        points.append(np.array([0.0, cap]))
     good_extras = [x for x in extras if 0.0 < x < cap and math.isfinite(x)]
-    if good_extras:
-        points.append(np.array(good_extras))
-    return np.unique(np.concatenate(points))
+    return np.unique(np.concatenate([np.linspace(0.0, cap, spec.points_per_axis), good_extras]))
 
 
 def _guard_size(axes: Sequence[np.ndarray]) -> None:
@@ -201,7 +191,7 @@ def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
                 axes.append(np.zeros(1))
                 continue
             extras: List[float] = []
-            if spec.include_analytic_candidates and roles[i] == _JAM:
+            if roles[i] == _JAM:
                 extras.extend(_rho_fit_roots(ch, t_set, jam_users, i, caps))
                 extras.extend(_threshold_candidates(ch, t_set, i, float(caps[i])))
             axes.append(_axis(caps[i], spec, extras))

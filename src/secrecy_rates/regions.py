@@ -9,7 +9,6 @@ grids and returns the convex closure of everything it saw.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,6 +21,7 @@ from .channels import (
     _powers_of,
     cap_eve_tilde,
     cap_main,
+    gaussian_bits,
     to_jsonable,
 )
 
@@ -240,8 +240,8 @@ def _tdma_user_bounds(h: float, cap: float, share: float) -> Tuple[float, float,
     if share <= 0 or cap <= 0:
         return 0.0, 0.0, False
     burst = cap / share
-    total = 0.5 * share * math.log2(1.0 + burst)
-    raw = total - 0.5 * share * math.log2(1.0 + h * burst)
+    total = share * gaussian_bits(burst)
+    raw = total - share * gaussian_bits(h * burst)
     return total, max(raw, 0.0), raw < 0
 
 
@@ -280,7 +280,7 @@ def tw_region(ch: StdTwChannel, alloc) -> SecrecyRegion:
     if len(powers) != 2:
         raise ValueError("allocation length must be 2")
     constraints: List[RateConstraint] = []
-    totals = [0.5 * math.log2(1.0 + float(powers[u])) for u in range(2)]
+    totals = [gaussian_bits(float(powers[u])) for u in range(2)]
     for u in range(2):
         constraints.append(RateConstraint((u,), KIND_USER_TOTAL, totals[u]))
     bounds = {}
@@ -321,9 +321,7 @@ def mac_hull_region(
         "schemes": list(schemes),
     }
     if k == 1:
-        h = float(ch.eve_gains[0])
-        cap = float(ch.power_caps[0])
-        bound = max(0.5 * math.log2(1.0 + cap) - 0.5 * math.log2(1.0 + h * cap), 0.0)
+        _, bound, _ = _tdma_user_bounds(float(ch.eve_gains[0]), float(ch.power_caps[0]), 1.0)
         vertices = [(0.0, 0.0)] if bound == 0 else [(0.0, 0.0), (bound, 0.0)]
         constraints = [RateConstraint((0,), KIND_SECRECY, bound)]
         return SecrecyRegion(constraints, vertices, "HULL", meta)

@@ -1,7 +1,11 @@
 """Tests for the sum-rate maximizing power allocations."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy_rates import (
     GridSpec,
@@ -11,6 +15,7 @@ from secrecy_rates import (
     grid_max_mac_sup,
     is_degraded,
     mac_best_sum_rate,
+    mac_cj_rate,
     mac_sup_optimal,
     mac_tdma_optimal,
     mac_two_user_closed_form,
@@ -20,9 +25,11 @@ from secrecy_rates import (
     random_tw_instance,
     sup_sum_rate,
     tdma_share_search,
+    tw_cj_rate,
     tw_optimal,
     tw_sum_rate,
 )
+from secrecy_rates.allocation import _marginal
 
 RATE_TOL = 1e-9
 
@@ -347,3 +354,84 @@ def test_rate_helpers_clamp():
     assert sup_sum_rate([4.0, 0.0], np.array([0.1, 0.3])) == pytest.approx(
         0.9182506338585603, abs=1e-12
     )
+
+
+def _dec_bits(snr: Decimal) -> Decimal:
+    """C(snr) = 1/2 log2(1 + snr) in the current decimal context."""
+    return (1 + snr).ln() / (2 * Decimal(2).ln())
+
+
+def _assert_near_reference(got: float, rate: Decimal, scale: Decimal) -> None:
+    """got matches the clamped reference rate within 1e-12 of scale, the summed size
+    of the capacities the rate subtracts: the rate itself unless those nearly cancel,
+    where no double evaluation of the difference keeps more relative accuracy."""
+    assert abs(Decimal(got) - max(rate, 0)) <= Decimal("1e-12") * scale, (got, rate, scale)
+
+
+@st.composite
+def _low_to_high_snr_users(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    exponents = draw(st.lists(st.floats(-15.0, 15.0), min_size=k, max_size=k))
+    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k))
+    transmit = draw(st.sets(st.integers(0, k - 1)))
+    return np.array([10.0**e for e in exponents]), np.sort(gains), sorted(transmit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_low_to_high_snr_users())
+def test_rates_match_high_precision_reference(users):
+    """SUP, CJ, TW and TDMA rates against an 80-digit evaluation of their formulas,
+    for powers from 1e-15 to 1e15."""
+    powers, h, transmit = users
+    k = len(powers)
+    ch = StdMacChannel(h, powers)
+    shares, tdma_rate = tdma_share_search(ch)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        p = [Decimal(v) for v in powers.tolist()]
+        hp = [Decimal(g) * v for g, v in zip(h.tolist(), p)]
+
+        def mac(t):
+            n = [i for i in range(k) if i not in t]
+            heard = _dec_bits(sum(p[i] for i in t) / (1 + sum(p[i] for i in n)))
+            leaked = _dec_bits(sum(hp[i] for i in t) / (1 + sum(hp[i] for i in n)))
+            return heard - leaked, heard + leaked
+
+        _assert_near_reference(sup_sum_rate(powers, h), *mac(range(k)))
+        _assert_near_reference(mac_cj_rate(ch, powers, transmit), *mac(transmit))
+
+        slots = []
+        for a, c, g in zip(shares.tolist(), powers.tolist(), h.tolist()):
+            if a > 0:
+                burst = Decimal(c) / Decimal(a)
+                heard, leaked = _dec_bits(burst), _dec_bits(Decimal(g) * burst)
+                slots.append((Decimal(a) * max(heard - leaked, 0), Decimal(a) * (heard + leaked)))
+        _assert_near_reference(tdma_rate, sum(r for r, _ in slots), sum(s for _, s in slots))
+
+        if k >= 2:
+            tw = StdTwChannel(h[:2], [0.0, 0.0], powers[:2])
+            t = [i for i in transmit if i < 2]
+            gross = sum(_dec_bits(p[i]) for i in t)
+            cover = sum(hp[i] for i in range(2) if i not in t)
+            leaked = _dec_bits(sum(hp[i] for i in t) / (1 + cover))
+            _assert_near_reference(tw_cj_rate(tw, powers[:2], t), gross - leaked, gross + leaked)
+            both = _dec_bits(p[0]) + _dec_bits(p[1])
+            leaked = _dec_bits(hp[0] + hp[1])
+            _assert_near_reference(tw_sum_rate(powers[:2], h[:2]), both - leaked, both + leaked)
+
+
+def test_tdma_marginal_relative_accuracy():
+    """m(x) = ln(1+z) - z/(1+x) to 1e-13 relative for bursts from 1e-12 to 1e6.
+
+    The reference carries 80 digits because, for h within 1e-16 of 1 and
+    x = 1e-12, its two terms agree to about 12 digits below 1e-28."""
+    x = np.logspace(-12, 6, 181)
+    for h in (0.0, 1e-12, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 2.0**-52):
+        m, _ = _marginal(x, np.full_like(x, h))
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for xv, mv in zip(x.tolist(), m.tolist()):
+                xd, hd = Decimal(xv), Decimal(h)
+                z = (1 - hd) * xd / (1 + hd * xd)
+                ref = (1 + z).ln() - z / (1 + xd)
+                assert abs(Decimal(mv) - ref) <= Decimal("1e-13") * ref, (xv, h, mv, ref)

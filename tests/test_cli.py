@@ -82,6 +82,17 @@ def test_sumrate_zero_case(capsys):
     assert doc["solution"]["transmit_set"] == []
 
 
+def test_sumrate_low_snr_prefers_tdma(capsys):
+    """At caps 1e-10 TDMA wins by about 1e-22 bits, which log1p resolves."""
+    code, out, _ = run_cli(
+        capsys, "sumrate", "--model", "mac", "--caps", "1e-10,1e-10", "--eve-gains", "0.1,0.3"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["solution"]["mode"] == "TDMA"
+    assert doc["solution"]["sum_rate_bits"] == 1.15415603257e-10
+
+
 def test_sumrate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sumrate", "--model", "tw", "--caps", "4,2", "--eve-gains", "0.3,0.7",

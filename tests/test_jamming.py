@@ -154,6 +154,24 @@ def test_mac_cj_no_jam_matches_superposition():
     assert abs(cj.sum_rate - sup.sum_rate) <= 1e-12
 
 
+def test_rates_without_jammers_equal_plain_solvers_exactly():
+    """A no-jam CJ solution is the plain scheme and shares its rate expression."""
+    rng = np.random.default_rng(53)
+    mac_hits = tw_hits = 0
+    for _ in range(1000):
+        ch = random_mac_instance(rng, 2)
+        cj = mac_cj_optimal(ch)
+        if not cj.jam_set:
+            mac_hits += 1
+            assert cj.sum_rate == mac_sup_optimal(ch).sum_rate, ch
+        tw = random_tw_instance(rng)
+        cj = tw_cj_optimal(tw)
+        if len(cj.transmit_set) == 2:
+            tw_hits += 1
+            assert cj.sum_rate == tw_optimal(tw).sum_rate, tw
+    assert mac_hits > 200 and tw_hits > 200, (mac_hits, tw_hits)
+
+
 def test_mac_cj_enables_secrecy_above_unit_gains():
     sol = mac_cj_optimal(FIG6_CH)
     assert sol.transmit_set == (0,)
