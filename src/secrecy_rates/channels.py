@@ -9,7 +9,8 @@ into a single dimensionless gain h_k.  Everything downstream (regions,
 optimizers, oracles) works on the standardized form, and all rates are
 reported in bits per channel use.  Every solver and region rate takes its
 logarithm in one kernel, ``gaussian_bits`` (C(snr) = 1/2 log2(1 + snr)
-through log1p, so small SNRs keep their relative accuracy).
+through log1p, so small SNRs keep their relative accuracy), or in its
+array form ``gaussian_bits_array``.
 """
 
 from __future__ import annotations
@@ -363,6 +364,11 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
 def gaussian_bits(snr: float) -> float:
     """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits, computed with log1p."""
     return 0.5 * math.log1p(snr) / _LN2
+
+
+def gaussian_bits_array(snr: np.ndarray) -> np.ndarray:
+    """gaussian_bits of every element of an array of SNRs (np.log1p)."""
+    return 0.5 * np.log1p(snr) / _LN2
 
 
 def cap_main(alloc, subset: Iterable[int]) -> float:

@@ -4,12 +4,16 @@ Users either transmit, stay silent, or jam (send Gaussian noise that hurts
 the eavesdropper more than the receiver).  For the MAC wiretap channel the
 optimum has an ordered structure: a prefix of the gain-sorted users
 transmits at cap, a gap stays silent, and a suffix jams at cap except for
-at most one "pivot" jammer whose power solves a quadratic.  The solver
-enumerates every (prefix, pivot) pattern and keeps the best.  The two-way
-variant only ever jams at full power, decided by a five-branch rule.  The
-rates are the superposition and two-way rate expressions of ``allocation``
-with jammers counted as noise, so they take their logarithms in the one
-kernel, ``channels.gaussian_bits``.
+at most one "pivot" jammer whose power solves a quadratic.  Every sum a
+pattern's quadratic and rate need is then a prefix or suffix sum, so the
+solver ranks all (prefix, pivot) patterns at once as O(K^2) arrays and
+evaluates only the winner, with any pattern tied with it to rounding, by
+the scalar pivot quadratic and rate, which give the reported solution.
+The two-way variant only ever jams at full power, decided by a
+five-branch rule.  The rates are the superposition and two-way rate
+expressions of ``allocation`` with jammers counted as noise, so they take
+their logarithms in the one kernel, ``channels.gaussian_bits``, or in its
+array form for the ranking.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .channels import (
     StdMacChannel,
     StdTwChannel,
     _powers_of,
+    gaussian_bits_array,
     phi,
     to_jsonable,
 )
@@ -95,7 +100,8 @@ def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[
     t_set = sorted(set(transmit_set))
     if j not in set(jam_set):
         raise ValueError("rho is defined for jamming users only")
-    comp = [k for k in range(ch.k_users) if k not in set(t_set)]
+    in_t = set(t_set)
+    comp = [k for k in range(ch.k_users) if k not in in_t]
     h = ch.eve_gains
     hj = float(h[j])
     sum_p_all = float(powers.sum())
@@ -153,7 +159,8 @@ def pivot_quadratic(
     powers = _powers_of(fixed_alloc).copy()
     powers[pivot] = 0.0
     t_set = sorted(set(transmit_set))
-    comp_mj = [k for k in range(ch.k_users) if k not in set(t_set) and k != pivot]
+    in_t = set(t_set)
+    comp_mj = [k for k in range(ch.k_users) if k not in in_t and k != pivot]
     h = ch.eve_gains
     hj = float(h[pivot])
     sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
@@ -201,7 +208,8 @@ def _partition_solution(
     transmit = tuple(i for i in range(t_count) if powers[i] > 0)
     jam_start = k if pivot_idx is None else pivot_idx
     jam = tuple(i for i in range(jam_start, k) if powers[i] > 0)
-    silent = tuple(i for i in range(k) if i not in transmit and i not in jam)
+    active = set(transmit).union(jam)
+    silent = tuple(i for i in range(k) if i not in active)
     pivot_active = pivot_idx is not None and powers[pivot_idx] > 0
     jam_label = str(jam_start + 1) if jam else "none"
     diagnostics = {"branch": f"T={t_count},J={jam_label}", "case": case}
@@ -220,6 +228,105 @@ def _partition_solution(
     )
 
 
+def _finalists(h: np.ndarray, caps: np.ndarray) -> List[Tuple[int, int]]:
+    """(t, p) of the best ordered role pattern, ranked as arrays over all of
+    them, and of the patterns whose tie-break keys match it to rounding.
+
+    Cell (t, p) of the (K+1) x (K+1) grid transmits users [0, t) at cap and
+    makes user p >= t the pivot, with every user after it jamming at cap;
+    column K is the no-jam pattern, a pivot of gain 0 and cap 0.  With P, H
+    the transmitters' sums of caps and h * caps, and R, G those of the
+    jammers after the pivot, pivot_quadratic's coefficients are
+        c1 = h_p (h_p P - H),  c2 = 2 h_p ((1 + G) P - (1 + R) H),
+        c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H,
+    and the root is taken with c2 / 2, an exact scaling.  R and G
+    accumulate from the back, so a pivot at cap and the next pivot at 0
+    give bit-identical jam totals, keys and rates for one power vector.
+    """
+    k = len(caps)
+    # rows: caps, h * caps, and 1 for each user with a positive cap
+    terms = np.empty((3, k))
+    terms[0] = caps
+    np.multiply(h, caps, out=terms[1])
+    terms[2] = caps > 0
+    prefix = np.zeros((3, k + 1, 1))
+    np.add.accumulate(terms, axis=1, out=prefix[:, 1:, 0])
+    # per pivot column: the three sums over the users after it, then its h and cap
+    after = np.zeros((5, 1, k + 1))
+    after[:3, 0, : k - 1] = np.add.accumulate(terms[:, :0:-1], axis=1)[:, ::-1]
+    after[3:, 0, :k] = h, caps
+    p_t, hp_t = prefix[0], prefix[1]
+    p_after, hp_after, n_after, h_p, cap_p = after
+    one_r, one_g = 1.0 + p_after, 1.0 + hp_after
+    with np.errstate(all="ignore"):
+        c1 = h_p * (h_p * p_t - hp_t)
+        half_c2 = h_p * (one_g * p_t - one_r * hp_t)
+        c3 = (hp_t + one_g) * one_g * p_t - (p_t + one_r) * (h_p * one_r) * hp_t
+        # the "+sqrt" root, NaN where the discriminant is negative (-c2 - s < 0 when c2 > 0)
+        s = np.sqrt(half_c2 * half_c2 - c1 * c3)
+        root = np.where(half_c2 <= 0.0, (s - half_c2) / c1, c3 / (-half_c2 - s))
+        root = np.where(c1 == 0.0, np.where(half_c2 == 0.0, np.nan, -0.5 * c3 / half_c2), root)
+        pivot = np.where(root > 0.0, np.minimum(root, cap_p), 0.0)
+        jam = pivot + p_after
+        heard = gaussian_bits_array(p_t / (1.0 + jam))
+        leaked = gaussian_bits_array(hp_t / (1.0 + (h_p * pivot + hp_after)))
+        rate = np.maximum(heard - leaked, 0.0)
+    users = np.arange(k + 1)
+    rate[users[:, None] > users] = -np.inf
+    pool = (rate >= rate.max() - RATE_TIE_TOL).ravel().nonzero()[0]
+    if len(pool) == 1:
+        return [divmod(int(pool[0]), k + 1)]
+    n_jam = (pivot > 0.0) + n_after
+    total = p_t + jam
+    n_pool, total_pool = n_jam.ravel()[pool], total.ravel()[pool]
+    root_pool, cap_pool = root.ravel()[pool], cap_p[0, pool % (k + 1)]
+    # flat index order is scan order (t outer, p inner)
+    first = np.lexsort((pool, total_pool, n_pool))[0]
+    n_best, total_best = n_pool[first], total_pool[first]
+    # A root within rounding of its cap or of 0 may clamp the other way in
+    # the scalar evaluation, moving a total by ulps or dropping a jammer, so
+    # patterns whose keys tie the winner's up to such a move are finalists.
+    # Exact key ties without such a root keep the winner: scan order.
+    edge = (np.abs(root_pool - cap_pool) <= 1e-9 * cap_pool) | (
+        (root_pool > 0.0) & (root_pool <= 1e-12 * total_pool)
+    )
+    exact = (n_pool == n_best) & (total_pool == total_best)
+    near = (total_pool < total_best * (1.0 + 1e-12)) & (
+        (n_pool == n_best) | ((n_pool == n_best + 1) & edge)
+    )
+    near &= ~exact | edge | edge[first]
+    near[first] = True
+    return [divmod(int(i), k + 1) for i in pool[near]]
+
+
+def _evaluate_pattern(ch: StdMacChannel, t_count: int, pivot_idx: int):
+    """Powers, rate, pivot coefficients and case of role pattern (t, p),
+    computed by the scalar pivot_quadratic and mac_cj_rate."""
+    k = ch.k_users
+    caps = ch.power_caps
+    powers = np.zeros(k)
+    powers[:t_count] = caps[:t_count]
+    coeffs = None
+    case = "no-jam"
+    if pivot_idx < k:
+        powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
+        c1, c2, c3, root = pivot_quadratic(
+            ch, tuple(range(t_count)), tuple(range(pivot_idx, k)), pivot_idx, powers
+        )
+        coeffs = (c1, c2, c3)
+        if root is None:
+            pivot_power = 0.0
+            case = "pivot-zero"
+        elif root >= float(caps[pivot_idx]):
+            pivot_power = float(caps[pivot_idx])
+            case = "pivot-at-cap"
+        else:
+            pivot_power = root
+            case = "pivot-interior"
+        powers[pivot_idx] = pivot_power
+    return powers, mac_cj_rate(ch, powers, range(t_count)), coeffs, case
+
+
 def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     """Best cooperative-jamming solution over all ordered role patterns.
 
@@ -227,50 +334,25 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     is silent, and users from the pivot onward jam at cap with the pivot
     itself at its quadratic root clamped to [0, cap].  Including t = 0 and
     the no-jammer pattern makes the no-jam optimum a candidate, so the
-    result never loses to plain superposition.  Ties break toward fewer
-    active jammers, then less total power, then scan order.
+    result never loses to plain superposition.  Candidates on an exact
+    branch boundary are mathematically tied but their rates land a few
+    ulps apart, so rates within RATE_TIE_TOL of the best count as ties and
+    resolve toward fewer active jammers, then less total power, then scan
+    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2).
+    Only the winner, and any pattern whose tie-break keys match it to
+    rounding (usually none), is then evaluated with pivot_quadratic and
+    mac_cj_rate; the tie rule on their scalar keys picks the solution, and
+    they give the reported powers, rate and coefficients.
     """
     _require_strict_gains(ch)
     k = ch.k_users
-    caps = ch.power_caps
-    cands = []
-    for t_count in range(k + 1):
-        for pivot_idx in range(t_count, k + 1):
-            powers = np.zeros(k)
-            powers[:t_count] = caps[:t_count]
-            coeffs = None
-            case = "no-jam"
-            if pivot_idx < k:
-                powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
-                jam_users = tuple(range(pivot_idx, k))
-                c1, c2, c3, root = pivot_quadratic(
-                    ch, tuple(range(t_count)), jam_users, pivot_idx, powers
-                )
-                coeffs = (c1, c2, c3)
-                if root is None:
-                    pivot_power = 0.0
-                    case = "pivot-zero"
-                elif root >= float(caps[pivot_idx]):
-                    pivot_power = float(caps[pivot_idx])
-                    case = "pivot-at-cap"
-                else:
-                    pivot_power = root
-                    case = "pivot-interior"
-                powers[pivot_idx] = pivot_power
-            rate = mac_cj_rate(ch, powers, range(t_count))
-            n_jam = int(np.count_nonzero(powers[pivot_idx:] > 0)) if pivot_idx < k else 0
-            cands.append(
-                (rate, n_jam, float(powers.sum()), len(cands), powers.copy(), t_count, pivot_idx, coeffs, case)
-            )
-    # Candidates on an exact branch boundary are mathematically tied but
-    # their rates land a few ulps apart; rates within RATE_TIE_TOL of the
-    # best count as ties and resolve toward fewer jammers, then less spent
-    # power, then scan order.
-    best_rate = max(c[0] for c in cands)
-    pool = [c for c in cands if c[0] >= best_rate - RATE_TIE_TOL]
-    rate, _, _, _, powers, t_count, pivot_idx, coeffs, case = min(
-        pool, key=lambda c: (c[1], c[2], c[3])
-    )
+    finalists = [
+        (t, p, *_evaluate_pattern(ch, t, p)) for t, p in _finalists(ch.eve_gains, ch.power_caps)
+    ]
+    if len(finalists) > 1:
+        # the tie rule on the scalar keys; the sort is stable, so scan order breaks exact ties
+        finalists.sort(key=lambda f: (int(np.count_nonzero(f[2][f[1] :] > 0)), float(f[2].sum())))
+    t_count, pivot_idx, powers, rate, coeffs, case = finalists[0]
     if rate <= 0.0:
         return _all_silent_solution(k, {"branch": "all-silent", "case": "no-positive-rate"})
     return _partition_solution(

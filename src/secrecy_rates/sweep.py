@@ -15,6 +15,7 @@ import io
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,8 @@ from .channels import (
 from .jamming import mac_cj_optimal, tw_cj_optimal
 
 SWEEP_COLUMNS = ("x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch")
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 MODE_MAC = "MAC-CJ"
 MODE_TW = "TW-CJ"
@@ -93,6 +96,15 @@ class Scene:
             value = getattr(self, name)
             if not (_is_finite_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        # The largest gain is at distance_floor; _gain raises computing
+        # distance_floor ** -path_loss_exponent beyond the float range.
+        log_power = -self.path_loss_exponent * math.log(self.distance_floor)
+        if max(log_power, log_power + math.log(self.reference_gain)) >= _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"path_loss_exponent {self.path_loss_exponent!r} overflows the gain "
+                f"reference_gain * distance_floor ** -path_loss_exponent "
+                f"(reference_gain {self.reference_gain!r}, distance_floor {self.distance_floor!r})"
+            )
         self.raw_power_caps = _finite_pair(self.raw_power_caps, "raw_power_caps")
         if min(self.raw_power_caps) < 0:
             raise ValueError(f"raw_power_caps must be nonnegative, got {list(self.raw_power_caps)}")

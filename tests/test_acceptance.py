@@ -140,6 +140,55 @@ def test_criterion_03_cj_oracle_equivalence():
     )
 
 
+def _random_search_mac_cj(ch: StdMacChannel, rng, samples: int) -> float:
+    """Best CJ rate found by random powers, over all 2^K transmit sets.
+
+    Transmitters sit at cap; every other user takes 0, its cap, or a
+    uniform power in [0, cap], a third of the time each.  The rate is
+    written out with np.log2 and shares no code with the solver.
+    """
+    k = ch.k_users
+    h, caps = ch.eve_gains, ch.power_caps
+    in_t = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(bool)[:, None, :]
+    kind = rng.integers(0, 3, (2 ** k, samples, k))
+    frac = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, rng.random((2 ** k, samples, k))))
+    powers = np.where(in_t, 1.0, frac) * caps
+    p_t, p_n = (powers * in_t).sum(-1), (powers * ~in_t).sum(-1)
+    hp = powers * h
+    hp_t, hp_n = (hp * in_t).sum(-1), (hp * ~in_t).sum(-1)
+    rate = 0.5 * (np.log2(1.0 + p_t / (1.0 + p_n)) - np.log2(1.0 + hp_t / (1.0 + hp_n)))
+    return float(rate.max())
+
+
+def test_criterion_03b_cj_random_search_many_users():
+    """Past the grid oracle's K <= 3: no transmit set and no jamming powers
+    found by random search beat the solver for K = 4 ... 8."""
+    seed = 304
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    worst = -np.inf
+    checked = jammed = 0
+    for k in range(4, 9):
+        for _ in range(10):
+            ch = random_mac_instance(rng, k)
+            sol = mac_cj_optimal(ch)
+            found = _random_search_mac_cj(ch, rng, 256)
+            assert found <= sol.sum_rate + CJ_ORACLE_TOL, (
+                f"random search beat the solver at h={ch.eve_gains}, caps={ch.power_caps}: "
+                f"{found} vs {sol.sum_rate}"
+            )
+            worst = max(worst, found - sol.sum_rate)
+            checked += 1
+            jammed += bool(sol.jam_set)
+    elapsed = time.perf_counter() - start
+    _report(
+        jammed > 0,
+        f"criterion 3b: jamming solver vs random search over all transmit sets on "
+        f"{checked} instances with K=4..8, {jammed} jamming, largest excess "
+        f"{worst:.2e} (seed {seed}, {elapsed:.1f}s)",
+    )
+
+
 def test_criterion_04_two_user_closed_forms_exhaustive():
     caps_values = (0.5, 2.0, 8.0)
     h_values = [i / 10.0 for i in range(21)]

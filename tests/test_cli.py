@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 from secrecy_rates import cli
+
+# the package exports the sweep function under the module's name
+sweep_module = importlib.import_module("secrecy_rates.sweep")
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +292,24 @@ def test_sweep_scene_with_bad_noise_exits_one(capsys, tmp_path):
     assert "main_noise" in err
 
 
+@pytest.mark.parametrize("exponent", [400, 2000])
+def test_sweep_scene_with_overflowing_path_loss_exits_one(capsys, tmp_path, exponent):
+    path = tmp_path / "scene.json"
+    path.write_text(
+        json.dumps(
+            {
+                "transmitter_positions": [[-0.5, 0.0], [0.5, 0.0]],
+                "receiver_position": [0.0, 0.0],
+                "path_loss_exponent": exponent,
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "5")
+    assert code == 1
+    assert out == ""
+    assert f"path_loss_exponent {exponent} overflows" in err
+
+
 def test_sweep_scene_with_bad_position_exits_one(capsys, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"transmitter_positions": [[0.0], [1.0, 0.0]]}))
@@ -298,15 +320,22 @@ def test_sweep_scene_with_bad_position_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, fmt):
-    """d ** -400 overflows for an eavesdropper on a transmitter: 2 of 25 cells."""
+def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, monkeypatch, fmt):
+    """A planted gain that raises for an eavesdropper on a transmitter: 2 of 25 cells."""
+    real_gain = sweep_module._gain
+
+    def gain(scene, a, b):
+        if tuple(a) == tuple(b):
+            raise OverflowError("(34, 'Numerical result out of range')")
+        return real_gain(scene, a, b)
+
+    monkeypatch.setattr(sweep_module, "_gain", gain)
     path = tmp_path / "scene.json"
     path.write_text(
         json.dumps(
             {
                 "transmitter_positions": [[-0.5, 0.0], [0.5, 0.0]],
                 "receiver_position": [0.0, 0.0],
-                "path_loss_exponent": 400,
             }
         )
     )

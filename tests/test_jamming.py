@@ -24,6 +24,12 @@ from secrecy_rates import (
     tw_cj_rate,
     tw_optimal,
 )
+from secrecy_rates.jamming import (
+    RATE_TIE_TOL,
+    _all_silent_solution,
+    _partition_solution,
+    _require_strict_gains,
+)
 
 RATE_TOL = 1e-9
 
@@ -170,6 +176,111 @@ def test_rates_without_jammers_equal_plain_solvers_exactly():
             tw_hits += 1
             assert cj.sum_rate == tw_optimal(tw).sum_rate, tw
     assert mac_hits > 200 and tw_hits > 200, (mac_hits, tw_hits)
+
+
+def _reference_mac_cj(ch):
+    """The scalar candidate loop mac_cj_optimal ranked with before its array form."""
+    _require_strict_gains(ch)
+    k = ch.k_users
+    caps = ch.power_caps
+    cands = []
+    for t_count in range(k + 1):
+        for pivot_idx in range(t_count, k + 1):
+            powers = np.zeros(k)
+            powers[:t_count] = caps[:t_count]
+            coeffs = None
+            case = "no-jam"
+            if pivot_idx < k:
+                powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
+                jam_users = tuple(range(pivot_idx, k))
+                c1, c2, c3, root = pivot_quadratic(
+                    ch, tuple(range(t_count)), jam_users, pivot_idx, powers
+                )
+                coeffs = (c1, c2, c3)
+                if root is None:
+                    pivot_power = 0.0
+                    case = "pivot-zero"
+                elif root >= float(caps[pivot_idx]):
+                    pivot_power = float(caps[pivot_idx])
+                    case = "pivot-at-cap"
+                else:
+                    pivot_power = root
+                    case = "pivot-interior"
+                powers[pivot_idx] = pivot_power
+            rate = mac_cj_rate(ch, powers, range(t_count))
+            n_jam = int(np.count_nonzero(powers[pivot_idx:] > 0)) if pivot_idx < k else 0
+            cands.append(
+                (rate, n_jam, float(powers.sum()), len(cands), powers.copy(), t_count, pivot_idx, coeffs, case)
+            )
+    # Candidates on an exact branch boundary are mathematically tied but
+    # their rates land a few ulps apart; rates within RATE_TIE_TOL of the
+    # best count as ties and resolve toward fewer jammers, then less spent
+    # power, then scan order.
+    best_rate = max(c[0] for c in cands)
+    pool = [c for c in cands if c[0] >= best_rate - RATE_TIE_TOL]
+    rate, _, _, _, powers, t_count, pivot_idx, coeffs, case = min(
+        pool, key=lambda c: (c[1], c[2], c[3])
+    )
+    if rate <= 0.0:
+        return _all_silent_solution(k, {"branch": "all-silent", "case": "no-positive-rate"})
+    return _partition_solution(
+        ch,
+        powers,
+        t_count,
+        rate,
+        pivot_idx if pivot_idx < k else None,
+        coeffs,
+        case,
+    )
+
+
+def _assert_same_solution(a, b, ch):
+    where = f"h={ch.eve_gains.tolist()}, caps={ch.power_caps.tolist()}"
+    for name in ("transmit_set", "jam_set", "silent_set", "pivot_user", "pivot_power", "quad_coeffs"):
+        assert getattr(a, name) == getattr(b, name), (name, where)
+    assert a.diagnostics == b.diagnostics, where
+    assert a.sum_rate == b.sum_rate, where
+    assert np.array_equal(a.allocation.powers, b.allocation.powers), where
+
+
+def test_mac_cj_matches_scalar_reference_exactly():
+    """The array ranking picks the reference loop's candidate, field for field."""
+    rng = np.random.default_rng(54)
+    for _ in range(2000):
+        ch = random_mac_instance(rng, int(rng.integers(1, 17)))
+        _assert_same_solution(mac_cj_optimal(ch), _reference_mac_cj(ch), ch)
+    # ties on a lattice: gains on a 0.1 grid including exactly 1.0, zero caps
+    gains = np.arange(21) / 10.0
+    jammed = 0
+    for _ in range(1500):
+        k = int(rng.integers(1, 7))
+        ch = StdMacChannel(
+            np.sort(rng.choice(gains, size=k, replace=False)),
+            rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=k),
+        )
+        sol = mac_cj_optimal(ch)
+        _assert_same_solution(sol, _reference_mac_cj(ch), ch)
+        jammed += bool(sol.jam_set)
+    assert jammed > 100, jammed
+    # the pivot's root lands on its cap to the ulp, so the rate ties with the
+    # next-earlier pivot at 0 and at the same jammer count less power wins
+    for gains, caps in (
+        ([1.4, 1.7, 2.0], [3.0, 4.0, 3.0]),
+        ([1.2, 1.45, 1.6], [0.5, 0.5, 2.0]),
+        ([1.3, 1.4, 1.95, 2.0], [0.0, 3.0, 2.0, 3.0]),
+        ([0.3, 0.8, 1.0, 1.5, 1.8], [0.0, 0.5, 1.0, 2.0, 1.0]),
+    ):
+        ch = StdMacChannel(gains, caps)
+        sol = mac_cj_optimal(ch)
+        _assert_same_solution(sol, _reference_mac_cj(ch), ch)
+        assert sol.diagnostics["case"] == "pivot-interior"
+        assert caps[-1] - 1e-12 < sol.pivot_power < caps[-1]
+    # user 2's root is 0 to the ulp: the pattern where it is the pivot and
+    # stays silent comes first in scan order and wins
+    ch = StdMacChannel([1.0, 1.6, 2.0], [1.0, 2.0, 0.5])
+    sol = mac_cj_optimal(ch)
+    _assert_same_solution(sol, _reference_mac_cj(ch), ch)
+    assert sol.diagnostics["branch"] == "T=1,J=2" and sol.diagnostics["case"] == "pivot-zero"
 
 
 def test_mac_cj_enables_secrecy_above_unit_gains():

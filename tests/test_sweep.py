@@ -1,5 +1,7 @@
 """Tests for the eavesdropper-position sweep and its path-loss geometry."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from secrecy_rates import (
     sweep,
 )
 from secrecy_rates.sweep import SWEEP_COLUMNS
+
+# the package exports the sweep function under the module's name
+sweep_module = importlib.import_module("secrecy_rates.sweep")
 
 BOUNDS = (-1.0, 1.0, -1.0, 1.0)
 
@@ -88,12 +93,33 @@ def test_scene_validation():
         ("distance_floor", np.inf),
         ("distance_floor", -1e-3),
         ("distance_floor", None),
+        ("path_loss_exponent", 400),
+        ("path_loss_exponent", 2000),
     ],
 )
 def test_scene_rejects_bad_caps_and_noises(field, value):
     kwargs = {"transmitter_positions": ((0.0, 0.0), (1.0, 0.0)), field: value}
     with pytest.raises(ValueError, match=field):
         Scene(**kwargs)
+
+
+def test_scene_rejects_overflowing_path_loss():
+    """The largest gain, at distance_floor, must be a finite float."""
+    tx = ((-0.5, 0.0), (0.5, 0.0))
+    for exponent in (400, 2000, 103):
+        with pytest.raises(ValueError, match="path_loss_exponent"):
+            Scene(transmitter_positions=tx, path_loss_exponent=exponent)
+    # the power alone overflows here, although the product would be 1e305
+    with pytest.raises(ValueError, match="path_loss_exponent"):
+        Scene(transmitter_positions=tx, path_loss_exponent=105, reference_gain=1e-10)
+    with pytest.raises(ValueError, match="path_loss_exponent"):
+        Scene(transmitter_positions=tx, path_loss_exponent=100, reference_gain=1e10)
+    for exponent, largest in ((2, 1e6), (3, 1e9), (4, 1e12), (102, 1e306)):
+        scene = Scene(
+            transmitter_positions=tx, receiver_position=(0.0, 0.0), path_loss_exponent=exponent
+        )
+        gain = gains_from_geometry(scene, tx[0]).tap_gains[0]
+        assert np.isclose(gain, largest, rtol=1e-12, atol=0)
 
 
 def test_scene_accepts_zero_cap_and_keeps_values():
@@ -218,13 +244,21 @@ def test_sweep_csv_and_metadata():
 
 
 
-def test_sweep_keeps_failed_cell_messages():
-    """Cells on a transmitter overflow d ** -400 and are flagged with a reason."""
-    scene = Scene(
-        transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
-        receiver_position=(0.0, 0.0),
-        path_loss_exponent=400,
-    )
+def test_sweep_keeps_failed_cell_messages(monkeypatch):
+    """Cells whose solve raises are flagged with a reason.
+
+    The planted gain raises for an eavesdropper on a transmitter, as
+    d ** -400 did before Scene rejected exponents that overflow.
+    """
+    real_gain = sweep_module._gain
+
+    def gain(scene, a, b):
+        if tuple(a) == tuple(b):
+            raise OverflowError("(34, 'Numerical result out of range')")
+        return real_gain(scene, a, b)
+
+    monkeypatch.setattr(sweep_module, "_gain", gain)
+    scene = default_scene()
     result = sweep(scene, BOUNDS, 5, "MAC-CJ")
     failed = [(float(result.xs[ix]), float(result.ys[iy])) for iy, ix in np.argwhere(result.error)]
     assert failed == [(-0.5, 0.0), (0.5, 0.0)]
