@@ -135,32 +135,6 @@ def mac_sup_optimal(ch: StdMacChannel) -> SumRateSolution:
     return _solution(powers, sup_sum_rate(powers, h), "SUP", f"T={prefix}")
 
 
-def mac_two_user_closed_form(ch: StdMacChannel) -> SumRateSolution:
-    """Two-user corner rule for the superposition optimum.
-
-    Branches: both at caps when h1 < 1 and h2 < (1+h1*c1)/(1+c1); user 1
-    alone at cap when h1 < 1 and h2 at or above that threshold; otherwise
-    nobody transmits.  Equal gains need no special case: the threshold then
-    collapses to h < 1.  Comparisons are strict with tolerance 1e-12 and
-    match mac_sup_optimal bit for bit.
-    """
-    if ch.k_users != 2:
-        raise ValueError("mac_two_user_closed_form requires exactly 2 users")
-    h1, h2 = float(ch.eve_gains[0]), float(ch.eve_gains[1])
-    c1, c2 = float(ch.power_caps[0]), float(ch.power_caps[1])
-    threshold = (1.0 + h1 * c1) / (1.0 + c1)
-    if h1 < 1.0 - TOL_ABS and h2 < threshold - TOL_ABS:
-        powers = np.array([c1, c2])
-        branch = "both-transmit"
-    elif h1 < 1.0 - TOL_ABS:
-        powers = np.array([c1, 0.0])
-        branch = "single-user"
-    else:
-        powers = np.zeros(2)
-        branch = "all-silent"
-    return _solution(powers, sup_sum_rate(powers, ch.eve_gains), "SUP", branch)
-
-
 def _tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
     """TDMA sum rate in bits: each user's clamped slot secrecy rate at cap / share."""
     users = zip(h.tolist(), caps.tolist(), shares.tolist())

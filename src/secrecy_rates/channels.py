@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,13 @@ _LN2 = math.log(2.0)
 
 class NonStandardizableChannel(ValueError):
     """Raised when a raw channel has a zero main gain and cannot be rescaled."""
+
+
+def _tied_neighbors(h: np.ndarray) -> np.ndarray:
+    """Whether each adjacent pair of ascending gains counts as equal: their
+    spacing is at most ``GAIN_MERGE_RTOL`` times the larger magnitude."""
+    size = np.abs(h)
+    return h[1:] - h[:-1] <= GAIN_MERGE_RTOL * np.maximum(size[1:], size[:-1])
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -133,11 +140,7 @@ class StdMacChannel:
         return len(self.eve_gains)
 
     def has_strictly_ascending_gains(self) -> bool:
-        h = self.eve_gains
-        for i in range(len(h) - 1):
-            if h[i + 1] - h[i] <= GAIN_MERGE_RTOL * max(abs(h[i + 1]), abs(h[i])):
-                return False
-        return True
+        return not _tied_neighbors(self.eve_gains).any()
 
     def split_back(self, powers) -> np.ndarray:
         """Distribute per-stored-user powers over the original users.
@@ -250,11 +253,6 @@ class PowerAllocation:
     def zeros(cls, k: int) -> "PowerAllocation":
         return cls(np.zeros(k))
 
-    def validate_against(self, caps) -> None:
-        caps = np.asarray(caps, dtype=float)
-        if np.any(self.powers > caps + TOL_ABS):
-            raise ValueError("powers exceed the channel's power caps")
-
 
 def _powers_of(alloc) -> np.ndarray:
     if isinstance(alloc, PowerAllocation):
@@ -283,30 +281,22 @@ def merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
     order = np.argsort(h, kind="stable")
     h_sorted = h[order]
     caps_sorted = caps[order]
-
-    groups: List[List[int]] = []
-    for pos in range(len(order)):
-        if groups:
-            prev = h_sorted[groups[-1][-1]]
-            cur = h_sorted[pos]
-            if cur - prev <= GAIN_MERGE_RTOL * max(abs(cur), abs(prev)):
-                groups[-1].append(pos)
-                continue
-        groups.append([pos])
+    cuts = (np.flatnonzero(~_tied_neighbors(h_sorted)) + 1).tolist()
+    groups = zip([0] + cuts, cuts + [len(h)]) if len(h) else ()
 
     merged_h = []
     merged_caps = []
     permutation = []
     source_caps = []
-    for grp in groups:
-        gh = h_sorted[grp]
-        gc = caps_sorted[grp]
+    for lo, hi in groups:
+        gh = h_sorted[lo:hi]
+        gc = caps_sorted[lo:hi]
         cap_sum = gc.sum()
         gain = float(np.dot(gh, gc) / cap_sum) if cap_sum > 0 else float(gh.mean())
         merged_h.append(gain)
         merged_caps.append(float(cap_sum))
-        permutation.append(tuple(int(order[p]) for p in grp))
-        source_caps.append(tuple(float(c) for c in gc))
+        permutation.append(tuple(order[lo:hi].tolist()))
+        source_caps.append(tuple(gc.tolist()))
     return StdMacChannel(
         np.array(merged_h),
         np.array(merged_caps),
@@ -381,14 +371,6 @@ def cap_main(alloc, subset: Iterable[int]) -> float:
     return gaussian_bits(float(powers[idx].sum()))
 
 
-def cap_eve(alloc, gains, subset: Iterable[int]) -> float:
-    """Eavesdropper-side sum capacity of a subset, other users absent."""
-    powers = _powers_of(alloc)
-    h = _gains_of(gains)
-    idx = list(subset)
-    return gaussian_bits(float((h[idx] * powers[idx]).sum()))
-
-
 def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
     """Eavesdropper capacity of a subset with everyone else heard as noise."""
     powers = _powers_of(alloc)
@@ -399,38 +381,6 @@ def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
     comp = [k for k in range(len(powers)) if k not in members]
     outside = float((h[comp] * powers[comp]).sum()) if comp else 0.0
     return gaussian_bits(inside / (1.0 + outside))
-
-
-def phi(alloc, gains, subset: Iterable[int]) -> float:
-    """Eavesdropper-to-receiver disadvantage ratio over a subset.
-
-    (1 + sum h_k P_k) / (1 + sum P_k), the quantity whose minimization over
-    the power box is equivalent to maximizing the superposition secrecy
-    sum-rate.  Empty subsets and all-zero powers give 1.
-    """
-    powers = _powers_of(alloc)
-    h = _gains_of(gains)
-    idx = list(subset)
-    if not idx:
-        return 1.0
-    num = 1.0 + float((h[idx] * powers[idx]).sum())
-    den = 1.0 + float(powers[idx].sum())
-    return num / den
-
-
-def psi(alloc, gains, subset: Iterable[int]) -> float:
-    """Two-way analogue of phi with a product denominator.
-
-    (1 + sum h_k P_k) / prod (1 + P_k); empty subsets give 1.
-    """
-    powers = _powers_of(alloc)
-    h = _gains_of(gains)
-    idx = list(subset)
-    if not idx:
-        return 1.0
-    num = 1.0 + float((h[idx] * powers[idx]).sum())
-    den = float(np.prod(1.0 + powers[idx]))
-    return num / den
 
 
 def is_degraded(ch: StdMacChannel) -> bool:

@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .channels import (
     NonStandardizableChannel,
     RawMacChannel,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .channels import (
     StdTwChannel,
     _powers_of,
     gaussian_bits_array,
-    phi,
     to_jsonable,
 )
 from .allocation import _mac_secrecy_bits, _require_strict_gains, _tw_secrecy_bits
@@ -69,19 +68,6 @@ class JammingSolution:
                 "diagnostics": self.diagnostics,
             }
         )
-
-
-def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
-    """Ratio phi(all users) / phi(non-transmitters), the structure behind the rate.
-
-    Smaller is better: jamming power inflates the denominator, discounting
-    the eavesdropper's gain on the jammers.  The rate, -1/2 log2 of this
-    ratio clamped at 0, is computed by mac_cj_rate without forming it.
-    """
-    powers = _powers_of(alloc)
-    t_set = set(transmit_set)
-    complement = [k for k in range(ch.k_users) if k not in t_set]
-    return phi(powers, ch, range(ch.k_users)) / phi(powers, ch, complement)
 
 
 def mac_cj_rate(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
@@ -363,81 +349,6 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
         pivot_idx if pivot_idx < k else None,
         coeffs,
         case,
-    )
-
-
-def mac_cj_two_user(ch: StdMacChannel) -> JammingSolution:
-    """Two-user closed form for cooperative jamming.
-
-    With h1 < 1, user 2 transmits below the superposition threshold, stays
-    silent while its gain is at most 1, and jams with power
-    [min(p, cap2)]^+ above that, where p solves the pivot quadratic in
-    closed form.  With h1 >= 1 < h2, both users act only if jamming at
-    min(p, cap2) actually buys a positive rate, else everyone is silent.
-    Equal gains never jam: both transmit if the common gain is below 1.
-    """
-    if ch.k_users != 2:
-        raise ValueError("mac_cj_two_user requires exactly 2 users")
-    h1, h2 = float(ch.eve_gains[0]), float(ch.eve_gains[1])
-    cap1, cap2 = float(ch.power_caps[0]), float(ch.power_caps[1])
-    diagnostics: Dict = {}
-
-    def jam_power() -> float:
-        d = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * cap1)
-        p = (h1 - 1.0) / (h2 - h1) + math.sqrt(max(d, 0.0)) / (h2 * (h2 - h1))
-        diagnostics["p"] = p
-        diagnostics["discriminant"] = d
-        return p
-
-    if not ch.has_strictly_ascending_gains():
-        if h1 < 1.0 - TOL_ABS:
-            powers = np.array([cap1, cap2])
-            t_count, branch = 2, "both-transmit"
-        else:
-            powers = np.zeros(2)
-            t_count, branch = 0, "all-silent"
-        pivot = None
-    elif h1 < 1.0 - TOL_ABS:
-        threshold = (1.0 + h1 * cap1) / (1.0 + cap1)
-        if h2 < threshold - TOL_ABS:
-            powers = np.array([cap1, cap2])
-            t_count, branch, pivot = 2, "both-transmit", None
-        elif h2 <= 1.0 + TOL_ABS:
-            powers = np.array([cap1, 0.0])
-            t_count, branch, pivot = 1, "partner-silent", None
-        else:
-            p2 = max(min(jam_power(), cap2), 0.0)
-            if p2 < TOL_ABS:
-                p2 = 0.0
-            powers = np.array([cap1, p2])
-            t_count, branch, pivot = 1, "partner-jams", 1
-    else:
-        p2 = max(min(jam_power(), cap2), 0.0)
-        if p2 < TOL_ABS:
-            p2 = 0.0
-        powers = np.array([cap1, p2])
-        t_count, branch, pivot = 1, "jam-or-quit", 1
-
-    rate = mac_cj_rate(ch, powers, range(t_count))
-    diagnostics["branch"] = branch
-    if rate <= RATE_TIE_TOL:
-        diagnostics["case"] = "no-positive-rate"
-        return _all_silent_solution(2, diagnostics)
-    transmit = tuple(i for i in range(t_count) if powers[i] > 0)
-    jam = (1,) if pivot == 1 and powers[1] > 0 else ()
-    silent = tuple(i for i in range(2) if i not in transmit and i not in jam)
-    pivot_active = pivot is not None and powers[1] > 0
-    diagnostics["case"] = "closed-form"
-    return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(powers),
-        rate,
-        1 if pivot_active else None,
-        None,
-        float(powers[1]) if pivot_active else None,
-        diagnostics,
     )
 
 

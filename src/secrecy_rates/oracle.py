@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .channels import (
-    GAIN_MERGE_RTOL,
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
@@ -290,44 +289,3 @@ def grid_max_tw_cj(ch: StdTwChannel, spec: GridSpec) -> JammingSolution:
             "points_per_axis": spec.points_per_axis,
         },
     )
-
-
-def random_mac_instance(
-    rng: np.random.Generator,
-    k_users: int,
-    gain_range: Tuple[float, float] = (0.0, 2.0),
-    cap_range: Tuple[float, float] = (0.1, 10.0),
-) -> StdMacChannel:
-    """Standardized MAC instance with strictly ascending random gains."""
-    for _ in range(100):
-        h = np.sort(rng.uniform(gain_range[0], gain_range[1], k_users))
-        spacing_ok = all(
-            h[i + 1] - h[i] > GAIN_MERGE_RTOL * max(h[i + 1], 1.0) for i in range(k_users - 1)
-        )
-        if spacing_ok:
-            break
-    caps = rng.uniform(cap_range[0], cap_range[1], k_users)
-    return StdMacChannel(h, caps)
-
-
-def random_degraded_mac_instance(
-    rng: np.random.Generator,
-    k_users: int,
-    cap_range: Tuple[float, float] = (0.1, 10.0),
-) -> StdMacChannel:
-    """Standardized MAC instance with one common gain below 1."""
-    h = float(rng.uniform(0.02, 0.98))
-    caps = rng.uniform(cap_range[0], cap_range[1], k_users)
-    return StdMacChannel(np.full(k_users, h), caps)
-
-
-def random_tw_instance(
-    rng: np.random.Generator,
-    gain_range: Tuple[float, float] = (0.0, 2.0),
-    cap_range: Tuple[float, float] = (0.1, 10.0),
-) -> StdTwChannel:
-    """Standardized two-way instance with random gains and caps."""
-    h = rng.uniform(gain_range[0], gain_range[1], 2)
-    self_gains = rng.uniform(0.1, 2.0, 2)
-    caps = rng.uniform(cap_range[0], cap_range[1], 2)
-    return StdTwChannel(h, self_gains, caps)

@@ -10,12 +10,11 @@ grids and returns the convex closure of everything it saw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .channels import (
-    PowerAllocation,
     StdMacChannel,
     StdTwChannel,
     _powers_of,
@@ -78,22 +77,6 @@ class TdmaShares:
 
 
 @dataclass
-class RatePoint:
-    """Per-user secrecy and open rates, all nonnegative, in bits."""
-
-    secrecy_rates: np.ndarray
-    open_rates: np.ndarray
-
-    def __post_init__(self):
-        self.secrecy_rates = np.asarray(self.secrecy_rates, dtype=float)
-        self.open_rates = np.asarray(self.open_rates, dtype=float)
-        if self.secrecy_rates.shape != self.open_rates.shape:
-            raise ValueError("secrecy_rates and open_rates must have equal length")
-        if np.any(self.secrecy_rates < 0) or np.any(self.open_rates < 0):
-            raise ValueError("rates must be nonnegative")
-
-
-@dataclass
 class SecrecyRegion:
     """Constraint system plus optional two-user secrecy polygon."""
 
@@ -152,24 +135,6 @@ def convex_hull_2d(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, f
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
     return hull if hull else pts[:1]
-
-
-def _point_in_convex_polygon(poly: Sequence[Tuple[float, float]], pt, tol=REGION_TOL) -> bool:
-    if not poly:
-        return False
-    if len(poly) == 1:
-        return abs(pt[0] - poly[0][0]) <= tol and abs(pt[1] - poly[0][1]) <= tol
-    if len(poly) == 2:
-        a, b = poly
-        if abs(_cross(a, b, pt)) > tol * max(1.0, abs(b[0] - a[0]) + abs(b[1] - a[1])):
-            return False
-        lo_x, hi_x = sorted((a[0], b[0]))
-        lo_y, hi_y = sorted((a[1], b[1]))
-        return lo_x - tol <= pt[0] <= hi_x + tol and lo_y - tol <= pt[1] <= hi_y + tol
-    for i in range(len(poly)):
-        if _cross(poly[i], poly[(i + 1) % len(poly)], pt) < -tol:
-            return False
-    return True
 
 
 def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:
@@ -348,27 +313,3 @@ def mac_hull_region(
         RateConstraint((0, 1), KIND_SECRECY, max_sum),
     ]
     return SecrecyRegion(constraints, hull, "HULL", meta)
-
-
-def region_contains(region: SecrecyRegion, pt: RatePoint, tol: float = REGION_TOL) -> bool:
-    """True iff the point satisfies every constraint within tolerance.
-
-    For HULL regions with a stored polygon the secrecy pair must also lie
-    inside the polygon; HULL regions carry no total-rate information, so
-    open rates are unconstrained there.
-    """
-    rs = pt.secrecy_rates
-    ro = pt.open_rates
-    n = len(rs)
-    for c in region.constraints:
-        if any(u >= n for u in c.subset):
-            raise ValueError("rate point dimension does not match region constraints")
-        if c.kind in (KIND_TOTAL, KIND_USER_TOTAL):
-            value = float(sum(rs[u] + ro[u] for u in c.subset))
-        else:
-            value = float(sum(rs[u] for u in c.subset))
-        if value > c.bound + tol:
-            return False
-    if region.provenance == "HULL" and region.vertices2d is not None and n == 2:
-        return _point_in_convex_polygon(region.vertices2d, (float(rs[0]), float(rs[1])), tol)
-    return True

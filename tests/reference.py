@@ -1,0 +1,296 @@
+"""Paper-notation references and seeded instance generators for the tests.
+
+Tekin & Yener state their optima in two-user notation: the disadvantage
+ratios phi and psi, the two-user superposition corner rule and the
+two-user cooperative-jamming closed form.  The library computes every
+optimum with the general K-user solvers, so these forms live here, where
+the tests use them as independent references, together with the
+membership test for rate regions and the seeded random channel
+generators.  Nothing in ``secrecy_rates`` imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Dict, Iterable, Sequence, Tuple
+
+import numpy as np
+
+from secrecy_rates.allocation import SumRateSolution, _solution, sup_sum_rate
+from secrecy_rates.channels import (
+    GAIN_MERGE_RTOL,
+    TOL_ABS,
+    PowerAllocation,
+    StdMacChannel,
+    StdTwChannel,
+    _gains_of,
+    _powers_of,
+    gaussian_bits,
+)
+from secrecy_rates.jamming import (
+    RATE_TIE_TOL,
+    JammingSolution,
+    _all_silent_solution,
+    mac_cj_rate,
+)
+from secrecy_rates.regions import (
+    KIND_TOTAL,
+    KIND_USER_TOTAL,
+    REGION_TOL,
+    SecrecyRegion,
+    _cross,
+)
+
+
+def cap_eve(alloc, gains, subset: Iterable[int]) -> float:
+    """Eavesdropper-side sum capacity of a subset, other users absent."""
+    powers = _powers_of(alloc)
+    h = _gains_of(gains)
+    idx = list(subset)
+    return gaussian_bits(float((h[idx] * powers[idx]).sum()))
+
+
+def phi(alloc, gains, subset: Iterable[int]) -> float:
+    """Eavesdropper-to-receiver disadvantage ratio over a subset.
+
+    (1 + sum h_k P_k) / (1 + sum P_k), the quantity whose minimization over
+    the power box is equivalent to maximizing the superposition secrecy
+    sum-rate.  Empty subsets and all-zero powers give 1.
+    """
+    powers = _powers_of(alloc)
+    h = _gains_of(gains)
+    idx = list(subset)
+    if not idx:
+        return 1.0
+    num = 1.0 + float((h[idx] * powers[idx]).sum())
+    den = 1.0 + float(powers[idx].sum())
+    return num / den
+
+
+def psi(alloc, gains, subset: Iterable[int]) -> float:
+    """Two-way analogue of phi with a product denominator.
+
+    (1 + sum h_k P_k) / prod (1 + P_k); empty subsets give 1.
+    """
+    powers = _powers_of(alloc)
+    h = _gains_of(gains)
+    idx = list(subset)
+    if not idx:
+        return 1.0
+    num = 1.0 + float((h[idx] * powers[idx]).sum())
+    den = float(np.prod(1.0 + powers[idx]))
+    return num / den
+
+
+def mac_two_user_closed_form(ch: StdMacChannel) -> SumRateSolution:
+    """Two-user corner rule for the superposition optimum.
+
+    Branches: both at caps when h1 < 1 and h2 < (1+h1*c1)/(1+c1); user 1
+    alone at cap when h1 < 1 and h2 at or above that threshold; otherwise
+    nobody transmits.  Equal gains need no special case: the threshold then
+    collapses to h < 1.  Comparisons are strict with tolerance 1e-12 and
+    match mac_sup_optimal bit for bit.
+    """
+    if ch.k_users != 2:
+        raise ValueError("mac_two_user_closed_form requires exactly 2 users")
+    h1, h2 = float(ch.eve_gains[0]), float(ch.eve_gains[1])
+    c1, c2 = float(ch.power_caps[0]), float(ch.power_caps[1])
+    threshold = (1.0 + h1 * c1) / (1.0 + c1)
+    if h1 < 1.0 - TOL_ABS and h2 < threshold - TOL_ABS:
+        powers = np.array([c1, c2])
+        branch = "both-transmit"
+    elif h1 < 1.0 - TOL_ABS:
+        powers = np.array([c1, 0.0])
+        branch = "single-user"
+    else:
+        powers = np.zeros(2)
+        branch = "all-silent"
+    return _solution(powers, sup_sum_rate(powers, ch.eve_gains), "SUP", branch)
+
+
+def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
+    """Ratio phi(all users) / phi(non-transmitters), the structure behind the rate.
+
+    Smaller is better: jamming power inflates the denominator, discounting
+    the eavesdropper's gain on the jammers.  The rate, -1/2 log2 of this
+    ratio clamped at 0, is computed by mac_cj_rate without forming it.
+    """
+    powers = _powers_of(alloc)
+    t_set = set(transmit_set)
+    complement = [k for k in range(ch.k_users) if k not in t_set]
+    return phi(powers, ch, range(ch.k_users)) / phi(powers, ch, complement)
+
+
+def mac_cj_two_user(ch: StdMacChannel) -> JammingSolution:
+    """Two-user closed form for cooperative jamming.
+
+    With h1 < 1, user 2 transmits below the superposition threshold, stays
+    silent while its gain is at most 1, and jams with power
+    [min(p, cap2)]^+ above that, where p solves the pivot quadratic in
+    closed form.  With h1 >= 1 < h2, both users act only if jamming at
+    min(p, cap2) actually buys a positive rate, else everyone is silent.
+    Equal gains never jam: both transmit if the common gain is below 1.
+    """
+    if ch.k_users != 2:
+        raise ValueError("mac_cj_two_user requires exactly 2 users")
+    h1, h2 = float(ch.eve_gains[0]), float(ch.eve_gains[1])
+    cap1, cap2 = float(ch.power_caps[0]), float(ch.power_caps[1])
+    diagnostics: Dict = {}
+
+    def jam_power() -> float:
+        d = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * cap1)
+        p = (h1 - 1.0) / (h2 - h1) + math.sqrt(max(d, 0.0)) / (h2 * (h2 - h1))
+        diagnostics["p"] = p
+        diagnostics["discriminant"] = d
+        return p
+
+    if not ch.has_strictly_ascending_gains():
+        if h1 < 1.0 - TOL_ABS:
+            powers = np.array([cap1, cap2])
+            t_count, branch = 2, "both-transmit"
+        else:
+            powers = np.zeros(2)
+            t_count, branch = 0, "all-silent"
+        pivot = None
+    elif h1 < 1.0 - TOL_ABS:
+        threshold = (1.0 + h1 * cap1) / (1.0 + cap1)
+        if h2 < threshold - TOL_ABS:
+            powers = np.array([cap1, cap2])
+            t_count, branch, pivot = 2, "both-transmit", None
+        elif h2 <= 1.0 + TOL_ABS:
+            powers = np.array([cap1, 0.0])
+            t_count, branch, pivot = 1, "partner-silent", None
+        else:
+            p2 = max(min(jam_power(), cap2), 0.0)
+            if p2 < TOL_ABS:
+                p2 = 0.0
+            powers = np.array([cap1, p2])
+            t_count, branch, pivot = 1, "partner-jams", 1
+    else:
+        p2 = max(min(jam_power(), cap2), 0.0)
+        if p2 < TOL_ABS:
+            p2 = 0.0
+        powers = np.array([cap1, p2])
+        t_count, branch, pivot = 1, "jam-or-quit", 1
+
+    rate = mac_cj_rate(ch, powers, range(t_count))
+    diagnostics["branch"] = branch
+    if rate <= RATE_TIE_TOL:
+        diagnostics["case"] = "no-positive-rate"
+        return _all_silent_solution(2, diagnostics)
+    transmit = tuple(i for i in range(t_count) if powers[i] > 0)
+    jam = (1,) if pivot == 1 and powers[1] > 0 else ()
+    silent = tuple(i for i in range(2) if i not in transmit and i not in jam)
+    pivot_active = pivot is not None and powers[1] > 0
+    diagnostics["case"] = "closed-form"
+    return JammingSolution(
+        transmit,
+        jam,
+        silent,
+        PowerAllocation(powers),
+        rate,
+        1 if pivot_active else None,
+        None,
+        float(powers[1]) if pivot_active else None,
+        diagnostics,
+    )
+
+
+@dataclass
+class RatePoint:
+    """Per-user secrecy and open rates, all nonnegative, in bits."""
+
+    secrecy_rates: np.ndarray
+    open_rates: np.ndarray
+
+    def __post_init__(self):
+        self.secrecy_rates = np.asarray(self.secrecy_rates, dtype=float)
+        self.open_rates = np.asarray(self.open_rates, dtype=float)
+        if self.secrecy_rates.shape != self.open_rates.shape:
+            raise ValueError("secrecy_rates and open_rates must have equal length")
+        if np.any(self.secrecy_rates < 0) or np.any(self.open_rates < 0):
+            raise ValueError("rates must be nonnegative")
+
+
+def _point_in_convex_polygon(poly: Sequence[Tuple[float, float]], pt, tol=REGION_TOL) -> bool:
+    if not poly:
+        return False
+    if len(poly) == 1:
+        return abs(pt[0] - poly[0][0]) <= tol and abs(pt[1] - poly[0][1]) <= tol
+    if len(poly) == 2:
+        a, b = poly
+        if abs(_cross(a, b, pt)) > tol * max(1.0, abs(b[0] - a[0]) + abs(b[1] - a[1])):
+            return False
+        lo_x, hi_x = sorted((a[0], b[0]))
+        lo_y, hi_y = sorted((a[1], b[1]))
+        return lo_x - tol <= pt[0] <= hi_x + tol and lo_y - tol <= pt[1] <= hi_y + tol
+    for i in range(len(poly)):
+        if _cross(poly[i], poly[(i + 1) % len(poly)], pt) < -tol:
+            return False
+    return True
+
+
+def region_contains(region: SecrecyRegion, pt: RatePoint, tol: float = REGION_TOL) -> bool:
+    """True iff the point satisfies every constraint within tolerance.
+
+    For HULL regions with a stored polygon the secrecy pair must also lie
+    inside the polygon; HULL regions carry no total-rate information, so
+    open rates are unconstrained there.
+    """
+    rs = pt.secrecy_rates
+    ro = pt.open_rates
+    n = len(rs)
+    for c in region.constraints:
+        if any(u >= n for u in c.subset):
+            raise ValueError("rate point dimension does not match region constraints")
+        if c.kind in (KIND_TOTAL, KIND_USER_TOTAL):
+            value = float(sum(rs[u] + ro[u] for u in c.subset))
+        else:
+            value = float(sum(rs[u] for u in c.subset))
+        if value > c.bound + tol:
+            return False
+    if region.provenance == "HULL" and region.vertices2d is not None and n == 2:
+        return _point_in_convex_polygon(region.vertices2d, (float(rs[0]), float(rs[1])), tol)
+    return True
+
+
+def random_mac_instance(
+    rng: np.random.Generator,
+    k_users: int,
+    gain_range: Tuple[float, float] = (0.0, 2.0),
+    cap_range: Tuple[float, float] = (0.1, 10.0),
+) -> StdMacChannel:
+    """Standardized MAC instance with strictly ascending random gains."""
+    for _ in range(100):
+        h = np.sort(rng.uniform(gain_range[0], gain_range[1], k_users))
+        spacing_ok = all(
+            h[i + 1] - h[i] > GAIN_MERGE_RTOL * max(h[i + 1], 1.0) for i in range(k_users - 1)
+        )
+        if spacing_ok:
+            break
+    caps = rng.uniform(cap_range[0], cap_range[1], k_users)
+    return StdMacChannel(h, caps)
+
+
+def random_degraded_mac_instance(
+    rng: np.random.Generator,
+    k_users: int,
+    cap_range: Tuple[float, float] = (0.1, 10.0),
+) -> StdMacChannel:
+    """Standardized MAC instance with one common gain below 1."""
+    h = float(rng.uniform(0.02, 0.98))
+    caps = rng.uniform(cap_range[0], cap_range[1], k_users)
+    return StdMacChannel(np.full(k_users, h), caps)
+
+
+def random_tw_instance(
+    rng: np.random.Generator,
+    gain_range: Tuple[float, float] = (0.0, 2.0),
+    cap_range: Tuple[float, float] = (0.1, 10.0),
+) -> StdTwChannel:
+    """Standardized two-way instance with random gains and caps."""
+    h = rng.uniform(gain_range[0], gain_range[1], 2)
+    self_gains = rng.uniform(0.1, 2.0, 2)
+    caps = rng.uniform(cap_range[0], cap_range[1], 2)
+    return StdTwChannel(h, self_gains, caps)

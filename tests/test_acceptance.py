@@ -10,19 +10,15 @@ import numpy as np
 
 from secrecy_rates import (
     PowerAllocation,
-    RatePoint,
     StdMacChannel,
     StdTwChannel,
     TdmaShares,
     default_scene,
     mac_cj_optimal,
-    mac_cj_two_user,
     mac_sup_optimal,
     mac_sup_region,
     mac_tdma_optimal,
     mac_tdma_region,
-    mac_two_user_closed_form,
-    region_contains,
     sweep,
     tw_cj_optimal,
     tw_optimal,
@@ -36,9 +32,15 @@ from secrecy_rates.oracle import (
     grid_max_mac_sup,
     grid_max_tw,
     grid_max_tw_cj,
+)
+from reference import (
+    RatePoint,
+    mac_cj_two_user,
+    mac_two_user_closed_form,
     random_degraded_mac_instance,
     random_mac_instance,
     random_tw_instance,
+    region_contains,
 )
 
 RATE_TOL = 1e-9

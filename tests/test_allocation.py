@@ -18,11 +18,7 @@ from secrecy_rates import (
     mac_cj_rate,
     mac_sup_optimal,
     mac_tdma_optimal,
-    mac_two_user_closed_form,
     merge_tied_users,
-    phi,
-    random_mac_instance,
-    random_tw_instance,
     sup_sum_rate,
     tdma_share_search,
     tw_cj_rate,
@@ -30,6 +26,12 @@ from secrecy_rates import (
     tw_sum_rate,
 )
 from secrecy_rates.allocation import _marginal
+from reference import (
+    mac_two_user_closed_form,
+    phi,
+    random_mac_instance,
+    random_tw_instance,
+)
 
 RATE_TOL = 1e-9
 

@@ -6,24 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecy_rates import (
+    GAIN_MERGE_RTOL,
     NonStandardizableChannel,
     PowerAllocation,
     RawMacChannel,
     RawTwChannel,
     StdMacChannel,
     StdTwChannel,
-    cap_eve,
     cap_eve_tilde,
     cap_main,
     channel_from_json,
     channel_to_json,
     is_degraded,
     merge_tied_users,
-    phi,
-    psi,
     standardize_mac,
     standardize_tw,
 )
+from reference import cap_eve, phi, psi
 
 TOL = 1e-12
 
@@ -149,6 +148,20 @@ def test_merge_keeps_distinct_gains_apart():
     ch2 = merge_tied_users([0.2, 0.5, 0.5 * (1 + 1e-12)], [1.0, 2.0, 3.0])
     assert ch2.k_users == 2
     assert ch2.power_caps[1] == 5.0
+    # spacing exactly GAIN_MERGE_RTOL times the larger gain ties; one ulp wider does not
+    lo, hi = 0.3000000245221113, 0.3000000248221113
+    assert hi - lo == GAIN_MERGE_RTOL * hi
+    for a, tied in ((lo, True), (np.nextafter(lo, 1.0), True), (np.nextafter(lo, 0.0), False)):
+        merged = merge_tied_users([hi, a], [1.0, 2.0])
+        assert merged.k_users == (1 if tied else 2)
+        assert StdMacChannel([a, hi], [1.0, 2.0]).has_strictly_ascending_gains() is not tied
+    # zero gains tie only with each other, equal gains always
+    for gains, groups in (([0.0, 0.0], 1), ([0.0, 1e-300], 2), ([0.7, 0.7, 0.7], 1)):
+        merged = merge_tied_users(gains, np.ones(len(gains)))
+        assert merged.k_users == groups
+        assert StdMacChannel(gains, np.ones(len(gains))).has_strictly_ascending_gains() is (
+            groups == len(gains)
+        )
 
 
 def test_std_channel_requires_ascending_gains():

@@ -3,6 +3,8 @@
 import csv
 import importlib
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -397,3 +399,18 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["solution"]["mode"] in ("SUP", "TDMA")
+
+
+def test_readme_quick_start(capsys):
+    """The README's Python block runs and prints what its comments say ("..." ends a prefix)."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    expected = re.findall(r"^print\(.*#\s*(.+?)\s*$", block, re.M)
+    exec(compile(block, str(readme), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected) == 2, (printed, expected)
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3]), (got, want)
+        else:
+            assert got == want, (got, want)

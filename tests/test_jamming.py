@@ -8,16 +8,11 @@ from secrecy_rates import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
-    cj_objective_mac,
     grid_max_tw_cj,
     mac_cj_optimal,
     mac_cj_rate,
-    mac_cj_two_user,
     mac_sup_optimal,
     pivot_quadratic,
-    psi,
-    random_mac_instance,
-    random_tw_instance,
     rho_eval,
     rho_terms,
     tw_cj_optimal,
@@ -29,6 +24,13 @@ from secrecy_rates.jamming import (
     _all_silent_solution,
     _partition_solution,
     _require_strict_gains,
+)
+from reference import (
+    cj_objective_mac,
+    mac_cj_two_user,
+    psi,
+    random_mac_instance,
+    random_tw_instance,
 )
 
 RATE_TOL = 1e-9

@@ -12,11 +12,9 @@ from secrecy_rates import (
     grid_max_tw,
     grid_max_tw_cj,
     mac_sup_optimal,
-    random_degraded_mac_instance,
-    random_mac_instance,
-    random_tw_instance,
     tw_optimal,
 )
+from reference import random_degraded_mac_instance, random_mac_instance, random_tw_instance
 
 SPEC_101 = GridSpec(points_per_axis=101)
 

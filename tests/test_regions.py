@@ -10,7 +10,6 @@ from secrecy_rates import (
     KIND_USER_TOTAL,
     PowerAllocation,
     RateConstraint,
-    RatePoint,
     StdMacChannel,
     StdTwChannel,
     TdmaShares,
@@ -20,10 +19,13 @@ from secrecy_rates import (
     mac_sup_region,
     mac_tdma_region,
     merge_tied_users,
+    tw_region,
+)
+from reference import (
+    RatePoint,
     random_mac_instance,
     random_tw_instance,
     region_contains,
-    tw_region,
 )
 
 TOL = 1e-9
