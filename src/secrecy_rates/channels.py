@@ -10,7 +10,9 @@ optimizers, oracles) works on the standardized form, and all rates are
 reported in bits per channel use.  Every solver and region rate takes its
 logarithm in one kernel, ``gaussian_bits`` (C(snr) = 1/2 log2(1 + snr)
 through log1p, so small SNRs keep their relative accuracy), or in its
-array form ``gaussian_bits_array``.
+array forms: ``gaussian_bits_array`` (np.log1p, for ranking) and
+``gaussian_bits_each`` (math.log1p per element, bit-identical to the
+scalar kernel).
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ class NonStandardizableChannel(ValueError):
 
 
 def _tied_neighbors(h: np.ndarray) -> np.ndarray:
-    """Whether each adjacent pair of ascending gains counts as equal: their
-    spacing is at most ``GAIN_MERGE_RTOL`` times the larger magnitude."""
+    """Whether each adjacent pair of ascending gains (along the last axis)
+    counts as equal: their spacing is at most ``GAIN_MERGE_RTOL`` times the
+    larger magnitude."""
     size = np.abs(h)
-    return h[1:] - h[:-1] <= GAIN_MERGE_RTOL * np.maximum(size[1:], size[:-1])
+    return h[..., 1:] - h[..., :-1] <= GAIN_MERGE_RTOL * np.maximum(size[..., 1:], size[..., :-1])
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -359,6 +362,16 @@ def gaussian_bits(snr: float) -> float:
 def gaussian_bits_array(snr: np.ndarray) -> np.ndarray:
     """gaussian_bits of every element of an array of SNRs (np.log1p)."""
     return 0.5 * np.log1p(snr) / _LN2
+
+
+def gaussian_bits_each(snr: np.ndarray) -> np.ndarray:
+    """gaussian_bits of every element, equal to the scalar kernel bit for bit.
+
+    The logarithm is math.log1p per element: np.log1p may differ from it by
+    an ulp, while numpy's multiply and divide round exactly as Python's.
+    """
+    logs = np.fromiter(map(math.log1p, np.ravel(snr).tolist()), float, np.size(snr))
+    return 0.5 * logs.reshape(np.shape(snr)) / _LN2
 
 
 def cap_main(alloc, subset: Iterable[int]) -> float:

@@ -5,15 +5,18 @@ from --channel (inline JSON or a file path, raw or standardized form) or
 from the --caps/--eve-gains/--main-gains/--noises flags; raw channels are
 standardized automatically.  All output is deterministic: floats are
 rounded to 12 significant digits before serialization, JSON keys are
-sorted, and rates carry a _bits suffix.  Exit codes: 0 success, 1
-validation error, 2 internal numerical failure; a sweep with failed cells
-writes its output, then exits 2.
+sorted, and rates carry a _bits suffix.  JSON output is strict: a NaN or
+infinity anywhere in a document is an internal failure, named by its key
+path, and nothing is written.  Exit codes: 0 success, 1 validation error,
+2 internal numerical failure; a sweep with failed cells writes its output,
+then exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -124,8 +127,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _nonfinite_path(obj, path: str = "") -> Optional[str]:
+    """Key path, such as ``solution.diagnostics.discriminant``, of the first
+    NaN or infinity in a JSON-ready document (``powers[1]`` for a list
+    item), in sorted-key order; None if it has none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = [(f"{path}.{key}" if path else key, value) for key, value in sorted(obj.items())]
+    elif isinstance(obj, list):
+        items = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+    else:
+        return None
+    for where, value in items:
+        found = _nonfinite_path(value, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _dump_json(doc: Dict) -> str:
-    return json.dumps(to_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    """Strict JSON, keys sorted; a NaN or infinity is an internal failure (exit 2)."""
+    doc = to_jsonable(doc)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # to_jsonable output fails only on NaN or infinity
+        path = _nonfinite_path(doc)
+        raise FloatingPointError(f"non-finite value at {path}; not writing invalid JSON") from None
 
 
 def _csv_line(values: Sequence) -> str:

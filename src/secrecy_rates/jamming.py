@@ -10,17 +10,22 @@ solver ranks all (prefix, pivot) patterns at once as O(K^2) arrays and
 evaluates only the winner, with any pattern tied with it to rounding, by
 the scalar pivot quadratic and rate, which give the reported solution.
 The two-way variant only ever jams at full power, decided by a
-five-branch rule.  The rates are the superposition and two-way rate
-expressions of ``allocation`` with jammers counted as noise, so they take
-their logarithms in the one kernel, ``channels.gaussian_bits``, or in its
-array form for the ranking.
+five-branch rule written once over arrays of channels.  The ranking and
+the two-way rule take a leading batch axis, so the eavesdropper sweep
+solves a whole grid of channels in the calls a single channel makes, and
+``_evaluate_patterns`` is the batched winner evaluation of two-user
+patterns.  The rates are the superposition and two-way rate expressions
+of ``allocation`` with jammers counted as noise, so they take their
+logarithms in the one kernel, ``channels.gaussian_bits``, or in its
+array forms: np.log1p for the ranking, math.log1p per element wherever a
+reported rate must equal the scalar kernel bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .channels import (
     StdTwChannel,
     _powers_of,
     gaussian_bits_array,
+    gaussian_bits_each,
     to_jsonable,
 )
 from .allocation import _mac_secrecy_bits, _require_strict_gains, _tw_secrecy_bits
@@ -214,36 +220,45 @@ def _partition_solution(
     )
 
 
-def _finalists(h: np.ndarray, caps: np.ndarray) -> List[Tuple[int, int]]:
-    """(t, p) of the best ordered role pattern, ranked as arrays over all of
-    them, and of the patterns whose tie-break keys match it to rounding.
+def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Mask of the best ordered role pattern of each of N channels, ranked as
+    arrays over all of them, and of the patterns whose tie-break keys match
+    it to rounding.
 
-    Cell (t, p) of the (K+1) x (K+1) grid transmits users [0, t) at cap and
-    makes user p >= t the pivot, with every user after it jamming at cap;
-    column K is the no-jam pattern, a pivot of gain 0 and cap 0.  With P, H
-    the transmitters' sums of caps and h * caps, and R, G those of the
-    jammers after the pivot, pivot_quadratic's coefficients are
+    ``h`` and ``caps`` are (N, K): one channel per row, gains ascending.  In
+    the (N, K+1, K+1) result, cell (n, t, p) transmits users [0, t) of
+    channel n at cap and makes user p >= t the pivot, with every user after
+    it jamming at cap; column K is the no-jam pattern, a pivot of gain 0 and
+    cap 0.  With P, H the transmitters' sums of caps and h * caps, and R, G
+    those of the jammers after the pivot, pivot_quadratic's coefficients are
         c1 = h_p (h_p P - H),  c2 = 2 h_p ((1 + G) P - (1 + R) H),
         c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H,
     and the root is taken with c2 / 2, an exact scaling.  R and G
     accumulate from the back, so a pivot at cap and the next pivot at 0
     give bit-identical jam totals, keys and rates for one power vector.
+    Every operation is elementwise along the batch axis, so a channel's
+    mask does not depend on the other rows.  A row whose ranking rates
+    hold a NaN has no finalist.
     """
-    k = len(caps)
+    n, k = caps.shape
+    # Inside, the batch axis is the last one, so numpy's inner loops run
+    # over the channels rather than over the K + 1 pivots.
     # rows: caps, h * caps, and 1 for each user with a positive cap
-    terms = np.empty((3, k))
-    terms[0] = caps
-    np.multiply(h, caps, out=terms[1])
-    terms[2] = caps > 0
-    prefix = np.zeros((3, k + 1, 1))
+    terms = np.empty((3, k, n))
+    terms[0] = caps.T
+    np.multiply(h.T, caps.T, out=terms[1])
+    terms[2] = caps.T > 0
+    prefix = np.zeros((3, k + 1, 1, n))
     np.add.accumulate(terms, axis=1, out=prefix[:, 1:, 0])
     # per pivot column: the three sums over the users after it, then its h and cap
-    after = np.zeros((5, 1, k + 1))
-    after[:3, 0, : k - 1] = np.add.accumulate(terms[:, :0:-1], axis=1)[:, ::-1]
-    after[3:, 0, :k] = h, caps
+    after = np.zeros((5, 1, k + 1, n))
+    np.add.accumulate(terms[:, :0:-1], axis=1, out=after[:3, 0, : k - 1][:, ::-1])
+    after[3, 0, :k] = h.T
+    after[4, 0, :k] = caps.T
     p_t, hp_t = prefix[0], prefix[1]
     p_after, hp_after, n_after, h_p, cap_p = after
     one_r, one_g = 1.0 + p_after, 1.0 + hp_after
+    users = np.arange(k + 1)
     with np.errstate(all="ignore"):
         c1 = h_p * (h_p * p_t - hp_t)
         half_c2 = h_p * (one_g * p_t - one_r * hp_t)
@@ -252,37 +267,47 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> List[Tuple[int, int]]:
         s = np.sqrt(half_c2 * half_c2 - c1 * c3)
         root = np.where(half_c2 <= 0.0, (s - half_c2) / c1, c3 / (-half_c2 - s))
         root = np.where(c1 == 0.0, np.where(half_c2 == 0.0, np.nan, -0.5 * c3 / half_c2), root)
+        # free the coefficients first: each of these arrays holds (K+1)^2
+        # doubles per channel, and over a sweep pass they set its peak memory
+        del c1, half_c2, c3, s
         pivot = np.where(root > 0.0, np.minimum(root, cap_p), 0.0)
         jam = pivot + p_after
-        heard = gaussian_bits_array(p_t / (1.0 + jam))
-        leaked = gaussian_bits_array(hp_t / (1.0 + (h_p * pivot + hp_after)))
-        rate = np.maximum(heard - leaked, 0.0)
-    users = np.arange(k + 1)
-    rate[users[:, None] > users] = -np.inf
-    pool = (rate >= rate.max() - RATE_TIE_TOL).ravel().nonzero()[0]
-    if len(pool) == 1:
-        return [divmod(int(pool[0]), k + 1)]
-    n_jam = (pivot > 0.0) + n_after
-    total = p_t + jam
-    n_pool, total_pool = n_jam.ravel()[pool], total.ravel()[pool]
-    root_pool, cap_pool = root.ravel()[pool], cap_p[0, pool % (k + 1)]
-    # flat index order is scan order (t outer, p inner)
-    first = np.lexsort((pool, total_pool, n_pool))[0]
-    n_best, total_best = n_pool[first], total_pool[first]
-    # A root within rounding of its cap or of 0 may clamp the other way in
-    # the scalar evaluation, moving a total by ulps or dropping a jammer, so
-    # patterns whose keys tie the winner's up to such a move are finalists.
-    # Exact key ties without such a root keep the winner: scan order.
-    edge = (np.abs(root_pool - cap_pool) <= 1e-9 * cap_pool) | (
-        (root_pool > 0.0) & (root_pool <= 1e-12 * total_pool)
-    )
-    exact = (n_pool == n_best) & (total_pool == total_best)
-    near = (total_pool < total_best * (1.0 + 1e-12)) & (
-        (n_pool == n_best) | ((n_pool == n_best + 1) & edge)
-    )
-    near &= ~exact | edge | edge[first]
-    near[first] = True
-    return [divmod(int(i), k + 1) for i in pool[near]]
+        rate = gaussian_bits_array(p_t / (1.0 + jam))
+        rate -= gaussian_bits_array(hp_t / (1.0 + (h_p * pivot + hp_after)))
+        np.maximum(rate, 0.0, out=rate)
+        np.copyto(rate, -np.inf, where=(users[:, None] > users)[:, :, None])
+        size = (k + 1) * (k + 1)
+        rate = np.ascontiguousarray(rate.reshape(size, n).T)
+        pool = rate >= rate.max(axis=1, keepdims=True) - RATE_TIE_TOL
+        # pool members as flat indices: rows in order, and scan order (t
+        # outer, p inner) within a row
+        members = pool.ravel().nonzero()[0]
+        rows, idx = np.divmod(members, size)
+        # one member per row (sorted rows, so rows == 0, 1, ..., n - 1)
+        if len(members) == n and (n == 1 or (rows == np.arange(n)).all()):
+            return pool.reshape(n, k + 1, k + 1)
+        # The tie rule on the pool members: fewest jammers, then least total
+        # power, then scan order.  A row with one member keeps it.
+        n_jam = ((pivot > 0.0) + n_after).reshape(size, n)[idx, rows]
+        total = (p_t + jam).reshape(size, n)[idx, rows]
+        root = root.reshape(size, n)[idx, rows]
+        cap = cap_p[0, idx % (k + 1), rows]
+        # sorted by row first, so each row's winner sits where the row starts
+        first = np.lexsort((members, total, n_jam, rows))[rows.searchsorted(rows)]
+        n_best, total_best = n_jam[first], total[first]
+        # A root within rounding of its cap or of 0 may clamp the other way in
+        # the scalar evaluation, moving a total by ulps or dropping a jammer, so
+        # patterns whose keys tie the winner's up to such a move are finalists.
+        # Exact key ties without such a root keep the winner: scan order.
+        edge = (np.abs(root - cap) <= 1e-9 * cap) | ((root > 0.0) & (root <= 1e-12 * total))
+        exact = (n_jam == n_best) & (total == total_best)
+        near = (total < total_best * (1.0 + 1e-12)) & (
+            (n_jam == n_best) | ((n_jam == n_best + 1) & edge)
+        )
+        near &= ~exact | edge | edge[first]
+        near[first] = True
+        pool.ravel()[members] = near
+    return pool.reshape(n, k + 1, k + 1)
 
 
 def _evaluate_pattern(ch: StdMacChannel, t_count: int, pivot_idx: int):
@@ -313,6 +338,60 @@ def _evaluate_pattern(ch: StdMacChannel, t_count: int, pivot_idx: int):
     return powers, mac_cj_rate(ch, powers, range(t_count)), coeffs, case
 
 
+def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.ndarray):
+    """_evaluate_pattern for M role patterns (t, p) at once, one per row of
+    the (M, K) ``h`` and ``caps``.
+
+    Returns the powers, the rate as mac_cj_rate clamps it, and whether the
+    row is finite: its powers and rate, and, when it has a pivot (p < K),
+    the coefficients and discriminant, with c2 ** 2 in float range as
+    _partition_solution computes it.  The sums are masked sums over each
+    row, equal to pivot_quadratic's and mac_cj_rate's index sums for K = 2,
+    where a sum of two terms cannot be grouped differently; the
+    coefficients, root and rate then repeat the scalar operations in their
+    order, with math.log1p for the logarithms.
+    """
+    k = caps.shape[1]
+    users = np.arange(k)
+    in_t = users < t[:, None]
+    # the powers pivot_quadratic is given: transmitters and later jammers at cap, pivot at 0
+    fixed = np.where(in_t | (users > p[:, None]), caps, 0.0)
+    comp = ~in_t & (users != p[:, None])
+    pivot_at = np.minimum(p, k - 1)[:, None]
+    hj = np.take_along_axis(h, pivot_at, axis=1)[:, 0]
+    cap_j = np.take_along_axis(caps, pivot_at, axis=1)[:, 0]
+    with np.errstate(all="ignore"):
+        hp = h * fixed
+        p_t = np.where(in_t, fixed, 0.0).sum(axis=1)
+        hp_t = np.where(in_t, hp, 0.0).sum(axis=1)
+        p_all, hp_all = fixed.sum(axis=1), hp.sum(axis=1)
+        p_comp = np.where(comp, fixed, 0.0).sum(axis=1)
+        hp_comp = np.where(comp, hp, 0.0).sum(axis=1)
+        # pivot_quadratic
+        c1 = hj * (hj * p_t - hp_t)
+        c2 = hj * (2.0 + hp_all + hp_comp) * p_t - hj * (2.0 + p_all + p_comp) * hp_t
+        c3 = (1.0 + hp_all) * (1.0 + hp_comp) * p_t - hj * (1.0 + p_all) * (1.0 + p_comp) * hp_t
+        disc = c2 * c2 - 4.0 * c1 * c3
+        s = np.sqrt(disc)
+        den = -c2 - s
+        # _quadratic_plus_root: its cancellation-free form when c2 > 0
+        stable = np.where(den == 0.0, np.nan, 2.0 * c3 / den)
+        quad = np.where(c2 <= 0.0, (-c2 + s) / (2.0 * c1), stable)
+        root = np.where(c1 == 0.0, np.where(c2 == 0.0, np.nan, -c3 / c2), quad)
+        pivot = np.where(root > 0.0, np.where(root >= cap_j, cap_j, root), 0.0)
+        powers = np.where(users == p[:, None], pivot[:, None], fixed)
+        # mac_cj_rate
+        hp = h * powers
+        p_t, hp_t = powers * in_t, hp * in_t
+        heard = gaussian_bits_each(p_t.sum(axis=1) / (1.0 + (powers - p_t).sum(axis=1)))
+        leaked = gaussian_bits_each(hp_t.sum(axis=1) / (1.0 + (hp - hp_t).sum(axis=1)))
+        rate = heard - leaked
+    # the scalar discriminant is c2 ** 2, which raises OverflowError past 2 ** 511 squared
+    coeffs_ok = np.isfinite(disc) & np.isfinite(c3) & (np.abs(c2) <= 2.0**511)
+    finite = np.isfinite(rate) & np.isfinite(powers).all(axis=1) & (coeffs_ok | (p == k))
+    return powers, np.where(rate > 0.0, rate, 0.0), finite
+
+
 def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     """Best cooperative-jamming solution over all ordered role patterns.
 
@@ -324,16 +403,24 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     branch boundary are mathematically tied but their rates land a few
     ulps apart, so rates within RATE_TIE_TOL of the best count as ties and
     resolve toward fewer active jammers, then less total power, then scan
-    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2).
-    Only the winner, and any pattern whose tie-break keys match it to
-    rounding (usually none), is then evaluated with pivot_quadratic and
-    mac_cj_rate; the tie rule on their scalar keys picks the solution, and
-    they give the reported powers, rate and coefficients.
+    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2), by
+    _finalists with a batch of one channel (the eavesdropper sweep ranks a
+    whole grid of channels in the same call).  Only the winner, and any
+    pattern whose tie-break keys match it to rounding (usually none), is
+    then evaluated with pivot_quadratic and mac_cj_rate; the tie rule on
+    their scalar keys picks the solution, and they give the reported
+    powers, rate and coefficients.
+
+    Raises:
+        FloatingPointError: if the ranking rates overflow to NaN.
     """
     _require_strict_gains(ch)
     k = ch.k_users
+    picks = _finalists(ch.eve_gains[None], ch.power_caps[None]).ravel().nonzero()[0]
+    if not len(picks):
+        raise FloatingPointError("cooperative-jamming candidate rates overflow to NaN")
     finalists = [
-        (t, p, *_evaluate_pattern(ch, t, p)) for t, p in _finalists(ch.eve_gains, ch.power_caps)
+        (t, p, *_evaluate_pattern(ch, t, p)) for t, p in (divmod(int(i), k + 1) for i in picks)
     ]
     if len(finalists) > 1:
         # the tie rule on the scalar keys; the sort is stable, so scan order breaks exact ties
@@ -352,6 +439,53 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     )
 
 
+TW_BRANCHES = ("both-transmit", "jam-user-1", "jam-user-2", "all-silent")
+
+
+def _tw_cj_rule(h: np.ndarray, caps: np.ndarray):
+    """tw_cj_optimal's five-branch rule for N two-way channels, one per row
+    of the (N, 2) ``h`` and ``caps``.
+
+    Returns the powers, the transmit and jam masks of the users with
+    positive power, the rate (tw_cj_rate's operations in its order, with
+    math.log1p), each row's index into TW_BRANCHES, the single-user psi
+    values and whether they tie.  Rows whose rate is not positive come out
+    all silent.
+    """
+    swap = h[:, 0] > h[:, 1]
+    # original index of each row's lower-gain user, and the sorted pairs
+    low = swap.astype(int)
+    h1, h2 = np.where(swap, h[:, 1], h[:, 0]), np.where(swap, h[:, 0], h[:, 1])
+    c1, c2 = np.where(swap, caps[:, 1], caps[:, 0]), np.where(swap, caps[:, 0], caps[:, 1])
+    with np.errstate(all="ignore"):
+        psi = (1.0 + h * caps) / (1.0 + caps)
+        psi1, psi2 = np.where(swap, psi[:, 1], psi[:, 0]), np.where(swap, psi[:, 0], psi[:, 1])
+        psi_tie = np.abs(psi1 - psi2) <= TOL_ABS * np.maximum(psi1, psi2)
+        both = h2 <= 1.0 + TOL_ABS
+        useful = (h1 < 1.0 + h2 * c2 - TOL_ABS) & (psi2 >= psi1)
+        jam_high = ~both & ((h1 <= 1.0 + TOL_ABS) | useful)
+        jam_low = ~both & ~jam_high & (h2 < 1.0 + h1 * c1 - TOL_ABS) & (psi1 > psi2)
+        jams = jam_high | jam_low
+        jammer = np.where(jam_high, 1 - low, low)
+        users = np.arange(2)
+        powers = np.where((both | jams)[:, None], caps, 0.0)
+        transmit = (both[:, None] | (jams[:, None] & (users != jammer[:, None]))) & (powers > 0)
+        jam = jams[:, None] & (users == jammer[:, None]) & (powers > 0)
+        # tw_cj_rate: sum_T C(P_k) - C(H_T / (1 + H_N))
+        gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
+        hp = h * powers
+        inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)
+        gross, inside, outside = (v[:, 0] + v[:, 1] for v in (gross, inside, outside))
+        rate = gross - gaussian_bits_each(inside / (1.0 + outside))
+    branch = np.where(both, 0, np.where(jams, 1 + jammer, 3))
+    silent = rate <= 0.0
+    branch[silent] = 3
+    powers[silent] = 0.0
+    transmit[silent] = jam[silent] = False
+    rate[silent] = 0.0
+    return powers, transmit, jam, rate, branch, psi, psi_tie
+
+
 def tw_cj_optimal(ch: StdTwChannel) -> JammingSolution:
     """Five-branch cooperative-jamming rule for the two-way channel.
 
@@ -361,67 +495,28 @@ def tw_cj_optimal(ch: StdTwChannel) -> JammingSolution:
     (at cap, if the other user's transmission stays useful), ties breaking
     toward user 2; otherwise all silent.  Jamming at full power is optimal
     whenever jamming at all: psi of the jam set exceeds 1 exactly when the
-    jammer's gain does.
+    jammer's gain does.  The rule is _tw_cj_rule on a batch of one channel,
+    the call the eavesdropper sweep makes for a whole grid.
     """
-    h = ch.eve_gains
-    caps = ch.power_caps
-    swap = float(h[0]) > float(h[1])
-    order = [1, 0] if swap else [0, 1]
-    h1, h2 = float(h[order[0]]), float(h[order[1]])
-    c1, c2 = float(caps[order[0]]), float(caps[order[1]])
-
-    psi1 = (1.0 + h1 * c1) / (1.0 + c1)
-    psi2 = (1.0 + h2 * c2) / (1.0 + c2)
-    psi_tie = abs(psi1 - psi2) <= TOL_ABS * max(psi1, psi2)
+    powers, transmit, jam, rate, branch, psi, psi_tie = _tw_cj_rule(
+        ch.eve_gains[None], ch.power_caps[None]
+    )
     diagnostics: Dict = {
-        "psi_1": psi1 if not swap else psi2,
-        "psi_2": psi2 if not swap else psi1,
-        "psi_tie": bool(psi_tie),
+        "psi_1": float(psi[0, 0]),
+        "psi_2": float(psi[0, 1]),
+        "psi_tie": bool(psi_tie[0]),
+        "branch": TW_BRANCHES[branch[0]],
     }
-
-    if h2 <= 1.0 + TOL_ABS:
-        local_powers = (c1, c2)
-        local_transmit, local_jam = [0, 1], []
-        branch_kind = "both-transmit"
-    elif h1 <= 1.0 + TOL_ABS:
-        local_powers = (c1, c2)
-        local_transmit, local_jam = [0], [1]
-        branch_kind = "jam"
-    elif h1 < 1.0 + h2 * c2 - TOL_ABS and psi2 >= psi1:
-        local_powers = (c1, c2)
-        local_transmit, local_jam = [0], [1]
-        branch_kind = "jam"
-    elif h2 < 1.0 + h1 * c1 - TOL_ABS and psi1 > psi2:
-        local_powers = (c1, c2)
-        local_transmit, local_jam = [1], [0]
-        branch_kind = "jam"
-    else:
-        local_powers = (0.0, 0.0)
-        local_transmit, local_jam = [], []
-        branch_kind = "all-silent"
-
-    powers = np.zeros(2)
-    powers[order[0]], powers[order[1]] = local_powers
-    transmit = tuple(sorted(order[u] for u in local_transmit if powers[order[u]] > 0))
-    jam = tuple(sorted(order[u] for u in local_jam if powers[order[u]] > 0))
-    rate = tw_cj_rate(ch, powers, transmit)
-    if branch_kind == "both-transmit":
-        diagnostics["branch"] = "both-transmit"
-    elif branch_kind == "jam":
-        diagnostics["branch"] = f"jam-user-{order[local_jam[0]] + 1}"
-    else:
-        diagnostics["branch"] = "all-silent"
-    if rate <= 0.0:
-        diagnostics["branch"] = "all-silent"
+    if rate[0] <= 0.0:
         diagnostics["case"] = "no-positive-rate"
         return _all_silent_solution(2, diagnostics)
-    silent = tuple(i for i in range(2) if i not in transmit and i not in jam)
+    active = transmit[0] | jam[0]
     return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(powers),
-        rate,
+        tuple(np.flatnonzero(transmit[0]).tolist()),
+        tuple(np.flatnonzero(jam[0]).tolist()),
+        tuple(np.flatnonzero(~active).tolist()),
+        PowerAllocation(powers[0]),
+        float(rate[0]),
         None,
         None,
         None,

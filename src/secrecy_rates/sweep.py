@@ -4,8 +4,20 @@ A Scene fixes transmitter/receiver locations and a path-loss law; the
 sweep moves a hypothetical eavesdropper over a 2-D grid, derives the raw
 channel for each cell, standardizes it, runs the matching
 cooperative-jamming optimizer, and records per-user transmit/jam powers
-(mapped back to raw-domain watts) plus the secrecy sum rate.  Cells are
-evaluated in order, row by row, on the calling thread.
+(mapped back to raw-domain watts) plus the secrecy sum rate.
+
+The grid is solved as arrays, 2,048 cells per pass on the calling
+thread: the gains of every cell, then standardization, the MAC role
+ranking (``jamming._finalists`` with a batch axis) and winner evaluation,
+or the two-way rule (``jamming._tw_cj_rule``), then the raw-domain
+mapping.  Each step repeats the per-cell path's floating-point operations
+in the same order (logarithms through math.log1p), so every cell equals
+gains_from_geometry -> standardize_* -> *_cj_optimal bit for bit.  A cell
+the batch cannot show to be equal takes that per-cell route instead,
+which also reports its failure: a gain that raises or is not finite, a
+zero main or cross gain, two MAC gains that tie and merge into one user,
+a MAC cell with more than one finalist, and any non-finite coefficient,
+discriminant, root, rate or power.
 """
 
 from __future__ import annotations
@@ -24,15 +36,28 @@ import numpy as np
 from .channels import (
     RawMacChannel,
     RawTwChannel,
+    _tied_neighbors,
     standardize_mac,
     standardize_tw,
     to_jsonable,
 )
-from .jamming import mac_cj_optimal, tw_cj_optimal
+from .jamming import (
+    TW_BRANCHES,
+    _evaluate_patterns,
+    _finalists,
+    _tw_cj_rule,
+    mac_cj_optimal,
+    tw_cj_optimal,
+)
 
 SWEEP_COLUMNS = ("x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch")
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# Cells per batched pass.  It bounds a pass's temporaries on any grid: a
+# 64 x 64 sweep raises peak memory by about 2 MB in passes of 2,048 cells
+# and 5 MB in one pass of 4,096, and a 512 x 512 grid in one pass by 430 MB.
+_BLOCK = 2048
 
 MODE_MAC = "MAC-CJ"
 MODE_TW = "TW-CJ"
@@ -266,6 +291,131 @@ def _solve_tw_cell(scene: Scene, x: float, y: float) -> tuple:
     return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
 
 
+def _gain_or_nan(scene: Scene, a, b) -> float:
+    try:
+        return _gain(scene, a, b)
+    except Exception:  # the cell takes the per-cell route, which reports it
+        return math.nan
+
+
+def _eve_gains(scene: Scene, points: List[Tuple[float, float]]) -> np.ndarray:
+    """(N, 2) gains from each transmitter to each eavesdropper point, by
+    ``_gain`` per point as gains_from_geometry computes them; NaN where a
+    gain raises."""
+    transmitters = scene.transmitter_positions
+    try:
+        gains = [[_gain(scene, t, e) for e in points] for t in transmitters]
+    except Exception:  # mark the failing points; they take the per-cell route
+        gains = [[_gain_or_nan(scene, t, e) for e in points] for t in transmitters]
+    return np.array(gains).T.copy()
+
+
+# two-user MAC branch labels, indexed 3 t + (pivot + 1, or 0 without jammers),
+# then all-silent
+_MAC_LABELS = [f"T={t},J={j}" for t in range(3) for j in ("none", "1", "2")] + ["all-silent"]
+_MAC_SILENT = len(_MAC_LABELS) - 1
+
+
+def _mac_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
+    """_solve_mac_cell for every row of the (N, 2) eavesdropper gains at once.
+
+    Each step repeats the per-cell floating-point operations in their
+    order: standardize_mac's h and caps, merge_tied_users' sort and
+    singleton gain h * c / c, _finalists over the whole batch,
+    _evaluate_patterns for the winner, then split_back and the raw-domain
+    mapping.  Returns tx, jam, rate, branch labels and the mask of the rows
+    solved, which lies within ``finite``.  The other rows take the
+    per-cell route: rows whose gains tie before or after the merge (the two
+    users become one), have a non-finite gain, more or fewer than one
+    finalist, or a non-finite coefficient, rate or power; and every row
+    when there is no receiver or a main gain raises, is zero or is not
+    finite.
+    """
+    n = len(eve)
+    tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
+    labels = np.full(n, _MAC_SILENT)
+    solved = np.zeros(n, dtype=bool)
+    rx = scene.receiver_position
+    main = np.zeros(2) if rx is None else np.array(
+        [_gain_or_nan(scene, t, rx) for t in scene.transmitter_positions]
+    )
+    if not (np.isfinite(main).all() and main.all()):
+        return tx, jam, rate, [_MAC_LABELS[_MAC_SILENT]] * n, solved
+    mn, tn = float(scene.main_noise), float(scene.tap_noise)
+    caps = main * np.asarray(scene.raw_power_caps, dtype=float) / mn
+    with np.errstate(all="ignore"):
+        h = eve * mn / (main * tn)
+        # merge_tied_users: a stable sort of each pair, and each singleton's gain h * c / c
+        perm = np.where((h[:, 0] > h[:, 1])[:, None], [1, 0], [0, 1])
+        h, caps, main = np.take_along_axis(h, perm, axis=1), caps[perm], main[perm]
+        gains = np.where(caps > 0, h * caps / caps, h)
+        untied = ~_tied_neighbors(h)[:, 0] & ~_tied_neighbors(gains)[:, 0]
+        # mac_cj_optimal, for the cells with a single finalist
+        cells = np.flatnonzero(finite & np.isfinite(gains).all(axis=1) & untied)
+        finalists = _finalists(gains[cells], caps[cells]).reshape(len(cells), 9)
+        single = finalists.sum(axis=1) == 1
+        cells = cells[single]
+        t, p = np.divmod(np.argmax(finalists[single], axis=1), 3)
+        powers, r, ok = _evaluate_patterns(gains[cells], caps[cells], t, p)
+        # _partition_solution, split_back and the raw-domain mapping
+        users = np.arange(2)
+        active = (powers > 0) & (r > 0.0)[:, None]
+        sends, jams = active & (users < t[:, None]), active & (users >= p[:, None])
+        c = caps[cells]
+        raw = np.where(c > 0, powers * c / c, 0.0) * mn / main[cells]
+    ok &= np.isfinite(raw).all(axis=1)
+    cells = cells[ok]
+    back = perm[cells]  # each sort is its own inverse
+    tx[cells] = np.take_along_axis(np.where(sends, raw, 0.0)[ok], back, axis=1)
+    jam[cells] = np.take_along_axis(np.where(jams, raw, 0.0)[ok], back, axis=1)
+    rate[cells] = r[ok]
+    code = np.where(r > 0.0, 3 * t + np.where(jams.any(axis=1), p + 1, 0), _MAC_SILENT)
+    labels[cells] = code[ok]
+    solved[cells] = True
+    return tx, jam, rate, [_MAC_LABELS[i] for i in labels.tolist()], solved
+
+
+def _tw_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
+    """_solve_tw_cell for every row of the (N, 2) eavesdropper gains at once:
+    standardize_tw's formulas, _tw_cj_rule and the raw-domain mapping, in
+    the per-cell operation order.  Returns tx, jam, rate, branch labels and
+    the mask of the rows solved, which lies within ``finite``.  The other
+    rows take the per-cell route: rows with a non-finite gain, rate or
+    power, and every row when the cross gain raises or is zero, or a
+    standardized cap or self gain is not finite.
+    """
+    n = len(eve)
+    tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
+    labels = np.full(n, len(TW_BRANCHES) - 1)
+    solved = np.zeros(n, dtype=bool)
+    t1, t2 = scene.transmitter_positions
+    cross = np.float64(_gain_or_nan(scene, t1, t2))
+    s1, s2 = np.asarray(scene.receiver_noises, dtype=float)
+    sw = float(scene.tap_noise)
+    raw_caps = np.asarray(scene.raw_power_caps, dtype=float)
+    with np.errstate(all="ignore"):
+        self_gains = [s2 / (cross * s1), s1 / (cross * s2)]
+        caps = np.array([cross * raw_caps[0] / s2, cross * raw_caps[1] / s1])
+        h = np.column_stack([eve[:, 0] * s2 / (cross * sw), eve[:, 1] * s1 / (cross * sw)])
+    if not (cross != 0.0 and np.isfinite([cross, *self_gains, *caps]).all()):
+        return tx, jam, rate, [TW_BRANCHES[-1]] * n, solved
+    cells = np.flatnonzero(finite & np.isfinite(h).all(axis=1))
+    powers, sends, jams, r, branch, _, _ = _tw_cj_rule(
+        h[cells], np.broadcast_to(caps, (len(cells), 2))
+    )
+    with np.errstate(all="ignore"):
+        # terminal u is heard at the other terminal's receiver
+        raw = powers * np.array([s2, s1]) / cross
+    ok = np.isfinite(r) & np.isfinite(raw).all(axis=1)
+    cells = cells[ok]
+    tx[cells] = np.where(sends, raw, 0.0)[ok]
+    jam[cells] = np.where(jams, raw, 0.0)[ok]
+    rate[cells] = r[ok]
+    labels[cells] = branch[ok]
+    solved[cells] = True
+    return tx, jam, rate, [TW_BRANCHES[i] for i in labels.tolist()], solved
+
+
 def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
     """Run the cooperative-jamming optimizer over an eavesdropper grid.
 
@@ -280,6 +430,11 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         labels.  A cell whose solve raises is recorded as zero powers,
         zero rate and branch "error"; it is flagged in ``error`` and its
         message, naming the cell's (x, y), is kept in ``error_messages``.
+
+    The cells are solved in batched passes (see the module docstring) and
+    equal the per-cell solvers bit for bit; the cells a pass leaves
+    unsolved (ties, overflow, failures) are then solved one at a time, in
+    row order, by the per-cell path.
     """
     mode = _normalize_mode(mode)
     resolution = int(resolution)
@@ -290,21 +445,38 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         raise ValueError("grid_bounds must satisfy xmax > xmin and ymax > ymin")
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    solve = _solve_mac_cell if mode == MODE_MAC else _solve_tw_cell
-    tx = np.zeros((resolution, resolution, 2))
-    jam = np.zeros((resolution, resolution, 2))
-    rate = np.zeros((resolution, resolution))
-    branch = [["" for _ in range(resolution)] for _ in range(resolution)]
-    error = np.zeros((resolution, resolution), dtype=bool)
+    points = [(x, y) for y in ys.tolist() for x in xs.tolist()]
+    n = len(points)
+    if mode == MODE_MAC:
+        solve_cells, solve = _mac_cells, _solve_mac_cell
+    else:
+        solve_cells, solve = _tw_cells, _solve_tw_cell
+    eve = _eve_gains(scene, points)
+    finite = (np.isfinite(ys)[:, None] & np.isfinite(xs)).ravel()
+    tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
+    solved = np.zeros(n, dtype=bool)
+    branch = []
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        tx[block], jam[block], rate[block], labels, solved[block] = solve_cells(
+            scene, eve[block], finite[block]
+        )
+        branch += labels
+    error = np.zeros(n, dtype=bool)
     messages = []
-    for iy, y in enumerate(ys.tolist()):
-        for ix, x in enumerate(xs.tolist()):
-            try:
-                tx[iy, ix], jam[iy, ix], rate[iy, ix], branch[iy][ix] = solve(scene, x, y)
-            except Exception as exc:  # a failed cell stays zero and is flagged
-                error[iy, ix] = True
-                branch[iy][ix] = "error"
-                messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
+    for i in np.flatnonzero(~solved).tolist():
+        x, y = points[i]
+        try:
+            tx[i], jam[i], rate[i], branch[i] = solve(scene, x, y)
+        except Exception as exc:  # a failed cell stays zero and is flagged
+            tx[i], jam[i], rate[i] = 0.0, 0.0, 0.0
+            error[i] = True
+            branch[i] = "error"
+            messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
+    shape = (resolution, resolution)
+    tx, jam = tx.reshape(shape + (2,)), jam.reshape(shape + (2,))
+    rate, error = rate.reshape(shape), error.reshape(shape)
+    branch = [branch[i : i + resolution] for i in range(0, len(branch), resolution)]
     from . import __version__
 
     metadata = {

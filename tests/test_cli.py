@@ -222,6 +222,23 @@ def test_exit_two_on_internal_failure(capsys, tmp_path):
     assert "internal error" in err
 
 
+def test_nonfinite_json_exits_two_naming_the_key(capsys, tmp_path):
+    """At caps 1e155 the pivot discriminant is NaN; strict JSON refuses it."""
+    out_file = tmp_path / "jam.json"
+    argv = ("jam", "--caps", "1e155,1e155", "--eve-gains", "0.5,2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "internal error" in err and "solution.diagnostics.discriminant" in err
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2 and not out_file.exists()
+    with pytest.raises(FloatingPointError, match=r"rows\[1\]\[0\]"):
+        cli._dump_json({"rows": [[0.0, 1.0], [float("-inf"), 2.0]]})
+    assert cli._dump_json({"b": [1e155, 0.5], "a": None}) == (
+        '{\n  "a": null,\n  "b": [\n    1e+155,\n    0.5\n  ]\n}\n'
+    )
+
+
 def test_sweep_csv_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--model", "mac", "--grid", "4", "--bounds=-1,1,-1,1",

@@ -306,6 +306,14 @@ def test_mac_cj_all_silent_when_jamming_cannot_pay():
     assert np.all(sol.allocation.powers == 0.0)
 
 
+def test_mac_cj_nan_ranking_raises_by_name():
+    """Caps near the float limit overflow every candidate rate to NaN; the
+    solver says so instead of failing on an empty candidate list."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            mac_cj_optimal(StdMacChannel([0.5, 2.0], [1e308, 1e308]))
+
+
 def test_mac_cj_partition_is_ordered():
     """Transmitters occupy the low-gain prefix, jammers the high-gain tail."""
     rng = np.random.default_rng(45)

@@ -11,8 +11,14 @@ from secrecy_rates import (
     Scene,
     default_scene,
     gains_from_geometry,
+    mac_cj_optimal,
+    mac_cj_rate,
+    standardize_mac,
+    standardize_tw,
     sweep,
+    tw_cj_optimal,
 )
+from secrecy_rates.jamming import RATE_TIE_TOL
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
 # the package exports the sweep function under the module's name
@@ -284,3 +290,166 @@ def test_sweep_rows_follow_columns():
     assert (p1_jam, p2_jam) == tuple(result.jam_power[1, 2])
     assert rate == result.sum_rate[1, 2] and branch == result.branch[1][2]
     assert result.csv_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)
+
+
+def _cell_reference(scene, x, y, mode):
+    """One cell through the public per-cell API: gains_from_geometry, then
+    standardize_*, then *_cj_optimal, then the raw-domain power mapping."""
+    raw = gains_from_geometry(scene, (x, y), mode)
+    tx, jam = np.zeros(2), np.zeros(2)
+    if mode == "MAC-CJ":
+        std = standardize_mac(raw)
+        sol = mac_cj_optimal(std)
+        split = std.split_back(sol.allocation.powers)
+        for mi, group in enumerate(std.permutation):
+            for orig in group:
+                power = split[orig] * scene.main_noise / raw.main_gains[orig]
+                if mi in sol.transmit_set:
+                    tx[orig] = power
+                elif mi in sol.jam_set:
+                    jam[orig] = power
+    else:
+        sol = tw_cj_optimal(standardize_tw(raw))
+        noises = (scene.receiver_noises[1], scene.receiver_noises[0])
+        for u in range(2):
+            power = sol.allocation.powers[u] * noises[u] / raw.main_gains[u]
+            if u in sol.transmit_set:
+                tx[u] = power
+            elif u in sol.jam_set:
+                jam[u] = power
+    return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
+
+
+def _assert_matches_per_cell(result, scene, mode):
+    """Every cell of a sweep equals its per-cell solve exactly (== on floats),
+    and a failed cell fails per cell with the same message."""
+    messages = []
+    for iy, y in enumerate(result.ys.tolist()):
+        for ix, x in enumerate(result.xs.tolist()):
+            where = f"{mode} cell ({x}, {y})"
+            try:
+                tx, jam, rate, branch = _cell_reference(scene, x, y, mode)
+            except Exception as exc:
+                assert result.error[iy, ix], where
+                messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
+                continue
+            assert not result.error[iy, ix], where
+            assert np.array_equal(result.tx_power[iy, ix], tx), where
+            assert np.array_equal(result.jam_power[iy, ix], jam), where
+            assert result.sum_rate[iy, ix] == rate, where
+            assert result.branch[iy][ix] == branch, where
+    assert result.error_messages == messages
+
+
+def _moved_scene(seed, **fields):
+    """default_scene() with every terminal moved by up to 0.2 per axis."""
+    rng = np.random.default_rng(seed)
+    moved = np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.0]]) + rng.uniform(-0.2, 0.2, (3, 2))
+    return Scene(
+        transmitter_positions=(tuple(moved[0]), tuple(moved[1])),
+        receiver_position=tuple(moved[2]),
+        path_loss_exponent=float(rng.uniform(2.0, 4.0)),
+        **fields,
+    )
+
+
+# With these caps and noises, merge_tied_users' singleton gain h * c / c moves
+# some standardized gains by an ulp, which the default caps and noises never do.
+ODD_UNITS = dict(
+    raw_power_caps=(1.3, 2.9), main_noise=0.7, tap_noise=1.9, receiver_noises=(0.6, 1.7)
+)
+
+
+@pytest.mark.parametrize("resolution", [16, 17])
+@pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
+def test_sweep_matches_per_cell_solvers_exactly(monkeypatch, mode, resolution):
+    """The batched sweep is bit-identical to the per-cell path (== on every
+    float), and it sends a cell to the per-cell route only where two MAC
+    gains tie (the x = 0 column of an odd grid on default_scene)."""
+    name = "_solve_mac_cell" if mode == "MAC-CJ" else "_solve_tw_cell"
+    per_cell = getattr(sweep_module, name)
+    routed = []
+
+    def counted(scene, x, y):
+        routed.append((x, y))
+        return per_cell(scene, x, y)
+
+    monkeypatch.setattr(sweep_module, name, counted)
+    scenes = [default_scene()] + [_moved_scene(seed) for seed in (1, 2, 3)]
+    for scene in scenes + [_moved_scene(4, **ODD_UNITS)]:
+        routed.clear()
+        result = sweep(scene, BOUNDS, resolution, mode)
+        _assert_matches_per_cell(result, scene, mode)
+        assert not result.error.any()
+        tied = [
+            (x, y)
+            for y in result.ys.tolist()
+            for x in result.xs.tolist()
+            if mode == "MAC-CJ"
+            and standardize_mac(gains_from_geometry(scene, (x, y), mode)).k_users == 1
+        ]
+        assert routed == tied
+        if scene.receiver_position == (0.0, 0.0):
+            # default_scene() ties exactly on x = 0, a column of odd grids only
+            center = resolution % 2 == 1 and mode == "MAC-CJ"
+            assert tied == ([(0.0, y) for y in result.ys.tolist()] if center else [])
+
+
+def test_sweep_overflow_cells_fail_loudly_or_beat_a_tiny_jammer():
+    """At path_loss_exponent 100 an eavesdropper on a transmitter has gain
+    1e300.  Each of those two cells either fails with its OverflowError, or
+    reports at least the rate of that transmitter jamming at power 1e-20
+    while the other transmits at cap (about 50.5 bits; RATE_TIE_TOL allows
+    for the rounding of a different evaluation).  A result such as 49.71
+    bits with nobody jamming is wrong and must not pass."""
+    tx = ((-0.5, 0.0), (0.5, 0.0))
+    scene = Scene(transmitter_positions=tx, receiver_position=(0.0, 0.0), path_loss_exponent=100)
+    result = sweep(scene, BOUNDS, 5, "MAC-CJ")
+    _assert_matches_per_cell(result, scene, "MAC-CJ")
+    iy = int(np.flatnonzero(result.ys == 0.0)[0])
+    for user, (x, _) in enumerate(tx):
+        ix = int(np.flatnonzero(result.xs == x)[0])
+        if result.error[iy, ix]:
+            assert any(
+                f"x={x:.12g}, y=0" in m and "OverflowError" in m for m in result.error_messages
+            )
+            continue
+        std = standardize_mac(gains_from_geometry(scene, (x, 0.0), "MAC-CJ"))
+        jammer = next(mi for mi, group in enumerate(std.permutation) if user in group)
+        powers = std.power_caps.copy()
+        powers[jammer] = 1e-20
+        floor = mac_cj_rate(std, powers, [mi for mi in range(std.k_users) if mi != jammer])
+        assert floor > 50.0
+        assert result.sum_rate[iy, ix] >= floor - RATE_TIE_TOL
+
+
+def test_mac_batch_leaves_tied_finalists_to_the_per_cell_route():
+    """Gains (0.2, 3) at unit caps give two role patterns whose tie-break
+    keys match to rounding; the batch leaves such a cell to the per-cell
+    route, whose mac_cj_optimal settles it by its scalar keys.  Main gains
+    of 1 and unit noises make the eavesdropper gains the standardized ones."""
+    scene = Scene(
+        transmitter_positions=((-1.0, 0.0), (1.0, 0.0)),
+        receiver_position=(0.0, 0.0),
+        raw_power_caps=(1.0, 1.0),
+    )
+    eve = np.array([[0.2, 3.0], [3.0, 0.2], [0.3, 3.0], [3.0, 0.3]])
+    tx, jam, rate, branch, solved = sweep_module._mac_cells(scene, eve, np.ones(4, dtype=bool))
+    assert solved.tolist() == [False, False, True, True]
+    for i in (2, 3):
+        std = standardize_mac(RawMacChannel([1.0, 1.0], eve[i], 1.0, 1.0, [1.0, 1.0]))
+        sol = mac_cj_optimal(std)
+        assert rate[i] == sol.sum_rate and branch[i] == sol.diagnostics["branch"]
+        powers = std.split_back(sol.allocation.powers)
+        sends = [orig for mi in sol.transmit_set for orig in std.permutation[mi]]
+        jams = [orig for mi in sol.jam_set for orig in std.permutation[mi]]
+        assert np.array_equal(tx[i], [powers[u] if u in sends else 0.0 for u in range(2)])
+        assert np.array_equal(jam[i], [powers[u] if u in jams else 0.0 for u in range(2)])
+
+
+@pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
+def test_sweep_with_no_batched_cell_matches_per_cell(mode):
+    """With both transmitters at one point every MAC cell ties, so no cell is
+    left for the batch; the two-way sweep still batches every cell."""
+    scene = Scene(transmitter_positions=((0.0, 0.0), (0.0, 0.0)), receiver_position=(1.0, 0.0))
+    _assert_matches_per_cell(sweep(scene, BOUNDS, 5, mode), scene, mode)
