@@ -243,23 +243,23 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
     n, k = caps.shape
     # Inside, the batch axis is the last one, so numpy's inner loops run
     # over the channels rather than over the K + 1 pivots.
-    # rows: caps, h * caps, and 1 for each user with a positive cap
-    terms = np.empty((3, k, n))
-    terms[0] = caps.T
-    np.multiply(h.T, caps.T, out=terms[1])
-    terms[2] = caps.T > 0
-    prefix = np.zeros((3, k + 1, 1, n))
-    np.add.accumulate(terms, axis=1, out=prefix[:, 1:, 0])
-    # per pivot column: the three sums over the users after it, then its h and cap
-    after = np.zeros((5, 1, k + 1, n))
-    np.add.accumulate(terms[:, :0:-1], axis=1, out=after[:3, 0, : k - 1][:, ::-1])
-    after[3, 0, :k] = h.T
-    after[4, 0, :k] = caps.T
-    p_t, hp_t = prefix[0], prefix[1]
-    p_after, hp_after, n_after, h_p, cap_p = after
-    one_r, one_g = 1.0 + p_after, 1.0 + hp_after
     users = np.arange(k + 1)
     with np.errstate(all="ignore"):
+        # rows: caps, h * caps, and 1 for each user with a positive cap
+        terms = np.empty((3, k, n))
+        terms[0] = caps.T
+        np.multiply(h.T, caps.T, out=terms[1])
+        terms[2] = caps.T > 0
+        prefix = np.zeros((3, k + 1, 1, n))
+        np.add.accumulate(terms, axis=1, out=prefix[:, 1:, 0])
+        # per pivot column: the three sums over the users after it, then its h and cap
+        after = np.zeros((5, 1, k + 1, n))
+        np.add.accumulate(terms[:, :0:-1], axis=1, out=after[:3, 0, : k - 1][:, ::-1])
+        after[3, 0, :k] = h.T
+        after[4, 0, :k] = caps.T
+        p_t, hp_t = prefix[0], prefix[1]
+        p_after, hp_after, n_after, h_p, cap_p = after
+        one_r, one_g = 1.0 + p_after, 1.0 + hp_after
         c1 = h_p * (h_p * p_t - hp_t)
         half_c2 = h_p * (one_g * p_t - one_r * hp_t)
         c3 = (hp_t + one_g) * one_g * p_t - (p_t + one_r) * (h_p * one_r) * hp_t

@@ -6,17 +6,18 @@ channel for each cell, standardizes it, runs the matching
 cooperative-jamming optimizer, and records per-user transmit/jam powers
 (mapped back to raw-domain watts) plus the secrecy sum rate.
 
-The grid is solved as arrays, 2,048 cells per pass on the calling
-thread: the gains of every cell, then standardization, the MAC role
-ranking (``jamming._finalists`` with a batch axis) and winner evaluation,
-or the two-way rule (``jamming._tw_cj_rule``), then the raw-domain
-mapping.  Each step repeats the per-cell path's floating-point operations
-in the same order (logarithms through math.log1p), so every cell equals
-gains_from_geometry -> standardize_* -> *_cj_optimal bit for bit.  A cell
-the batch cannot show to be equal takes that per-cell route instead,
-which also reports its failure: a gain that raises or is not finite, a
-zero main or cross gain, two MAC gains that tie and merge into one user,
-a MAC cell with more than one finalist, and any non-finite coefficient,
+Conditions that fail every cell (see sweep) raise a ValueError before
+any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
+on the calling thread: the gains (_gains, the one path-loss law), then
+standardization, the MAC role ranking (``jamming._finalists`` with a
+batch axis) and winner evaluation, or the two-way rule
+(``jamming._tw_cj_rule``), then the raw-domain mapping.  Each step repeats
+the per-cell path's floating-point operations in the same order
+(logarithms through math.log1p), so every cell equals gains_from_geometry
+-> standardize_* -> *_cj_optimal bit for bit.  A cell the batch cannot
+show to be equal takes that per-cell route instead, which also reports
+its failure: two MAC gains that tie and merge into one user, a MAC cell
+with more than one finalist, and any non-finite gain, coefficient,
 discriminant, root, rate or power.
 """
 
@@ -29,7 +30,8 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,7 +123,7 @@ class Scene:
             value = getattr(self, name)
             if not (_is_finite_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        # The largest gain is at distance_floor; _gain raises computing
+        # The largest gain is at distance_floor; _gains raises computing
         # distance_floor ** -path_loss_exponent beyond the float range.
         log_power = -self.path_loss_exponent * math.log(self.distance_floor)
         if max(log_power, log_power + math.log(self.reference_gain)) >= _LOG_FLOAT_MAX:
@@ -163,10 +165,15 @@ def default_scene() -> Scene:
     )
 
 
-def _gain(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:
-    d = math.hypot(a[0] - b[0], a[1] - b[1])
-    d = max(d, scene.distance_floor)
-    return scene.reference_gain * d ** (-scene.path_loss_exponent)
+def _gains(scene: Scene, points, target) -> np.ndarray:
+    """The scene's path-loss gain from ``target`` to each of the (N, 2)
+    ``points``, with math.hypot and ``**`` per element (np.hypot and
+    np.power may differ from them by an ulp); far points underflow to 0."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    dx, dy = (target[0] - points[:, 0]).tolist(), (target[1] - points[:, 1]).tolist()
+    d = np.maximum(np.fromiter(map(math.hypot, dx, dy), float, len(dx)), scene.distance_floor)
+    power = list(map(pow, d.tolist(), repeat(-scene.path_loss_exponent)))
+    return scene.reference_gain * np.array(power)
 
 
 def gains_from_geometry(scene: Scene, eve_position, mode: Optional[str] = None):
@@ -181,28 +188,16 @@ def gains_from_geometry(scene: Scene, eve_position, mode: Optional[str] = None):
     if mode is None:
         mode = MODE_MAC if scene.receiver_position is not None else MODE_TW
     mode = _normalize_mode(mode)
-    t1, t2 = scene.transmitter_positions
-    tap_gains = np.array([_gain(scene, t1, eve), _gain(scene, t2, eve)])
-    if mode == MODE_MAC:
-        if scene.receiver_position is None:
-            raise ValueError("scene has no receiver_position for a MAC sweep")
-        rx = scene.receiver_position
-        main_gains = np.array([_gain(scene, t1, rx), _gain(scene, t2, rx)])
-        return RawMacChannel(
-            main_gains,
-            tap_gains,
-            scene.main_noise,
-            scene.tap_noise,
-            np.asarray(scene.raw_power_caps, dtype=float),
-        )
-    cross = _gain(scene, t1, t2)
-    return RawTwChannel(
-        np.array([cross, cross]),
-        tap_gains,
-        np.asarray(scene.receiver_noises, dtype=float),
-        scene.tap_noise,
-        np.asarray(scene.raw_power_caps, dtype=float),
-    )
+    transmitters, caps = scene.transmitter_positions, np.asarray(scene.raw_power_caps, dtype=float)
+    tap_gains = _gains(scene, transmitters, eve)
+    if mode == MODE_TW:
+        cross = np.repeat(_gains(scene, transmitters[1:], transmitters[0]), 2)
+        noises = np.asarray(scene.receiver_noises, dtype=float)
+        return RawTwChannel(cross, tap_gains, noises, scene.tap_noise, caps)
+    if scene.receiver_position is None:
+        raise ValueError("scene has no receiver_position for a MAC sweep")
+    main = _gains(scene, transmitters, scene.receiver_position)
+    return RawMacChannel(main, tap_gains, scene.main_noise, scene.tap_noise, caps)
 
 
 @dataclass
@@ -291,23 +286,32 @@ def _solve_tw_cell(scene: Scene, x: float, y: float) -> tuple:
     return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
 
 
-def _gain_or_nan(scene: Scene, a, b) -> float:
-    try:
-        return _gain(scene, a, b)
-    except Exception:  # the cell takes the per-cell route, which reports it
-        return math.nan
-
-
-def _eve_gains(scene: Scene, points: List[Tuple[float, float]]) -> np.ndarray:
-    """(N, 2) gains from each transmitter to each eavesdropper point, by
-    ``_gain`` per point as gains_from_geometry computes them; NaN where a
-    gain raises."""
+def _main_gains(scene: Scene, mode: str) -> np.ndarray:
+    """The raw main gains every cell shares: the transmitters to the MAC
+    receiver, or the cross gain twice.  Raises the ValueErrors of sweep."""
     transmitters = scene.transmitter_positions
+    if mode == MODE_MAC:
+        rx = scene.receiver_position
+        if rx is None:
+            raise ValueError("scene has no receiver_position for a MAC sweep")
+        main = _gains(scene, transmitters, rx)
+        if not (main > 0).all():
+            raise ValueError(
+                f"receiver_position {list(rx)} gives main gains {main.tolist()}; both must be > 0"
+            )
+        return main
+    main = np.repeat(_gains(scene, transmitters[1:], transmitters[0]), 2)
+    noises, caps = list(scene.receiver_noises), list(scene.raw_power_caps)
     try:
-        gains = [[_gain(scene, t, e) for e in points] for t in transmitters]
-    except Exception:  # mark the failing points; they take the per-cell route
-        gains = [[_gain_or_nan(scene, t, e) for e in points] for t in transmitters]
-    return np.array(gains).T.copy()
+        with np.errstate(all="ignore"):  # the cross gain, self gains and caps of every cell
+            standardize_tw(RawTwChannel(main, np.zeros(2), noises, scene.tap_noise, caps))
+    except ValueError as exc:
+        raise ValueError(
+            f"no cell of a two-way sweep standardizes with transmitter_positions "
+            f"{[list(t) for t in transmitters]} (cross gain {main[0].tolist()}), receiver_noises "
+            f"{noises}, tap_noise {scene.tap_noise!r} and raw_power_caps {caps}: {exc}"
+        ) from exc
+    return main
 
 
 # two-user MAC branch labels, indexed 3 t + (pivot + 1, or 0 without jammers),
@@ -316,31 +320,24 @@ _MAC_LABELS = [f"T={t},J={j}" for t in range(3) for j in ("none", "1", "2")] + [
 _MAC_SILENT = len(_MAC_LABELS) - 1
 
 
-def _mac_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
-    """_solve_mac_cell for every row of the (N, 2) eavesdropper gains at once.
+def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
+    """_solve_mac_cell for every row of the (N, 2) eavesdropper gains at
+    once, given the two positive main gains of _main_gains.
 
     Each step repeats the per-cell floating-point operations in their
     order: standardize_mac's h and caps, merge_tied_users' sort and
     singleton gain h * c / c, _finalists over the whole batch,
     _evaluate_patterns for the winner, then split_back and the raw-domain
     mapping.  Returns tx, jam, rate, branch labels and the mask of the rows
-    solved, which lies within ``finite``.  The other rows take the
-    per-cell route: rows whose gains tie before or after the merge (the two
-    users become one), have a non-finite gain, more or fewer than one
-    finalist, or a non-finite coefficient, rate or power; and every row
-    when there is no receiver or a main gain raises, is zero or is not
-    finite.
+    solved.  The other rows take the per-cell route: rows whose gains tie
+    before or after the merge (the two users become one), have a
+    non-finite gain, more or fewer than one finalist, or a non-finite
+    coefficient, rate or power.
     """
     n = len(eve)
     tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
     labels = np.full(n, _MAC_SILENT)
     solved = np.zeros(n, dtype=bool)
-    rx = scene.receiver_position
-    main = np.zeros(2) if rx is None else np.array(
-        [_gain_or_nan(scene, t, rx) for t in scene.transmitter_positions]
-    )
-    if not (np.isfinite(main).all() and main.all()):
-        return tx, jam, rate, [_MAC_LABELS[_MAC_SILENT]] * n, solved
     mn, tn = float(scene.main_noise), float(scene.tap_noise)
     caps = main * np.asarray(scene.raw_power_caps, dtype=float) / mn
     with np.errstate(all="ignore"):
@@ -351,7 +348,7 @@ def _mac_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
         gains = np.where(caps > 0, h * caps / caps, h)
         untied = ~_tied_neighbors(h)[:, 0] & ~_tied_neighbors(gains)[:, 0]
         # mac_cj_optimal, for the cells with a single finalist
-        cells = np.flatnonzero(finite & np.isfinite(gains).all(axis=1) & untied)
+        cells = np.flatnonzero(np.isfinite(gains).all(axis=1) & untied)
         finalists = _finalists(gains[cells], caps[cells]).reshape(len(cells), 9)
         single = finalists.sum(axis=1) == 1
         cells = cells[single]
@@ -375,37 +372,29 @@ def _mac_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
     return tx, jam, rate, [_MAC_LABELS[i] for i in labels.tolist()], solved
 
 
-def _tw_cells(scene: Scene, eve: np.ndarray, finite: np.ndarray) -> tuple:
-    """_solve_tw_cell for every row of the (N, 2) eavesdropper gains at once:
-    standardize_tw's formulas, _tw_cj_rule and the raw-domain mapping, in
-    the per-cell operation order.  Returns tx, jam, rate, branch labels and
-    the mask of the rows solved, which lies within ``finite``.  The other
-    rows take the per-cell route: rows with a non-finite gain, rate or
-    power, and every row when the cross gain raises or is zero, or a
-    standardized cap or self gain is not finite.
+def _tw_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
+    """_solve_tw_cell for every row of the (N, 2) eavesdropper gains at once,
+    given the cross gains of _main_gains: standardize_tw's formulas,
+    _tw_cj_rule and the raw-domain mapping, in the per-cell operation
+    order.  Returns tx, jam, rate, branch labels and the mask of the rows
+    solved; rows with a non-finite gain, rate or power take the per-cell
+    route.
     """
     n = len(eve)
     tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
     labels = np.full(n, len(TW_BRANCHES) - 1)
     solved = np.zeros(n, dtype=bool)
-    t1, t2 = scene.transmitter_positions
-    cross = np.float64(_gain_or_nan(scene, t1, t2))
-    s1, s2 = np.asarray(scene.receiver_noises, dtype=float)
-    sw = float(scene.tap_noise)
-    raw_caps = np.asarray(scene.raw_power_caps, dtype=float)
+    # terminal u is heard at the other terminal's receiver
+    noise = np.asarray(scene.receiver_noises, dtype=float)[::-1]
+    caps = main * np.asarray(scene.raw_power_caps, dtype=float) / noise
     with np.errstate(all="ignore"):
-        self_gains = [s2 / (cross * s1), s1 / (cross * s2)]
-        caps = np.array([cross * raw_caps[0] / s2, cross * raw_caps[1] / s1])
-        h = np.column_stack([eve[:, 0] * s2 / (cross * sw), eve[:, 1] * s1 / (cross * sw)])
-    if not (cross != 0.0 and np.isfinite([cross, *self_gains, *caps]).all()):
-        return tx, jam, rate, [TW_BRANCHES[-1]] * n, solved
-    cells = np.flatnonzero(finite & np.isfinite(h).all(axis=1))
+        h = eve * noise / (main * float(scene.tap_noise))
+    cells = np.flatnonzero(np.isfinite(h).all(axis=1))
     powers, sends, jams, r, branch, _, _ = _tw_cj_rule(
         h[cells], np.broadcast_to(caps, (len(cells), 2))
     )
     with np.errstate(all="ignore"):
-        # terminal u is heard at the other terminal's receiver
-        raw = powers * np.array([s2, s1]) / cross
+        raw = powers * noise / main
     ok = np.isfinite(r) & np.isfinite(raw).all(axis=1)
     cells = cells[ok]
     tx[cells] = np.where(sends, raw, 0.0)[ok]
@@ -431,41 +420,50 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
         zero rate and branch "error"; it is flagged in ``error`` and its
         message, naming the cell's (x, y), is kept in ``error_messages``.
 
+    Raises:
+        ValueError: naming the field, before any cell runs, where every
+            cell would fail: grid_bounds or their span not finite, a MAC
+            scene with no receiver_position or a zero main gain, a two-way
+            scene with a zero cross gain or a channel that cannot standardize.
+
     The cells are solved in batched passes (see the module docstring) and
     equal the per-cell solvers bit for bit; the cells a pass leaves
-    unsolved (ties, overflow, failures) are then solved one at a time, in
-    row order, by the per-cell path.
+    unsolved (ties, overflow) are then solved one at a time, in row order,
+    by the per-cell path.
     """
     mode = _normalize_mode(mode)
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    xmin, xmax, ymin, ymax = (float(v) for v in grid_bounds)
+    bounds = [float(v) for v in grid_bounds]
+    xmin, xmax, ymin, ymax = bounds
+    if not all(map(math.isfinite, bounds + [xmax - xmin, ymax - ymin])):
+        raise ValueError(f"grid_bounds and their span must be finite, got {bounds}")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("grid_bounds must satisfy xmax > xmin and ymax > ymin")
+    main = _main_gains(scene, mode)
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    points = [(x, y) for y in ys.tolist() for x in xs.tolist()]
+    points = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
     n = len(points)
     if mode == MODE_MAC:
         solve_cells, solve = _mac_cells, _solve_mac_cell
     else:
         solve_cells, solve = _tw_cells, _solve_tw_cell
-    eve = _eve_gains(scene, points)
-    finite = (np.isfinite(ys)[:, None] & np.isfinite(xs)).ravel()
+    eve = np.column_stack([_gains(scene, points, t) for t in scene.transmitter_positions])
     tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
     solved = np.zeros(n, dtype=bool)
     branch = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         tx[block], jam[block], rate[block], labels, solved[block] = solve_cells(
-            scene, eve[block], finite[block]
+            scene, main, eve[block]
         )
         branch += labels
     error = np.zeros(n, dtype=bool)
     messages = []
     for i in np.flatnonzero(~solved).tolist():
-        x, y = points[i]
+        x, y = points[i].tolist()
         try:
             tx[i], jam[i], rate[i], branch[i] = solve(scene, x, y)
         except Exception as exc:  # a failed cell stays zero and is flagged

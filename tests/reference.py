@@ -5,8 +5,9 @@ ratios phi and psi, the two-user superposition corner rule and the
 two-user cooperative-jamming closed form.  The library computes every
 optimum with the general K-user solvers, so these forms live here, where
 the tests use them as independent references, together with the
-membership test for rate regions and the seeded random channel
-generators.  Nothing in ``secrecy_rates`` imports this module.
+membership test for rate regions, the seeded random channel generators
+and the scalar path-loss law of the sweep.  Nothing in ``secrecy_rates``
+imports this module.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from secrecy_rates.jamming import (
     _all_silent_solution,
     mac_cj_rate,
 )
+from secrecy_rates.sweep import Scene
 from secrecy_rates.regions import (
     KIND_TOTAL,
     KIND_USER_TOTAL,
@@ -294,3 +296,9 @@ def random_tw_instance(
     self_gains = rng.uniform(0.1, 2.0, 2)
     caps = rng.uniform(cap_range[0], cap_range[1], 2)
     return StdTwChannel(h, self_gains, caps)
+
+
+def _gain(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:
+    d = math.hypot(a[0] - b[0], a[1] - b[1])
+    d = max(d, scene.distance_floor)
+    return scene.reference_gain * d ** (-scene.path_loss_exponent)

@@ -341,14 +341,16 @@ def test_sweep_scene_with_bad_position_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, monkeypatch, fmt):
     """A planted gain that raises for an eavesdropper on a transmitter: 2 of 25 cells."""
-    real_gain = sweep_module._gain
+    real_gains = sweep_module._gains
 
-    def gain(scene, a, b):
-        if tuple(a) == tuple(b):
+    def gains(scene, points, target):
+        # NaN in the grid's gains, and OverflowError in the failing cell's own
+        on = (np.asarray(points, dtype=float) == target).all(axis=1)
+        if on.any() and len(on) == 2:
             raise OverflowError("(34, 'Numerical result out of range')")
-        return real_gain(scene, a, b)
+        return np.where(on, np.nan, real_gains(scene, points, target))
 
-    monkeypatch.setattr(sweep_module, "_gain", gain)
+    monkeypatch.setattr(sweep_module, "_gains", gains)
     path = tmp_path / "scene.json"
     path.write_text(
         json.dumps(
@@ -370,6 +372,39 @@ def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, m
     assert branches.count("error") == 2
     assert "2 of 25 cells failed" in err
     assert "x=-0.5, y=0" in err and "OverflowError" in err
+
+
+DEFAULT_TRANSMITTERS = [[-0.5, 0.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "scene, args, name",
+    [
+        (None, ["--bounds=-inf,1,-1,1"], "grid_bounds"),
+        (None, ["--bounds=-1e308,1e308,-1,1"], "grid_bounds"),
+        ({"transmitter_positions": DEFAULT_TRANSMITTERS}, ["--model", "mac"], "receiver_position"),
+        (
+            {"transmitter_positions": DEFAULT_TRANSMITTERS, "receiver_position": [1e200, 0.0]},
+            ["--model", "mac"],
+            "receiver_position",
+        ),
+        (
+            {"transmitter_positions": [[-1e200, 0.0], [1e200, 0.0]]},
+            ["--model", "tw"],
+            "transmitter_positions",
+        ),
+    ],
+)
+def test_sweep_whole_grid_faults_exit_one_naming_the_field(capsys, tmp_path, scene, args, name):
+    """Inputs that would fail every cell are rejected as input errors."""
+    if scene is not None:
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        args = args + ["--scene", str(path)]
+    code, out, err = run_cli(capsys, "sweep", "--grid", "3", *args)
+    assert code == 1
+    assert out == ""
+    assert name in err and "cells failed" not in err
 
 
 @pytest.mark.parametrize("model", ["mac", "tw"])

@@ -314,6 +314,13 @@ def test_mac_cj_nan_ranking_raises_by_name():
             mac_cj_optimal(StdMacChannel([0.5, 2.0], [1e308, 1e308]))
 
 
+def test_mac_cj_overflowing_caps_raise_by_name_without_errstate():
+    """The ranking's products and sums overflow inside its own errstate
+    block, so no overflow warning comes before the named error."""
+    with pytest.raises(FloatingPointError, match="NaN"):
+        mac_cj_optimal(StdMacChannel([0.5, 2.0], [1e308, 1e308]))
+
+
 def test_mac_cj_partition_is_ordered():
     """Transmitters occupy the low-gain prefix, jammers the high-gain tail."""
     rng = np.random.default_rng(45)

@@ -21,8 +21,11 @@ from secrecy_rates import (
 from secrecy_rates.jamming import RATE_TIE_TOL
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
+from reference import _gain
+
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
+real_gains = sweep_module._gains
 
 BOUNDS = (-1.0, 1.0, -1.0, 1.0)
 
@@ -44,6 +47,54 @@ def test_gain_law_exponent():
     )
     raw = gains_from_geometry(scene, (0.0, 2.0))
     assert np.isclose(raw.tap_gains[0], 2.0 ** -3.0, rtol=0, atol=1e-15)
+
+
+def test_gains_match_the_scalar_gain_law_bit_for_bit():
+    """sweep._gains against the scalar reference _gain, compared as bits:
+    random points, points at distance_floor and on a transmitter,
+    coordinates near +-1e150, exponent 102, and gains that underflow to
+    subnormal values and to 0."""
+    rng = np.random.default_rng(8)
+    tx = ((-0.5, 0.0), (0.5, 0.0))
+    near = [tx[0], tx[1], (-0.5 + 1e-3, 0.0), (0.5, -1e-3), (0.5 + 0.9e-3, 0.0), (0.5, 0.0011)]
+    # distances 1,100 to 1,900 at exponent 100: gains from 1e-304 through the subnormals to 0
+    far = 1100.0 + 800.0 * rng.random(300)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 300)
+    cases = [
+        (2.0, rng.uniform(-3.0, 3.0, (300, 2))),
+        (float(rng.uniform(2.0, 4.0)), rng.uniform(-3.0, 3.0, (300, 2))),
+        (3, np.array(near)),
+        (102, np.vstack([near, rng.uniform(-1.0, 1.0, (50, 2))])),
+        (2.5, rng.uniform(-1.0, 1.0, (300, 2)) * 1e150),
+        (102, rng.uniform(-1.0, 1.0, (50, 2)) * 1e150),
+        (100, np.column_stack([far * np.cos(angle), far * np.sin(angle)]) + [0.5, 0.0]),
+    ]
+    got_all = []
+    for exponent, points in cases:
+        scene = Scene(transmitter_positions=tx, path_loss_exponent=exponent)
+        for target in tx + ((1e150, -1e150),):
+            got = sweep_module._gains(scene, points, target).tolist()
+            want = [_gain(scene, target, p) for p in points.tolist()]
+            assert [g.hex() for g in got] == [w.hex() for w in want], (exponent, target)
+            got_all += got
+    assert any(0.0 < g < np.finfo(float).tiny for g in got_all), "no subnormal gain"
+    assert 0.0 in got_all and max(got_all) == _gain(Scene(tx, path_loss_exponent=102), tx[0], tx[0])
+
+
+def test_gains_from_geometry_follow_the_scalar_gain_law():
+    """Tap, main and cross gains of one point equal the reference _gain
+    bit for bit, whichever end of each link _gains measures from."""
+    rng = np.random.default_rng(9)
+    for seed in range(20):
+        scene = _moved_scene(seed)
+        t1, t2 = scene.transmitter_positions
+        eve = tuple(rng.uniform(-1.5, 1.5, 2).tolist())
+        mac = gains_from_geometry(scene, eve, "mac")
+        tw = gains_from_geometry(scene, eve, "tw")
+        taps = [_gain(scene, t, eve) for t in (t1, t2)]
+        assert mac.tap_gains.tolist() == taps and tw.tap_gains.tolist() == taps
+        assert mac.main_gains.tolist() == [_gain(scene, t, scene.receiver_position) for t in (t1, t2)]
+        assert tw.main_gains.tolist() == [_gain(scene, t1, t2)] * 2
 
 
 def test_mode_inference():
@@ -149,6 +200,40 @@ def test_sweep_argument_validation():
         sweep(scene, BOUNDS, 8, "sideways")
 
 
+# Inputs that fail every cell: (scene fields, grid bounds, mode, field named).
+WHOLE_GRID_FAULTS = [
+    ({}, (-np.inf, 1.0, -1.0, 1.0), "MAC-CJ", "grid_bounds"),
+    ({}, (-1e308, 1e308, -1.0, 1.0), "MAC-CJ", "grid_bounds"),
+    ({"receiver_position": None}, BOUNDS, "MAC-CJ", "receiver_position"),
+    ({"receiver_position": (1e200, 0.0)}, BOUNDS, "MAC-CJ", "receiver_position"),
+    (
+        {"transmitter_positions": ((-1e200, 0.0), (1e200, 0.0))},
+        BOUNDS,
+        "TW-CJ",
+        "transmitter_positions",
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, bounds, mode, name", WHOLE_GRID_FAULTS)
+def test_sweep_rejects_whole_grid_faults_naming_the_field(fields, bounds, mode, name):
+    """Conditions that hold for the whole grid raise before any cell runs,
+    instead of failing every cell."""
+    kwargs = {"transmitter_positions": ((-0.5, 0.0), (0.5, 0.0)), "receiver_position": (0.0, 0.0)}
+    with pytest.raises(ValueError, match=name):
+        sweep(Scene(**{**kwargs, **fields}), bounds, 3, mode)
+
+
+def test_sweep_rejects_a_two_way_channel_that_does_not_standardize():
+    """A cross gain of 1e-300 with receiver noises 1e-5 and 1e5 overflows
+    the standardized self gains of every cell."""
+    scene = Scene(
+        transmitter_positions=((-5e149, 0.0), (5e149, 0.0)), receiver_noises=(1e-5, 1e5)
+    )
+    with pytest.raises(ValueError, match="receiver_noises .* self_gains must be finite"):
+        sweep(scene, (1e149, 1.1e149, -1.0, 1.0), 3, "TW-CJ")
+
+
 def test_sweep_receiver_cell_and_transmitter_cells():
     """Qualitative structure: silence at the receiver, jamming at a sender."""
     result = sweep(default_scene(), BOUNDS, 9, "MAC-CJ")
@@ -250,20 +335,23 @@ def test_sweep_csv_and_metadata():
 
 
 
+def _gains_failing_on_transmitters(scene, points, target):
+    """The planted fault: a grid's gains are NaN at a point on a transmitter,
+    and a single point's gains (two transmitters to one eavesdropper) raise
+    there, so those cells take the per-cell route and fail in it."""
+    on = (np.asarray(points, dtype=float) == target).all(axis=1)
+    if on.any() and len(on) == 2:
+        raise OverflowError("(34, 'Numerical result out of range')")
+    return np.where(on, np.nan, real_gains(scene, points, target))
+
+
 def test_sweep_keeps_failed_cell_messages(monkeypatch):
     """Cells whose solve raises are flagged with a reason.
 
     The planted gain raises for an eavesdropper on a transmitter, as
     d ** -400 did before Scene rejected exponents that overflow.
     """
-    real_gain = sweep_module._gain
-
-    def gain(scene, a, b):
-        if tuple(a) == tuple(b):
-            raise OverflowError("(34, 'Numerical result out of range')")
-        return real_gain(scene, a, b)
-
-    monkeypatch.setattr(sweep_module, "_gain", gain)
+    monkeypatch.setattr(sweep_module, "_gains", _gains_failing_on_transmitters)
     scene = default_scene()
     result = sweep(scene, BOUNDS, 5, "MAC-CJ")
     failed = [(float(result.xs[ix]), float(result.ys[iy])) for iy, ix in np.argwhere(result.error)]
@@ -360,6 +448,15 @@ ODD_UNITS = dict(
 )
 
 
+# Far from the grid: every eavesdropper gain of transmitter 2 underflows to
+# 0, and those of transmitter 1 are about 1e-300.
+FAR_FIELD = Scene(
+    transmitter_positions=((1000.0, 0.0), (1800.0, 0.0)),
+    receiver_position=(1400.0, 0.0),
+    path_loss_exponent=100,
+)
+
+
 @pytest.mark.parametrize("resolution", [16, 17])
 @pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
 def test_sweep_matches_per_cell_solvers_exactly(monkeypatch, mode, resolution):
@@ -376,7 +473,7 @@ def test_sweep_matches_per_cell_solvers_exactly(monkeypatch, mode, resolution):
 
     monkeypatch.setattr(sweep_module, name, counted)
     scenes = [default_scene()] + [_moved_scene(seed) for seed in (1, 2, 3)]
-    for scene in scenes + [_moved_scene(4, **ODD_UNITS)]:
+    for scene in scenes + [_moved_scene(4, **ODD_UNITS), FAR_FIELD]:
         routed.clear()
         result = sweep(scene, BOUNDS, resolution, mode)
         _assert_matches_per_cell(result, scene, mode)
@@ -434,7 +531,7 @@ def test_mac_batch_leaves_tied_finalists_to_the_per_cell_route():
         raw_power_caps=(1.0, 1.0),
     )
     eve = np.array([[0.2, 3.0], [3.0, 0.2], [0.3, 3.0], [3.0, 0.3]])
-    tx, jam, rate, branch, solved = sweep_module._mac_cells(scene, eve, np.ones(4, dtype=bool))
+    tx, jam, rate, branch, solved = sweep_module._mac_cells(scene, np.ones(2), eve)
     assert solved.tolist() == [False, False, True, True]
     for i in (2, 3):
         std = standardize_mac(RawMacChannel([1.0, 1.0], eve[i], 1.0, 1.0, [1.0, 1.0]))
