@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .channels import (
@@ -261,17 +262,7 @@ def _scene_from_args(args) -> Scene:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid scene JSON in {args.scene}: {exc}") from exc
-    known = {
-        "transmitter_positions",
-        "receiver_position",
-        "path_loss_exponent",
-        "reference_gain",
-        "raw_power_caps",
-        "main_noise",
-        "receiver_noises",
-        "tap_noise",
-        "distance_floor",
-    }
+    known = {f.name for f in fields(Scene)}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown scene fields: {sorted(unknown)}")

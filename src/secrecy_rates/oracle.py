@@ -1,18 +1,23 @@
 """Brute-force grid oracles for cross-checking the closed-form solvers.
 
-These searches know nothing about prefix structures or quadratic
-coefficient algebra: they sweep power grids (and, for jamming, every
-transmit/jam/silent role assignment) and keep the best cell.  Corner
-points are always on the grid, which makes the oracles exact for the
-superposition and two-way objectives whose optima sit at corners.  For
-jamming, candidate pivot powers are recovered independently by fitting a
-quadratic through three evaluations of rho along the jammer's axis and
-injecting its real roots as extra grid points.
+All four oracles are one exhaustive search, _search, over a power grid
+for each transmit/jam/silent role assignment it is given (silent users
+pinned to zero); an oracle supplies only its objective and its roles.
+The superposition and two-way oracles search the single role in which
+everyone transmits; the cooperative-jamming oracles search every role.
+The search knows nothing about prefix structures or quadratic
+coefficient algebra.  Corner points are always on the grid, which makes
+the oracles exact for the superposition and two-way objectives whose
+optima sit at corners.  For MAC jamming, the search's ``extras`` hook adds
+candidate pivot powers to each jammer's axis: the real roots of a
+quadratic fitted through three evaluations of rho along the jammer's
+axis, then the two-user branch thresholds.
 
-Vectorized numpy evaluation stands in for cell-level parallelism; the
-reduction is an argmax whose C-order first-hit rule makes ties resolve to
-the lexicographically smallest power vector regardless of evaluation
-order.
+Vectorized numpy evaluation stands in for cell-level parallelism.  Within
+a role the reduction is an argmax whose C-order first-hit rule makes ties
+resolve to the lexicographically smallest power vector regardless of
+evaluation order; across roles a strictly higher rate wins, and an equal
+rate goes to the lexicographically smaller allocation.
 """
 
 from __future__ import annotations
@@ -58,29 +63,82 @@ def _axis(cap: float, spec: GridSpec, extras: Sequence[float] = ()) -> np.ndarra
 
 
 def _guard_size(axes: Sequence[np.ndarray]) -> None:
-    size = 1
-    for ax in axes:
-        size *= len(ax)
+    size = math.prod(len(ax) for ax in axes)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid too large: {size} cells exceeds the {MAX_GRID_CELLS} guard")
 
 
-def _broadcast_axes(axes: Sequence[np.ndarray]) -> List[np.ndarray]:
-    k = len(axes)
-    out = []
-    for i, ax in enumerate(axes):
-        shape = [1] * k
-        shape[i] = len(ax)
-        out.append(ax.reshape(shape))
-    return out
+def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, roles) over the role assignments in role_sets.
+
+    Each assignment is a tuple of per-user roles, swept over its power
+    grid: silent users get the single point zero, and each jammer i gets
+    extras(t_set, jam_users, i) as extra points on its axis.  rate_grid(h,
+    grids, t_set) evaluates the objective on the open mesh of the axes.
+    Within a role the C-order first maximum wins.  The first role is the
+    incumbent, even when its maximum is NaN (caps whose sum overflows), so
+    a single-role search reports that NaN instead of an all-zero answer; a
+    later role replaces it with a strictly higher rate, or with an equal
+    rate at a lexicographically smaller allocation.
+    """
+    k = ch.k_users
+    caps = ch.power_caps
+    best = None
+    for roles in role_sets:
+        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
+        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
+        axes = []
+        for i in range(k):
+            if roles[i] == _SILENT:
+                axes.append(np.zeros(1))
+            elif roles[i] == _JAM and extras is not None:
+                axes.append(_axis(caps[i], spec, extras(t_set, jam_users, i)))
+            else:
+                axes.append(_axis(caps[i], spec))
+        _guard_size(axes)
+        rate = rate_grid(ch.eve_gains, np.ix_(*axes), t_set)
+        idx = np.unravel_index(int(np.argmax(rate)), rate.shape)
+        alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
+        rate_max = float(rate[idx])
+        if best is None or rate_max > best[0] or (
+            rate_max == best[0] and tuple(alloc) < tuple(best[1])
+        ):
+            best = (rate_max, alloc, roles)
+    return best
 
 
-def _first_argmax_alloc(rate: np.ndarray, axes: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
-    """Allocation of the C-order-first maximum cell; lex-smallest among ties."""
-    flat_idx = int(np.argmax(rate))
-    idx = np.unravel_index(flat_idx, rate.shape)
-    alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
-    return alloc, float(rate[idx])
+def _jamming_solution(ch, spec: GridSpec, rate_grid, extras=None) -> JammingSolution:
+    """The best cell of _search over every role assignment, as a solution."""
+    k = ch.k_users
+    best_rate, best_alloc, best_roles = _search(
+        ch, spec, rate_grid, itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k), extras
+    )
+    if best_rate <= 0.0:
+        return JammingSolution(
+            (), (), tuple(range(k)), PowerAllocation.zeros(k), 0.0,
+            diagnostics={"branch": "all-silent", "oracle": "grid"},
+        )
+    transmit = tuple(i for i in range(k) if best_roles[i] == _TRANSMIT and best_alloc[i] > 0)
+    jam = tuple(i for i in range(k) if best_roles[i] == _JAM and best_alloc[i] > 0)
+    silent = tuple(i for i in range(k) if i not in transmit and i not in jam)
+    return JammingSolution(
+        transmit,
+        jam,
+        silent,
+        PowerAllocation(best_alloc),
+        float(best_rate),
+        diagnostics={
+            "branch": "oracle",
+            "oracle": "grid",
+            "points_per_axis": spec.points_per_axis,
+        },
+    )
+
+
+def _mac_sup_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+    total_p = sum(grids)
+    total_hp = sum(float(h[i]) * grids[i] for i in range(len(grids)))
+    return 0.5 * (np.log2(1.0 + total_p) - np.log2(1.0 + total_hp))
 
 
 def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation, float]:
@@ -92,14 +150,7 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     k = ch.k_users
     if k > 4:
         raise ValueError("grid_max_mac_sup supports at most 4 users")
-    axes = [_axis(ch.power_caps[i], spec) for i in range(k)]
-    _guard_size(axes)
-    grids = _broadcast_axes(axes)
-    h = ch.eve_gains
-    total_p = sum(grids)
-    total_hp = sum(float(h[i]) * grids[i] for i in range(k))
-    rate = 0.5 * (np.log2(1.0 + total_p) - np.log2(1.0 + total_hp))
-    alloc, best = _first_argmax_alloc(rate, axes)
+    best, alloc, _ = _search(ch, spec, _mac_sup_rate, [(_TRANSMIT,) * k])
     if best <= 0.0:
         return PowerAllocation.zeros(k), 0.0
     return PowerAllocation(alloc), best
@@ -150,7 +201,7 @@ def _threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) ->
     return out
 
 
-def _cj_rate_grid(h: np.ndarray, grids, t_set, jam_users) -> np.ndarray:
+def _mac_cj_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
     total_p = sum(grids)
     total_hp = sum(float(h[i]) * g for i, g in enumerate(grids))
     comp = [i for i in range(len(grids)) if i not in set(t_set)]
@@ -173,119 +224,43 @@ def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
     pivot candidates come from the rho quadratic fit and the two-user
     branch thresholds (h_i - 1)/(h_j - h_i).
     """
-    k = ch.k_users
-    if k > 3:
+    if ch.k_users > 3:
         raise ValueError("grid_max_mac_cj supports at most 3 users")
     caps = ch.power_caps
-    h = ch.eve_gains
-    best_rate = -np.inf
-    best_alloc = None
-    best_roles = None
-    for roles in itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k):
-        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
-        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
-        axes = []
-        for i in range(k):
-            if roles[i] == _SILENT:
-                axes.append(np.zeros(1))
-                continue
-            extras: List[float] = []
-            if roles[i] == _JAM:
-                extras.extend(_rho_fit_roots(ch, t_set, jam_users, i, caps))
-                extras.extend(_threshold_candidates(ch, t_set, i, float(caps[i])))
-            axes.append(_axis(caps[i], spec, extras))
-        _guard_size(axes)
-        rate = _cj_rate_grid(h, _broadcast_axes(axes), t_set, jam_users)
-        alloc, rate_max = _first_argmax_alloc(rate, axes)
-        if rate_max > best_rate or (
-            rate_max == best_rate and tuple(alloc) < tuple(best_alloc)
-        ):
-            best_rate = rate_max
-            best_alloc = alloc
-            best_roles = roles
-    if best_rate <= 0.0:
-        return JammingSolution(
-            (), (), tuple(range(k)), PowerAllocation.zeros(k), 0.0,
-            diagnostics={"branch": "all-silent", "oracle": "grid"},
+
+    def pivot_candidates(t_set, jam_users, i):
+        return _rho_fit_roots(ch, t_set, jam_users, i, caps) + _threshold_candidates(
+            ch, t_set, i, float(caps[i])
         )
-    transmit = tuple(i for i in range(k) if best_roles[i] == _TRANSMIT and best_alloc[i] > 0)
-    jam = tuple(i for i in range(k) if best_roles[i] == _JAM and best_alloc[i] > 0)
-    silent = tuple(i for i in range(k) if i not in transmit and i not in jam)
-    return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(best_alloc),
-        float(best_rate),
-        diagnostics={
-            "branch": "oracle",
-            "oracle": "grid",
-            "points_per_axis": spec.points_per_axis,
-        },
+
+    return _jamming_solution(ch, spec, _mac_cj_rate, pivot_candidates)
+
+
+def _tw_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+    g1, g2 = grids
+    h1, h2 = float(h[0]), float(h[1])
+    return 0.5 * (
+        np.log2(1.0 + g1) + np.log2(1.0 + g2) - np.log2(1.0 + h1 * g1 + h2 * g2)
     )
 
 
 def grid_max_tw(ch: StdTwChannel, spec: GridSpec) -> SumRateSolution:
     """Exhaustive two-way search over the power box."""
-    axes = [_axis(ch.power_caps[i], spec) for i in range(2)]
-    _guard_size(axes)
-    g1, g2 = _broadcast_axes(axes)
-    h1, h2 = float(ch.eve_gains[0]), float(ch.eve_gains[1])
-    rate = 0.5 * (
-        np.log2(1.0 + g1) + np.log2(1.0 + g2) - np.log2(1.0 + h1 * g1 + h2 * g2)
-    )
-    alloc, best = _first_argmax_alloc(rate, axes)
+    best, alloc, _ = _search(ch, spec, _tw_rate, [(_TRANSMIT, _TRANSMIT)])
     if best <= 0.0:
         return SumRateSolution(PowerAllocation.zeros(2), (), 0.0, "TW", None, "oracle")
     transmit = tuple(i for i in range(2) if alloc[i] > 0)
     return SumRateSolution(PowerAllocation(alloc), transmit, float(best), "TW", None, "oracle")
 
 
+def _tw_cj_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+    gross = sum(np.log2(1.0 + grids[i]) for i in t_set) if t_set else 0.0
+    seen = sum(float(h[i]) * grids[i] for i in t_set) if t_set else 0.0
+    comp = [i for i in range(2) if i not in t_set]
+    cover = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
+    return 0.5 * gross - 0.5 * np.log2(1.0 + seen / (1.0 + cover))
+
+
 def grid_max_tw_cj(ch: StdTwChannel, spec: GridSpec) -> JammingSolution:
     """Exhaustive two-way cooperative-jamming search over roles and powers."""
-    caps = ch.power_caps
-    h = ch.eve_gains
-    best_rate = -np.inf
-    best_alloc = None
-    best_roles = None
-    for roles in itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=2):
-        t_set = tuple(i for i in range(2) if roles[i] == _TRANSMIT)
-        axes = [
-            _axis(caps[i], spec) if roles[i] != _SILENT else np.zeros(1) for i in range(2)
-        ]
-        _guard_size(axes)
-        g1, g2 = _broadcast_axes(axes)
-        grids = (g1, g2)
-        gross = sum(np.log2(1.0 + grids[i]) for i in t_set) if t_set else 0.0
-        seen = sum(float(h[i]) * grids[i] for i in t_set) if t_set else 0.0
-        comp = [i for i in range(2) if i not in t_set]
-        cover = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
-        rate = 0.5 * gross - 0.5 * np.log2(1.0 + seen / (1.0 + cover))
-        rate = np.broadcast_to(rate, (len(axes[0]), len(axes[1])))
-        alloc, rate_max = _first_argmax_alloc(rate, axes)
-        if rate_max > best_rate or (
-            rate_max == best_rate and tuple(alloc) < tuple(best_alloc)
-        ):
-            best_rate = rate_max
-            best_alloc = alloc
-            best_roles = roles
-    if best_rate <= 0.0:
-        return JammingSolution(
-            (), (), (0, 1), PowerAllocation.zeros(2), 0.0,
-            diagnostics={"branch": "all-silent", "oracle": "grid"},
-        )
-    transmit = tuple(i for i in range(2) if best_roles[i] == _TRANSMIT and best_alloc[i] > 0)
-    jam = tuple(i for i in range(2) if best_roles[i] == _JAM and best_alloc[i] > 0)
-    silent = tuple(i for i in range(2) if i not in transmit and i not in jam)
-    return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(best_alloc),
-        float(best_rate),
-        diagnostics={
-            "branch": "oracle",
-            "oracle": "grid",
-            "points_per_axis": spec.points_per_axis,
-        },
-    )
+    return _jamming_solution(ch, spec, _tw_cj_rate)

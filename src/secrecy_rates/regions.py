@@ -140,29 +140,16 @@ def convex_hull_2d(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, f
 def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:
     """Vertices of {x,y >= 0, x <= b1, y <= b2, x+y <= b12}, counterclockwise.
 
-    Intersects every pair of bounding lines and keeps the feasible points,
-    which is exact for this five-halfplane family (at most five vertices).
+    Every vertex is a crossing of two of the five bounding lines; the eight
+    crossings of non-parallel pairs are listed below, and the feasible ones
+    are kept (at most five vertices).
     """
-    lines = [
-        (1.0, 0.0, 0.0),   # x = 0
-        (0.0, 1.0, 0.0),   # y = 0
-        (1.0, 0.0, b1),    # x = b1
-        (0.0, 1.0, b2),    # y = b2
-        (1.0, 1.0, b12),   # x + y = b12
+    crossings = [
+        (0.0, 0.0), (0.0, b2), (0.0, b12), (b1, 0.0), (b12, 0.0),
+        (b1, b2), (b1, b12 - b1), (b12 - b2, b2),
     ]
-    cands = []
-    for i in range(len(lines)):
-        a1, b1_, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2_, c2 = lines[j]
-            det = a1 * b2_ - a2 * b1_
-            if abs(det) < 1e-15:
-                continue
-            x = (c1 * b2_ - c2 * b1_) / det
-            y = (a1 * c2 - a2 * c1) / det
-            cands.append((x, y))
     feas = []
-    for x, y in cands:
+    for x, y in crossings:
         if x < -REGION_TOL or y < -REGION_TOL:
             continue
         if x > b1 + REGION_TOL or y > b2 + REGION_TOL or x + y > b12 + REGION_TOL:

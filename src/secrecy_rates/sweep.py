@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -140,21 +140,7 @@ class Scene:
             raise ValueError(f"receiver_noises must be positive, got {list(self.receiver_noises)}")
 
     def to_json(self) -> Dict:
-        return to_jsonable(
-            {
-                "transmitter_positions": [list(p) for p in self.transmitter_positions],
-                "receiver_position": None
-                if self.receiver_position is None
-                else list(self.receiver_position),
-                "path_loss_exponent": self.path_loss_exponent,
-                "reference_gain": self.reference_gain,
-                "raw_power_caps": list(self.raw_power_caps),
-                "main_noise": self.main_noise,
-                "receiver_noises": list(self.receiver_noises),
-                "tap_noise": self.tap_noise,
-                "distance_floor": self.distance_floor,
-            }
-        )
+        return to_jsonable(asdict(self))
 
 
 def default_scene() -> Scene:
@@ -299,6 +285,13 @@ def _main_gains(scene: Scene, mode: str) -> np.ndarray:
             raise ValueError(
                 f"receiver_position {list(rx)} gives main gains {main.tolist()}; both must be > 0"
             )
+        with np.errstate(all="ignore"):  # the standardized caps of every cell
+            caps = main * np.asarray(scene.raw_power_caps, dtype=float) / float(scene.main_noise)
+        if not np.isfinite(caps).all():
+            raise ValueError(
+                f"raw_power_caps {list(scene.raw_power_caps)} and main_noise {scene.main_noise!r} "
+                f"give standardized caps {caps.tolist()} (main gains {main.tolist()}); both must be finite"
+            )
         return main
     main = np.repeat(_gains(scene, transmitters[1:], transmitters[0]), 2)
     noises, caps = list(scene.receiver_noises), list(scene.raw_power_caps)
@@ -423,8 +416,9 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
     Raises:
         ValueError: naming the field, before any cell runs, where every
             cell would fail: grid_bounds or their span not finite, a MAC
-            scene with no receiver_position or a zero main gain, a two-way
-            scene with a zero cross gain or a channel that cannot standardize.
+            scene with no receiver_position, a zero main gain or a
+            standardized cap that overflows, a two-way scene with a zero
+            cross gain or a channel that cannot standardize.
 
     The cells are solved in batched passes (see the module docstring) and
     equal the per-cell solvers bit for bit; the cells a pass leaves

@@ -5,16 +5,17 @@ ratios phi and psi, the two-user superposition corner rule and the
 two-user cooperative-jamming closed form.  The library computes every
 optimum with the general K-user solvers, so these forms live here, where
 the tests use them as independent references, together with the
-membership test for rate regions, the seeded random channel generators
-and the scalar path-loss law of the sweep.  Nothing in ``secrecy_rates``
-imports this module.
+membership test for rate regions, the seeded random channel generators,
+the scalar path-loss law of the sweep and the line-pair intersection form
+of the two-user secrecy pentagon.  Nothing in ``secrecy_rates`` imports
+this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from secrecy_rates.regions import (
     REGION_TOL,
     SecrecyRegion,
     _cross,
+    convex_hull_2d,
 )
 
 
@@ -302,3 +304,38 @@ def _gain(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:
     d = math.hypot(a[0] - b[0], a[1] - b[1])
     d = max(d, scene.distance_floor)
     return scene.reference_gain * d ** (-scene.path_loss_exponent)
+
+
+def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:
+    """Vertices of {x,y >= 0, x <= b1, y <= b2, x+y <= b12}, counterclockwise.
+
+    Intersects every pair of bounding lines and keeps the feasible points,
+    which is exact for this five-halfplane family (at most five vertices).
+    """
+    lines = [
+        (1.0, 0.0, 0.0),   # x = 0
+        (0.0, 1.0, 0.0),   # y = 0
+        (1.0, 0.0, b1),    # x = b1
+        (0.0, 1.0, b2),    # y = b2
+        (1.0, 1.0, b12),   # x + y = b12
+    ]
+    cands = []
+    for i in range(len(lines)):
+        a1, b1_, c1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            a2, b2_, c2 = lines[j]
+            det = a1 * b2_ - a2 * b1_
+            if abs(det) < 1e-15:
+                continue
+            x = (c1 * b2_ - c2 * b1_) / det
+            y = (a1 * c2 - a2 * c1) / det
+            cands.append((x, y))
+    feas = []
+    for x, y in cands:
+        if x < -REGION_TOL or y < -REGION_TOL:
+            continue
+        if x > b1 + REGION_TOL or y > b2 + REGION_TOL or x + y > b12 + REGION_TOL:
+            continue
+        feas.append((min(max(x, 0.0), b1) + 0.0, min(max(y, 0.0), b2) + 0.0))
+    feas.append((0.0, 0.0))
+    return convex_hull_2d(feas)

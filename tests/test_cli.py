@@ -393,6 +393,17 @@ DEFAULT_TRANSMITTERS = [[-0.5, 0.0], [0.5, 0.0]]
             ["--model", "tw"],
             "transmitter_positions",
         ),
+        pytest.param(
+            {
+                "transmitter_positions": DEFAULT_TRANSMITTERS,
+                "receiver_position": [0.0, 0.0],
+                "raw_power_caps": [1e307, 1],
+                "main_noise": 0.01,
+            },
+            ["--model", "mac"],
+            "raw_power_caps [1e+307, 1] and main_noise 0.01",
+            id="mac-cap-overflow",
+        ),
     ],
 )
 def test_sweep_whole_grid_faults_exit_one_naming_the_field(capsys, tmp_path, scene, args, name):
@@ -405,6 +416,19 @@ def test_sweep_whole_grid_faults_exit_one_naming_the_field(capsys, tmp_path, sce
     assert code == 1
     assert out == ""
     assert name in err and "cells failed" not in err
+
+
+def test_sweep_scene_with_unknown_fields_exits_one_naming_them(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    doc = sweep_module.default_scene().to_json()
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "sweep", "--grid", "2", "--scene", str(path))
+    assert code == 0, err  # every field to_json writes is a known scene field
+    path.write_text(json.dumps(dict(doc, wrong_field=1, noise=2.0)))
+    code, out, err = run_cli(capsys, "sweep", "--grid", "2", "--scene", str(path))
+    assert code == 1
+    assert out == ""
+    assert "unknown scene fields: ['noise', 'wrong_field']" in err
 
 
 @pytest.mark.parametrize("model", ["mac", "tw"])

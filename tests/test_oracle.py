@@ -174,3 +174,98 @@ def test_generators_are_seed_stable():
     b = random_mac_instance(np.random.default_rng(1234), 3)
     assert np.array_equal(a.eve_gains, b.eve_gains)
     assert np.array_equal(a.power_caps, b.power_caps)
+
+
+# Exact outputs of the four oracles on fixed channels, pinned bit for bit:
+# the rate by ==, every power by ==, the role sets and the diagnostics in
+# key order.  The K=3 jamming cases but k3-zero-cap win with injected pivot
+# powers that no linspace point holds; the zero-cap cases and the all-silent
+# two-way case have several roles tied at one rate.  The tied-gain MAC cases
+# reach their best rate at two allocations: in two roles (k3-tied-roles,
+# where the lexicographically smaller allocation wins) or in two cells of
+# one role (k3-two-jammers, where the C-order first cell wins).  In the
+# two-way case with gains 0 and 1, several cells of one role round to the
+# best rate.
+_MAC_PINS = [
+    (
+        ([1.1, 1.4], [2.0, 2.0], 101),
+        ([0.0, 0.0], 0.0),
+        ([2.0, 2.0], 0.03900125600063653, (0,), (1,), ()),
+    ),
+    (
+        ([0.5, 1.2, 1.6], [1.0, 2.0, 3.0], 41),
+        ([1.0, 0.0, 0.0], 0.2075187496394219),
+        ([1.0, 0.0, 0.05870862684710068], 0.2081838948915875, (0,), (2,), (1,)),
+    ),
+    (
+        ([0.1, 0.3, 0.6], [4.0, 0.0, 2.5], 21),
+        ([4.0, 0.0, 0.0], 0.9182506338585603),
+        ([4.0, 0.0, 0.0], 0.9182506338585603, (0,), (), (1, 2)),
+    ),
+    (
+        ([1.1, 1.4, 1.4], [4.0, 4.0, 4.0], 21),
+        ([0.0, 0.0, 0.0], 0.0),
+        ([4.0, 0.0, 2.6970806944744536], 0.05792483936826387, (0,), (2,), (1,)),
+    ),
+    (
+        ([1.1, 1.4, 1.4], [2.0, 2.0, 2.0], 21),
+        ([0.0, 0.0, 0.0], 0.0),
+        ([2.0, 0.20203970193796156, 2.0], 0.03912216664747925, (0,), (1, 2), ()),
+    ),
+]
+
+_TW_PINS = [
+    (
+        ([0.5, 4.2], [2.0, 2.0], 101),
+        ([2.0, 0.0], 0.29248125036057804, (0,)),
+        ([2.0, 2.0], 0.7195558171288506, (0,), (1,), ()),
+    ),
+    (
+        ([3.0, 5.0], [0.1, 0.1], 11),
+        ([0.0, 0.0], 0.0, ()),
+        ([0.0, 0.0], 0.0, (), (), (0, 1)),
+    ),
+    (
+        ([0.3, 0.7], [4.0, 0.0], 41),
+        ([4.0, 0.0], 0.5922122855687135, (0,)),
+        ([4.0, 0.0], 0.5922122855687135, (0,), (), (1,)),
+    ),
+    (
+        ([0.0, 1.0], [2.0, 2.0], 21),
+        ([2.0, 1.4000000000000001], 0.7924812503605781, (0, 1)),
+        ([2.0, 1.4000000000000001], 0.7924812503605781, (0, 1), (), ()),
+    ),
+]
+
+
+def _assert_jamming_pin(sol, pin, points):
+    powers, rate, transmit, jam, silent = pin
+    assert sol.sum_rate == rate
+    assert sol.allocation.powers.tolist() == powers
+    assert (sol.transmit_set, sol.jam_set, sol.silent_set) == (transmit, jam, silent)
+    if rate > 0.0:
+        diagnostics = [("branch", "oracle"), ("oracle", "grid"), ("points_per_axis", points)]
+    else:
+        diagnostics = [("branch", "all-silent"), ("oracle", "grid")]
+    assert list(sol.diagnostics.items()) == diagnostics
+
+
+@pytest.mark.parametrize("case", _MAC_PINS, ids=["k2-jam", "k3-injected-pivot", "k3-zero-cap", "k3-tied-roles", "k3-two-jammers"])
+def test_mac_oracles_are_pinned_bit_for_bit(case):
+    (gains, caps, points), (sup_powers, sup_rate), cj = case
+    ch, spec = StdMacChannel(gains, caps), GridSpec(points_per_axis=points)
+    alloc, rate = grid_max_mac_sup(ch, spec)
+    assert rate == sup_rate and type(rate) is float
+    assert alloc.powers.tolist() == sup_powers
+    _assert_jamming_pin(grid_max_mac_cj(ch, spec), cj, points)
+
+
+@pytest.mark.parametrize("case", _TW_PINS, ids=["jam", "all-silent", "zero-cap", "rounding-ties"])
+def test_tw_oracles_are_pinned_bit_for_bit(case):
+    (gains, caps, points), (powers, rate, transmit), cj = case
+    ch, spec = StdTwChannel(gains, [1.0, 1.0], caps), GridSpec(points_per_axis=points)
+    sol = grid_max_tw(ch, spec)
+    assert sol.sum_rate == rate and type(sol.sum_rate) is float
+    assert sol.allocation.powers.tolist() == powers
+    assert (sol.transmit_set, sol.mode, sol.shares, sol.branch) == (transmit, "TW", None, "oracle")
+    _assert_jamming_pin(grid_max_tw_cj(ch, spec), cj, points)

@@ -21,8 +21,10 @@ from secrecy_rates import (
     merge_tied_users,
     tw_region,
 )
+from secrecy_rates.regions import _secrecy_pentagon
 from reference import (
     RatePoint,
+    _secrecy_pentagon as line_pair_pentagon,
     random_mac_instance,
     random_tw_instance,
     region_contains,
@@ -180,6 +182,25 @@ def test_secrecy_bounds_never_exceed_totals():
         reg = mac_sup_region(ch, alloc)
         for subset in ((0,), (1,), (0, 1)):
             assert _bound(reg, KIND_SECRECY, subset) <= _bound(reg, KIND_TOTAL, subset) + 1e-12
+
+
+def test_secrecy_pentagon_equals_the_line_pair_intersections():
+    """The eight listed crossings give the vertices of intersecting all ten
+    pairs of bounding lines, bit for bit, on random bounds and on bounds at
+    the REGION_TOL edge of every feasibility test."""
+    edge = [0.0, 1e-12, 3e-10, 1.0 - 5e-10, 1.0, 1.0 + 5e-10]
+    triples = []
+    for b1 in edge:
+        for b2 in edge:
+            for d in (0.0, 1e-10, -1e-10, 5e-9, -5e-9):
+                triples.append((b1, b2, b1 + b2 + d))
+            triples.extend((b1, b2, b12) for b12 in edge + [b1, b2])
+    rng = np.random.default_rng(67)
+    for _ in range(3000):
+        b1, b2 = rng.uniform(0.0, 2.0, 2) * (rng.random(2) < 0.9)
+        triples.append((float(b1), float(b2), float(rng.uniform(0.0, 1.2) * (b1 + b2))))
+    for b1, b2, b12 in triples:
+        assert _secrecy_pentagon(b1, b2, b12) == line_pair_pentagon(b1, b2, b12), (b1, b2, b12)
 
 
 def test_region_contains_examples():

@@ -212,6 +212,13 @@ WHOLE_GRID_FAULTS = [
         "TW-CJ",
         "transmitter_positions",
     ),
+    pytest.param(
+        {"raw_power_caps": (1e307, 1.0), "main_noise": 0.01},
+        BOUNDS,
+        "MAC-CJ",
+        r"raw_power_caps \[1e\+307, 1.0\] and main_noise 0.01",
+        id="mac-cap-overflow",
+    ),
 ]
 
 
