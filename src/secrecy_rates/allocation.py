@@ -216,24 +216,35 @@ def tdma_share_search(ch: StdMacChannel):
     ha, c = h[active], caps[active]
     with np.errstate(divide="ignore"):
         g_inf = -np.log(ha)
-    x = np.full(len(c), float(c.sum()))
-    at_prop, _ = _marginal(x, ha)
-    lo, hi = float(at_prop.min()), float(at_prop.max())
-    lam = float(np.dot(c, at_prop) / c.sum())
-    for _ in range(100):
-        on = g_inf > lam
-        x[~on] = np.inf
-        x[on], dm = _bursts(lam, ha[on], g_inf[on], x[on])
-        total = float(np.sum(c / x))
-        lo, hi = (lam, hi) if total > 1.0 else (lo, lam)
-        step = (total - 1.0) / float(np.sum(c[on] / (x[on] ** 2 * dm)))
-        if abs(step) <= 1e-15 * lam or hi - lo <= 1e-15 * lam:
-            break
-        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
-    shares = np.zeros(k)
-    shares[active] = c / x
-    shares /= shares.sum()
-    return shares, _tdma_rate(h, caps, shares)
+    # Past bursts of about 1e154 the slopes overflow to NaN, 0 or inf, and
+    # Newton falls back to bisection; caps near the float limit can leave no
+    # finite share vector or rate, which is an input error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cap_total = float(c.sum())
+        x = np.full(len(c), min(cap_total, _MAX_BURST))
+        at_prop, _ = _marginal(x, ha)
+        lo, hi = float(at_prop.min()), float(at_prop.max())
+        lam = float(np.dot(c, at_prop) / cap_total)
+        for _ in range(100):
+            on = g_inf > lam
+            x[~on] = np.inf
+            x[on], dm = _bursts(lam, ha[on], g_inf[on], x[on])
+            total = float(np.sum(c / x))
+            lo, hi = (lam, hi) if total > 1.0 else (lo, lam)
+            slope = float(np.sum(c[on] / (x[on] ** 2 * dm)))
+            step = (total - 1.0) / slope if slope != 0.0 and math.isfinite(slope) else math.inf
+            if abs(step) <= 1e-15 * lam or hi - lo <= 1e-15 * lam:
+                break
+            lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        shares = np.zeros(k)
+        shares[active] = c / x
+        share_total = shares.sum()
+    if np.isfinite(shares).all() and share_total > 0:
+        shares /= share_total
+        rate = _tdma_rate(h, caps, shares)
+        if math.isfinite(rate):
+            return shares, rate
+    raise ValueError("power_caps are too large for the TDMA share search")
 
 
 def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:
@@ -248,8 +259,9 @@ def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:
     h = ch.eve_gains
     caps = ch.power_caps
     k = ch.k_users
-    cap_sum = float(caps.sum())
-    if is_degraded(ch) and cap_sum > 0:
+    with np.errstate(over="ignore"):
+        cap_sum = float(caps.sum())
+    if is_degraded(ch) and 0 < cap_sum < math.inf:
         shares = caps / cap_sum
         rate = _tdma_rate(h, caps, shares)
         branch = "degraded-closed-form"

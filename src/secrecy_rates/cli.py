@@ -5,11 +5,11 @@ from --channel (inline JSON or a file path, raw or standardized form) or
 from the --caps/--eve-gains/--main-gains/--noises flags; raw channels are
 standardized automatically.  All output is deterministic: floats are
 rounded to 12 significant digits before serialization, JSON keys are
-sorted, and rates carry a _bits suffix.  JSON output is strict: a NaN or
-infinity anywhere in a document is an internal failure, named by its key
-path, and nothing is written.  Exit codes: 0 success, 1 validation error,
-2 internal numerical failure; a sweep with failed cells writes its output,
-then exits 2.
+sorted, and rates carry a _bits suffix.  JSON output, and the CSV of
+region, sumrate and jam, are strict: a NaN or infinity anywhere in them is
+an internal failure, named by its key path or CSV column, and nothing is
+written.  Exit codes: 0 success, 1 validation error, 2 internal numerical
+failure; a sweep with failed cells writes its output, then exits 2.
 """
 
 from __future__ import annotations
@@ -157,14 +157,24 @@ def _dump_json(doc: Dict) -> str:
         raise FloatingPointError(f"non-finite value at {path}; not writing invalid JSON") from None
 
 
-def _csv_line(values: Sequence) -> str:
-    out = []
-    for v in values:
-        text = f"{v:.12g}" if isinstance(v, float) else str(v)
-        if "," in text or '"' in text:
-            text = '"' + text.replace('"', '""') + '"'
-        out.append(text)
-    return ",".join(out)
+def _csv_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """CSV text, floats to 12 significant digits; a NaN or infinity is an
+    internal failure (exit 2), named by its column and row, and nothing is
+    written."""
+    lines = [",".join(header)]
+    for r, values in enumerate(rows, start=1):
+        out = []
+        for column, v in zip(header, values):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise FloatingPointError(
+                    f"non-finite value in column {column} of row {r}; not writing invalid CSV"
+                )
+            text = f"{v:.12g}" if isinstance(v, float) else str(v)
+            if "," in text or '"' in text:
+                text = '"' + text.replace('"', '""') + '"'
+            out.append(text)
+        lines.append(",".join(out))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_region(args) -> None:
@@ -175,10 +185,8 @@ def _cmd_region(args) -> None:
     else:
         region = tw_region(ch, ch.power_caps)
     if args.format == "csv":
-        lines = ["rs1,rs2"]
-        for x, y in region.vertices2d or []:
-            lines.append(_csv_line([float(x), float(y)]))
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [[float(x), float(y)] for x, y in region.vertices2d or []]
+        _emit(_csv_table(["rs1", "rs2"], rows), args.out)
         return
     _emit(_dump_json({"channel": channel_to_json(ch), "region": region.to_json()}), args.out)
 
@@ -210,7 +218,7 @@ def _cmd_sumrate(args) -> None:
         powers = [float(p) for p in solution.allocation.powers]
         header = ["mode"] + [f"p{i + 1}" for i in range(len(powers))] + ["sum_rate_bits"]
         line = [solution.mode] + powers + [solution.sum_rate]
-        _emit(",".join(header) + "\n" + _csv_line(line) + "\n", args.out)
+        _emit(_csv_table(header, [line]), args.out)
         return
     doc = {"channel": channel_to_json(ch), "solution": solution.to_json()}
     if args.verify:
@@ -244,7 +252,7 @@ def _cmd_jam(args) -> None:
             + ["sum_rate_bits", "branch"]
         )
         line = tx + jam + [solution.sum_rate, solution.diagnostics.get("branch", "")]
-        _emit(",".join(header) + "\n" + _csv_line(line) + "\n", args.out)
+        _emit(_csv_table(header, [line]), args.out)
         return
     doc = {"channel": channel_to_json(ch), "solution": solution.to_json()}
     if args.verify:

@@ -21,6 +21,7 @@ from .channels import (
     cap_eve_tilde,
     cap_main,
     gaussian_bits,
+    gaussian_bits_each,
     to_jsonable,
 )
 
@@ -114,49 +115,65 @@ def _nonempty_subsets(k: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _half_hull(pts: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """One monotone chain over ``pts``: before each point is kept, the last
+    kept point is dropped while the turn into the new point is not strictly
+    counterclockwise (cross product <= 0)."""
+    chain: List[Tuple[float, float]] = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _sorted_hull(pts: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Convex hull of distinct points already in ascending (x, y) order."""
+    if len(pts) <= 2:
+        return pts
+    hull = _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
+    return hull if hull else pts[:1]
 
 
 def convex_hull_2d(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Monotone-chain convex hull, counterclockwise, collinear points dropped."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-    lower: List[Tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if hull else pts[:1]
+    return _sorted_hull(sorted(set((float(x), float(y)) for x, y in points)))
+
+
+def _pentagon_points(b1: np.ndarray, b2: np.ndarray, b12: np.ndarray) -> np.ndarray:
+    """Candidate vertices of the pentagons {x,y >= 0, x <= b1, y <= b2, x+y <= b12}.
+
+    Every vertex is a crossing of two of the five bounding lines.  For each
+    (b1, b2, b12) element the eight crossings of non-parallel pairs are
+    listed, the feasible ones kept and clamped into the box [0, b1] x [0, b2],
+    and all of them returned as one (M, 2) array.  The clamp follows Python's
+    ``min(max(v, 0.0), b) + 0.0`` exactly, NaN bounds included.
+    """
+    b1, b2, b12 = (np.asarray(b, dtype=float)[:, None] for b in (b1, b2, b12))
+    zero = np.zeros_like(b1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+        x = np.hstack([zero, zero, zero, b1, b12, b1, b1, b12 - b2])
+        y = np.hstack([zero, b2, b12, zero, zero, b2, b12 - b1, b2])
+        infeasible = (
+            (x < -REGION_TOL) | (y < -REGION_TOL)
+            | (x > b1 + REGION_TOL) | (y > b2 + REGION_TOL) | (x + y > b12 + REGION_TOL)
+        )
+    x = np.where(x < 0.0, 0.0, x)
+    y = np.where(y < 0.0, 0.0, y)
+    x = np.where(b1 < x, b1, x) + 0.0
+    y = np.where(b2 < y, b2, y) + 0.0
+    keep = ~infeasible
+    return np.stack([x[keep], y[keep]], axis=1)
 
 
 def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:
-    """Vertices of {x,y >= 0, x <= b1, y <= b2, x+y <= b12}, counterclockwise.
-
-    Every vertex is a crossing of two of the five bounding lines; the eight
-    crossings of non-parallel pairs are listed below, and the feasible ones
-    are kept (at most five vertices).
-    """
-    crossings = [
-        (0.0, 0.0), (0.0, b2), (0.0, b12), (b1, 0.0), (b12, 0.0),
-        (b1, b2), (b1, b12 - b1), (b12 - b2, b2),
-    ]
-    feas = []
-    for x, y in crossings:
-        if x < -REGION_TOL or y < -REGION_TOL:
-            continue
-        if x > b1 + REGION_TOL or y > b2 + REGION_TOL or x + y > b12 + REGION_TOL:
-            continue
-        feas.append((min(max(x, 0.0), b1) + 0.0, min(max(y, 0.0), b2) + 0.0))
-    feas.append((0.0, 0.0))
-    return convex_hull_2d(feas)
+    """Vertices of {x,y >= 0, x <= b1, y <= b2, x+y <= b12}, counterclockwise."""
+    points = _pentagon_points([b1], [b2], [b12]).tolist()
+    return convex_hull_2d(points + [(0.0, 0.0)])
 
 
 def mac_sup_region(ch: StdMacChannel, alloc) -> SecrecyRegion:
@@ -246,6 +263,46 @@ def tw_region(ch: StdTwChannel, alloc) -> SecrecyRegion:
     return SecrecyRegion(constraints, vertices, "TW", {"allocation": list(powers)})
 
 
+def _sup_grid_bounds(ch: StdMacChannel, resolution: int):
+    """Secrecy bounds (b1, b2, b12) of ``mac_sup_region`` at every power pair of
+    the resolution x resolution grid, as flat arrays in the same arithmetic."""
+    h1, h2 = (float(g) for g in ch.eve_gains)
+    axis1 = np.linspace(0.0, float(ch.power_caps[0]), resolution)
+    axis2 = np.linspace(0.0, float(ch.power_caps[1]), resolution)
+    p1, p2 = (a.ravel() for a in np.meshgrid(axis1, axis2, indexing="ij"))
+    hp1, hp2 = h1 * p1, h2 * p2
+    own1 = np.repeat(gaussian_bits_each(axis1), resolution)
+    own2 = np.tile(gaussian_bits_each(axis2), resolution)
+    raw1 = own1 - gaussian_bits_each(hp1 / (1.0 + hp2))
+    raw2 = own2 - gaussian_bits_each(hp2 / (1.0 + hp1))
+    raw12 = gaussian_bits_each(p1 + p2) - gaussian_bits_each(hp1 + hp2)
+    return tuple(np.where(raw < 0, 0.0, raw) for raw in (raw1, raw2, raw12))
+
+
+def _tdma_grid_bounds(ch: StdMacChannel, resolution: int):
+    """Per-user secrecy bounds (b1, b2) of ``mac_tdma_region`` at every share
+    pair (a, 1 - a) of the grid, in ``_tdma_user_bounds``' arithmetic."""
+    a1 = np.linspace(0.0, 1.0, resolution)
+    out = []
+    for share, h, cap in zip((a1, 1.0 - a1), ch.eve_gains, ch.power_caps):
+        h, cap = float(h), float(cap)
+        on = (share > 0) & (cap > 0)
+        burst = cap / np.where(on, share, 1.0)
+        total = share * gaussian_bits_each(burst)
+        raw = total - share * gaussian_bits_each(h * burst)
+        out.append(np.where(on & ~(raw < 0), raw, 0.0))
+    return tuple(out)
+
+
+def _distinct_ascending(points: np.ndarray) -> List[Tuple[float, float]]:
+    """``sorted(set(...))`` of an (M, 2) array of finite points without
+    negative zeros, as tuples of Python floats."""
+    points = points[np.lexsort((points[:, 1], points[:, 0]))]
+    fresh = np.ones(len(points), dtype=bool)
+    fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
+    return list(zip(points[fresh, 0].tolist(), points[fresh, 1].tolist()))
+
+
 def mac_hull_region(
     ch: StdMacChannel,
     power_grid_resolution: int = 33,
@@ -278,19 +335,21 @@ def mac_hull_region(
         constraints = [RateConstraint((0,), KIND_SECRECY, bound)]
         return SecrecyRegion(constraints, vertices, "HULL", meta)
 
-    points: List[Tuple[float, float]] = [(0.0, 0.0)]
-    if "SUP" in schemes:
-        axis1 = np.linspace(0.0, float(ch.power_caps[0]), power_grid_resolution)
-        axis2 = np.linspace(0.0, float(ch.power_caps[1]), power_grid_resolution)
-        for p1 in axis1:
-            for p2 in axis2:
-                region = mac_sup_region(ch, np.array([p1, p2]))
-                points.extend(region.vertices2d)
-    if "TDMA" in schemes:
-        for a1 in np.linspace(0.0, 1.0, share_grid_resolution):
-            region = mac_tdma_region(ch, np.array([a1, 1.0 - a1]))
-            points.extend(region.vertices2d)
-    hull = convex_hull_2d(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = _sup_grid_bounds(ch, power_grid_resolution) if "SUP" in schemes else ()
+        tdma = _tdma_grid_bounds(ch, share_grid_resolution) if "TDMA" in schemes else ()
+    if not all(np.isfinite(b).all() for b in sup + tdma):
+        raise ValueError(
+            "power_caps are too large for the hull: a sampled secrecy-rate bound is not finite"
+        )
+    points = [np.zeros((1, 2))]
+    if sup:
+        points.append(_pentagon_points(*sup))
+    if tdma:
+        b1, b2 = tdma
+        zero = np.zeros_like(b1)
+        points.append(np.stack([zero, zero, b1, zero, b1, b2, zero, b2], axis=1).reshape(-1, 2))
+    hull = _sorted_hull(_distinct_ascending(np.concatenate(points)))
     max_x = max(p[0] for p in hull)
     max_y = max(p[1] for p in hull)
     max_sum = max(p[0] + p[1] for p in hull)

@@ -6,8 +6,9 @@ two-user cooperative-jamming closed form.  The library computes every
 optimum with the general K-user solvers, so these forms live here, where
 the tests use them as independent references, together with the
 membership test for rate regions, the seeded random channel generators,
-the scalar path-loss law of the sweep and the line-pair intersection form
-of the two-user secrecy pentagon.  Nothing in ``secrecy_rates`` imports
+the scalar path-loss law of the sweep, the line-pair intersection form
+of the two-user secrecy pentagon and the per-cell sampling loop of the
+two-user hull.  Nothing in ``secrecy_rates`` imports
 this module.
 """
 
@@ -38,12 +39,17 @@ from secrecy_rates.jamming import (
 )
 from secrecy_rates.sweep import Scene
 from secrecy_rates.regions import (
+    KIND_SECRECY,
     KIND_TOTAL,
+    KIND_USER_SECRECY,
     KIND_USER_TOTAL,
     REGION_TOL,
+    RateConstraint,
     SecrecyRegion,
-    _cross,
+    _tdma_user_bounds,
     convex_hull_2d,
+    mac_sup_region,
+    mac_tdma_region,
 )
 
 
@@ -217,6 +223,10 @@ class RatePoint:
             raise ValueError("rates must be nonnegative")
 
 
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def _point_in_convex_polygon(poly: Sequence[Tuple[float, float]], pt, tol=REGION_TOL) -> bool:
     if not poly:
         return False
@@ -339,3 +349,58 @@ def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, flo
         feas.append((min(max(x, 0.0), b1) + 0.0, min(max(y, 0.0), b2) + 0.0))
     feas.append((0.0, 0.0))
     return convex_hull_2d(feas)
+
+
+def reference_mac_hull_region(
+    ch: StdMacChannel,
+    power_grid_resolution: int = 33,
+    share_grid_resolution: int = 33,
+    schemes: Tuple[str, ...] = ("SUP", "TDMA"),
+) -> SecrecyRegion:
+    """Convex closure of superposition and TDMA regions over sample grids.
+
+    The per-cell form of ``mac_hull_region``: one ``mac_sup_region`` per
+    power pair and one ``mac_tdma_region`` per share, each contributing its
+    vertex polygon to the hull.
+    """
+    if power_grid_resolution < 2 or share_grid_resolution < 2:
+        raise ValueError("grid resolutions must be at least 2")
+    unknown = set(schemes) - {"SUP", "TDMA"}
+    if unknown:
+        raise ValueError(f"unknown schemes: {sorted(unknown)}")
+    k = ch.k_users
+    if k > 2:
+        raise ValueError("vertex enumeration supports at most 2 users")
+    meta = {
+        "power_grid_resolution": power_grid_resolution,
+        "share_grid_resolution": share_grid_resolution,
+        "schemes": list(schemes),
+    }
+    if k == 1:
+        _, bound, _ = _tdma_user_bounds(float(ch.eve_gains[0]), float(ch.power_caps[0]), 1.0)
+        vertices = [(0.0, 0.0)] if bound == 0 else [(0.0, 0.0), (bound, 0.0)]
+        constraints = [RateConstraint((0,), KIND_SECRECY, bound)]
+        return SecrecyRegion(constraints, vertices, "HULL", meta)
+
+    points: List[Tuple[float, float]] = [(0.0, 0.0)]
+    if "SUP" in schemes:
+        axis1 = np.linspace(0.0, float(ch.power_caps[0]), power_grid_resolution)
+        axis2 = np.linspace(0.0, float(ch.power_caps[1]), power_grid_resolution)
+        for p1 in axis1:
+            for p2 in axis2:
+                region = mac_sup_region(ch, np.array([p1, p2]))
+                points.extend(region.vertices2d)
+    if "TDMA" in schemes:
+        for a1 in np.linspace(0.0, 1.0, share_grid_resolution):
+            region = mac_tdma_region(ch, np.array([a1, 1.0 - a1]))
+            points.extend(region.vertices2d)
+    hull = convex_hull_2d(points)
+    max_x = max(p[0] for p in hull)
+    max_y = max(p[1] for p in hull)
+    max_sum = max(p[0] + p[1] for p in hull)
+    constraints = [
+        RateConstraint((0,), KIND_USER_SECRECY, max_x),
+        RateConstraint((1,), KIND_USER_SECRECY, max_y),
+        RateConstraint((0, 1), KIND_SECRECY, max_sum),
+    ]
+    return SecrecyRegion(constraints, hull, "HULL", meta)

@@ -271,6 +271,27 @@ def test_tdma_deaf_silent_and_capless_users():
     assert rate > 0
 
 
+@pytest.mark.parametrize("caps", [[1e308, 1e308], [1e200, 1e200], [1e308, 1e-3]])
+def test_tdma_search_at_caps_near_the_float_limit(caps):
+    """Bursts past about 1e154 overflow the marginal's slope, so Newton's
+    denominator is NaN, 0 or inf there and the search bisects.  User 1 alone
+    at cap bounds the rate from below, 1/2 log2(1/h1) from above, and no
+    RuntimeWarning escapes."""
+    shares, rate = tdma_share_search(StdMacChannel([0.9, 0.95], caps))
+    assert abs(shares.sum() - 1.0) <= 1e-12
+    lower = 0.5 * np.log2((1.0 + caps[0]) / (1.0 + 0.9 * caps[0]))
+    assert lower - 1e-12 <= rate <= 0.5 * np.log2(1.0 / 0.9) + 1e-12
+
+
+@pytest.mark.parametrize("gains", [[0.1, 0.3], [0.5, 0.5]])
+def test_tdma_search_without_finite_result_names_power_caps(gains):
+    """At caps 1e308 the shares of gains (0.1, 0.3) come out all zero, and
+    the tied gains (0.5, 0.5), whose cap sum overflows, get finite shares
+    but bursts of inf and a NaN rate; the search reports the field instead."""
+    with pytest.raises(ValueError, match="power_caps"):
+        mac_tdma_optimal(StdMacChannel(gains, [1e308, 1e308]))
+
+
 def test_best_sum_rate_degraded_prefers_sup():
     """Equal-gain users merge to one, the schemes tie, and ties go to SUP."""
     rng = np.random.default_rng(35)

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -237,6 +238,55 @@ def test_nonfinite_json_exits_two_naming_the_key(capsys, tmp_path):
     assert cli._dump_json({"b": [1e155, 0.5], "a": None}) == (
         '{\n  "a": null,\n  "b": [\n    1e+155,\n    0.5\n  ]\n}\n'
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_region_with_overflowing_caps_exits_one_naming_power_caps(capsys, tmp_path, fmt):
+    out_file = tmp_path / f"region.{fmt}"
+    argv = ("region", "--model", "mac", "--caps", "1e308,1e308", "--eve-gains", "0.1,0.3",
+            "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "power_caps" in err
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 1 and not out_file.exists()
+
+
+def test_nonfinite_csv_exits_two_naming_the_column(capsys, tmp_path, monkeypatch):
+    """CSV is as strict as JSON: a NaN vertex is an internal failure and
+    nothing is written."""
+    real = cli.mac_hull_region
+
+    def nan_vertex(*args, **kwargs):
+        region = real(*args, **kwargs)
+        region.vertices2d[1] = (region.vertices2d[1][0], float("nan"))
+        return region
+
+    monkeypatch.setattr(cli, "mac_hull_region", nan_vertex)
+    out_file = tmp_path / "region.csv"
+    argv = ("region", "--caps", "4,4", "--eve-gains", "0.1,0.3", "--format", "csv")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "internal error" in err and "column rs2 of row 2" in err
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2 and not out_file.exists()
+    with pytest.raises(FloatingPointError, match="column sum_rate_bits of row 1"):
+        cli._csv_table(["mode", "p1", "sum_rate_bits"], [["SUP", 1.0, float("nan")]])
+    assert cli._csv_table(["a", "b"], [["x,y", 0.1], ["z", 2.0]]) == 'a,b\n"x,y",0.1\nz,2\n'
+
+
+def test_sumrate_at_caps_near_the_float_limit(capsys):
+    """The TDMA search's Newton slope is 0 or not finite at these caps and
+    falls back to bisection.  The rate lies between user 1's single-user
+    secrecy rate at cap and 1/2 log2(1/h1), which bounds every superposition
+    and TDMA rate; no RuntimeWarning escapes (they are errors here)."""
+    code, out, err = run_cli(
+        capsys, "sumrate", "--model", "mac", "--caps", "1e308,1e308", "--eve-gains", "0.9,0.95"
+    )
+    assert code == 0, err
+    rate = json.loads(out)["solution"]["sum_rate_bits"]
+    lower = 0.5 * math.log2((1.0 + 1e308) / (1.0 + 0.9e308))
+    assert lower - 1e-12 <= rate <= 0.5 * math.log2(1.0 / 0.9) + 1e-12
 
 
 def test_sweep_csv_stdout(capsys):

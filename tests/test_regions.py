@@ -27,6 +27,7 @@ from reference import (
     _secrecy_pentagon as line_pair_pentagon,
     random_mac_instance,
     random_tw_instance,
+    reference_mac_hull_region,
     region_contains,
 )
 
@@ -258,6 +259,65 @@ def test_hull_rejects_three_users():
     ch = StdMacChannel([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         mac_hull_region(ch)
+
+
+def _hull_channels(count, seed):
+    """Two-user channels with caps from 1e-3 to 1e3 and gains on both sides
+    of 1, with zero caps, zero gains, tied gains and unit gains mixed in."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        h = np.sort(rng.uniform(0.0, 2.0, 2))
+        caps = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        edge = i % 10
+        if edge == 1:
+            caps[rng.integers(2)] = 0.0
+        elif edge == 2:
+            h[0] = 0.0
+        elif edge == 3:
+            h[1] = h[0]
+        elif edge == 4:
+            h[rng.integers(2)] = 1.0
+            h = np.sort(h)
+        out.append(StdMacChannel(h, caps))
+    return out
+
+
+def _hull_bits(region):
+    return region.vertices2d, [(c.subset, c.kind, c.bound, c.clamped) for c in region.constraints]
+
+
+ALL_SCHEMES = [("SUP",), ("TDMA",), ("SUP", "TDMA")]
+
+
+@pytest.mark.parametrize("resolution", [(2, 2), (3, 5)], ids=["2x2", "3x5"])
+def test_hull_equals_the_per_cell_reference_on_coarse_grids(resolution):
+    for ch in _hull_channels(240, 31):
+        for schemes in ALL_SCHEMES:
+            got = mac_hull_region(ch, *resolution, schemes=schemes)
+            want = reference_mac_hull_region(ch, *resolution, schemes=schemes)
+            assert _hull_bits(got) == _hull_bits(want), (ch, schemes)
+
+
+@pytest.mark.parametrize("resolution", [(33, 33), (34, 65)], ids=["33x33", "34x65"])
+def test_hull_equals_the_per_cell_reference_on_fine_grids(resolution):
+    """Every channel on the TDMA share grid; the first eight also on the
+    power grid, whose per-cell reference takes about 0.2 s a call."""
+    for i, ch in enumerate(_hull_channels(240, 32)):
+        for schemes in ALL_SCHEMES if i < 8 else [("TDMA",)]:
+            got = mac_hull_region(ch, *resolution, schemes=schemes)
+            want = reference_mac_hull_region(ch, *resolution, schemes=schemes)
+            assert _hull_bits(got) == _hull_bits(want), (ch, schemes)
+
+
+@pytest.mark.parametrize("schemes", ALL_SCHEMES, ids=["SUP", "TDMA", "both"])
+def test_hull_with_overflowing_caps_names_power_caps(schemes):
+    """Caps near the float limit overflow the sampled bounds (p1 + p2 or
+    cap / share is inf); no RuntimeWarning escapes and the error says which
+    field is at fault."""
+    ch = StdMacChannel([0.1, 0.3], [1e308, 1e308])
+    with pytest.raises(ValueError, match="power_caps"):
+        mac_hull_region(ch, schemes=schemes)
 
 
 def test_degraded_tdma_inside_sup_hull():
