@@ -13,11 +13,15 @@ candidate pivot powers to each jammer's axis: the real roots of a
 quadratic fitted through three evaluations of rho along the jammer's
 axis, then the two-user branch thresholds.
 
-Vectorized numpy evaluation stands in for cell-level parallelism.  Within
-a role the reduction is an argmax whose C-order first-hit rule makes ties
-resolve to the lexicographically smallest power vector regardless of
-evaluation order; across roles a strictly higher rate wins, and an equal
-rate goes to the lexicographically smaller allocation.
+Each role's open mesh is evaluated in slabs along its first axis, about
+_SLAB_CELLS cells at a time, so the temporaries stay cache-sized and peak
+memory does not grow with the grid.  A running argmax takes a slab's best
+cell only when it is strictly higher than the best so far, which keeps the
+C-order first maximum of the whole mesh: ties resolve to the
+lexicographically smallest power vector within a role.  Across roles a
+strictly higher rate wins, and an equal rate goes to the lexicographically
+smaller allocation.  Caps at which the objective would overflow are
+rejected before any role runs, so no cell is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from .allocation import SumRateSolution
 from .jamming import JammingSolution, rho_eval
 
 MAX_GRID_CELLS = 10**8
+# Cells per slab of a role's mesh: each float64 temporary of an objective is
+# 512 KB, small enough to stay in cache instead of being page-faulted afresh.
+_SLAB_CELLS = 65536
 
 _TRANSMIT, _JAM, _SILENT = "T", "J", "S"
 
@@ -68,19 +75,38 @@ def _guard_size(axes: Sequence[np.ndarray]) -> None:
         raise ValueError(f"grid too large: {size} cells exceeds the {MAX_GRID_CELLS} guard")
 
 
+def _check_corner(ch, rate_grid) -> None:
+    """Raise a ValueError naming power_caps if any cell of the search overflows.
+
+    Every sum an objective forms, in any role and cell, is of nonnegative
+    terms and at most one that it forms at the caps corner with every user
+    transmitting, itself a cell of every search.  Float addition and
+    multiplication are monotone, so the objective evaluated there, in its
+    own order of operations, overflows exactly when some cell would.
+    """
+    caps = [float(c) for c in ch.power_caps]
+    try:
+        with np.errstate(over="raise"):
+            rate_grid(ch.eve_gains, np.ix_(*([c] for c in caps)), tuple(range(ch.k_users)))
+    except FloatingPointError:
+        raise ValueError(
+            f"power_caps are too large for the grid oracle: its objective overflows at {caps}"
+        ) from None
+
+
 def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
     """Best (rate, allocation, roles) over the role assignments in role_sets.
 
     Each assignment is a tuple of per-user roles, swept over its power
     grid: silent users get the single point zero, and each jammer i gets
     extras(t_set, jam_users, i) as extra points on its axis.  rate_grid(h,
-    grids, t_set) evaluates the objective on the open mesh of the axes.
-    Within a role the C-order first maximum wins.  The first role is the
-    incumbent, even when its maximum is NaN (caps whose sum overflows), so
-    a single-role search reports that NaN instead of an all-zero answer; a
-    later role replaces it with a strictly higher rate, or with an equal
-    rate at a lexicographically smaller allocation.
+    grids, t_set) evaluates the objective on the open mesh of the axes, one
+    slab of rows of the first axis at a time.  Within a role the C-order
+    first maximum wins; a later role replaces the best with a strictly
+    higher rate, or with an equal rate at a lexicographically smaller
+    allocation.
     """
+    _check_corner(ch, rate_grid)
     k = ch.k_users
     caps = ch.power_caps
     best = None
@@ -96,10 +122,19 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
             else:
                 axes.append(_axis(caps[i], spec))
         _guard_size(axes)
-        rate = rate_grid(ch.eve_gains, np.ix_(*axes), t_set)
-        idx = np.unravel_index(int(np.argmax(rate)), rate.shape)
+        grids = np.ix_(*axes)
+        shape = tuple(len(ax) for ax in axes)
+        stride = math.prod(shape[1:])
+        rows = max(1, _SLAB_CELLS // stride)
+        cell = None
+        for start in range(0, shape[0], rows):
+            rate = rate_grid(ch.eve_gains, (grids[0][start:start + rows],) + grids[1:], t_set)
+            flat = int(np.argmax(rate))
+            if cell is None or rate.flat[flat] > cell[0]:
+                cell = (float(rate.flat[flat]), start * stride + flat)
+        rate_max, flat = cell
+        idx = np.unravel_index(flat, shape)
         alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
-        rate_max = float(rate[idx])
         if best is None or rate_max > best[0] or (
             rate_max == best[0] and tuple(alloc) < tuple(best[1])
         ):
@@ -181,6 +216,11 @@ def _rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.nda
     c1 = (r2 - 2.0 * r1 + r0) / (2.0 * step * step)
     c3 = r0
     c2 = (r1 - c3 - c1 * step * step) / step
+    if not all(math.isfinite(x) for x in (r0, r1, r2, c1, c2, c3)):
+        raise ValueError(
+            f"power_caps are too large for the grid oracle: the rho fit along user {pivot + 1}'s axis "
+            "is not finite"
+        )
     roots = np.roots([c1, c2, c3]) if (c1 != 0 or c2 != 0) else np.array([])
     out = []
     for r in roots:

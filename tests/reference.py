@@ -7,9 +7,9 @@ optimum with the general K-user solvers, so these forms live here, where
 the tests use them as independent references, together with the
 membership test for rate regions, the seeded random channel generators,
 the scalar path-loss law of the sweep, the line-pair intersection form
-of the two-user secrecy pentagon and the per-cell sampling loop of the
-two-user hull.  Nothing in ``secrecy_rates`` imports
-this module.
+of the two-user secrecy pentagon, the per-cell sampling loop of the
+two-user hull and the single-pass form of the grid oracles' search.
+Nothing in ``secrecy_rates`` imports this module.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from secrecy_rates.jamming import (
     _all_silent_solution,
     mac_cj_rate,
 )
+from secrecy_rates.oracle import _JAM, _SILENT, _TRANSMIT, GridSpec, _axis, _guard_size
 from secrecy_rates.sweep import Scene
 from secrecy_rates.regions import (
     KIND_SECRECY,
@@ -404,3 +405,38 @@ def reference_mac_hull_region(
         RateConstraint((0, 1), KIND_SECRECY, max_sum),
     ]
     return SecrecyRegion(constraints, hull, "HULL", meta)
+
+
+def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, roles) over the role assignments in role_sets.
+
+    The single-pass form of ``oracle._search``: each role's whole open mesh
+    is evaluated at once and reduced by one argmax.  Within a role the
+    C-order first maximum wins.  The first role is the incumbent, even when
+    its maximum is NaN; a later role replaces it with a strictly higher
+    rate, or with an equal rate at a lexicographically smaller allocation.
+    """
+    k = ch.k_users
+    caps = ch.power_caps
+    best = None
+    for roles in role_sets:
+        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
+        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
+        axes = []
+        for i in range(k):
+            if roles[i] == _SILENT:
+                axes.append(np.zeros(1))
+            elif roles[i] == _JAM and extras is not None:
+                axes.append(_axis(caps[i], spec, extras(t_set, jam_users, i)))
+            else:
+                axes.append(_axis(caps[i], spec))
+        _guard_size(axes)
+        rate = rate_grid(ch.eve_gains, np.ix_(*axes), t_set)
+        idx = np.unravel_index(int(np.argmax(rate)), rate.shape)
+        alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
+        rate_max = float(rate[idx])
+        if best is None or rate_max > best[0] or (
+            rate_max == best[0] and tuple(alloc) < tuple(best[1])
+        ):
+            best = (rate_max, alloc, roles)
+    return best

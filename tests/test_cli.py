@@ -252,6 +252,22 @@ def test_region_with_overflowing_caps_exits_one_naming_power_caps(capsys, tmp_pa
     assert code == 1 and not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sumrate", "--verify", "--model", "mac", "--caps", "1e308,1e308", "--eve-gains", "0.9,0.95"),
+        ("jam", "--verify", "--model", "tw", "--caps", "1e308,1e308", "--eve-gains", "1.2,1.5"),
+        ("jam", "--verify", "--model", "mac", "--caps", "1e104,1e104", "--eve-gains", "1.1,1.4"),
+    ],
+    ids=["sumrate-mac-1e308", "jam-tw-1e308", "jam-mac-1e104"],
+)
+def test_verify_with_overflowing_caps_exits_one_naming_power_caps(capsys, argv):
+    """Caps at which the grid oracle would overflow are an input error."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "power_caps" in err
+
+
 def test_nonfinite_csv_exits_two_naming_the_column(capsys, tmp_path, monkeypatch):
     """CSV is as strict as JSON: a NaN vertex is an internal failure and
     nothing is written."""

@@ -14,7 +14,13 @@ from secrecy_rates import (
     mac_sup_optimal,
     tw_optimal,
 )
-from reference import random_degraded_mac_instance, random_mac_instance, random_tw_instance
+from secrecy_rates import oracle
+from reference import (
+    random_degraded_mac_instance,
+    random_mac_instance,
+    random_tw_instance,
+    reference_search,
+)
 
 SPEC_101 = GridSpec(points_per_axis=101)
 
@@ -185,7 +191,8 @@ def test_generators_are_seed_stable():
 # where the lexicographically smaller allocation wins) or in two cells of
 # one role (k3-two-jammers, where the C-order first cell wins).  In the
 # two-way case with gains 0 and 1, several cells of one role round to the
-# best rate.
+# best rate.  The 101-point K=3 case spans many slabs of the search; its
+# superposition optimum sits in the last of 17.
 _MAC_PINS = [
     (
         ([1.1, 1.4], [2.0, 2.0], 101),
@@ -211,6 +218,11 @@ _MAC_PINS = [
         ([1.1, 1.4, 1.4], [2.0, 2.0, 2.0], 21),
         ([0.0, 0.0, 0.0], 0.0),
         ([2.0, 0.20203970193796156, 2.0], 0.03912216664747925, (0,), (1, 2), ()),
+    ),
+    (
+        ([0.7, 1.1, 1.9], [3.0, 2.0, 1.0], 101),
+        ([3.0, 0.0, 0.0], 0.18386589225024363),
+        ([3.0, 0.0, 0.767931338807444], 0.27033716696049104, (0,), (2,), (1,)),
     ),
 ]
 
@@ -250,7 +262,7 @@ def _assert_jamming_pin(sol, pin, points):
     assert list(sol.diagnostics.items()) == diagnostics
 
 
-@pytest.mark.parametrize("case", _MAC_PINS, ids=["k2-jam", "k3-injected-pivot", "k3-zero-cap", "k3-tied-roles", "k3-two-jammers"])
+@pytest.mark.parametrize("case", _MAC_PINS, ids=["k2-jam", "k3-injected-pivot", "k3-zero-cap", "k3-tied-roles", "k3-two-jammers", "k3-101-points"])
 def test_mac_oracles_are_pinned_bit_for_bit(case):
     (gains, caps, points), (sup_powers, sup_rate), cj = case
     ch, spec = StdMacChannel(gains, caps), GridSpec(points_per_axis=points)
@@ -269,3 +281,115 @@ def test_tw_oracles_are_pinned_bit_for_bit(case):
     assert sol.allocation.powers.tolist() == powers
     assert (sol.transmit_set, sol.mode, sol.shares, sol.branch) == (transmit, "TW", None, "oracle")
     _assert_jamming_pin(grid_max_tw_cj(ch, spec), cj, points)
+
+
+def _values(out):
+    """An oracle's output as plain values: rate, powers, role sets, diagnostics."""
+    if isinstance(out, tuple):
+        alloc, rate = out
+        return rate, alloc.powers.tolist()
+    roles = (out.transmit_set, getattr(out, "jam_set", None), getattr(out, "silent_set", None))
+    return out.sum_rate, out.allocation.powers.tolist(), roles, getattr(out, "diagnostics", None)
+
+
+def _assert_slabs_match_reference(monkeypatch, oracle_fn, ch, spec):
+    got = _values(oracle_fn(ch, spec))
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_search", reference_search)
+        want = _values(oracle_fn(ch, spec))
+    assert got == want, f"h={ch.eve_gains}, caps={ch.power_caps}, points={spec.points_per_axis}"
+
+
+def _slab_rows(k, points):
+    return max(1, oracle._SLAB_CELLS // points ** (k - 1))
+
+
+# (users, points per axis): one slab, and several slabs whose rows do not
+# divide the first axis
+_SLAB_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
+
+
+@pytest.mark.parametrize("k, points", _SLAB_CASES)
+def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
+    if points ** k > oracle._SLAB_CELLS:
+        assert points % _slab_rows(k, points) != 0
+    rng = np.random.default_rng(70 + 10 * k + points % 7)
+    channels = [random_mac_instance(rng, k) for _ in range(2)]
+    channels.append(random_degraded_mac_instance(rng, k))
+    zero_first = random_mac_instance(rng, k)
+    channels.append(StdMacChannel(zero_first.eve_gains, np.r_[0.0, zero_first.power_caps[1:]]))
+    spec = GridSpec(points_per_axis=points)
+    for ch in channels:
+        _assert_slabs_match_reference(monkeypatch, grid_max_mac_sup, ch, spec)
+        _assert_slabs_match_reference(monkeypatch, grid_max_mac_cj, ch, spec)
+
+
+@pytest.mark.parametrize("points", [5, 17, 31])
+def test_four_user_superposition_matches_the_single_pass_search(monkeypatch, points):
+    if points ** 4 > oracle._SLAB_CELLS:
+        assert points % _slab_rows(4, points) != 0
+    rng = np.random.default_rng(90 + points)
+    for ch in [random_mac_instance(rng, 4) for _ in range(3)] + [random_degraded_mac_instance(rng, 4)]:
+        _assert_slabs_match_reference(monkeypatch, grid_max_mac_sup, ch, GridSpec(points_per_axis=points))
+
+
+@pytest.mark.parametrize("points", [5, 101, 400])
+def test_tw_oracles_match_the_single_pass_search(monkeypatch, points):
+    rng = np.random.default_rng(95 + points)
+    channels = [random_tw_instance(rng) for _ in range(4)]
+    channels.append(StdTwChannel([0.0, 1.0], [1.0, 1.0], [2.0, 2.0]))
+    channels.append(StdTwChannel([0.3, 0.7], [1.0, 1.0], [0.0, 4.0]))
+    spec = GridSpec(points_per_axis=points)
+    for ch in channels:
+        _assert_slabs_match_reference(monkeypatch, grid_max_tw, ch, spec)
+        _assert_slabs_match_reference(monkeypatch, grid_max_tw_cj, ch, spec)
+
+
+def test_slab_search_keeps_the_first_of_tied_cells_in_different_slabs():
+    """Tied best cells in two later slabs: the C-order first one wins, as in
+    one argmax over the whole mesh, and a flat objective keeps the very first
+    cell."""
+    ch = StdMacChannel([0.2, 0.5, 0.8], [10.0, 10.0, 10.0])
+    spec = GridSpec(points_per_axis=101)
+    axis = np.linspace(0.0, 10.0, 101)
+    rows = _slab_rows(3, 101)
+    early, late = axis[2 * rows + 1], axis[9 * rows + 3]
+
+    def two_peaks(h, grids, t_set):
+        return -np.minimum(np.abs(grids[0] - early), np.abs(grids[0] - late)) + 0.0 * (grids[1] + grids[2])
+
+    roles = [("T", "T", "T")]
+    rate, alloc, _ = oracle._search(ch, spec, two_peaks, roles)
+    assert rate == 0.0 and alloc.tolist() == [early, 0.0, 0.0]
+    want_rate, want_alloc, _ = reference_search(ch, spec, two_peaks, roles)
+    assert (rate, alloc.tolist()) == (want_rate, want_alloc.tolist())
+
+    flat = StdMacChannel([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
+    rate, alloc, _ = oracle._search(flat, spec, oracle._mac_sup_rate, roles)
+    assert rate == 0.0 and alloc.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "oracle_fn, ch",
+    [
+        (grid_max_mac_sup, StdMacChannel([0.9, 0.95], [1e308, 1e308])),
+        (grid_max_mac_cj, StdMacChannel([0.9, 0.95], [1e308, 1e308])),
+        (grid_max_tw, StdTwChannel([1.2, 1.5], [1.0, 1.0], [1e308, 1e308])),
+        (grid_max_tw_cj, StdTwChannel([1.2, 1.5], [1.0, 1.0], [1e308, 1e308])),
+        (grid_max_mac_cj, StdMacChannel([1.1, 1.4], [1e104, 1e104])),
+        (grid_max_mac_cj, StdMacChannel([0.5, 0.7], [1e200, 1e200])),
+    ],
+    ids=["sup-1e308", "mac-cj-1e308", "tw-1e308", "tw-cj-1e308", "mac-cj-1e104", "mac-cj-1e200"],
+)
+def test_oracles_name_power_caps_when_they_would_overflow(oracle_fn, ch):
+    with pytest.raises(ValueError, match="power_caps"):
+        oracle_fn(ch, SPEC_101)
+
+
+def test_overflow_check_follows_each_objective(monkeypatch):
+    """The caps sum overflows, but the two-way objective never forms it, and
+    no cell of its search overflows: the oracle answers, as the single-pass
+    search does."""
+    ch = StdTwChannel([0.1, 0.1], [1.0, 1.0], [1e308, 1e308])
+    _assert_slabs_match_reference(monkeypatch, grid_max_tw, ch, SPEC_101)
+    assert grid_max_tw(ch, SPEC_101).allocation.powers.tolist() == [1e308, 1e308]
