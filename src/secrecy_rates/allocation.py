@@ -225,6 +225,20 @@ def tdma_share_search(ch: StdMacChannel):
         at_prop, _ = _marginal(x, ha)
         lo, hi = float(at_prop.min()), float(at_prop.max())
         lam = float(np.dot(c, at_prop) / cap_total)
+        # Every marginal, so lo too, lies below each saturation level ln(1/h).
+        # A lo rounded to within an ulp of the lowest level, or past it,
+        # leaves no float between them, and the search would silence the
+        # users at that level.  If the others cannot fill the time there, the
+        # optimum lies within that ulp: the users at the level take the time
+        # the others leave at it.
+        g_min = float(g_inf.min())
+        below = math.nextafter(g_min, 0.0)
+        rest = g_inf > g_min
+        fill = lo >= below and (
+            float(np.sum(c[rest] / _bursts(g_min, ha[rest], g_inf[rest], x[rest])[0])) < 1.0
+        )
+        if fill:
+            lam = lo = hi = below
         for _ in range(100):
             on = g_inf > lam
             x[~on] = np.inf
@@ -238,6 +252,9 @@ def tdma_share_search(ch: StdMacChannel):
             lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
         shares = np.zeros(k)
         shares[active] = c / x
+        if fill:
+            level = active[~rest]
+            shares[level] *= max(1.0 - shares[active[rest]].sum(), 0.0) / shares[level].sum()
         share_total = shares.sum()
     if np.isfinite(shares).all() and share_total > 0:
         shares /= share_total

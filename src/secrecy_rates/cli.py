@@ -8,7 +8,9 @@ rounded to 12 significant digits before serialization, JSON keys are
 sorted, and rates carry a _bits suffix.  JSON output, and the CSV of
 region, sumrate and jam, are strict: a NaN or infinity anywhere in them is
 an internal failure, named by its key path or CSV column, and nothing is
-written.  Exit codes: 0 success, 1 validation error, 2 internal numerical
+written.  The channel flags belong to region, sumrate, jam and verify; a
+sweep takes its channels from --scene.  Exit codes: 0 success, 1
+validation error (an unknown flag included), 2 internal numerical
 failure; a sweep with failed cells writes its output, then exits 2.
 """
 
@@ -323,22 +325,31 @@ def _cmd_verify(args) -> None:
     _emit(_dump_json(doc), args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as exit 1, the code of invalid input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="secrecy-rates",
         description="Secrecy-rate regions and optimal power allocations for "
         "Gaussian multiple-access and two-way wiretap channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_verify=True):
+    def add_common(p, with_channel=True, with_verify=True):
         p.add_argument("--model", choices=("mac", "tw"), default="mac")
-        p.add_argument("--channel", help="channel JSON (inline or file path)")
-        p.add_argument("--caps", help="per-user power caps, comma separated")
-        p.add_argument("--eve-gains", dest="eve_gains", help="eavesdropper gains (tap gains when --main-gains is present)")
-        p.add_argument("--main-gains", dest="main_gains", help="raw main-channel gains; switches input to raw form")
-        p.add_argument("--noises", help="noise variances: mac 'main,tap', tw 'rx1,rx2,tap'")
-        p.add_argument("--self-gains", dest="self_gains", help="tw standardized self gains (default 0,0)")
+        if with_channel:
+            p.add_argument("--channel", help="channel JSON (inline or file path)")
+            p.add_argument("--caps", help="per-user power caps, comma separated")
+            p.add_argument("--eve-gains", dest="eve_gains", help="eavesdropper gains (tap gains when --main-gains is present)")
+            p.add_argument("--main-gains", dest="main_gains", help="raw main-channel gains; switches input to raw form")
+            p.add_argument("--noises", help="noise variances: mac 'main,tap', tw 'rx1,rx2,tap'")
+            p.add_argument("--self-gains", dest="self_gains", help="tw standardized self gains (default 0,0)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--grid", type=int, help="grid resolution (oracle points per axis, hull sampling, or sweep cells)")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jam.set_defaults(func=_cmd_jam)
 
     p_sweep = sub.add_parser("sweep", help="eavesdropper-position sweep over a 2-D grid")
-    add_common(p_sweep, with_verify=False)
+    add_common(p_sweep, with_channel=False, with_verify=False)
     p_sweep.add_argument("--scene", help="scene JSON file (default: two transmitters at (-0.5,0) and (0.5,0), receiver at the origin)")
     p_sweep.add_argument("--bounds", default="-1,1,-1,1", help="xmin,xmax,ymin,ymax")
     p_sweep.set_defaults(func=_cmd_sweep)

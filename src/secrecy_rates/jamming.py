@@ -8,22 +8,21 @@ at most one "pivot" jammer whose power solves a quadratic.  Every sum a
 pattern's quadratic and rate need is then a prefix or suffix sum, so the
 solver ranks all (prefix, pivot) patterns at once as O(K^2) arrays and
 evaluates only the winner, with any pattern tied with it to rounding, by
-the scalar pivot quadratic and rate, which give the reported solution.
-The two-way variant only ever jams at full power, decided by a
-five-branch rule written once over arrays of channels.  The ranking and
-the two-way rule take a leading batch axis, so the eavesdropper sweep
-solves a whole grid of channels in the calls a single channel makes, and
-``_evaluate_patterns`` is the batched winner evaluation of two-user
-patterns.  The rates are the superposition and two-way rate expressions
-of ``allocation`` with jammers counted as noise, so they take their
-logarithms in the one kernel, ``channels.gaussian_bits``, or in its
-array forms: np.log1p for the ranking, math.log1p per element wherever a
-reported rate must equal the scalar kernel bit for bit.
+``_evaluate_patterns``: the pivot quadratic and rate over each pattern's
+own index sets, which give the reported solution.  The two-way variant
+only ever jams at full power, decided by a five-branch rule written once
+over arrays of channels.  The ranking, the evaluator and the two-way rule
+take a leading batch axis, so the eavesdropper sweep solves a whole grid
+of channels in the calls a single channel makes.  The rates are the
+superposition and two-way rate expressions of ``allocation`` with jammers
+counted as noise, so they take their logarithms in the one kernel,
+``channels.gaussian_bits``, or in its array forms: np.log1p for the
+ranking, math.log1p per element wherever a reported rate must equal the
+scalar kernel bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -114,73 +113,6 @@ def rho_eval(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> float:
     return term_neg + term_pos
 
 
-def _quadratic_plus_root(c1: float, c2: float, c3: float) -> Optional[float]:
-    """Largest root of c1 x^2 + c2 x + c3 (the "+sqrt" branch), if positive.
-
-    Uses the cancellation-free form when c2 > 0.  Returns None when the
-    discriminant is negative or the root is not strictly positive.
-    """
-    disc = c2 * c2 - 4.0 * c1 * c3
-    if disc < 0.0:
-        return None
-    s = math.sqrt(disc)
-    if c2 <= 0.0:
-        root = (-c2 + s) / (2.0 * c1)
-    else:
-        den = -c2 - s
-        if den == 0.0:
-            return None
-        root = 2.0 * c3 / den
-    return root if root > 0.0 else None
-
-
-def pivot_quadratic(
-    ch: StdMacChannel, transmit_set, jam_set, pivot: int, fixed_alloc
-) -> Tuple[float, float, float, Optional[float]]:
-    """Coefficients and candidate power for the one partial-power jammer.
-
-    With every other power held at its fixed value, rho_pivot is an exact
-    quadratic c1 P^2 + c2 P + c3 in the pivot's power.  Returns the
-    coefficients and the "+sqrt" root, or None when no positive real root
-    exists (then the pivot should stay at 0).  Degenerate c1 = 0 reduces to
-    the linear equation; if c2 = 0 too the objective is flat in the pivot
-    and power is conserved by returning None.
-    """
-    if pivot not in set(jam_set):
-        raise ValueError("pivot must belong to jam_set")
-    powers = _powers_of(fixed_alloc).copy()
-    powers[pivot] = 0.0
-    t_set = sorted(set(transmit_set))
-    in_t = set(t_set)
-    comp_mj = [k for k in range(ch.k_users) if k not in in_t and k != pivot]
-    h = ch.eve_gains
-    hj = float(h[pivot])
-    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
-    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
-    sum_p_all_mj = float(powers.sum())
-    sum_hp_all_mj = float((h * powers).sum())
-    sum_p_comp_mj = float(powers[comp_mj].sum()) if comp_mj else 0.0
-    sum_hp_comp_mj = float((h[comp_mj] * powers[comp_mj]).sum()) if comp_mj else 0.0
-
-    c1 = hj * (hj * sum_p_t - sum_hp_t)
-    c2 = hj * (2.0 + sum_hp_all_mj + sum_hp_comp_mj) * sum_p_t - hj * (
-        2.0 + sum_p_all_mj + sum_p_comp_mj
-    ) * sum_hp_t
-    c3 = (1.0 + sum_hp_all_mj) * (1.0 + sum_hp_comp_mj) * sum_p_t - hj * (
-        1.0 + sum_p_all_mj
-    ) * (1.0 + sum_p_comp_mj) * sum_hp_t
-
-    if c1 == 0.0:
-        if c2 == 0.0:
-            root = None
-        else:
-            linear = -c3 / c2
-            root = linear if linear > 0.0 else None
-    else:
-        root = _quadratic_plus_root(c1, c2, c3)
-    return c1, c2, c3, root
-
-
 def _all_silent_solution(k: int, diagnostics: Dict) -> JammingSolution:
     return JammingSolution(
         (), (), tuple(range(k)), PowerAllocation.zeros(k), 0.0, None, None, None, diagnostics
@@ -230,7 +162,8 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
     channel n at cap and makes user p >= t the pivot, with every user after
     it jamming at cap; column K is the no-jam pattern, a pivot of gain 0 and
     cap 0.  With P, H the transmitters' sums of caps and h * caps, and R, G
-    those of the jammers after the pivot, pivot_quadratic's coefficients are
+    those of the jammers after the pivot, the pivot quadratic's
+    coefficients (see _evaluate_patterns) are
         c1 = h_p (h_p P - H),  c2 = 2 h_p ((1 + G) P - (1 + R) H),
         c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H,
     and the root is taken with c2 / 2, an exact scaling.  R and G
@@ -310,86 +243,91 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return pool.reshape(n, k + 1, k + 1)
 
 
-def _evaluate_pattern(ch: StdMacChannel, t_count: int, pivot_idx: int):
-    """Powers, rate, pivot coefficients and case of role pattern (t, p),
-    computed by the scalar pivot_quadratic and mac_cj_rate."""
-    k = ch.k_users
-    caps = ch.power_caps
-    powers = np.zeros(k)
-    powers[:t_count] = caps[:t_count]
-    coeffs = None
-    case = "no-jam"
-    if pivot_idx < k:
-        powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
-        c1, c2, c3, root = pivot_quadratic(
-            ch, tuple(range(t_count)), tuple(range(pivot_idx, k)), pivot_idx, powers
-        )
-        coeffs = (c1, c2, c3)
-        if root is None:
-            pivot_power = 0.0
-            case = "pivot-zero"
-        elif root >= float(caps[pivot_idx]):
-            pivot_power = float(caps[pivot_idx])
-            case = "pivot-at-cap"
-        else:
-            pivot_power = root
-            case = "pivot-interior"
-        powers[pivot_idx] = pivot_power
-    return powers, mac_cj_rate(ch, powers, range(t_count)), coeffs, case
+# the case of each evaluated pattern, indexed as _evaluate_patterns reports it
+_CASES = ("no-jam", "pivot-zero", "pivot-at-cap", "pivot-interior")
 
 
 def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.ndarray):
-    """_evaluate_pattern for M role patterns (t, p) at once, one per row of
-    the (M, K) ``h`` and ``caps``.
+    """Powers, rate, pivot quadratic and case of M role patterns (t, p), one
+    per row of the (M, K) ``h`` and ``caps``.
 
-    Returns the powers, the rate as mac_cj_rate clamps it, and whether the
-    row is finite: its powers and rate, and, when it has a pivot (p < K),
-    the coefficients and discriminant, with c2 ** 2 in float range as
-    _partition_solution computes it.  The sums are masked sums over each
-    row, equal to pivot_quadratic's and mac_cj_rate's index sums for K = 2,
-    where a sum of two terms cannot be grouped differently; the
-    coefficients, root and rate then repeat the scalar operations in their
-    order, with math.log1p for the logarithms.
+    Users [0, t) transmit at cap and users after p jam at cap.  The pivot
+    p < K jams at the "+sqrt" root of its quadratic, clamped to [0, cap];
+    p = K is the no-jam pattern.  With every other power fixed and the
+    pivot at 0, rho_p is the exact quadratic c1 P^2 + c2 P + c3 in the
+    pivot's power P, built from the sums of powers and of h * powers over
+    the transmitters, over all users and over the complement [t, K) minus
+    p.  The root takes the cancellation-free form when c2 > 0 and solves
+    the linear equation when c1 = 0; with c2 = 0 too the objective is flat
+    in the pivot, which stays at 0.
+
+    Returns the powers, the rate as mac_cj_rate clamps it, whether the row
+    is finite, the (M, 3) coefficients (NaN without a pivot) and each row's
+    index into _CASES.  A finite row has finite powers and rate and, with a
+    pivot, a finite c3 and discriminant and c2 ** 2 in float range, as
+    _partition_solution computes it.  The logarithms are math.log1p.
     """
-    k = caps.shape[1]
+    m, k = caps.shape
     users = np.arange(k)
     in_t = users < t[:, None]
-    # the powers pivot_quadratic is given: transmitters and later jammers at cap, pivot at 0
-    fixed = np.where(in_t | (users > p[:, None]), caps, 0.0)
-    comp = ~in_t & (users != p[:, None])
-    pivot_at = np.minimum(p, k - 1)[:, None]
-    hj = np.take_along_axis(h, pivot_at, axis=1)[:, 0]
-    cap_j = np.take_along_axis(caps, pivot_at, axis=1)[:, 0]
+    jam = p < k
+    powers = np.where(in_t | (users > p[:, None]), caps, 0.0)
+    # per row, the pivot's gain and cap, and the sums of powers and of
+    # h * powers over the transmitters, over all users and over the
+    # complement minus the pivot; the sums stay NaN in rows without a pivot
+    hj, cap_j = np.zeros(m), np.zeros(m)
+    sums = np.full((3, 2, m), np.nan)
+    key = t * (k + 1) + p
     with np.errstate(all="ignore"):
-        hp = h * fixed
-        p_t = np.where(in_t, fixed, 0.0).sum(axis=1)
-        hp_t = np.where(in_t, hp, 0.0).sum(axis=1)
-        p_all, hp_all = fixed.sum(axis=1), hp.sum(axis=1)
-        p_comp = np.where(comp, fixed, 0.0).sum(axis=1)
-        hp_comp = np.where(comp, hp, 0.0).sum(axis=1)
-        # pivot_quadratic
+        terms = np.array((powers, h * powers))
+        # Each pattern's rows are summed over its own index sets, as one
+        # channel alone would be: a sum masked over all K users groups its
+        # terms differently from K = 8 on.  With numpy 2.4.6 the row sums of
+        # a C-ordered array equal each row's 1-D sum, but those of the
+        # F-ordered a[:, idx] do not from 8 columns on, hence np.take.  The
+        # evaluator is exact for one row per pattern (mac_cj_optimal) and
+        # for two users (the sweep), where no sum can be grouped otherwise.
+        for pattern in set(key[jam].tolist()):
+            t_count, pivot = divmod(pattern, k + 1)
+            rows = np.flatnonzero(key == pattern)
+            hj[rows], cap_j[rows] = h[rows, pivot], caps[rows, pivot]
+            group = np.take(terms, rows, axis=1)
+            rest = np.concatenate((users[t_count:pivot], users[pivot + 1 :]))
+            sums[:, :, rows] = (
+                group[..., :t_count].sum(axis=2),
+                group.sum(axis=2),
+                np.take(group, rest, axis=2).sum(axis=2),
+            )
+        (p_t, hp_t), (p_all, hp_all), (p_comp, hp_comp) = sums
         c1 = hj * (hj * p_t - hp_t)
         c2 = hj * (2.0 + hp_all + hp_comp) * p_t - hj * (2.0 + p_all + p_comp) * hp_t
-        c3 = (1.0 + hp_all) * (1.0 + hp_comp) * p_t - hj * (1.0 + p_all) * (1.0 + p_comp) * hp_t
+        c3 = (1.0 + hp_all) * (1.0 + hp_comp) * p_t - hj * (1.0 + p_all) * (
+            1.0 + p_comp
+        ) * hp_t
         disc = c2 * c2 - 4.0 * c1 * c3
+        # the "+sqrt" root, NaN where there is none: a negative discriminant or -c2 - s = 0
         s = np.sqrt(disc)
-        den = -c2 - s
-        # _quadratic_plus_root: its cancellation-free form when c2 > 0
+        neg = -c2
+        den = neg - s
         stable = np.where(den == 0.0, np.nan, 2.0 * c3 / den)
-        quad = np.where(c2 <= 0.0, (-c2 + s) / (2.0 * c1), stable)
+        quad = np.where(c2 <= 0.0, (neg + s) / (2.0 * c1), stable)
         root = np.where(c1 == 0.0, np.where(c2 == 0.0, np.nan, -c3 / c2), quad)
-        pivot = np.where(root > 0.0, np.where(root >= cap_j, cap_j, root), 0.0)
-        powers = np.where(users == p[:, None], pivot[:, None], fixed)
-        # mac_cj_rate
-        hp = h * powers
-        p_t, hp_t = powers * in_t, hp * in_t
-        heard = gaussian_bits_each(p_t.sum(axis=1) / (1.0 + (powers - p_t).sum(axis=1)))
-        leaked = gaussian_bits_each(hp_t.sum(axis=1) / (1.0 + (hp - hp_t).sum(axis=1)))
-        rate = heard - leaked
+        positive = root > 0.0
+        at_cap = positive & (root >= cap_j)
+        pivot = np.where(at_cap, cap_j, np.where(positive, root, 0.0))
+        powers = np.where(users == p[:, None], pivot[:, None], powers)
+        # mac_cj_rate, heard and leaked as [p, hp] rows
+        both = np.array((powers, h * powers))
+        inside = both * in_t
+        bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
+        rate = bits[0] - bits[1]
+    case = np.where(jam, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
     # the scalar discriminant is c2 ** 2, which raises OverflowError past 2 ** 511 squared
     coeffs_ok = np.isfinite(disc) & np.isfinite(c3) & (np.abs(c2) <= 2.0**511)
-    finite = np.isfinite(rate) & np.isfinite(powers).all(axis=1) & (coeffs_ok | (p == k))
-    return powers, np.where(rate > 0.0, rate, 0.0), finite
+    finite = np.isfinite(rate) & np.isfinite(powers).all(axis=1) & (coeffs_ok | ~jam)
+    # max(rate, 0.0), which keeps a NaN
+    rate = np.where(rate < 0.0, 0.0, rate)
+    return powers, rate, finite, np.array((c1, c2, c3)).T, case
 
 
 def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
@@ -407,9 +345,10 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     _finalists with a batch of one channel (the eavesdropper sweep ranks a
     whole grid of channels in the same call).  Only the winner, and any
     pattern whose tie-break keys match it to rounding (usually none), is
-    then evaluated with pivot_quadratic and mac_cj_rate; the tie rule on
-    their scalar keys picks the solution, and they give the reported
-    powers, rate and coefficients.
+    then evaluated by _evaluate_patterns, one row per pattern, the
+    evaluator the sweep uses for a grid's winners; the tie rule on their
+    scalar keys picks the solution, and they give the reported powers,
+    rate and coefficients.
 
     Raises:
         FloatingPointError: if the ranking rates overflow to NaN.
@@ -419,8 +358,16 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     picks = _finalists(ch.eve_gains[None], ch.power_caps[None]).ravel().nonzero()[0]
     if not len(picks):
         raise FloatingPointError("cooperative-jamming candidate rates overflow to NaN")
+    t, p = np.divmod(picks, k + 1)
+    n = len(picks)
+    powers, rates, _, coeffs, cases = _evaluate_patterns(
+        np.repeat(ch.eve_gains[None], n, axis=0), np.repeat(ch.power_caps[None], n, axis=0), t, p
+    )
     finalists = [
-        (t, p, *_evaluate_pattern(ch, t, p)) for t, p in (divmod(int(i), k + 1) for i in picks)
+        (ti, pi, row, rate, None if pi == k else tuple(c), _CASES[case])
+        for ti, pi, row, rate, c, case in zip(
+            t.tolist(), p.tolist(), powers, rates.tolist(), coeffs.tolist(), cases.tolist()
+        )
     ]
     if len(finalists) > 1:
         # the tie rule on the scalar keys; the sort is stable, so scan order breaks exact ties

@@ -9,8 +9,9 @@ cooperative-jamming optimizer, and records per-user transmit/jam powers
 Conditions that fail every cell (see sweep) raise a ValueError before
 any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
 on the calling thread: the gains (_gains, the one path-loss law), then
-standardization, the MAC role ranking (``jamming._finalists`` with a
-batch axis) and winner evaluation, or the two-way rule
+standardization, the MAC role ranking and winner evaluation
+(``jamming._finalists`` and ``jamming._evaluate_patterns``, which
+mac_cj_optimal calls with a batch of one), or the two-way rule
 (``jamming._tw_cj_rule``), then the raw-domain mapping.  Each step repeats
 the per-cell path's floating-point operations in the same order
 (logarithms through math.log1p), so every cell equals gains_from_geometry
@@ -319,13 +320,13 @@ def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
 
     Each step repeats the per-cell floating-point operations in their
     order: standardize_mac's h and caps, merge_tied_users' sort and
-    singleton gain h * c / c, _finalists over the whole batch,
-    _evaluate_patterns for the winner, then split_back and the raw-domain
-    mapping.  Returns tx, jam, rate, branch labels and the mask of the rows
-    solved.  The other rows take the per-cell route: rows whose gains tie
-    before or after the merge (the two users become one), have a
-    non-finite gain, more or fewer than one finalist, or a non-finite
-    coefficient, rate or power.
+    singleton gain h * c / c, _finalists over the whole batch, then
+    _evaluate_patterns, mac_cj_optimal's own evaluator, for the winner, then
+    split_back and the raw-domain mapping.  Returns tx, jam, rate, branch
+    labels and the mask of the rows solved.  The other rows take the
+    per-cell route: rows whose gains tie before or after the merge (the two
+    users become one), have a non-finite gain, more or fewer than one
+    finalist, or a non-finite coefficient, rate or power.
     """
     n = len(eve)
     tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
@@ -346,7 +347,7 @@ def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
         single = finalists.sum(axis=1) == 1
         cells = cells[single]
         t, p = np.divmod(np.argmax(finalists[single], axis=1), 3)
-        powers, r, ok = _evaluate_patterns(gains[cells], caps[cells], t, p)
+        powers, r, ok, _, _ = _evaluate_patterns(gains[cells], caps[cells], t, p)
         # _partition_solution, split_back and the raw-domain mapping
         users = np.arange(2)
         active = (powers > 0) & (r > 0.0)[:, None]

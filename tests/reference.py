@@ -4,11 +4,13 @@ Tekin & Yener state their optima in two-user notation: the disadvantage
 ratios phi and psi, the two-user superposition corner rule and the
 two-user cooperative-jamming closed form.  The library computes every
 optimum with the general K-user solvers, so these forms live here, where
-the tests use them as independent references, together with the
-membership test for rate regions, the seeded random channel generators,
-the scalar path-loss law of the sweep, the line-pair intersection form
-of the two-user secrecy pentagon, the per-cell sampling loop of the
-two-user hull and the single-pass form of the grid oracles' search.
+the tests use them as independent references, together with the scalar
+pivot quadratic that the cooperative-jamming evaluator is checked
+against, the membership test for rate regions, the seeded random channel
+generators, the scalar path-loss law of the sweep, the line-pair
+intersection form of the two-user secrecy pentagon, the per-cell
+sampling loop of the two-user hull and the single-pass form of the grid
+oracles' search.
 Nothing in ``secrecy_rates`` imports this module.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +133,73 @@ def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> f
     t_set = set(transmit_set)
     complement = [k for k in range(ch.k_users) if k not in t_set]
     return phi(powers, ch, range(ch.k_users)) / phi(powers, ch, complement)
+
+
+def _quadratic_plus_root(c1: float, c2: float, c3: float) -> Optional[float]:
+    """Largest root of c1 x^2 + c2 x + c3 (the "+sqrt" branch), if positive.
+
+    Uses the cancellation-free form when c2 > 0.  Returns None when the
+    discriminant is negative or the root is not strictly positive.
+    """
+    disc = c2 * c2 - 4.0 * c1 * c3
+    if disc < 0.0:
+        return None
+    s = math.sqrt(disc)
+    if c2 <= 0.0:
+        root = (-c2 + s) / (2.0 * c1)
+    else:
+        den = -c2 - s
+        if den == 0.0:
+            return None
+        root = 2.0 * c3 / den
+    return root if root > 0.0 else None
+
+
+def pivot_quadratic(
+    ch: StdMacChannel, transmit_set, jam_set, pivot: int, fixed_alloc
+) -> Tuple[float, float, float, Optional[float]]:
+    """Coefficients and candidate power for the one partial-power jammer.
+
+    With every other power held at its fixed value, rho_pivot is an exact
+    quadratic c1 P^2 + c2 P + c3 in the pivot's power.  Returns the
+    coefficients and the "+sqrt" root, or None when no positive real root
+    exists (then the pivot should stay at 0).  Degenerate c1 = 0 reduces to
+    the linear equation; if c2 = 0 too the objective is flat in the pivot
+    and power is conserved by returning None.
+    """
+    if pivot not in set(jam_set):
+        raise ValueError("pivot must belong to jam_set")
+    powers = _powers_of(fixed_alloc).copy()
+    powers[pivot] = 0.0
+    t_set = sorted(set(transmit_set))
+    in_t = set(t_set)
+    comp_mj = [k for k in range(ch.k_users) if k not in in_t and k != pivot]
+    h = ch.eve_gains
+    hj = float(h[pivot])
+    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
+    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
+    sum_p_all_mj = float(powers.sum())
+    sum_hp_all_mj = float((h * powers).sum())
+    sum_p_comp_mj = float(powers[comp_mj].sum()) if comp_mj else 0.0
+    sum_hp_comp_mj = float((h[comp_mj] * powers[comp_mj]).sum()) if comp_mj else 0.0
+
+    c1 = hj * (hj * sum_p_t - sum_hp_t)
+    c2 = hj * (2.0 + sum_hp_all_mj + sum_hp_comp_mj) * sum_p_t - hj * (
+        2.0 + sum_p_all_mj + sum_p_comp_mj
+    ) * sum_hp_t
+    c3 = (1.0 + sum_hp_all_mj) * (1.0 + sum_hp_comp_mj) * sum_p_t - hj * (
+        1.0 + sum_p_all_mj
+    ) * (1.0 + sum_p_comp_mj) * sum_hp_t
+
+    if c1 == 0.0:
+        if c2 == 0.0:
+            root = None
+        else:
+            linear = -c3 / c2
+            root = linear if linear > 0.0 else None
+    else:
+        root = _quadratic_plus_root(c1, c2, c3)
+    return c1, c2, c3, root
 
 
 def mac_cj_two_user(ch: StdMacChannel) -> JammingSolution:

@@ -283,6 +283,24 @@ def test_tdma_search_at_caps_near_the_float_limit(caps):
     assert lower - 1e-12 <= rate <= 0.5 * np.log2(1.0 / 0.9) + 1e-12
 
 
+@pytest.mark.parametrize("e", [5, 10, 15, 17, 20, 50, 100, 150, 200, 250, 300, 307])
+def test_tdma_never_loses_to_a_share_scan_at_large_cap_ratios(e):
+    """With caps 1e-3 and 10^e, user 2's marginal at the cap-proportional
+    start rounds to within an ulp of its saturation level ln(1/h2), and so
+    does the optimum.  The solver keeps user 2 on and still gives user 1
+    its share: it matches a dense share scan, linear plus log-spaced near 0
+    and 1, with each slot's rate written as log1p((1-h) / (a/c + h))."""
+    h, caps = np.array([0.9, 0.95]), np.array([1e-3, 10.0**e])
+    sol = mac_tdma_optimal(StdMacChannel(h, caps))
+    a = np.concatenate(
+        [np.linspace(0.0, 1.0, 20_001), np.logspace(-300, -1, 2_000), 1.0 - np.logspace(-16, -1, 500)]
+    )
+    shares = np.stack([a, 1.0 - a], axis=1)
+    rates = (0.5 * shares * np.log1p((1.0 - h) / (shares / caps + h)) / np.log(2.0)).sum(axis=1)
+    best = float(rates.max())
+    assert sol.sum_rate >= best * (1.0 - 1e-9), (sol.sum_rate, best, sol.shares.shares)
+
+
 @pytest.mark.parametrize("gains", [[0.1, 0.3], [0.5, 0.5]])
 def test_tdma_search_without_finite_result_names_power_caps(gains):
     """At caps 1e308 the shares of gains (0.1, 0.3) come out all zero, and

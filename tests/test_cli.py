@@ -515,12 +515,48 @@ def test_sweep_json_and_csv_rows_agree(capsys, model):
 @pytest.mark.parametrize("grid", ["0", "-3", "1"])
 @pytest.mark.parametrize("command", ["sweep", "region", "sumrate"])
 def test_bad_grid_exits_one_naming_the_flag(capsys, command, grid):
-    code, out, err = run_cli(
-        capsys, command, "--caps", "4,4", "--eve-gains", "0.1,0.3", f"--grid={grid}"
-    )
+    # a sweep takes its channels from its scene, so it has no channel flags
+    channel = [] if command == "sweep" else ["--caps", "4,4", "--eve-gains", "0.1,0.3"]
+    code, out, err = run_cli(capsys, command, *channel, f"--grid={grid}")
     assert code == 1
     assert out == ""
     assert "invalid --grid" in err and grid in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--channel", "nonsense"),
+        ("--caps", "1,2"),
+        ("--eve-gains", "5,5"),
+        ("--main-gains", "1,1"),
+        ("--noises", "1,1"),
+        ("--self-gains", "0,0"),
+    ],
+)
+def test_sweep_refuses_channel_flags(capsys, tmp_path, flag, value):
+    """A sweep would ignore the channel flags, so it refuses them: a usage
+    error, exit 1, naming the flag, with nothing written."""
+    out_path = tmp_path / "map.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--grid", "2", flag, value, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == "" and not out_path.exists()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_usage_errors_exit_one_and_help_exits_zero(capsys):
+    for argv in (["bogus"], ["jam", "--model", "xx"], ["sumrate", "--grid", "two"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
+        assert "usage: secrecy-rates" in capsys.readouterr().err
+    for argv in (["--help"], ["sweep", "--help"], ["jam", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0, argv
+        assert "usage: secrecy-rates" in capsys.readouterr().out
 
 
 def test_negative_grid_as_separate_argument(capsys):

@@ -12,7 +12,6 @@ from secrecy_rates import (
     mac_cj_optimal,
     mac_cj_rate,
     mac_sup_optimal,
-    pivot_quadratic,
     rho_eval,
     rho_terms,
     tw_cj_optimal,
@@ -20,14 +19,17 @@ from secrecy_rates import (
     tw_optimal,
 )
 from secrecy_rates.jamming import (
+    _CASES,
     RATE_TIE_TOL,
     _all_silent_solution,
+    _evaluate_patterns,
     _partition_solution,
     _require_strict_gains,
 )
 from reference import (
     cj_objective_mac,
     mac_cj_two_user,
+    pivot_quadratic,
     psi,
     random_mac_instance,
     random_tw_instance,
@@ -180,36 +182,41 @@ def test_rates_without_jammers_equal_plain_solvers_exactly():
     assert mac_hits > 200 and tw_hits > 200, (mac_hits, tw_hits)
 
 
+def _reference_pattern(ch, t_count, pivot_idx):
+    """Powers, rate, pivot coefficients and case of role pattern (t, p),
+    computed by the scalar pivot_quadratic and mac_cj_rate."""
+    k = ch.k_users
+    caps = ch.power_caps
+    powers = np.zeros(k)
+    powers[:t_count] = caps[:t_count]
+    coeffs = None
+    case = "no-jam"
+    if pivot_idx < k:
+        powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
+        jam_users = tuple(range(pivot_idx, k))
+        c1, c2, c3, root = pivot_quadratic(ch, tuple(range(t_count)), jam_users, pivot_idx, powers)
+        coeffs = (c1, c2, c3)
+        if root is None:
+            pivot_power = 0.0
+            case = "pivot-zero"
+        elif root >= float(caps[pivot_idx]):
+            pivot_power = float(caps[pivot_idx])
+            case = "pivot-at-cap"
+        else:
+            pivot_power = root
+            case = "pivot-interior"
+        powers[pivot_idx] = pivot_power
+    return powers, mac_cj_rate(ch, powers, range(t_count)), coeffs, case
+
+
 def _reference_mac_cj(ch):
     """The scalar candidate loop mac_cj_optimal ranked with before its array form."""
     _require_strict_gains(ch)
     k = ch.k_users
-    caps = ch.power_caps
     cands = []
     for t_count in range(k + 1):
         for pivot_idx in range(t_count, k + 1):
-            powers = np.zeros(k)
-            powers[:t_count] = caps[:t_count]
-            coeffs = None
-            case = "no-jam"
-            if pivot_idx < k:
-                powers[pivot_idx + 1 :] = caps[pivot_idx + 1 :]
-                jam_users = tuple(range(pivot_idx, k))
-                c1, c2, c3, root = pivot_quadratic(
-                    ch, tuple(range(t_count)), jam_users, pivot_idx, powers
-                )
-                coeffs = (c1, c2, c3)
-                if root is None:
-                    pivot_power = 0.0
-                    case = "pivot-zero"
-                elif root >= float(caps[pivot_idx]):
-                    pivot_power = float(caps[pivot_idx])
-                    case = "pivot-at-cap"
-                else:
-                    pivot_power = root
-                    case = "pivot-interior"
-                powers[pivot_idx] = pivot_power
-            rate = mac_cj_rate(ch, powers, range(t_count))
+            powers, rate, coeffs, case = _reference_pattern(ch, t_count, pivot_idx)
             n_jam = int(np.count_nonzero(powers[pivot_idx:] > 0)) if pivot_idx < k else 0
             cands.append(
                 (rate, n_jam, float(powers.sum()), len(cands), powers.copy(), t_count, pivot_idx, coeffs, case)
@@ -283,6 +290,65 @@ def test_mac_cj_matches_scalar_reference_exactly():
     sol = mac_cj_optimal(ch)
     _assert_same_solution(sol, _reference_mac_cj(ch), ch)
     assert sol.diagnostics["branch"] == "T=1,J=2" and sol.diagnostics["case"] == "pivot-zero"
+
+
+def _assert_rows_match_reference(h, caps, t, p):
+    """_evaluate_patterns on the rows (h, caps, t, p) equals _reference_pattern
+    row by row: powers, rate, coefficients and case."""
+    powers, rates, finite, coeffs, cases = _evaluate_patterns(h, caps, t, p)
+    for i in range(len(t)):
+        ch = StdMacChannel(h[i], caps[i])
+        want_powers, want_rate, want_coeffs, want_case = _reference_pattern(ch, int(t[i]), int(p[i]))
+        where = (ch.eve_gains.tolist(), ch.power_caps.tolist(), int(t[i]), int(p[i]))
+        assert np.array_equal(powers[i], want_powers), where
+        assert rates[i] == want_rate, where
+        got_coeffs = None if np.isnan(coeffs[i]).all() else tuple(coeffs[i].tolist())
+        assert got_coeffs == want_coeffs, where
+        assert _CASES[cases[i]] == want_case, where
+        assert finite[i], where
+
+
+def test_evaluator_matches_scalar_reference_on_every_pattern():
+    """Every (t, p) pattern of K = 1...16 users, one row each, as the scalar
+    reference evaluates it.  Sums masked over all K users group their terms
+    differently from K = 8 on; the evaluator's per-pattern index sums do not.
+    A two-user batch holds several rows of each pattern, as the sweep's do."""
+    rng = np.random.default_rng(56)
+    for k in range(1, 17):
+        t, p = np.array([(t, p) for t in range(k + 1) for p in range(t, k + 1)]).T
+        for _ in range(25):
+            ch = random_mac_instance(rng, k)
+            shape = (len(t), k)
+            _assert_rows_match_reference(
+                np.broadcast_to(ch.eve_gains, shape), np.broadcast_to(ch.power_caps, shape), t, p
+            )
+    channels = [random_mac_instance(rng, 2) for _ in range(600)]
+    h = np.array([ch.eve_gains for ch in channels])
+    caps = np.array([ch.power_caps for ch in channels])
+    t = rng.integers(0, 3, len(channels))
+    p = t + (rng.integers(0, 3, len(channels)) % (3 - t))
+    _assert_rows_match_reference(h, caps, t, p)
+
+
+def _solve_or_exception_type(solve, ch):
+    try:
+        return solve(ch)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_mac_cj_matches_scalar_reference_at_huge_caps():
+    """Past caps of about 1e85 the jamming arithmetic overflows and the
+    reported rate goes wrong; until it is fixed, the evaluator still agrees
+    with the scalar reference there, down to which exception is raised."""
+    for e in range(40, 161):
+        ch = StdMacChannel([1.1, 1.4], [10.0**e, 10.0**e])
+        got = _solve_or_exception_type(mac_cj_optimal, ch)
+        want = _solve_or_exception_type(_reference_mac_cj, ch)
+        if isinstance(want, type):
+            assert got is want, (e, got, want)
+        else:
+            _assert_same_solution(got, want, ch)
 
 
 def test_mac_cj_enables_secrecy_above_unit_gains():
