@@ -87,12 +87,12 @@ def tw_sum_rate(alloc, gains) -> float:
     return _tw_secrecy_bits(_powers_of(alloc), _gains_of(gains), (0, 1))
 
 
+_TIED_GAINS = "gains must be strictly ascending; merge tied users first (standardize_mac / merge_tied_users do this)"
+
+
 def _require_strict_gains(ch: StdMacChannel) -> None:
     if not ch.has_strictly_ascending_gains():
-        raise ValueError(
-            "gains must be strictly ascending; merge tied users first "
-            "(standardize_mac / merge_tied_users do this)"
-        )
+        raise ValueError(_TIED_GAINS)
 
 
 def _solution(powers: np.ndarray, rate: float, mode: str, branch: str, shares=None):

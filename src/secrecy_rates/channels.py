@@ -308,6 +308,26 @@ def merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
     )
 
 
+# Each standardized quantity of one user, as a formula over its raw fields
+# (a terminal of the two-way channel is heard at the other's receiver).
+_MAC_GAIN = "eve gain of user {} is not finite: tap_gains {} * main_noise {} / (main_gains {} * tap_noise {})"
+_MAC_CAP = "power cap of user {} is not finite: main_gains {} * power_caps {} / main_noise {}"
+_TW_GAIN = "eve gain of user {} is not finite: tap_gains {} * receiver_noises {} / (main_gains {} * tap_noise {})"
+_TW_CAP = "power cap of user {} is not finite: main_gains {} * power_caps {} / receiver_noises {}"
+
+
+def _not_finite_error(quantity: str, values: np.ndarray, *fields) -> Optional[ValueError]:
+    """The ValueError naming the first user whose standardized ``values``
+    (one of the quantities above) are not finite, with its raw ``fields``
+    (per-user arrays or scalars); None if all are finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    terms = (repr(float(np.broadcast_to(f, values.shape)[k])) for f in fields)
+    return ValueError("standardized " + quantity.format(k + 1, *terms))
+
+
 def standardize_mac(raw: RawMacChannel) -> StdMacChannel:
     """Rescale a raw MAC wiretap channel to the unit-gain, unit-noise form.
 
@@ -318,14 +338,22 @@ def standardize_mac(raw: RawMacChannel) -> StdMacChannel:
 
     Raises:
         NonStandardizableChannel: if any main gain is zero.
+        ValueError: naming the user and its raw fields, if a standardized
+            gain or cap is not finite.
     """
     for k, g in enumerate(raw.main_gains):
         if g == 0:
             raise NonStandardizableChannel(
                 f"main gain of user {k + 1} is zero; the channel cannot be standardized"
             )
-    h = raw.tap_gains * raw.main_noise / (raw.main_gains * raw.tap_noise)
-    caps = raw.main_gains * raw.power_caps / raw.main_noise
+    with np.errstate(all="ignore"):
+        h = raw.tap_gains * raw.main_noise / (raw.main_gains * raw.tap_noise)
+        caps = raw.main_gains * raw.power_caps / raw.main_noise
+    error = _not_finite_error(
+        _MAC_GAIN, h, raw.tap_gains, raw.main_noise, raw.main_gains, raw.tap_noise
+    ) or _not_finite_error(_MAC_CAP, caps, raw.main_gains, raw.power_caps, raw.main_noise)
+    if error:
+        raise error
     return merge_tied_users(h, caps)
 
 
@@ -335,7 +363,9 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     Terminal k's power is normalized by the noise at the opposite receiver,
     so the standardized cap is main_gain_k * raw_cap_k / other_noise and the
     eavesdropper gain is tap_gain_k * other_noise / (main_gain_k *
-    tap_noise).  Self gains are recorded but never used in rate math.
+    tap_noise).  Self gains are recorded but never used in rate math.  A
+    standardized gain or cap that is not finite is a ValueError naming the
+    user and its raw fields.
     """
     g1, g2 = raw.main_gains
     if g1 == 0 or g2 == 0:
@@ -343,15 +373,18 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
         raise NonStandardizableChannel(
             f"main gain of user {bad} is zero; the channel cannot be standardized"
         )
-    s1, s2 = raw.receiver_noises
-    sw = raw.tap_noise
-    h1 = raw.tap_gains[0] * s2 / (g1 * sw)
-    h2 = raw.tap_gains[1] * s1 / (g2 * sw)
-    a1 = s2 / (g1 * s1)
-    a2 = s1 / (g2 * s2)
-    p1 = g1 * raw.power_caps[0] / s2
-    p2 = g2 * raw.power_caps[1] / s1
-    return StdTwChannel(np.array([h1, h2]), np.array([a1, a2]), np.array([p1, p2]))
+    # each terminal is heard at the other one's receiver
+    other = raw.receiver_noises[::-1]
+    with np.errstate(all="ignore"):
+        h = raw.tap_gains * other / (raw.main_gains * raw.tap_noise)
+        self_gains = other / (raw.main_gains * raw.receiver_noises)
+        caps = raw.main_gains * raw.power_caps / other
+    error = _not_finite_error(
+        _TW_GAIN, h, raw.tap_gains, other, raw.main_gains, raw.tap_noise
+    ) or _not_finite_error(_TW_CAP, caps, raw.main_gains, raw.power_caps, other)
+    if error:
+        raise error
+    return StdTwChannel(h, self_gains, caps)
 
 
 def gaussian_bits(snr: float) -> float:

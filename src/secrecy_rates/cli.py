@@ -272,6 +272,8 @@ def _scene_from_args(args) -> Scene:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid scene JSON in {args.scene}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"scene JSON in {args.scene} must be an object, got {json.dumps(doc)}")
     known = {f.name for f in fields(Scene)}
     unknown = set(doc) - known
     if unknown:

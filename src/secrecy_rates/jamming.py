@@ -5,15 +5,14 @@ the eavesdropper more than the receiver).  For the MAC wiretap channel the
 optimum has an ordered structure: a prefix of the gain-sorted users
 transmits at cap, a gap stays silent, and a suffix jams at cap except for
 at most one "pivot" jammer whose power solves a quadratic.  Every sum a
-pattern's quadratic and rate need is then a prefix or suffix sum, so the
-solver ranks all (prefix, pivot) patterns at once as O(K^2) arrays and
-evaluates only the winner, with any pattern tied with it to rounding, by
-``_evaluate_patterns``: the pivot quadratic and rate over each pattern's
-own index sets, which give the reported solution.  The two-way variant
-only ever jams at full power, decided by a five-branch rule written once
-over arrays of channels.  The ranking, the evaluator and the two-way rule
-take a leading batch axis, so the eavesdropper sweep solves a whole grid
-of channels in the calls a single channel makes.  The rates are the
+pattern's quadratic and rate need is then a prefix or suffix sum, so one
+batched solve, ``_mac_cj_batch``, ranks all (prefix, pivot) patterns of N
+channels as O(K^2) arrays each, evaluates each channel's winner and the
+patterns tied with it to rounding, settles those by one lexsort, and gives
+each channel the status of the exception a single solve raises.
+mac_cj_optimal is that solve for one channel, the eavesdropper sweep for a
+grid.  The two-way variant only ever jams at full power, decided by a
+five-branch rule written once over arrays of channels.  The rates are the
 superposition and two-way rate expressions of ``allocation`` with jammers
 counted as noise, so they take their logarithms in the one kernel,
 ``channels.gaussian_bits``, or in its array forms: np.log1p for the
@@ -34,11 +33,12 @@ from .channels import (
     StdMacChannel,
     StdTwChannel,
     _powers_of,
+    _tied_neighbors,
     gaussian_bits_array,
     gaussian_bits_each,
     to_jsonable,
 )
-from .allocation import _mac_secrecy_bits, _require_strict_gains, _tw_secrecy_bits
+from .allocation import _TIED_GAINS, _mac_secrecy_bits, _tw_secrecy_bits
 
 # Rates closer than this count as equal when ranking candidate role
 # patterns; see mac_cj_optimal.
@@ -152,26 +152,25 @@ def _partition_solution(
     )
 
 
-def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Mask of the best ordered role pattern of each of N channels, ranked as
-    arrays over all of them, and of the patterns whose tie-break keys match
-    it to rounding.
+def _finalists(h: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each of N channels' best ordered role pattern, ranked as arrays over
+    all of them, with the patterns whose tie-break keys match it to
+    rounding; and the mask of the rows whose ranking holds a NaN (pattern 0).
 
-    ``h`` and ``caps`` are (N, K): one channel per row, gains ascending.  In
-    the (N, K+1, K+1) result, cell (n, t, p) transmits users [0, t) of
-    channel n at cap and makes user p >= t the pivot, with every user after
-    it jamming at cap; column K is the no-jam pattern, a pivot of gain 0 and
-    cap 0.  With P, H the transmitters' sums of caps and h * caps, and R, G
-    those of the jammers after the pivot, the pivot quadratic's
-    coefficients (see _evaluate_patterns) are
+    ``h`` and ``caps`` are (N, K): one channel per row, gains ascending.
+    Patterns are flat indices (n (K+1) + t)(K+1) + p in row, then scan
+    order: transmit users [0, t) of channel n at cap and make user p >= t
+    the pivot, with every user after it jamming at cap; p = K is the no-jam
+    pattern, a pivot of gain 0 and cap 0.  With P, H the transmitters' sums
+    of caps and h * caps, and R, G those of the jammers after the pivot, the
+    pivot quadratic's coefficients (see _evaluate_patterns) are
         c1 = h_p (h_p P - H),  c2 = 2 h_p ((1 + G) P - (1 + R) H),
         c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H,
     and the root is taken with c2 / 2, an exact scaling.  R and G
     accumulate from the back, so a pivot at cap and the next pivot at 0
     give bit-identical jam totals, keys and rates for one power vector.
     Every operation is elementwise along the batch axis, so a channel's
-    mask does not depend on the other rows.  A row whose ranking rates
-    hold a NaN has no finalist.
+    finalists do not depend on the other rows.
     """
     n, k = caps.shape
     # Inside, the batch axis is the last one, so numpy's inner loops run
@@ -211,14 +210,15 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
         np.copyto(rate, -np.inf, where=(users[:, None] > users)[:, :, None])
         size = (k + 1) * (k + 1)
         rate = np.ascontiguousarray(rate.reshape(size, n).T)
-        pool = rate >= rate.max(axis=1, keepdims=True) - RATE_TIE_TOL
-        # pool members as flat indices: rows in order, and scan order (t
-        # outer, p inner) within a row
+        best = rate.max(axis=1, keepdims=True)
+        pool = rate >= best - RATE_TIE_TOL
+        unranked = np.isnan(best[:, 0])
+        pool[unranked, 0] = True
         members = pool.ravel().nonzero()[0]
+        # every row has a member, so this is one per row
+        if len(members) == n:
+            return members, unranked
         rows, idx = np.divmod(members, size)
-        # one member per row (sorted rows, so rows == 0, 1, ..., n - 1)
-        if len(members) == n and (n == 1 or (rows == np.arange(n)).all()):
-            return pool.reshape(n, k + 1, k + 1)
         # The tie rule on the pool members: fewest jammers, then least total
         # power, then scan order.  A row with one member keeps it.
         n_jam = ((pivot > 0.0) + n_after).reshape(size, n)[idx, rows]
@@ -239,8 +239,7 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> np.ndarray:
         )
         near &= ~exact | edge | edge[first]
         near[first] = True
-        pool.ravel()[members] = near
-    return pool.reshape(n, k + 1, k + 1)
+    return members[near], unranked
 
 
 # the case of each evaluated pattern, indexed as _evaluate_patterns reports it
@@ -261,11 +260,12 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
     the linear equation when c1 = 0; with c2 = 0 too the objective is flat
     in the pivot, which stays at 0.
 
-    Returns the powers, the rate as mac_cj_rate clamps it, whether the row
-    is finite, the (M, 3) coefficients (NaN without a pivot) and each row's
-    index into _CASES.  A finite row has finite powers and rate and, with a
-    pivot, a finite c3 and discriminant and c2 ** 2 in float range, as
-    _partition_solution computes it.  The logarithms are math.log1p.
+    Returns the powers (finite: caps or a root clamped to [0, cap]), the
+    rate as mac_cj_rate clamps it, whether _partition_solution can report
+    the row, the (M, 3) coefficients (NaN without a pivot) and each row's
+    index into _CASES.  It cannot where its discriminant's c2 ** 2 raises
+    OverflowError, exactly where a finite c2 * c2 is not: from |c2| = 2 **
+    512, about 1.3408e154.  The logarithms are math.log1p.
     """
     m, k = caps.shape
     users = np.arange(k)
@@ -321,13 +321,44 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
         inside = both * in_t
         bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
         rate = bits[0] - bits[1]
+        ok = np.isfinite(c2 * c2) | ~np.isfinite(c2)
     case = np.where(jam, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
-    # the scalar discriminant is c2 ** 2, which raises OverflowError past 2 ** 511 squared
-    coeffs_ok = np.isfinite(disc) & np.isfinite(c3) & (np.abs(c2) <= 2.0**511)
-    finite = np.isfinite(rate) & np.isfinite(powers).all(axis=1) & (coeffs_ok | ~jam)
     # max(rate, 0.0), which keeps a NaN
     rate = np.where(rate < 0.0, 0.0, rate)
-    return powers, rate, finite, np.array((c1, c2, c3)).T, case
+    return powers, rate, ok, np.array((c1, c2, c3)).T, case
+
+
+# What mac_cj_optimal raises, by the status _mac_cj_batch gives a channel
+# (0: none); the overflow is _partition_solution's c2 ** 2, in Python's words.
+_FAILURES = (
+    None,
+    (ValueError, _TIED_GAINS),  # 1: two gains tie
+    (FloatingPointError, "cooperative-jamming candidate rates overflow to NaN"),  # 2
+    (OverflowError, "(34, 'Numerical result out of range')"),  # 3: c2 * c2 is not finite
+)
+
+
+def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
+    """mac_cj_optimal for the N channels in the rows of the (N, K) ``h`` and
+    ``caps``: each row's winning t, p, powers, rate, coefficients and case,
+    and its status.  _evaluate_patterns evaluates every finalist; a row with
+    several keeps the first of them by fewest active jammers, then least
+    total power, then scan order."""
+    n, k = caps.shape
+    members, unranked = _finalists(h, caps)
+    rows, idx = np.divmod(members, (k + 1) * (k + 1))
+    t, p = np.divmod(idx, k + 1)
+    powers, rate, ok, coeffs, case = _evaluate_patterns(h[rows], caps[rows], t, p)
+    if len(members) > n:
+        jammers = ((powers > 0.0) & (np.arange(k) >= p[:, None])).sum(axis=1)
+        # rows come sorted and are the first key, so each row's winner heads its run
+        order = np.lexsort((idx, powers.sum(axis=1), jammers, rows))
+        first = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+        t, p, powers, rate, ok, coeffs, case = (a[first] for a in (t, p, powers, rate, ok, coeffs, case))
+    status = np.where(ok | (rate <= 0.0), 0, 3)
+    status[unranked] = 2
+    status[_tied_neighbors(h).any(axis=1)] = 1
+    return t, p, powers, rate, coeffs, case, status
 
 
 def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
@@ -341,49 +372,25 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     branch boundary are mathematically tied but their rates land a few
     ulps apart, so rates within RATE_TIE_TOL of the best count as ties and
     resolve toward fewer active jammers, then less total power, then scan
-    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2), by
-    _finalists with a batch of one channel (the eavesdropper sweep ranks a
-    whole grid of channels in the same call).  Only the winner, and any
-    pattern whose tie-break keys match it to rounding (usually none), is
-    then evaluated by _evaluate_patterns, one row per pattern, the
-    evaluator the sweep uses for a grid's winners; the tie rule on their
-    scalar keys picks the solution, and they give the reported powers,
-    rate and coefficients.
+    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2) and
+    only the winner and its ties to rounding (usually none) are evaluated,
+    by _mac_cj_batch on a batch of one channel.
 
     Raises:
+        ValueError: if two gains tie (merge them first).
         FloatingPointError: if the ranking rates overflow to NaN.
+        OverflowError: if the pivot quadratic's c2 squares past float range.
     """
-    _require_strict_gains(ch)
     k = ch.k_users
-    picks = _finalists(ch.eve_gains[None], ch.power_caps[None]).ravel().nonzero()[0]
-    if not len(picks):
-        raise FloatingPointError("cooperative-jamming candidate rates overflow to NaN")
-    t, p = np.divmod(picks, k + 1)
-    n = len(picks)
-    powers, rates, _, coeffs, cases = _evaluate_patterns(
-        np.repeat(ch.eve_gains[None], n, axis=0), np.repeat(ch.power_caps[None], n, axis=0), t, p
-    )
-    finalists = [
-        (ti, pi, row, rate, None if pi == k else tuple(c), _CASES[case])
-        for ti, pi, row, rate, c, case in zip(
-            t.tolist(), p.tolist(), powers, rates.tolist(), coeffs.tolist(), cases.tolist()
-        )
-    ]
-    if len(finalists) > 1:
-        # the tie rule on the scalar keys; the sort is stable, so scan order breaks exact ties
-        finalists.sort(key=lambda f: (int(np.count_nonzero(f[2][f[1] :] > 0)), float(f[2].sum())))
-    t_count, pivot_idx, powers, rate, coeffs, case = finalists[0]
-    if rate <= 0.0:
+    t, p, powers, rate, coeffs, case, status = _mac_cj_batch(ch.eve_gains[None], ch.power_caps[None])
+    if status[0]:
+        error, message = _FAILURES[status[0]]
+        raise error(message)
+    if rate[0] <= 0.0:
         return _all_silent_solution(k, {"branch": "all-silent", "case": "no-positive-rate"})
-    return _partition_solution(
-        ch,
-        powers,
-        t_count,
-        rate,
-        pivot_idx if pivot_idx < k else None,
-        coeffs,
-        case,
-    )
+    pivot = int(p[0]) if p[0] < k else None
+    coeffs = None if pivot is None else tuple(coeffs[0].tolist())
+    return _partition_solution(ch, powers[0], int(t[0]), float(rate[0]), pivot, coeffs, _CASES[case[0]])
 
 
 TW_BRANCHES = ("both-transmit", "jam-user-1", "jam-user-2", "all-silent")

@@ -8,18 +8,14 @@ cooperative-jamming optimizer, and records per-user transmit/jam powers
 
 Conditions that fail every cell (see sweep) raise a ValueError before
 any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
-on the calling thread: the gains (_gains, the one path-loss law), then
-standardization, the MAC role ranking and winner evaluation
-(``jamming._finalists`` and ``jamming._evaluate_patterns``, which
-mac_cj_optimal calls with a batch of one), or the two-way rule
-(``jamming._tw_cj_rule``), then the raw-domain mapping.  Each step repeats
-the per-cell path's floating-point operations in the same order
-(logarithms through math.log1p), so every cell equals gains_from_geometry
--> standardize_* -> *_cj_optimal bit for bit.  A cell the batch cannot
-show to be equal takes that per-cell route instead, which also reports
-its failure: two MAC gains that tie and merge into one user, a MAC cell
-with more than one finalist, and any non-finite gain, coefficient,
-discriminant, root, rate or power.
+on the calling thread, in the per-cell path's steps: the gains (_gains,
+the one path-loss law), standardization with tied MAC gains merged into
+one user, the solve (``jamming._mac_cj_batch``, which mac_cj_optimal
+calls with a batch of one, or the two-way rule ``jamming._tw_cj_rule``)
+and the raw-domain mapping.  Each step repeats the per-cell floating-point
+operations in the same order, so every cell equals gains_from_geometry ->
+standardize_* -> *_cj_optimal bit for bit, and a failed cell records the
+exception that path raises.
 """
 
 from __future__ import annotations
@@ -37,21 +33,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .channels import (
+    _MAC_GAIN,
+    _TW_GAIN,
     RawMacChannel,
     RawTwChannel,
+    _not_finite_error,
     _tied_neighbors,
-    standardize_mac,
     standardize_tw,
     to_jsonable,
 )
-from .jamming import (
-    TW_BRANCHES,
-    _evaluate_patterns,
-    _finalists,
-    _tw_cj_rule,
-    mac_cj_optimal,
-    tw_cj_optimal,
-)
+from .jamming import _FAILURES, TW_BRANCHES, _mac_cj_batch, _tw_cj_rule
 
 SWEEP_COLUMNS = ("x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch")
 
@@ -238,41 +229,6 @@ class SweepResult:
         return to_jsonable(self.metadata)
 
 
-def _solve_mac_cell(scene: Scene, x: float, y: float) -> tuple:
-    raw = gains_from_geometry(scene, (x, y), MODE_MAC)
-    std = standardize_mac(raw)
-    sol = mac_cj_optimal(std)
-    split = std.split_back(sol.allocation.powers)
-    tx = np.zeros(2)
-    jam = np.zeros(2)
-    for mi, group in enumerate(std.permutation):
-        if mi in sol.transmit_set:
-            bucket = tx
-        elif mi in sol.jam_set:
-            bucket = jam
-        else:
-            continue
-        for orig in group:
-            bucket[orig] = split[orig] * scene.main_noise / raw.main_gains[orig]
-    return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
-
-
-def _solve_tw_cell(scene: Scene, x: float, y: float) -> tuple:
-    raw = gains_from_geometry(scene, (x, y), MODE_TW)
-    std = standardize_tw(raw)
-    sol = tw_cj_optimal(std)
-    noises = (scene.receiver_noises[1], scene.receiver_noises[0])
-    tx = np.zeros(2)
-    jam = np.zeros(2)
-    for u in range(2):
-        raw_p = sol.allocation.powers[u] * noises[u] / raw.main_gains[u]
-        if u in sol.transmit_set:
-            tx[u] = raw_p
-        elif u in sol.jam_set:
-            jam[u] = raw_p
-    return tx, jam, sol.sum_rate, sol.diagnostics["branch"]
-
-
 def _main_gains(scene: Scene, mode: str) -> np.ndarray:
     """The raw main gains every cell shares: the transmitters to the MAC
     receiver, or the cross gain twice.  Raises the ValueErrors of sweep."""
@@ -315,88 +271,91 @@ _MAC_SILENT = len(_MAC_LABELS) - 1
 
 
 def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
-    """_solve_mac_cell for every row of the (N, 2) eavesdropper gains at
-    once, given the two positive main gains of _main_gains.
+    """The per-cell path (gains_from_geometry -> standardize_mac ->
+    mac_cj_optimal -> split_back -> raw-domain powers) for every row of the
+    (N, 2) eavesdropper gains, given the positive main gains of _main_gains.
 
-    Each step repeats the per-cell floating-point operations in their
-    order: standardize_mac's h and caps, merge_tied_users' sort and
-    singleton gain h * c / c, _finalists over the whole batch, then
-    _evaluate_patterns, mac_cj_optimal's own evaluator, for the winner, then
-    split_back and the raw-domain mapping.  Returns tx, jam, rate, branch
-    labels and the mask of the rows solved.  The other rows take the
-    per-cell route: rows whose gains tie before or after the merge (the two
-    users become one), have a non-finite gain, more or fewer than one
-    finalist, or a non-finite coefficient, rate or power.
+    Each step repeats the per-cell operations in order: standardize_mac's
+    h and caps; merge_tied_users' sort, each singleton's gain h * c / c and
+    a tied pair merged into one user (cap-weighted mean gain, with np.vecdot
+    as np.dot, and summed cap); _mac_cj_batch over the two-user rows and
+    over the merged one-user rows; split_back by caps; the raw mapping.
+    Returns tx, jam, rate, branch labels and, by row, the first exception
+    of the path: a standardized or merged gain or cap that is not finite,
+    or a failed solve.
     """
     n = len(eve)
-    tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
-    labels = np.full(n, _MAC_SILENT)
-    solved = np.zeros(n, dtype=bool)
     mn, tn = float(scene.main_noise), float(scene.tap_noise)
     caps = main * np.asarray(scene.raw_power_caps, dtype=float) / mn
     with np.errstate(all="ignore"):
-        h = eve * mn / (main * tn)
-        # merge_tied_users: a stable sort of each pair, and each singleton's gain h * c / c
-        perm = np.where((h[:, 0] > h[:, 1])[:, None], [1, 0], [0, 1])
-        h, caps, main = np.take_along_axis(h, perm, axis=1), caps[perm], main[perm]
-        gains = np.where(caps > 0, h * caps / caps, h)
-        untied = ~_tied_neighbors(h)[:, 0] & ~_tied_neighbors(gains)[:, 0]
-        # mac_cj_optimal, for the cells with a single finalist
-        cells = np.flatnonzero(np.isfinite(gains).all(axis=1) & untied)
-        finalists = _finalists(gains[cells], caps[cells]).reshape(len(cells), 9)
-        single = finalists.sum(axis=1) == 1
-        cells = cells[single]
-        t, p = np.divmod(np.argmax(finalists[single], axis=1), 3)
-        powers, r, ok, _, _ = _evaluate_patterns(gains[cells], caps[cells], t, p)
-        # _partition_solution, split_back and the raw-domain mapping
-        users = np.arange(2)
-        active = (powers > 0) & (r > 0.0)[:, None]
-        sends, jams = active & (users < t[:, None]), active & (users >= p[:, None])
-        c = caps[cells]
-        raw = np.where(c > 0, powers * c / c, 0.0) * mn / main[cells]
-    ok &= np.isfinite(raw).all(axis=1)
-    cells = cells[ok]
-    back = perm[cells]  # each sort is its own inverse
-    tx[cells] = np.take_along_axis(np.where(sends, raw, 0.0)[ok], back, axis=1)
-    jam[cells] = np.take_along_axis(np.where(jams, raw, 0.0)[ok], back, axis=1)
-    rate[cells] = r[ok]
-    code = np.where(r > 0.0, 3 * t + np.where(jams.any(axis=1), p + 1, 0), _MAC_SILENT)
-    labels[cells] = code[ok]
-    solved[cells] = True
-    return tx, jam, rate, [_MAC_LABELS[i] for i in labels.tolist()], solved
+        std = eve * mn / (main * tn)
+        # merge_tied_users: a stable sort of each pair, then its merged users
+        perm = np.where((std[:, 0] > std[:, 1])[:, None], [1, 0], [0, 1])
+        h, caps = np.take_along_axis(std, perm, axis=1), caps[perm]
+        tied = _tied_neighbors(h)[:, 0]
+        cap_sum = caps[:, 0] + caps[:, 1]
+        merged = np.where(cap_sum > 0, np.vecdot(h, caps) / cap_sum, h.mean(axis=1))
+        singles = np.where(caps > 0, h * caps / caps, h)
+        # StdMacChannel's checks of the merged channel
+        bad_gains = np.where(tied, ~np.isfinite(merged), ~np.isfinite(singles).all(axis=1))
+        bad_caps = tied & ~np.isfinite(cap_sum)
+        # per sorted user: its merged user's power and cap, and its role
+        power, group_cap = np.zeros((n, 2)), np.zeros((n, 2))
+        sends, jams = np.zeros((n, 2), dtype=bool), np.zeros((n, 2), dtype=bool)
+        rate, code, status = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        for cells, gains, group_caps, users in (
+            (~tied, singles, caps, [0, 1]),
+            (tied, merged[:, None], cap_sum[:, None], [0, 0]),
+        ):
+            if not cells.any():
+                continue
+            gains, group_caps = gains[cells], group_caps[cells]
+            t, p, powers, r, _, _, status[cells] = _mac_cj_batch(gains, group_caps)
+            # _partition_solution's roles, wherever it reports the rate (a NaN too)
+            shown = (powers > 0) & ~(r <= 0.0)[:, None]
+            role = np.arange(powers.shape[1])
+            sent, jammed = shown & (role < t[:, None]), shown & (role >= p[:, None])
+            power[cells], group_cap[cells] = powers[:, users], group_caps[:, users]
+            sends[cells], jams[cells], rate[cells] = sent[:, users], jammed[:, users], r
+            label = 3 * t + np.where(jammed.any(axis=1), p + 1, 0)
+            code[cells] = np.where(r <= 0.0, _MAC_SILENT, label)
+        # split_back: each user's share of its merged user's power, by caps
+        raw = np.where(group_cap > 0, power * caps / group_cap, 0.0) * mn / main[perm]
+    # each sort is its own inverse
+    tx = np.take_along_axis(np.where(sends, raw, 0.0), perm, axis=1)
+    jam = np.take_along_axis(np.where(jams, raw, 0.0), perm, axis=1)
+    bad_std = ~np.isfinite(std).all(axis=1)
+    faults = {}
+    for i in np.flatnonzero(bad_std | bad_gains | bad_caps | (status > 0)).tolist():
+        if bad_std[i]:
+            faults[i] = _not_finite_error(_MAC_GAIN, std[i], eve[i], mn, main, tn)
+        elif bad_gains[i] or bad_caps[i]:
+            faults[i] = ValueError(f"{'eve_gains' if bad_gains[i] else 'power_caps'} must be finite")
+        else:
+            error, message = _FAILURES[status[i]]
+            faults[i] = error(message)
+    return tx, jam, rate, [_MAC_LABELS[i] for i in code.tolist()], faults
 
 
 def _tw_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
-    """_solve_tw_cell for every row of the (N, 2) eavesdropper gains at once,
-    given the cross gains of _main_gains: standardize_tw's formulas,
-    _tw_cj_rule and the raw-domain mapping, in the per-cell operation
-    order.  Returns tx, jam, rate, branch labels and the mask of the rows
-    solved; rows with a non-finite gain, rate or power take the per-cell
-    route.
+    """The per-cell path (gains_from_geometry -> standardize_tw ->
+    tw_cj_optimal -> raw-domain powers) for every row of the (N, 2)
+    eavesdropper gains, given the cross gains of _main_gains, in the
+    per-cell operation order.  Returns tx, jam, rate, branch labels and, by
+    row, the exception of a standardized gain that is not finite.
     """
-    n = len(eve)
-    tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
-    labels = np.full(n, len(TW_BRANCHES) - 1)
-    solved = np.zeros(n, dtype=bool)
     # terminal u is heard at the other terminal's receiver
     noise = np.asarray(scene.receiver_noises, dtype=float)[::-1]
     caps = main * np.asarray(scene.raw_power_caps, dtype=float) / noise
+    tn = float(scene.tap_noise)
     with np.errstate(all="ignore"):
-        h = eve * noise / (main * float(scene.tap_noise))
-    cells = np.flatnonzero(np.isfinite(h).all(axis=1))
-    powers, sends, jams, r, branch, _, _ = _tw_cj_rule(
-        h[cells], np.broadcast_to(caps, (len(cells), 2))
-    )
-    with np.errstate(all="ignore"):
+        h = eve * noise / (main * tn)
+        powers, sends, jams, rate, branch, _, _ = _tw_cj_rule(h, np.broadcast_to(caps, h.shape))
         raw = powers * noise / main
-    ok = np.isfinite(r) & np.isfinite(raw).all(axis=1)
-    cells = cells[ok]
-    tx[cells] = np.where(sends, raw, 0.0)[ok]
-    jam[cells] = np.where(jams, raw, 0.0)[ok]
-    rate[cells] = r[ok]
-    labels[cells] = branch[ok]
-    solved[cells] = True
-    return tx, jam, rate, [TW_BRANCHES[i] for i in labels.tolist()], solved
+    rows = np.flatnonzero(~np.isfinite(h).all(axis=1)).tolist()
+    faults = {i: _not_finite_error(_TW_GAIN, h[i], eve[i], noise, main, tn) for i in rows}
+    tx, jam = np.where(sends, raw, 0.0), np.where(jams, raw, 0.0)
+    return tx, jam, rate, [TW_BRANCHES[i] for i in branch.tolist()], faults
 
 
 def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
@@ -410,27 +369,31 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
 
     Returns:
         SweepResult with per-cell raw-domain powers, rates and branch
-        labels.  A cell whose solve raises is recorded as zero powers,
-        zero rate and branch "error"; it is flagged in ``error`` and its
-        message, naming the cell's (x, y), is kept in ``error_messages``.
+        labels, equal to the per-cell path bit for bit (see the module
+        docstring).  A cell whose solve raises, or whose raw-domain power
+        overflows, is recorded as zero powers, zero rate and branch
+        "error"; it is flagged in ``error`` and its message, naming the
+        cell's (x, y), is kept in ``error_messages``.
 
     Raises:
         ValueError: naming the field, before any cell runs, where every
-            cell would fail: grid_bounds or their span not finite, a MAC
+            cell would fail: grid_bounds not four numbers, or they or their
+            span not finite, a resolution that is not an integer, a MAC
             scene with no receiver_position, a zero main gain or a
             standardized cap that overflows, a two-way scene with a zero
             cross gain or a channel that cannot standardize.
-
-    The cells are solved in batched passes (see the module docstring) and
-    equal the per-cell solvers bit for bit; the cells a pass leaves
-    unsolved (ties, overflow) are then solved one at a time, in row order,
-    by the per-cell path.
     """
     mode = _normalize_mode(mode)
-    resolution = int(resolution)
+    if not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    bounds = [float(v) for v in grid_bounds]
+    try:
+        bounds = [float(v) for v in grid_bounds]
+    except (TypeError, ValueError):
+        bounds = []
+    if len(bounds) != 4:
+        raise ValueError(f"grid_bounds must be four numbers (xmin, xmax, ymin, ymax), got {grid_bounds!r}")
     xmin, xmax, ymin, ymax = bounds
     if not all(map(math.isfinite, bounds + [xmax - xmin, ymax - ymin])):
         raise ValueError(f"grid_bounds and their span must be finite, got {bounds}")
@@ -441,31 +404,25 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
     ys = np.linspace(ymin, ymax, resolution)
     points = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
     n = len(points)
-    if mode == MODE_MAC:
-        solve_cells, solve = _mac_cells, _solve_mac_cell
-    else:
-        solve_cells, solve = _tw_cells, _solve_tw_cell
+    solve_cells = _mac_cells if mode == MODE_MAC else _tw_cells
     eve = np.column_stack([_gains(scene, points, t) for t in scene.transmitter_positions])
     tx, jam, rate = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n)
-    solved = np.zeros(n, dtype=bool)
-    branch = []
+    branch, faults = [], {}
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        tx[block], jam[block], rate[block], labels, solved[block] = solve_cells(
-            scene, main, eve[block]
-        )
+        tx[block], jam[block], rate[block], labels, failed = solve_cells(scene, main, eve[block])
         branch += labels
+        faults.update((lo + i, exc) for i, exc in failed.items())
+    # the per-cell path would report these powers as infinite
+    overflow = f"raw-domain powers overflow with raw_power_caps {list(scene.raw_power_caps)}"
+    for i in np.flatnonzero(~np.isfinite(tx + jam).all(axis=1)).tolist():
+        faults.setdefault(i, OverflowError(overflow))
     error = np.zeros(n, dtype=bool)
     messages = []
-    for i in np.flatnonzero(~solved).tolist():
+    for i, exc in sorted(faults.items()):  # a failed cell is zero and flagged
         x, y = points[i].tolist()
-        try:
-            tx[i], jam[i], rate[i], branch[i] = solve(scene, x, y)
-        except Exception as exc:  # a failed cell stays zero and is flagged
-            tx[i], jam[i], rate[i] = 0.0, 0.0, 0.0
-            error[i] = True
-            branch[i] = "error"
-            messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
+        tx[i], jam[i], rate[i], branch[i], error[i] = 0.0, 0.0, 0.0, "error", True
+        messages.append(f"cell (x={x:.12g}, y={y:.12g}): {type(exc).__name__}: {exc}")
     shape = (resolution, resolution)
     tx, jam = tx.reshape(shape + (2,)), jam.reshape(shape + (2,))
     rate, error = rate.reshape(shape), error.reshape(shape)

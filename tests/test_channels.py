@@ -1,5 +1,8 @@
 """Tests for channel descriptions, standardization, and the rate helpers."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +81,52 @@ def test_standardize_tw_zero_main_gain_rejected():
     raw = RawTwChannel([1.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1.0, [1.0, 1.0])
     with pytest.raises(NonStandardizableChannel):
         standardize_tw(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            RawMacChannel([1e-300, 1.0], [1e10, 1.0], 1.0, 1.0, [1.0, 1.0]),
+            "eve gain of user 1 is not finite: tap_gains 10000000000.0 * main_noise 1.0"
+            " / (main_gains 1e-300 * tap_noise 1.0)",
+        ),
+        (
+            RawMacChannel([1.0, 1e-300], [1.0, 1e10], 2.0, 0.5, [1.0, 1.0]),
+            "eve gain of user 2 is not finite: tap_gains 10000000000.0 * main_noise 2.0"
+            " / (main_gains 1e-300 * tap_noise 0.5)",
+        ),
+        # tap_gains * main_noise and main_gains * tap_noise both overflow: a NaN
+        (
+            RawMacChannel([1e300, 1.0], [1e300, 1.0], 1e10, 1e10, [1.0, 1.0]),
+            "eve gain of user 1 is not finite: tap_gains 1e+300 * main_noise 10000000000.0"
+            " / (main_gains 1e+300 * tap_noise 10000000000.0)",
+        ),
+        (
+            RawMacChannel([1e300, 1.0], [1.0, 1.0], 1.0, 1.0, [1e10, 1.0]),
+            "power cap of user 1 is not finite: main_gains 1e+300 * power_caps 10000000000.0"
+            " / main_noise 1.0",
+        ),
+        (
+            RawTwChannel([1e-300, 1.0], [1e10, 1.0], [1.0, 3.0], 1.0, [1.0, 1.0]),
+            "eve gain of user 1 is not finite: tap_gains 10000000000.0 * receiver_noises 3.0"
+            " / (main_gains 1e-300 * tap_noise 1.0)",
+        ),
+        (
+            RawTwChannel([1.0, 1e300], [1.0, 1.0], [0.5, 1.0], 1.0, [1.0, 1e10]),
+            "power cap of user 2 is not finite: main_gains 1e+300 * power_caps 10000000000.0"
+            " / receiver_noises 0.5",
+        ),
+    ],
+)
+def test_standardize_names_the_user_and_raw_fields_of_an_overflow(raw, message):
+    """A standardized gain or cap that is not finite is a ValueError that
+    names the user and its raw fields, with no RuntimeWarning before it."""
+    standardize = standardize_mac if isinstance(raw, RawMacChannel) else standardize_tw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"standardized {message}")):
+            standardize(raw)
 
 
 def test_cap_main_examples():

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -404,17 +405,54 @@ def test_sweep_scene_with_bad_position_exits_one(capsys, tmp_path):
     assert "transmitter_positions" in err
 
 
+@pytest.mark.parametrize("doc", ["5", "null", "[1, 2]", '"abc"'])
+def test_sweep_scene_that_is_not_an_object_exits_one(capsys, tmp_path, doc):
+    path = tmp_path / "scene.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert f"scene JSON in {path} must be an object, got {doc}" in err
+
+
+def test_overflowing_standardization_exits_one_naming_the_user(capsys):
+    """No RuntimeWarning comes before the error, so this holds with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "sumrate", "--main-gains", "1e-300,1", "--eve-gains", "1e10,1", "--caps", "1,1"
+        )
+        assert code == 1 and out == ""
+        assert "standardized eve gain of user 1 is not finite: tap_gains 10000000000.0" in err
+        code, out, err = run_cli(
+            capsys, "sumrate", "--main-gains", "1e300,1", "--eve-gains", "1,1", "--caps", "1e10,1"
+        )
+        assert code == 1 and out == ""
+        assert "standardized power cap of user 1 is not finite: main_gains 1e+300" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_raw_power_overflow_exits_two(capsys, tmp_path, fmt):
+    """raw_power_caps of 1e200 overflow the raw-domain powers of 24 of 25 MAC cells."""
+    path = tmp_path / "scene.json"
+    doc = {"transmitter_positions": [[-0.5, 0], [0.5, 0]], "receiver_position": [0, 0]}
+    path.write_text(json.dumps(dict(doc, raw_power_caps=[1e200, 1e200])))
+    code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "5", "--format", fmt)
+    assert code == 2
+    assert "inf" not in out
+    assert "24 of 25 cells failed" in err and "raw_power_caps" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, monkeypatch, fmt):
-    """A planted gain that raises for an eavesdropper on a transmitter: 2 of 25 cells."""
+    """A planted gain that overflows the solve for an eavesdropper on a
+    transmitter: 2 of 25 cells."""
     real_gains = sweep_module._gains
 
     def gains(scene, points, target):
-        # NaN in the grid's gains, and OverflowError in the failing cell's own
+        # 1e300 where the eavesdropper is on a transmitter: its pivot quadratic overflows
         on = (np.asarray(points, dtype=float) == target).all(axis=1)
-        if on.any() and len(on) == 2:
-            raise OverflowError("(34, 'Numerical result out of range')")
-        return np.where(on, np.nan, real_gains(scene, points, target))
+        return np.where(on, 1e300, real_gains(scene, points, target))
 
     monkeypatch.setattr(sweep_module, "_gains", gains)
     path = tmp_path / "scene.json"

@@ -1,5 +1,8 @@
 """Tests for cooperative jamming: objective, pivot quadratic, and solvers."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,9 +26,10 @@ from secrecy_rates.jamming import (
     RATE_TIE_TOL,
     _all_silent_solution,
     _evaluate_patterns,
+    _mac_cj_batch,
     _partition_solution,
-    _require_strict_gains,
 )
+from secrecy_rates.allocation import _require_strict_gains
 from reference import (
     cj_objective_mac,
     mac_cj_two_user,
@@ -385,6 +389,34 @@ def test_mac_cj_overflowing_caps_raise_by_name_without_errstate():
     block, so no overflow warning comes before the named error."""
     with pytest.raises(FloatingPointError, match="NaN"):
         mac_cj_optimal(StdMacChannel([0.5, 2.0], [1e308, 1e308]))
+
+
+def test_mac_cj_overflow_status_at_the_float_power_boundary():
+    """_partition_solution's discriminant squares c2 with Python's float
+    power, which raises OverflowError from |c2| = 2 ** 512, the square root
+    of the float maximum (about 1.3408e154).  The batch's status, and so
+    mac_cj_optimal, raises exactly there.  The winner here (user 1
+    transmits, user 2 is a pivot at 0) has c2 = 12 h_2."""
+    outcomes = set()
+    for i in range(-6, 7):
+        h2 = 2.0**512 / 12 * (1 + i * 2e-16)
+        *_, coeffs, _, status = _mac_cj_batch(np.array([[0.25, h2]]), np.array([[8.0, 8.0]]))
+        c2 = float(coeffs[0, 1])
+        assert abs(c2 / math.sqrt(sys.float_info.max) - 1) < 1e-14, c2
+        try:
+            c2**2
+            overflows = False
+        except OverflowError:
+            overflows = True
+        assert status.tolist() == [3 if overflows else 0], c2.hex()
+        ch = StdMacChannel([0.25, h2], [8.0, 8.0])
+        if overflows:
+            with pytest.raises(OverflowError):
+                mac_cj_optimal(ch)
+        else:
+            assert mac_cj_optimal(ch).diagnostics["branch"] == "T=1,J=none"
+        outcomes.add(overflows)
+    assert outcomes == {False, True}
 
 
 def test_mac_cj_partition_is_ordered():

@@ -18,7 +18,7 @@ from secrecy_rates import (
     sweep,
     tw_cj_optimal,
 )
-from secrecy_rates.jamming import RATE_TIE_TOL
+from secrecy_rates.jamming import RATE_TIE_TOL, _finalists
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
 from reference import _gain
@@ -200,6 +200,25 @@ def test_sweep_argument_validation():
         sweep(scene, BOUNDS, 8, "sideways")
 
 
+@pytest.mark.parametrize(
+    "bounds, resolution, name",
+    [
+        ((-1.0, 1.0, -1.0), 3, "grid_bounds"),
+        ((-1.0, 1.0, -1.0, 1.0, 2.0), 3, "grid_bounds"),
+        (5, 3, "grid_bounds"),
+        (("a", 1.0, -1.0, 1.0), 3, "grid_bounds"),
+        (BOUNDS, 2.9, "resolution"),
+        (BOUNDS, "abc", "resolution"),
+        (BOUNDS, None, "resolution"),
+    ],
+)
+def test_sweep_rejects_malformed_arguments_naming_them(bounds, resolution, name):
+    """grid_bounds must hold four numbers and resolution must be an integer
+    (2.9 is not truncated to a 2 x 2 grid)."""
+    with pytest.raises(ValueError, match=name):
+        sweep(default_scene(), bounds, resolution, "MAC-CJ")
+
+
 # Inputs that fail every cell: (scene fields, grid bounds, mode, field named).
 WHOLE_GRID_FAULTS = [
     ({}, (-np.inf, 1.0, -1.0, 1.0), "MAC-CJ", "grid_bounds"),
@@ -342,25 +361,22 @@ def test_sweep_csv_and_metadata():
 
 
 
-def _gains_failing_on_transmitters(scene, points, target):
-    """The planted fault: a grid's gains are NaN at a point on a transmitter,
-    and a single point's gains (two transmitters to one eavesdropper) raise
-    there, so those cells take the per-cell route and fail in it."""
+def _gains_huge_on_transmitters(scene, points, target):
+    """The planted fault: an eavesdropper on a transmitter hears it with gain
+    1e300 (as at path_loss_exponent 100), so the pivot quadratic's c2 ** 2
+    overflows in those cells."""
     on = (np.asarray(points, dtype=float) == target).all(axis=1)
-    if on.any() and len(on) == 2:
-        raise OverflowError("(34, 'Numerical result out of range')")
-    return np.where(on, np.nan, real_gains(scene, points, target))
+    return np.where(on, 1e300, real_gains(scene, points, target))
 
 
 def test_sweep_keeps_failed_cell_messages(monkeypatch):
-    """Cells whose solve raises are flagged with a reason.
-
-    The planted gain raises for an eavesdropper on a transmitter, as
-    d ** -400 did before Scene rejected exponents that overflow.
-    """
-    monkeypatch.setattr(sweep_module, "_gains", _gains_failing_on_transmitters)
+    """Cells whose solve raises are flagged with the reason the per-cell
+    path raises.  The planted gain overflows the solve for an eavesdropper
+    on a transmitter, as path_loss_exponent 100 does."""
+    monkeypatch.setattr(sweep_module, "_gains", _gains_huge_on_transmitters)
     scene = default_scene()
     result = sweep(scene, BOUNDS, 5, "MAC-CJ")
+    _assert_matches_per_cell(result, scene, "MAC-CJ")
     failed = [(float(result.xs[ix]), float(result.ys[iy])) for iy, ix in np.argwhere(result.error)]
     assert failed == [(-0.5, 0.0), (0.5, 0.0)]
     assert len(result.error_messages) == 2
@@ -372,6 +388,53 @@ def test_sweep_keeps_failed_cell_messages(monkeypatch):
         assert result.sum_rate[iy, ix] == 0.0
         assert not result.tx_power[iy, ix].any() and not result.jam_power[iy, ix].any()
     assert sum(row.count("error") for row in result.branch) == 2
+
+
+@pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
+def test_sweep_cells_whose_gains_do_not_standardize_fail_with_its_message(mode):
+    """With tap_noise 1e-300 the standardized eavesdropper gain overflows on
+    each transmitter; those cells fail with standardize_*'s ValueError,
+    which names the user and the raw fields."""
+    scene = Scene(
+        transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
+        receiver_position=(0.0, 0.0),
+        path_loss_exponent=4,
+        tap_noise=1e-300,
+    )
+    result = sweep(scene, BOUNDS, 5, mode)
+    _assert_matches_per_cell(result, scene, mode)
+    assert len(result.error_messages) == 2
+    for user, message in enumerate(result.error_messages):
+        assert f"ValueError: standardized eve gain of user {user + 1} is not finite: tap_gains" in message
+
+
+def test_sweep_raw_power_overflow_is_a_failed_cell():
+    """With raw_power_caps 1e200 the mapping back to raw powers overflows
+    (split_back's p * c / c), which the per-cell path reports as an
+    infinite power; the sweep fails those cells, naming raw_power_caps, and
+    every other cell equals the per-cell path."""
+    scene = Scene(
+        transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
+        receiver_position=(0.0, 0.0),
+        raw_power_caps=(1e200, 1e200),
+    )
+    result = sweep(scene, BOUNDS, 5, "MAC-CJ")
+    assert int(result.error.sum()) == 24
+    messages = iter(result.error_messages)
+    for iy, y in enumerate(result.ys.tolist()):
+        for ix, x in enumerate(result.xs.tolist()):
+            with np.errstate(over="ignore"):
+                tx, jam, rate, branch = _cell_reference(scene, x, y, "MAC-CJ")
+            if result.error[iy, ix]:
+                assert not np.isfinite(tx + jam).all()
+                message = next(messages)
+                assert message.startswith(f"cell (x={x:.12g}, y={y:.12g}): OverflowError: ")
+                assert "raw_power_caps [1e+200, 1e+200]" in message
+                continue
+            assert np.array_equal(result.tx_power[iy, ix], tx)
+            assert np.array_equal(result.jam_power[iy, ix], jam)
+            assert result.sum_rate[iy, ix] == rate and result.branch[iy][ix] == branch
+    assert not sweep(scene, BOUNDS, 5, "TW-CJ").error.any()
 
 
 def test_sweep_rows_follow_columns():
@@ -464,39 +527,42 @@ FAR_FIELD = Scene(
 )
 
 
+# path_loss_exponent 100: an eavesdropper near a transmitter overflows the
+# pivot quadratic, which fails 8 MAC cells of a 64 x 64 grid
+STEEP = Scene(
+    transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
+    receiver_position=(0.0, 0.0),
+    path_loss_exponent=100,
+)
+
+
 @pytest.mark.parametrize("resolution", [16, 17])
 @pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
-def test_sweep_matches_per_cell_solvers_exactly(monkeypatch, mode, resolution):
+def test_sweep_matches_per_cell_solvers_exactly(mode, resolution):
     """The batched sweep is bit-identical to the per-cell path (== on every
-    float), and it sends a cell to the per-cell route only where two MAC
-    gains tie (the x = 0 column of an odd grid on default_scene)."""
-    name = "_solve_mac_cell" if mode == "MAC-CJ" else "_solve_tw_cell"
-    per_cell = getattr(sweep_module, name)
-    routed = []
-
-    def counted(scene, x, y):
-        routed.append((x, y))
-        return per_cell(scene, x, y)
-
-    monkeypatch.setattr(sweep_module, name, counted)
-    scenes = [default_scene()] + [_moved_scene(seed) for seed in (1, 2, 3)]
-    for scene in scenes + [_moved_scene(4, **ODD_UNITS), FAR_FIELD]:
-        routed.clear()
-        result = sweep(scene, BOUNDS, resolution, mode)
+    float, and the same message for a failed cell), tied MAC gains included:
+    the x = 0 column of an odd grid on default_scene(), where the two users
+    merge into one, with unequal caps to split back under ODD_UNITS."""
+    odd = Scene(**{**default_scene().to_json(), **ODD_UNITS})
+    runs = [(default_scene(), resolution)] + [(_moved_scene(seed), resolution) for seed in (1, 2, 3)]
+    runs += [(_moved_scene(4, **ODD_UNITS), resolution), (FAR_FIELD, resolution), (odd, resolution)]
+    if resolution == 17:
+        runs += [(STEEP, r) for r in (5, 17, 64)]
+    for scene, res in runs:
+        result = sweep(scene, BOUNDS, res, mode)
         _assert_matches_per_cell(result, scene, mode)
-        assert not result.error.any()
-        tied = [
-            (x, y)
-            for y in result.ys.tolist()
-            for x in result.xs.tolist()
-            if mode == "MAC-CJ"
-            and standardize_mac(gains_from_geometry(scene, (x, y), mode)).k_users == 1
-        ]
-        assert routed == tied
-        if scene.receiver_position == (0.0, 0.0):
-            # default_scene() ties exactly on x = 0, a column of odd grids only
-            center = resolution % 2 == 1 and mode == "MAC-CJ"
-            assert tied == ([(0.0, y) for y in result.ys.tolist()] if center else [])
+        assert result.error.any() == (scene is STEEP and mode == "MAC-CJ"), (scene, res)
+        if scene.receiver_position == (0.0, 0.0) and scene is not STEEP:
+            # default_scene() geometry ties exactly on x = 0, a column of odd grids only
+            tied = [
+                (x, y)
+                for y in result.ys.tolist()
+                for x in result.xs.tolist()
+                if standardize_mac(gains_from_geometry(scene, (x, y), "MAC-CJ")).k_users == 1
+            ]
+            assert tied == ([(0.0, y) for y in result.ys.tolist()] if res % 2 else [])
+    if resolution == 17 and mode == "MAC-CJ":
+        assert int(sweep(STEEP, BOUNDS, 64, mode).error.sum()) == 8
 
 
 def test_sweep_overflow_cells_fail_loudly_or_beat_a_tiny_jammer():
@@ -527,33 +593,53 @@ def test_sweep_overflow_cells_fail_loudly_or_beat_a_tiny_jammer():
         assert result.sum_rate[iy, ix] >= floor - RATE_TIE_TOL
 
 
-def test_mac_batch_leaves_tied_finalists_to_the_per_cell_route():
-    """Gains (0.2, 3) at unit caps give two role patterns whose tie-break
-    keys match to rounding; the batch leaves such a cell to the per-cell
-    route, whose mac_cj_optimal settles it by its scalar keys.  Main gains
-    of 1 and unit noises make the eavesdropper gains the standardized ones."""
+def _assert_mac_rows_match_per_cell(eve, caps):
+    """_mac_cells on eavesdropper gains ``eve`` with unit main gains and
+    noises (so the eavesdropper gains are the standardized ones) equals
+    standardize_mac -> mac_cj_optimal -> split_back on every row."""
     scene = Scene(
         transmitter_positions=((-1.0, 0.0), (1.0, 0.0)),
         receiver_position=(0.0, 0.0),
-        raw_power_caps=(1.0, 1.0),
+        raw_power_caps=caps,
     )
-    eve = np.array([[0.2, 3.0], [3.0, 0.2], [0.3, 3.0], [3.0, 0.3]])
-    tx, jam, rate, branch, solved = sweep_module._mac_cells(scene, np.ones(2), eve)
-    assert solved.tolist() == [False, False, True, True]
-    for i in (2, 3):
-        std = standardize_mac(RawMacChannel([1.0, 1.0], eve[i], 1.0, 1.0, [1.0, 1.0]))
+    tx, jam, rate, branch, faults = sweep_module._mac_cells(scene, np.ones(2), eve)
+    assert faults == {}
+    for i in range(len(eve)):
+        std = standardize_mac(RawMacChannel([1.0, 1.0], eve[i], 1.0, 1.0, caps))
         sol = mac_cj_optimal(std)
-        assert rate[i] == sol.sum_rate and branch[i] == sol.diagnostics["branch"]
+        assert rate[i] == sol.sum_rate and branch[i] == sol.diagnostics["branch"], i
         powers = std.split_back(sol.allocation.powers)
         sends = [orig for mi in sol.transmit_set for orig in std.permutation[mi]]
         jams = [orig for mi in sol.jam_set for orig in std.permutation[mi]]
-        assert np.array_equal(tx[i], [powers[u] if u in sends else 0.0 for u in range(2)])
-        assert np.array_equal(jam[i], [powers[u] if u in jams else 0.0 for u in range(2)])
+        assert np.array_equal(tx[i], [powers[u] if u in sends else 0.0 for u in range(2)]), i
+        assert np.array_equal(jam[i], [powers[u] if u in jams else 0.0 for u in range(2)]), i
+
+
+def test_mac_batch_settles_tied_finalists():
+    """Gains (0.2, 3) at unit caps give two role patterns whose tie-break
+    keys match to rounding; the batch settles them by the tie rule, as
+    mac_cj_optimal does, in every row."""
+    h = np.array([[0.2, 3.0], [0.3, 3.0]])
+    members, _ = _finalists(h, np.ones((2, 2)))
+    assert np.bincount(members // 9).tolist() == [2, 1]
+    _assert_mac_rows_match_per_cell(np.array([[0.2, 3.0], [3.0, 0.2], [0.3, 3.0], [3.0, 0.3]]), (1.0, 1.0))
+
+
+def test_mac_batch_merges_tied_gains_as_merge_tied_users():
+    """Gains within GAIN_MERGE_RTOL merge into one user with the summed cap
+    and the cap-weighted mean gain, np.dot in merge_tied_users and np.vecdot
+    in the batch (a hand-written a * b + c * d differs on many rows), and
+    its power splits back by caps."""
+    rng = np.random.default_rng(31)
+    g = rng.uniform(0.05, 3.0, 300)
+    eve = np.column_stack([g, g * (1.0 + rng.uniform(-5e-10, 5e-10, 300))])
+    assert all(standardize_mac(RawMacChannel([1.0, 1.0], e, 1.0, 1.0, [1.0, 1.0])).k_users == 1 for e in eve)
+    _assert_mac_rows_match_per_cell(eve, (1.3, 2.9))
 
 
 @pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
 def test_sweep_with_no_batched_cell_matches_per_cell(mode):
-    """With both transmitters at one point every MAC cell ties, so no cell is
-    left for the batch; the two-way sweep still batches every cell."""
+    """With both transmitters at one point every MAC cell ties, so every
+    cell is solved as one merged user; the two-way sweep is unaffected."""
     scene = Scene(transmitter_positions=((0.0, 0.0), (0.0, 0.0)), receiver_position=(1.0, 0.0))
     _assert_matches_per_cell(sweep(scene, BOUNDS, 5, mode), scene, mode)
