@@ -4,9 +4,8 @@ Three maximizers live here: the superposition solver for the standardized
 MAC wiretap channel (the optimum is a cap-or-zero prefix of the gain
 ordering), the TDMA share optimizer (closed form when all gains are equal
 and below 1; otherwise the water-filling KKT point, found by Newton on the
-dual multiplier with every user's burst power solved at once), and the
-two-way solver (a three-branch corner rule).  Each returns a
-SumRateSolution.
+shares and their multiplier inside a certified multiplier bracket), and the
+two-way solver (a three-branch corner rule).  Each returns a SumRateSolution.
 """
 
 from __future__ import annotations
@@ -141,18 +140,19 @@ def _tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
     return sum(_tdma_user_bounds(hk, ck, sk)[1] for hk, ck, sk in users)
 
 
-def _marginal(x: np.ndarray, h: np.ndarray):
-    """Marginal m = G - x G' of G(x) = ln((1+x)/(1+hx)), twice the slot rate in nats, and m'.
+def _marginal(x: np.ndarray, h: np.ndarray, c=1.0):
+    """Marginal m = G - x G' of G(x) = ln((1+x)/(1+hx)), twice the slot rate in nats, and c / (x^2 m').
 
     m = ln(1+z) - z/(1+x) with z = (1-h) x / (1+hx).  Below z = 0.1 the two
     terms cancel, so m is summed there as (ln(1+z) - z) + z x / (1+x), with
     ln(1+z) - z = 2 u^3 sum_k u^2k / (2k+3) - z^2 / (2+z) for u = z / (2+z),
     from ln(1+z) = 2 atanh(u); five terms leave a relative error below 1e-15.
+    x^2 m' underflows below bursts of 1e-103, so c meets its inverted factors one at a time.
     """
     hx1 = 1.0 + h * x
     x1 = 1.0 + x
     z = (1.0 - h) * x / hx1
-    dm = x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / (x1 * hx1) ** 2
+    weight = c * (x1 / x) * (x1 / x) * (hx1 / x) / ((1.0 - h) * (1.0 + h * x1 / hx1))
     m = np.log1p(z) - z / x1
     small = z < 0.1
     if small.any():
@@ -161,107 +161,114 @@ def _marginal(x: np.ndarray, h: np.ndarray):
         w = u * u
         tail = 1.0 / 3.0 + w * (1.0 / 5.0 + w * (1.0 / 7.0 + w * (1.0 / 9.0 + w / 11.0)))
         m[small] = (2.0 * u * w * tail - zs * zs / z2) + zs * x[small] / x1[small]
-    return m, dm
+    return m, weight
 
 
-# Bursts beyond the float range mean a share of 0; a finite bracket keeps the
-# geometric midpoint finite.
+# Bursts beyond the float range mean a share of 0; this bound keeps them finite.
 _MAX_BURST = np.finfo(float).max
+_CAPS_TOO_LARGE = "power_caps are too large for the TDMA share search"
 
 
-def _bursts(lam: float, h: np.ndarray, g_inf: np.ndarray, x: np.ndarray):
-    """Bursts solving m_k(x_k) = lam < ln(1/h_k) for all users, and the slopes there.
+def _share_floor(nu, c, h):
+    """c (r - h)^+ / (1 - r), r = e^-(nu+1), below the share at m = nu, as m(x) > G(x) - 1."""
+    r = math.exp(-nu - 1.0)
+    return c * np.maximum(r - h, 0.0) / (1.0 - r)
 
-    Newton in 1/x from the warm start x inside a bracket, falling back to its
-    geometric midpoint.  The bracket starts at sqrt(2 lam / (1-h^2)), since
-    m(x) <= (1-h^2) x^2 / 2, and at 2(1-h) / (h (ln(1/h) - lam)), since
-    ln(1/h) - m(x) < 2(1-h) / (h x), or at expm1(lam + 1) when h = 0.
+
+def _newton_shares(a, m, w, c, h, g_inf, unit, lo, hi):
+    """One Newton step on the KKT system from the shares a, and its multiplier nu.
+
+    The step a_k + (m_k - nu) w_k unit, nu the w-weighted mean marginal, keeps
+    the shares' sum; the user of largest weight takes what the others leave.
+    Where m grows like ln x, Newton moves a share by a factor near 1 + m - nu,
+    so steps are clipped to the share's bounds at nu: ``_share_floor`` and, as
+    m(x) <= ln(1+x), c / expm1(nu).  A user sent to a share <= 0 is silenced
+    if g(inf) <= nu, else takes the lesser of half its share and that ceiling,
+    and nu is formed again over the others.  A nu outside the bracket [lo, hi]
+    becomes its midpoint, where every share takes its step for the caller to
+    rescale.
     """
-    lo = np.sqrt(2.0 * lam / (1.0 - h * h))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hi = np.where(h > 0.0, 2.0 * (1.0 - h) / (h * (g_inf - lam)), math.expm1(lam + 1.0))
-    hi = np.minimum(hi, _MAX_BURST)
-    x = np.clip(x, lo, hi)
-    for _ in range(200):
-        m, dm = _marginal(x, h)
-        lo = np.where(m < lam, x, lo)
-        hi = np.where(m > lam, x, hi)
-        step = x / (1.0 + (m - lam) / (x * dm))
-        nxt = np.where((lo <= step) & (step <= hi), step, np.sqrt(lo) * np.sqrt(hi))
-        if np.all((np.abs(nxt - x) <= 1e-10 * x) | (np.abs(m - lam) <= 1e-15 * lam)):
-            return nxt, dm
-        x = nxt
-    return x, dm
+    new, free = np.zeros(len(a)), np.ones(len(a), dtype=bool)
+    while free.any():
+        wk = w[free]
+        nu = float((np.dot(wk, m[free]) - (1.0 - new.sum() - a[free].sum()) / unit) / wk.sum())
+        newton = lo - 1e-15 * hi <= nu <= hi * (1.0 + 1e-15)
+        nu = nu if newton else 0.5 * (lo + hi)
+        ceil = np.fmin(c / min(np.expm1(max(nu, 0.0)), _MAX_BURST), 1.0)
+        step = np.where(free, a + (m - nu) * w * unit, new)
+        step = np.where(free & (step > 0.0), np.fmin(np.fmax(step, _share_floor(nu, c, h)), ceil), step)
+        if newton:
+            j = np.flatnonzero(free)[np.argmax(wk)]
+            step[j] = 0.0
+            step[j] = 1.0 - float(step.sum())
+        low = free & ~(step > 0.0)
+        if not low.any():
+            return step, nu
+        new[low] = np.where(g_inf[low] > nu * (1.0 + 1e-15), np.fmin(0.5 * a, ceil)[low], 0.0)
+        if not newton:
+            return np.where(low, new, step), nu
+        free &= ~low
+    return new, nu
 
 
 def tdma_share_search(ch: StdMacChannel):
-    """Optimal TDMA time shares from the KKT conditions, solved in the dual.
+    """Optimal TDMA time shares by Newton on the KKT system in (shares, lam).
 
-    The rate sum_k a_k g_k(c_k / a_k), g_k(x) = 1/2 log2((1+x)/(1+h_k x)), is
-    a sum of perspectives of concave functions, so the optimum water-fills:
-    users with h_k < 1 and a positive cap share one marginal
-    g_k(x_k) - x_k g_k'(x_k) = lam at their bursts x_k = c_k / a_k, except
-    those silenced by lam >= g_k(inf) = 1/2 log2(1/h_k).  The total share
-    S(lam) = sum_k c_k / x_k(lam) falls with lam; S(lam) = 1 is bracketed by
-    the marginals at the cap-proportional shares, where Newton on S
-    (bisection as safeguard) starts and, with equal gains, ends.
-
-    Returns:
-        (shares, rate): the share vector over all users and the rate in bits.
+    The rate sum_k a_k g_k(c_k / a_k), g_k(x) = 1/2 log2((1+x)/(1+h_k x)),
+    is concave in y_k = a_k / c_k with a diagonal Hessian and one linear
+    constraint, sum_k c_k y_k = 1.  At the optimum the users with h_k < 1, a
+    positive cap and lam < g_k(inf) = 1/2 log2(1/h_k) share one marginal
+    m_k = g_k(x_k) - x_k g_k'(x_k) = lam at their bursts x_k = c_k / a_k.
+    Feasible-start Newton (Boyd & Vandenberghe 10.2), one marginal evaluation
+    per step, runs from the cap-proportional shares, optimal for equal gains.
+    As m_k rises with x_k, each iterate brackets lam by the marginals of the
+    users with time and the silent users' g(inf).  It stops when the bracket
+    closes to 1e-15 relative or no share moves by 1e-13 of itself.
+    Returns (shares, rate in bits).  A ValueError names ``power_caps`` where
+    the start's cap sum and sum_k c_k m_k both overflow or no rate is finite.
     """
     h, caps, k = ch.eve_gains, ch.power_caps, ch.k_users
     active = np.flatnonzero((h < 1.0) & (caps > 0))
     if len(active) == 0:
         return np.full(k, 1.0 / k), 0.0
     ha, c = h[active], caps[active]
-    with np.errstate(divide="ignore"):
-        g_inf = -np.log(ha)
-    # Past bursts of about 1e154 the slopes overflow to NaN, 0 or inf, and
-    # Newton falls back to bisection; caps near the float limit can leave no
-    # finite share vector or rate, which is an input error.
+    unit = max(float(c.max()), 1.0)  # the unit of the Newton weights c_k / (x_k^2 m'_k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cap_total = float(c.sum())
-        x = np.full(len(c), min(cap_total, _MAX_BURST))
-        at_prop, _ = _marginal(x, ha)
-        lo, hi = float(at_prop.min()), float(at_prop.max())
-        lam = float(np.dot(c, at_prop) / cap_total)
-        # Every marginal, so lo too, lies below each saturation level ln(1/h).
-        # A lo rounded to within an ulp of the lowest level, or past it,
-        # leaves no float between them, and the search would silence the
-        # users at that level.  If the others cannot fill the time there, the
-        # optimum lies within that ulp: the users at the level take the time
-        # the others leave at it.
-        g_min = float(g_inf.min())
-        below = math.nextafter(g_min, 0.0)
-        rest = g_inf > g_min
-        fill = lo >= below and (
-            float(np.sum(c[rest] / _bursts(g_min, ha[rest], g_inf[rest], x[rest])[0])) < 1.0
-        )
-        if fill:
-            lam = lo = hi = below
+        g_inf = -np.log(ha)
+        if math.isinf(c.sum()) and math.isinf(np.dot(c, _marginal(np.full(len(c), _MAX_BURST), ha)[0])):
+            raise ValueError(_CAPS_TOO_LARGE)
+        a = c / c.max()
+        a /= a.sum()
+        lo, hi = 0.0, math.log(len(c)) + math.log1p(c.max())  # some share >= 1/K has m <= ln(1 + K c)
         for _ in range(100):
-            on = g_inf > lam
-            x[~on] = np.inf
-            x[on], dm = _bursts(lam, ha[on], g_inf[on], x[on])
-            total = float(np.sum(c / x))
-            lo, hi = (lam, hi) if total > 1.0 else (lo, lam)
-            slope = float(np.sum(c[on] / (x[on] ** 2 * dm)))
-            step = (total - 1.0) / slope if slope != 0.0 and math.isfinite(slope) else math.inf
-            if abs(step) <= 1e-15 * lam or hi - lo <= 1e-15 * lam:
+            on = a > 0.0
+            a_on, c_on = a[on], c[on]
+            m, w = _marginal(np.minimum(c_on / a_on, _MAX_BURST), ha[on], c_on / unit)
+            lo = max(lo, float(m.min()))
+            hi = min(hi, float(np.max(m, initial=g_inf[~on].max(initial=-math.inf))))
+            if hi - lo <= 1e-15 * lo:
                 break
-            lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+            new, nu = _newton_shares(a_on, m, w, c_on, ha[on], g_inf[on], unit, lo, hi)
+            a[on] = new
+            # Users re-enter below their share at nu: ln(1/h) - m(x) < 2(1-h) / (h x).
+            enter = (a == 0.0) & (g_inf > nu * (1.0 + 1e-15))
+            if enter.any():
+                floor = np.fmax(c * ha * (g_inf - nu) / (2.0 * (1.0 - ha)), _share_floor(nu, c, ha))
+                a[enter] = np.fmin(floor, 1.0)[enter]
+            if not a.sum() > 0.0:  # every share at nu underflows, so lam < nu
+                a[on], hi = a_on, nu
+                continue
+            a /= a.sum()
+            if not enter.any() and np.all(np.abs(new - a_on) <= 1e-13 * new):
+                break
         shares = np.zeros(k)
-        shares[active] = c / x
-        if fill:
-            level = active[~rest]
-            shares[level] *= max(1.0 - shares[active[rest]].sum(), 0.0) / shares[level].sum()
-        share_total = shares.sum()
-    if np.isfinite(shares).all() and share_total > 0:
-        shares /= share_total
+        shares[active] = np.where(c / a <= _MAX_BURST, a, 0.0)
+    if np.isfinite(shares).all() and shares.sum() > 0:
+        shares /= shares.sum()
         rate = _tdma_rate(h, caps, shares)
         if math.isfinite(rate):
             return shares, rate
-    raise ValueError("power_caps are too large for the TDMA share search")
+    raise ValueError(_CAPS_TOO_LARGE)
 
 
 def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:

@@ -9,8 +9,9 @@ pivot quadratic that the cooperative-jamming evaluator is checked
 against, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
-sampling loop of the two-user hull and the single-pass form of the grid
-oracles' search.
+sampling loop of the two-user hull, the single-pass form of the grid
+oracles' search and the nested TDMA share search (Newton on the
+multiplier around a full burst solve per step).
 Nothing in ``secrecy_rates`` imports this module.
 """
 
@@ -22,7 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from secrecy_rates.allocation import SumRateSolution, _solution, sup_sum_rate
+from secrecy_rates import allocation
+from secrecy_rates.allocation import _MAX_BURST, SumRateSolution, _solution, _tdma_rate, sup_sum_rate
 from secrecy_rates.channels import (
     GAIN_MERGE_RTOL,
     TOL_ABS,
@@ -509,3 +511,108 @@ def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> T
         ):
             best = (rate_max, alloc, roles)
     return best
+
+
+def _marginal(x: np.ndarray, h: np.ndarray):
+    """The library's TDMA marginal m with its slope dm/dx in the nested search's form."""
+    hx1, x1 = 1.0 + h * x, 1.0 + x
+    return allocation._marginal(x, h)[0], x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / (x1 * hx1) ** 2
+
+
+def _bursts(lam: float, h: np.ndarray, g_inf: np.ndarray, x: np.ndarray):
+    """Bursts solving m_k(x_k) = lam < ln(1/h_k) for all users, and the slopes there.
+
+    Newton in 1/x from the warm start x inside a bracket, falling back to its
+    geometric midpoint.  The bracket starts at sqrt(2 lam / (1-h^2)), since
+    m(x) <= (1-h^2) x^2 / 2, and at 2(1-h) / (h (ln(1/h) - lam)), since
+    ln(1/h) - m(x) < 2(1-h) / (h x), or at expm1(lam + 1) when h = 0.
+    """
+    lo = np.sqrt(2.0 * lam / (1.0 - h * h))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.where(h > 0.0, 2.0 * (1.0 - h) / (h * (g_inf - lam)), math.expm1(lam + 1.0))
+    hi = np.minimum(hi, _MAX_BURST)
+    x = np.clip(x, lo, hi)
+    for _ in range(200):
+        m, dm = _marginal(x, h)
+        lo = np.where(m < lam, x, lo)
+        hi = np.where(m > lam, x, hi)
+        step = x / (1.0 + (m - lam) / (x * dm))
+        nxt = np.where((lo <= step) & (step <= hi), step, np.sqrt(lo) * np.sqrt(hi))
+        if np.all((np.abs(nxt - x) <= 1e-10 * x) | (np.abs(m - lam) <= 1e-15 * lam)):
+            return nxt, dm
+        x = nxt
+    return x, dm
+
+
+def nested_tdma_share_search(ch: StdMacChannel):
+    """Optimal TDMA time shares from the KKT conditions, solved in the dual.
+
+    The nested form of ``allocation.tdma_share_search``: Newton on the
+    multiplier lam, with every user's burst solved to convergence at each
+    step.
+
+    The rate sum_k a_k g_k(c_k / a_k), g_k(x) = 1/2 log2((1+x)/(1+h_k x)), is
+    a sum of perspectives of concave functions, so the optimum water-fills:
+    users with h_k < 1 and a positive cap share one marginal
+    g_k(x_k) - x_k g_k'(x_k) = lam at their bursts x_k = c_k / a_k, except
+    those silenced by lam >= g_k(inf) = 1/2 log2(1/h_k).  The total share
+    S(lam) = sum_k c_k / x_k(lam) falls with lam; S(lam) = 1 is bracketed by
+    the marginals at the cap-proportional shares, where Newton on S
+    (bisection as safeguard) starts and, with equal gains, ends.
+
+    Returns:
+        (shares, rate): the share vector over all users and the rate in bits.
+    """
+    h, caps, k = ch.eve_gains, ch.power_caps, ch.k_users
+    active = np.flatnonzero((h < 1.0) & (caps > 0))
+    if len(active) == 0:
+        return np.full(k, 1.0 / k), 0.0
+    ha, c = h[active], caps[active]
+    with np.errstate(divide="ignore"):
+        g_inf = -np.log(ha)
+    # Past bursts of about 1e154 the slopes overflow to NaN, 0 or inf, and
+    # Newton falls back to bisection; caps near the float limit can leave no
+    # finite share vector or rate, which is an input error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cap_total = float(c.sum())
+        x = np.full(len(c), min(cap_total, _MAX_BURST))
+        at_prop, _ = _marginal(x, ha)
+        lo, hi = float(at_prop.min()), float(at_prop.max())
+        lam = float(np.dot(c, at_prop) / cap_total)
+        # Every marginal, so lo too, lies below each saturation level ln(1/h).
+        # A lo rounded to within an ulp of the lowest level, or past it,
+        # leaves no float between them, and the search would silence the
+        # users at that level.  If the others cannot fill the time there, the
+        # optimum lies within that ulp: the users at the level take the time
+        # the others leave at it.
+        g_min = float(g_inf.min())
+        below = math.nextafter(g_min, 0.0)
+        rest = g_inf > g_min
+        fill = lo >= below and (
+            float(np.sum(c[rest] / _bursts(g_min, ha[rest], g_inf[rest], x[rest])[0])) < 1.0
+        )
+        if fill:
+            lam = lo = hi = below
+        for _ in range(100):
+            on = g_inf > lam
+            x[~on] = np.inf
+            x[on], dm = _bursts(lam, ha[on], g_inf[on], x[on])
+            total = float(np.sum(c / x))
+            lo, hi = (lam, hi) if total > 1.0 else (lo, lam)
+            slope = float(np.sum(c[on] / (x[on] ** 2 * dm)))
+            step = (total - 1.0) / slope if slope != 0.0 and math.isfinite(slope) else math.inf
+            if abs(step) <= 1e-15 * lam or hi - lo <= 1e-15 * lam:
+                break
+            lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        shares = np.zeros(k)
+        shares[active] = c / x
+        if fill:
+            level = active[~rest]
+            shares[level] *= max(1.0 - shares[active[rest]].sum(), 0.0) / shares[level].sum()
+        share_total = shares.sum()
+    if np.isfinite(shares).all() and share_total > 0:
+        shares /= share_total
+        rate = _tdma_rate(h, caps, shares)
+        if math.isfinite(rate):
+            return shares, rate
+    raise ValueError("power_caps are too large for the TDMA share search")

@@ -25,9 +25,11 @@ from secrecy_rates import (
     tw_optimal,
     tw_sum_rate,
 )
+from secrecy_rates import allocation
 from secrecy_rates.allocation import _marginal
 from reference import (
     mac_two_user_closed_form,
+    nested_tdma_share_search,
     phi,
     random_mac_instance,
     random_tw_instance,
@@ -283,21 +285,26 @@ def test_tdma_search_at_caps_near_the_float_limit(caps):
     assert lower - 1e-12 <= rate <= 0.5 * np.log2(1.0 / 0.9) + 1e-12
 
 
-@pytest.mark.parametrize("e", [5, 10, 15, 17, 20, 50, 100, 150, 200, 250, 300, 307])
-def test_tdma_never_loses_to_a_share_scan_at_large_cap_ratios(e):
-    """With caps 1e-3 and 10^e, user 2's marginal at the cap-proportional
-    start rounds to within an ulp of its saturation level ln(1/h2), and so
-    does the optimum.  The solver keeps user 2 on and still gives user 1
-    its share: it matches a dense share scan, linear plus log-spaced near 0
-    and 1, with each slot's rate written as log1p((1-h) / (a/c + h))."""
-    h, caps = np.array([0.9, 0.95]), np.array([1e-3, 10.0**e])
-    sol = mac_tdma_optimal(StdMacChannel(h, caps))
+def _two_user_scan_best(h, caps):
+    """Best rate of a dense two-user share scan, linear plus log-spaced near
+    0 and 1, with each slot's rate written as log1p((1-h) / (a/c + h))."""
     a = np.concatenate(
         [np.linspace(0.0, 1.0, 20_001), np.logspace(-300, -1, 2_000), 1.0 - np.logspace(-16, -1, 500)]
     )
     shares = np.stack([a, 1.0 - a], axis=1)
     rates = (0.5 * shares * np.log1p((1.0 - h) / (shares / caps + h)) / np.log(2.0)).sum(axis=1)
-    best = float(rates.max())
+    return float(rates.max())
+
+
+@pytest.mark.parametrize("e", [5, 10, 15, 17, 20, 50, 100, 150, 200, 250, 300, 307])
+def test_tdma_never_loses_to_a_share_scan_at_large_cap_ratios(e):
+    """With caps 1e-3 and 10^e, user 2's marginal at the cap-proportional
+    start rounds to within an ulp of its saturation level ln(1/h2), and so
+    does the optimum.  The solver keeps user 2 on and still gives user 1
+    its share: it matches the dense share scan of ``_two_user_scan_best``."""
+    h, caps = np.array([0.9, 0.95]), np.array([1e-3, 10.0**e])
+    sol = mac_tdma_optimal(StdMacChannel(h, caps))
+    best = _two_user_scan_best(h, caps)
     assert sol.sum_rate >= best * (1.0 - 1e-9), (sol.sum_rate, best, sol.shares.shares)
 
 
@@ -308,6 +315,161 @@ def test_tdma_search_without_finite_result_names_power_caps(gains):
     but bursts of inf and a NaN rate; the search reports the field instead."""
     with pytest.raises(ValueError, match="power_caps"):
         mac_tdma_optimal(StdMacChannel(gains, [1e308, 1e308]))
+
+
+def test_tdma_never_loses_to_a_share_scan_at_random_cap_scales():
+    """Two users with caps 10^U(-5, 308), after gains (0.235, 0.887) with caps
+    (2.4e14, 2.0e182): there user 2's marginal at its burst rounds to its
+    level ln(1/h2), and the optimum is user 1 alone, whose marginal lies
+    2.7e-14 below ln(1/h1).  The search refuses caps only where the cap sum
+    and sum_k c_k m_k both overflow, which needs sum_k c_k ln(1/h_k) to."""
+    rng = np.random.default_rng(47)
+    channels = [(np.array([0.235, 0.887]), np.array([2.4e14, 2.0e182]))] + [
+        (np.sort(rng.uniform(0.0, 1.0, 2)), 10.0 ** rng.uniform(-5.0, 308.0, 2)) for _ in range(200)
+    ]
+    for h, caps in channels:
+        try:
+            _, rate = tdma_share_search(StdMacChannel(h, caps))
+        except ValueError as err:
+            assert "power_caps" in str(err)
+            assert not np.isfinite(caps.sum()) and not np.isfinite(np.dot(caps, -np.log(h))), (h, caps)
+            continue
+        best = _two_user_scan_best(h, caps)
+        assert rate >= best * (1.0 - 1e-9), (h, caps, rate, best)
+
+
+def _slot_bits(h, caps, shares):
+    """TDMA rate as a sum of per-user log1p terms, accurate to the rate itself."""
+    on = shares > 0
+    x = caps[on] / shares[on]
+    return float(np.sum(0.5 * shares[on] * np.log1p((1.0 - h[on]) * x / (1.0 + h[on] * x)) / np.log(2.0)))
+
+
+def _agreement_channels():
+    """Half-weak channels, gains below 1 with caps 10^U(-3, 3), and caps
+    10^U(-150, -100), where x^2 m' underflows at the bursts."""
+    rng = np.random.default_rng(48)
+    yield StdMacChannel([0.1, 0.3], [1e-150, 1e-160])
+    for k in (2, 3, 8, 32, 128):
+        for _ in range(6):
+            yield _half_weak_channel(rng, k)
+            yield StdMacChannel(np.sort(rng.uniform(0.0, 1.0, k)), 10.0 ** rng.uniform(-3.0, 3.0, k))
+        yield StdMacChannel(np.sort(rng.uniform(0.0, 1.0, k)), 10.0 ** rng.uniform(-150.0, -100.0, k))
+
+
+def test_tdma_search_agrees_with_the_nested_reference():
+    """Shares within 1e-11 of the nested multiplier search, which solves every
+    burst at each step, and a rate no lower than its rate by more than 1e-14
+    relative.  The rates are compared in ``_slot_bits``' form, since the
+    reported rate rounds at about 1e-16 of the terms C(x) and C(hx)."""
+    for ch in _agreement_channels():
+        h, caps = ch.eve_gains, ch.power_caps
+        shares, _ = tdma_share_search(ch)
+        ref_shares, _ = nested_tdma_share_search(ch)
+        assert np.max(np.abs(shares - ref_shares)) <= 1e-11, (h, caps)
+        ref = _slot_bits(h, caps, ref_shares)
+        assert _slot_bits(h, caps, shares) >= ref * (1.0 - 1e-14), (h, caps)
+
+
+def test_tdma_single_active_user_at_a_huge_cap_takes_all_the_time():
+    """Only user 1 has h < 1; c ln(1/h) overflows at its cap, but one user
+    needs no search.  Superposition ties and is reported."""
+    ch = StdMacChannel([0.1, 1.5], [1e308, 1.0])
+    shares, rate = tdma_share_search(ch)
+    assert shares.tolist() == [1.0, 0.0]
+    assert abs(rate - 0.5 * np.log2(1.0 / 0.1)) <= 1e-12
+    best = mac_best_sum_rate(ch)
+    assert best.mode == "SUP" and best.sum_rate == rate
+
+
+def _extreme_channel(rng, mix):
+    k = int(rng.choice([2, 3, 4, 8]))
+    if mix == 0:  # caps near the float limit
+        h, caps = rng.uniform(0.0, 1.5, k), 10.0 ** rng.uniform(300.0, 308.25, k)
+    elif mix == 1:  # deaf users beside caps up to the float limit
+        h = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(0.0, 1.0, k))
+        caps = np.where(rng.random(k) < 0.5, np.finfo(float).max, 10.0 ** rng.uniform(-3.0, 308.0, k))
+    elif mix == 2:  # deaf and nearly deaf users, caps 10^U(-5, 200)
+        h = np.where(rng.random(k) < 0.3, 0.0, 10.0 ** rng.uniform(-30.0, 0.0, k))
+        caps = 10.0 ** rng.uniform(-5.0, 200.0, k)
+    elif mix == 3:  # gains 10^U(-300, 0), caps 10^U(-5, 300)
+        h, caps = 10.0 ** rng.uniform(-300.0, 0.0, k), 10.0 ** rng.uniform(-5.0, 300.0, k)
+    else:  # gains and caps from the float range's extremes, subnormal caps included
+        h = rng.choice([0.0, 0.5, 0.9, 1.0 - 2.0**-53], k)
+        caps = rng.choice([1e-320, 1e-300, 1.0, 1e300, np.finfo(float).max], k)
+    return StdMacChannel(np.sort(h), caps)
+
+
+def test_tdma_search_matches_the_nested_reference_at_extreme_scales():
+    """Over channels at the edges of the float range, the search refuses
+    only where the nested reference refuses too (it answers some of those),
+    and gets at least the reference's rate where both answer.  A deaf user
+    whose cap lies 1e255 below another's, such as gains (0, 0.437) with caps
+    (2.7e53, 1.8e308), needs its share raised by that factor: Newton alone
+    moves it about 700-fold per step.  With a cap of 1e-320 beside 1.8e308
+    the start leaves a deaf user silent, and with gains down to 1e-314 the
+    midpoint multiplier can leave one user holding all the time, or every
+    share underflowing."""
+    rng = np.random.default_rng(50)
+    big = np.finfo(float).max
+    channels = [
+        StdMacChannel([0.0, 0.437], [2.7e53, big]),
+        StdMacChannel([0.0, 0.0, 0.9, 1.0 - 2.0**-53], [1e300, 1e-320, big, 1e300]),
+        StdMacChannel([3.85e-314, 5.89e-191, 3.54e-141, 1.79e-76], [1.0e26, 4.6e97, 8.1e-281, 1.08e290]),
+        StdMacChannel(
+            [1.30e-230, 3.57e-183, 2.49e-175, 2.74e-136, 1.10e-128, 1.20e-54],
+            [6.72e-256, 2.41e-187, 9.68e147, 9.62e50, 4.92e260, 2.84e-147],
+        ),
+    ]
+    channels += [_extreme_channel(rng, i % 5) for i in range(40)]
+    for ch in channels:
+        h, caps = ch.eve_gains, ch.power_caps
+        try:
+            shares, _ = tdma_share_search(ch)
+        except ValueError as err:
+            assert "power_caps" in str(err)
+            with pytest.raises(ValueError, match="power_caps"):
+                nested_tdma_share_search(ch)
+            continue
+        try:
+            ref_shares, _ = nested_tdma_share_search(ch)
+        except ValueError:
+            continue
+        ref = _slot_bits(h, caps, ref_shares)
+        assert _slot_bits(h, caps, shares) >= ref - 1e-13 * abs(ref), (h, caps)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 32, 128])
+def test_tdma_search_evaluates_the_marginal_at_most_15_times(k, monkeypatch):
+    """One marginal evaluation per Newton step."""
+    calls = []
+    real = allocation._marginal
+
+    def counted(x, h, *weight_caps):
+        calls.append(len(x))
+        return real(x, h, *weight_caps)
+
+    monkeypatch.setattr(allocation, "_marginal", counted)
+    rng = np.random.default_rng(49 + k)
+    for _ in range(20):
+        calls.clear()
+        tdma_share_search(_half_weak_channel(rng, k))
+        assert 1 <= len(calls) <= 15, len(calls)
+
+
+def test_tdma_marginal_newton_weight_is_finite_and_matches_the_slope():
+    """The weight c / (x^2 m'(x)) agrees with the slope written as one
+    fraction where that fraction neither overflows nor underflows, and stays
+    finite and positive from bursts of 1e-150, where x^2 m' underflows, to
+    the float limit, where the fraction is 0 or NaN."""
+    for h in (0.0, 0.1, 0.5, 0.9, 1.0 - 1e-9):
+        x = np.logspace(-6, 50, 113)
+        _, w = _marginal(x, np.full_like(x, h), 2.0 * x)
+        slope = x * (1.0 - h) * (1.0 + h + 2.0 * h * x) / ((1.0 + x) * (1.0 + h * x)) ** 2
+        assert np.allclose(w, 2.0 * x / (x * x * slope), rtol=1e-13, atol=0.0), h
+        for x, c in ((np.logspace(50, 308, 100), 1.0), (np.logspace(-150, -100, 100), 1e-160)):
+            _, w = _marginal(x, np.full_like(x, h), c)
+            assert np.all(np.isfinite(w) & (w > 0.0)), h
 
 
 def test_best_sum_rate_degraded_prefers_sup():

@@ -101,6 +101,35 @@ def test_sumrate_low_snr_prefers_tdma(capsys):
     assert doc["solution"]["sum_rate_bits"] == 1.15415603257e-10
 
 
+def test_sumrate_eight_users_numeric_tdma_bytes(capsys):
+    """Eight users with distinct gains below 1 take the numeric TDMA search;
+    the printed document is pinned byte for byte."""
+    code, out, err = run_cli(
+        capsys, "sumrate", "--model", "mac", "--caps", "1,2,3,4,5,6,7,8",
+        "--eve-gains", "0.05,0.15,0.3,0.45,0.6,0.75,0.85,0.95",
+    )
+    assert code == 0, err
+    caps = [float(c) for c in range(1, 9)]
+    doc = {
+        "channel": {
+            "eve_gains": [0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95],
+            "form": "standardized",
+            "model": "mac",
+            "permutation": [[k] for k in range(1, 9)],
+            "power_caps": caps,
+            "source_caps": [[c] for c in caps],
+        },
+        "solution": {
+            "mode": "TDMA",
+            "powers": [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "shares": [0.242247795771, 0.411292632673, 0.346459571556, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "sum_rate_bits": 0.86188986615,
+            "transmit_set": [1, 2, 3],
+        },
+    }
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_sumrate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sumrate", "--model", "tw", "--caps", "4,2", "--eve-gains", "0.3,0.7",
@@ -304,6 +333,19 @@ def test_sumrate_at_caps_near_the_float_limit(capsys):
     rate = json.loads(out)["solution"]["sum_rate_bits"]
     lower = 0.5 * math.log2((1.0 + 1e308) / (1.0 + 0.9e308))
     assert lower - 1e-12 <= rate <= 0.5 * math.log2(1.0 / 0.9) + 1e-12
+
+
+def test_sumrate_single_weak_user_at_a_huge_cap(capsys):
+    """Only user 1 has a gain below 1, and c ln(1/h) overflows at its cap;
+    TDMA gives it all the time, ties superposition, and SUP is printed."""
+    code, out, err = run_cli(
+        capsys, "sumrate", "--model", "mac", "--caps", "1e308,1", "--eve-gains", "0.1,1.5"
+    )
+    assert code == 0, err
+    solution = json.loads(out)["solution"]
+    assert solution["mode"] == "SUP"
+    assert solution["powers"] == [1e308, 0.0]
+    assert solution["sum_rate_bits"] == 1.66096404744
 
 
 def test_sweep_csv_stdout(capsys):
