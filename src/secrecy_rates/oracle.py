@@ -13,12 +13,19 @@ candidate pivot powers to each jammer's axis: the real roots of a
 quadratic fitted through three evaluations of rho along the jammer's
 axis, then the two-user branch thresholds.
 
-Each role's open mesh is evaluated in slabs along its first axis, about
-_SLAB_CELLS cells at a time, so the temporaries stay cache-sized and peak
-memory does not grow with the grid.  A running argmax takes a slab's best
-cell only when it is strictly higher than the best so far, which keeps the
-C-order first maximum of the whole mesh: ties resolve to the
-lexicographically smallest power vector within a role.  Across roles a
+Roles that silence the same users are searched together on one union
+mesh, per user the sorted union of their axes, so the objective forms its
+full-mesh terms (for MAC jamming, the two logarithms over everyone) once
+for the group and then yields each role's rate; every cell is computed
+with the same operations, in the same order, as on the role's own mesh.
+A role sets the union planes its own axes lack, the other roles' pivot
+candidates, to -inf before its argmax.  The mesh is evaluated in slabs
+along its first axis, about _SLAB_CELLS cells at a time, so the
+temporaries stay cache-sized and peak memory does not grow with the grid.
+Per role, a running argmax takes a slab's best cell only when it is
+strictly higher than the best so far, which keeps the C-order first
+maximum of the role's mesh: ties resolve to the lexicographically smallest
+power vector within a role.  Roles are then compared in the order given: a
 strictly higher rate wins, and an equal rate goes to the lexicographically
 smaller allocation.  Caps at which the objective would overflow are
 rejected before any role runs, so no cell is NaN or infinite.
@@ -29,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +94,7 @@ def _check_corner(ch, rate_grid) -> None:
     caps = [float(c) for c in ch.power_caps]
     try:
         with np.errstate(over="raise"):
-            rate_grid(ch.eve_gains, np.ix_(*([c] for c in caps)), tuple(range(ch.k_users)))
+            list(rate_grid(ch.eve_gains, np.ix_(*([c] for c in caps)), [tuple(range(ch.k_users))]))
     except FloatingPointError:
         raise ValueError(
             f"power_caps are too large for the grid oracle: its objective overflows at {caps}"
@@ -99,17 +106,21 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
 
     Each assignment is a tuple of per-user roles, swept over its power
     grid: silent users get the single point zero, and each jammer i gets
-    extras(t_set, jam_users, i) as extra points on its axis.  rate_grid(h,
-    grids, t_set) evaluates the objective on the open mesh of the axes, one
-    slab of rows of the first axis at a time.  Within a role the C-order
-    first maximum wins; a later role replaces the best with a strictly
-    higher rate, or with an equal rate at a lexicographically smaller
-    allocation.
+    extras(t_set, jam_users, i) as extra points on its axis.  Roles with
+    the same silent users form a group searched on one union mesh, per user
+    the sorted union of the group's axes.  rate_grid(h, grids, t_sets)
+    evaluates the objective on the open mesh, one slab of rows of the first
+    axis at a time, and yields a new rate array for each transmit set in
+    t_sets.  Each role sets the union planes its own axes lack to -inf in
+    its array, so within a role the C-order first maximum of its own mesh
+    wins.  Roles are then taken in order: a later role replaces the best
+    with a strictly higher rate, or with an equal rate at a
+    lexicographically smaller allocation.
     """
     _check_corner(ch, rate_grid)
     k = ch.k_users
     caps = ch.power_caps
-    best = None
+    roles_of, t_sets, role_axes, groups = [], [], [], {}
     for roles in role_sets:
         t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
         jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
@@ -122,19 +133,35 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
             else:
                 axes.append(_axis(caps[i], spec))
         _guard_size(axes)
-        grids = np.ix_(*axes)
-        shape = tuple(len(ax) for ax in axes)
+        groups.setdefault(tuple(r == _SILENT for r in roles), []).append(len(roles_of))
+        roles_of.append(roles)
+        t_sets.append(t_set)
+        role_axes.append(axes)
+    found = [None] * len(roles_of)
+    for members in groups.values():
+        union = [np.unique(np.concatenate([role_axes[r][d] for r in members])) for d in range(k)]
+        holes = {
+            r: [(d, ~np.isin(union[d], ax)) for d, ax in enumerate(role_axes[r]) if len(ax) < len(union[d])]
+            for r in members
+        }
+        grids = np.ix_(*union)
+        shape = tuple(len(ax) for ax in union)
         stride = math.prod(shape[1:])
         rows = max(1, _SLAB_CELLS // stride)
-        cell = None
         for start in range(0, shape[0], rows):
-            rate = rate_grid(ch.eve_gains, (grids[0][start:start + rows],) + grids[1:], t_set)
-            flat = int(np.argmax(rate))
-            if cell is None or rate.flat[flat] > cell[0]:
-                cell = (float(rate.flat[flat]), start * stride + flat)
-        rate_max, flat = cell
-        idx = np.unravel_index(flat, shape)
-        alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
+            window = slice(start, start + rows)
+            rates = rate_grid(ch.eve_gains, (grids[0][window],) + grids[1:], [t_sets[r] for r in members])
+            for r, rate in zip(members, rates):
+                for d, lack in holes[r]:
+                    rate[(slice(None),) * d + (lack[window] if d == 0 else lack,)] = -np.inf
+                flat = int(np.argmax(rate))
+                if found[r] is None or rate.flat[flat] > found[r][0]:
+                    found[r] = (float(rate.flat[flat]), start * stride + flat)
+        for r in members:
+            idx = np.unravel_index(found[r][1], shape)
+            found[r] = (found[r][0], np.array([float(union[d][i]) for d, i in enumerate(idx)]))
+    best = None
+    for roles, (rate_max, alloc) in zip(roles_of, found):
         if best is None or rate_max > best[0] or (
             rate_max == best[0] and tuple(alloc) < tuple(best[1])
         ):
@@ -170,10 +197,10 @@ def _jamming_solution(ch, spec: GridSpec, rate_grid, extras=None) -> JammingSolu
     )
 
 
-def _mac_sup_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+def _mac_sup_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
     total_p = sum(grids)
     total_hp = sum(float(h[i]) * grids[i] for i in range(len(grids)))
-    return 0.5 * (np.log2(1.0 + total_p) - np.log2(1.0 + total_hp))
+    yield 0.5 * (np.log2(1.0 + total_p) - np.log2(1.0 + total_hp))
 
 
 def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation, float]:
@@ -241,19 +268,17 @@ def _threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) ->
     return out
 
 
-def _mac_cj_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
+    """The jamming rate of each transmit set; the full-mesh logarithms are shared."""
     total_p = sum(grids)
     total_hp = sum(float(h[i]) * g for i, g in enumerate(grids))
-    comp = [i for i in range(len(grids)) if i not in set(t_set)]
-    comp_p = sum(grids[i] for i in comp) if comp else 0.0
-    comp_hp = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
-    # rate = 1/2 [ log2(phi over complement) - log2(phi over everyone) ]
-    return 0.5 * (
-        np.log2(1.0 + comp_hp)
-        - np.log2(1.0 + comp_p)
-        + np.log2(1.0 + total_p)
-        - np.log2(1.0 + total_hp)
-    )
+    log_p, log_hp = np.log2(1.0 + total_p), np.log2(1.0 + total_hp)
+    for t_set in t_sets:
+        comp = [i for i in range(len(grids)) if i not in set(t_set)]
+        comp_p = sum(grids[i] for i in comp) if comp else 0.0
+        comp_hp = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
+        # rate = 1/2 [ log2(phi over complement) - log2(phi over everyone) ]
+        yield 0.5 * (np.log2(1.0 + comp_hp) - np.log2(1.0 + comp_p) + log_p - log_hp)
 
 
 def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
@@ -276,10 +301,10 @@ def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
     return _jamming_solution(ch, spec, _mac_cj_rate, pivot_candidates)
 
 
-def _tw_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
+def _tw_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
     g1, g2 = grids
     h1, h2 = float(h[0]), float(h[1])
-    return 0.5 * (
+    yield 0.5 * (
         np.log2(1.0 + g1) + np.log2(1.0 + g2) - np.log2(1.0 + h1 * g1 + h2 * g2)
     )
 
@@ -293,12 +318,13 @@ def grid_max_tw(ch: StdTwChannel, spec: GridSpec) -> SumRateSolution:
     return SumRateSolution(PowerAllocation(alloc), transmit, float(best), "TW", None, "oracle")
 
 
-def _tw_cj_rate(h: np.ndarray, grids, t_set) -> np.ndarray:
-    gross = sum(np.log2(1.0 + grids[i]) for i in t_set) if t_set else 0.0
-    seen = sum(float(h[i]) * grids[i] for i in t_set) if t_set else 0.0
-    comp = [i for i in range(2) if i not in t_set]
-    cover = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
-    return 0.5 * gross - 0.5 * np.log2(1.0 + seen / (1.0 + cover))
+def _tw_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
+    for t_set in t_sets:
+        gross = sum(np.log2(1.0 + grids[i]) for i in t_set) if t_set else 0.0
+        seen = sum(float(h[i]) * grids[i] for i in t_set) if t_set else 0.0
+        comp = [i for i in range(2) if i not in t_set]
+        cover = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
+        yield 0.5 * gross - 0.5 * np.log2(1.0 + seen / (1.0 + cover))
 
 
 def grid_max_tw_cj(ch: StdTwChannel, spec: GridSpec) -> JammingSolution:

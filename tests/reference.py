@@ -481,8 +481,9 @@ def reference_mac_hull_region(
 def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
     """Best (rate, allocation, roles) over the role assignments in role_sets.
 
-    The single-pass form of ``oracle._search``: each role's whole open mesh
-    is evaluated at once and reduced by one argmax.  Within a role the
+    The single-pass form of ``oracle._search``: roles are never grouped.
+    Each role's whole open mesh is evaluated at once, rate_grid yielding
+    that role's rate alone, and reduced by one argmax.  Within a role the
     C-order first maximum wins.  The first role is the incumbent, even when
     its maximum is NaN; a later role replaces it with a strictly higher
     rate, or with an equal rate at a lexicographically smaller allocation.
@@ -502,7 +503,7 @@ def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> T
             else:
                 axes.append(_axis(caps[i], spec))
         _guard_size(axes)
-        rate = rate_grid(ch.eve_gains, np.ix_(*axes), t_set)
+        (rate,) = rate_grid(ch.eve_gains, np.ix_(*axes), [t_set])
         idx = np.unravel_index(int(np.argmax(rate)), rate.shape)
         alloc = np.array([float(axes[d][i]) for d, i in enumerate(idx)])
         rate_max = float(rate[idx])

@@ -194,6 +194,63 @@ def test_verify_command_runs_both(capsys):
     assert abs(doc["jam"]["verify"]["difference_bits"]) <= 1e-9
 
 
+def test_verify_three_user_mac_bytes(capsys):
+    """Three users, one of them jamming at an interior pivot power: the MAC
+    jamming oracle finds that power as a rho-fit candidate on the jammer's
+    axis, and the printed document is pinned byte for byte."""
+    code, out, err = run_cli(
+        capsys, "verify", "--model", "mac", "--caps", "1,2,3", "--eve-gains", "0.5,1.2,1.6"
+    )
+    assert code == 0, err
+    doc = {
+        "channel": {
+            "eve_gains": [0.5, 1.2, 1.6],
+            "form": "standardized",
+            "model": "mac",
+            "permutation": [[1], [2], [3]],
+            "power_caps": [1.0, 2.0, 3.0],
+            "source_caps": [[1.0], [2.0], [3.0]],
+        },
+        "jam": {
+            "solution": {
+                "diagnostics": {"branch": "T=1,J=3", "case": "pivot-interior", "discriminant": 3.264},
+                "jam_set": [3],
+                "pivot_power": 0.0587086268471,
+                "pivot_user": 3,
+                "powers": [1.0, 0.0, 0.0587086268471],
+                "quad_coeffs": [1.76, 1.6, -0.1],
+                "silent_set": [2],
+                "sum_rate_bits": 0.208183894892,
+                "transmit_set": [1],
+            },
+            "verify": {
+                "difference_bits": -5.55111512313e-17,
+                "objective": "cooperative-jamming",
+                "oracle_powers": [1.0, 0.0, 0.0587086268471],
+                "oracle_sum_rate_bits": 0.208183894892,
+                "solver_sum_rate_bits": 0.208183894892,
+            },
+        },
+        "sumrate": {
+            "solution": {
+                "mode": "SUP",
+                "powers": [1.0, 0.0, 0.0],
+                "shares": None,
+                "sum_rate_bits": 0.207518749639,
+                "transmit_set": [1],
+            },
+            "verify": {
+                "difference_bits": 0.0,
+                "objective": "superposition",
+                "oracle_powers": [1.0, 0.0, 0.0],
+                "oracle_sum_rate_bits": 0.207518749639,
+                "solver_sum_rate_bits": 0.207518749639,
+            },
+        },
+    }
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_output_is_byte_stable(capsys):
     args = ("jam", "--model", "mac", "--caps", "4,4", "--eve-gains", "0.5,1.4")
     _, first, _ = run_cli(capsys, *args)

@@ -1,5 +1,8 @@
 """Tests for the brute-force grid oracles and the instance generators."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -309,6 +312,22 @@ def _slab_rows(k, points):
 _SLAB_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
 
 
+def _jammer_axes(ch, spec):
+    """Per user, the distinct axes the MAC jamming oracle gives that user as a
+    jammer in the roles where no user is silent, built from ``_axis`` and the
+    pivot candidates."""
+    caps = ch.power_caps
+    axes = [set() for _ in range(ch.k_users)]
+    for roles in itertools.product("TJ", repeat=ch.k_users):
+        t_set = tuple(i for i, r in enumerate(roles) if r == "T")
+        jam = tuple(i for i, r in enumerate(roles) if r == "J")
+        for i in jam:
+            pivots = oracle._rho_fit_roots(ch, t_set, jam, i, caps)
+            pivots += oracle._threshold_candidates(ch, t_set, i, float(caps[i]))
+            axes[i].add(tuple(oracle._axis(caps[i], spec, pivots)))
+    return axes
+
+
 @pytest.mark.parametrize("k, points", _SLAB_CASES)
 def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
     if points ** k > oracle._SLAB_CELLS:
@@ -319,6 +338,13 @@ def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
     zero_first = random_mac_instance(rng, k)
     channels.append(StdMacChannel(zero_first.eve_gains, np.r_[0.0, zero_first.power_caps[1:]]))
     spec = GridSpec(points_per_axis=points)
+    if (k, points) == (3, 101):
+        # gains on (0, 2) and caps on (0.5, 5), the ranges of the perfbench
+        # two-user-report draws; in some, two roles with no silent user give a
+        # jammer different axes, so the union mesh has planes one of them lacks
+        report_like = [random_mac_instance(rng, 3, cap_range=(0.5, 5.0)) for _ in range(12)]
+        assert any(len(axes) > 1 for ch in report_like for axes in _jammer_axes(ch, spec))
+        channels += report_like
     for ch in channels:
         _assert_slabs_match_reference(monkeypatch, grid_max_mac_sup, ch, spec)
         _assert_slabs_match_reference(monkeypatch, grid_max_mac_cj, ch, spec)
@@ -355,8 +381,8 @@ def test_slab_search_keeps_the_first_of_tied_cells_in_different_slabs():
     rows = _slab_rows(3, 101)
     early, late = axis[2 * rows + 1], axis[9 * rows + 3]
 
-    def two_peaks(h, grids, t_set):
-        return -np.minimum(np.abs(grids[0] - early), np.abs(grids[0] - late)) + 0.0 * (grids[1] + grids[2])
+    def two_peaks(h, grids, t_sets):
+        yield -np.minimum(np.abs(grids[0] - early), np.abs(grids[0] - late)) + 0.0 * (grids[1] + grids[2])
 
     roles = [("T", "T", "T")]
     rate, alloc, _ = oracle._search(ch, spec, two_peaks, roles)
@@ -367,6 +393,53 @@ def test_slab_search_keeps_the_first_of_tied_cells_in_different_slabs():
     flat = StdMacChannel([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
     rate, alloc, _ = oracle._search(flat, spec, oracle._mac_sup_rate, roles)
     assert rate == 0.0 and alloc.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("jammer", [0, 1])
+def test_a_role_never_reports_a_point_its_own_axes_lack(jammer):
+    """Two roles with no silent user share one union mesh.  The jamming role
+    adds x* to its jammer's axis; the all-transmit role, which wins, peaks at
+    x* but lacks it, so it reports its own nearest grid point, as the
+    single-pass search does."""
+    ch = StdMacChannel([0.5, 0.8], [1.0, 1.0])
+    spec = GridSpec(points_per_axis=400)
+    x_star = 0.77
+    roles = [tuple("J" if i == jammer else "T" for i in range(2)), ("T", "T")]
+
+    def extras(t_set, jam_users, i):
+        return [x_star]
+
+    def peak_at_x_star(h, grids, t_sets):
+        for t_set in t_sets:
+            if len(t_set) == 2:
+                yield -np.abs(grids[jammer] - x_star) + 0.0 * grids[1 - jammer]
+            else:
+                yield np.full(np.broadcast_shapes(grids[0].shape, grids[1].shape), -1.0)
+
+    axis = np.linspace(0.0, 1.0, 400)
+    nearest = axis[np.argmin(np.abs(axis - x_star))]
+    rate, alloc, won = oracle._search(ch, spec, peak_at_x_star, roles, extras)
+    assert won == ("T", "T") and rate == -abs(nearest - x_star) < 0.0
+    assert alloc[jammer] == nearest and alloc[1 - jammer] == 0.0
+    want_rate, want_alloc, want_roles = reference_search(ch, spec, peak_at_x_star, roles, extras)
+    assert (rate, alloc.tolist(), won) == (want_rate, want_alloc.tolist(), want_roles)
+
+
+def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
+    """Summed over calls, the cells of the objective's full-mesh terms stay
+    near one union mesh per group of roles with the same silent users; one
+    mesh per role came to 8,396,334 cells for this channel."""
+    cells = []
+    rate_grid = oracle._mac_cj_rate
+
+    def counted(h, grids, t_sets):
+        cells.append(math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids))))
+        return rate_grid(h, grids, t_sets)
+
+    monkeypatch.setattr(oracle, "_mac_cj_rate", counted)
+    sol = grid_max_mac_cj(StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0]), SPEC_101)
+    assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
+    assert sum(cells) <= 1_200_000
 
 
 @pytest.mark.parametrize(
