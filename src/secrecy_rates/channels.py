@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -46,6 +47,39 @@ def _tied_neighbors(h: np.ndarray) -> np.ndarray:
     larger magnitude."""
     size = np.abs(h)
     return h[..., 1:] - h[..., :-1] <= GAIN_MERGE_RTOL * np.maximum(size[..., 1:], size[..., :-1])
+
+
+def _tie_groups(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable ascending order of each row of the (N, K) gains ``h``, the
+    sorted rows, and the mask of the sorted users that start a tie group."""
+    order = np.argsort(h, axis=1, kind="stable")
+    h = np.take_along_axis(h, order, axis=1)
+    first = np.ones(h.shape, dtype=bool)
+    first[:, 1:] = ~_tied_neighbors(h)
+    return order, h, first
+
+
+def _merge_groups(h: np.ndarray, caps: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The merged gain np.vecdot(gh, gc) / cap_sum (the plain mean where the
+    caps sum to 0) and cap, the sum, of each group [bounds[i], bounds[i + 1])
+    of the flat sorted ``h`` and ``caps``.  A group is gathered as one
+    C-contiguous row, so both round as np.dot and sum on it alone."""
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    gains, group_caps = np.empty(len(starts)), np.empty(len(starts))
+    with np.errstate(all="ignore"):
+        for size in np.bincount(sizes).nonzero()[0].tolist():
+            of_size = sizes == size
+            members = starts[of_size][:, None] + np.arange(size)
+            gh, gc = h[members], caps[members]
+            group_caps[of_size] = cap_sum = gc.sum(axis=1)
+            gains[of_size] = np.where(cap_sum > 0, np.vecdot(gh, gc) / cap_sum, gh.mean(axis=1))
+    return gains, group_caps
+
+
+def _split_power(power: np.ndarray, caps: np.ndarray, group_caps: np.ndarray) -> np.ndarray:
+    """Each user's share power * caps / group_caps of its merged user's
+    power, or 0 where the group's caps sum to 0."""
+    return np.divide(power * caps, group_caps, out=np.zeros(caps.shape), where=group_caps > 0)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -149,22 +183,25 @@ class StdMacChannel:
         """Distribute per-stored-user powers over the original users.
 
         A merged super-user's power is split proportionally to the original
-        standardized caps of its members (any split achieves the same rate).
+        standardized caps of its members (any split achieves the same rate);
+        without ``source_caps`` each member counts cap / group size.
         """
         powers = np.asarray(powers, dtype=float)
         if len(powers) != self.k_users:
             raise ValueError("powers length must match k_users")
-        n_orig = sum(len(g) for g in self.permutation)
-        out = np.zeros(n_orig)
-        for i, group in enumerate(self.permutation):
-            if self.source_caps is not None:
-                caps = np.asarray(self.source_caps[i], dtype=float)
-            else:
-                caps = np.full(len(group), self.power_caps[i] / max(len(group), 1))
-            total = float(powers[i])
-            cap_sum = caps.sum()
-            for j, orig in enumerate(group):
-                out[orig] = total * caps[j] / cap_sum if cap_sum > 0 else 0.0
+        sizes = np.fromiter(map(len, self.permutation), int, self.k_users)
+        if self.source_caps is None:
+            caps = np.repeat(self.power_caps / np.maximum(sizes, 1), sizes)
+        elif list(map(len, self.source_caps)) == sizes.tolist():
+            caps = np.fromiter(chain.from_iterable(self.source_caps), float, sizes.sum())
+        else:
+            raise ValueError("source_caps must list one cap per member of each permutation group")
+        # each group's cap, summed as the merge sums it
+        _, group_caps = _merge_groups(caps, caps, np.append(0, np.cumsum(sizes)))
+        group = np.repeat(np.arange(self.k_users), sizes)
+        out = np.zeros(len(caps))
+        members = np.fromiter(chain.from_iterable(self.permutation), int, len(caps))
+        out[members] = _split_power(powers[group], caps, group_caps[group])
         return out
 
 
@@ -275,37 +312,18 @@ def merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
     Gains whose relative spacing is at most ``GAIN_MERGE_RTOL`` are treated
     as equal.  The merged user carries the cap-weighted mean gain (plain
     mean when the caps sum to zero) and the summed cap; the constituent
-    original indices and caps are recorded for splitting power back.
+    original indices and caps are recorded for splitting power back.  This
+    is the eavesdropper sweep's merge (_tie_groups, then _merge_groups) on
+    one row.
     """
     h = _as_float_array(eve_gains, "eve_gains")
     caps = _as_float_array(power_caps, "power_caps")
     if len(h) != len(caps):
         raise ValueError("eve_gains and power_caps must have equal length")
-    order = np.argsort(h, kind="stable")
-    h_sorted = h[order]
-    caps_sorted = caps[order]
-    cuts = (np.flatnonzero(~_tied_neighbors(h_sorted)) + 1).tolist()
-    groups = zip([0] + cuts, cuts + [len(h)]) if len(h) else ()
-
-    merged_h = []
-    merged_caps = []
-    permutation = []
-    source_caps = []
-    for lo, hi in groups:
-        gh = h_sorted[lo:hi]
-        gc = caps_sorted[lo:hi]
-        cap_sum = gc.sum()
-        gain = float(np.dot(gh, gc) / cap_sum) if cap_sum > 0 else float(gh.mean())
-        merged_h.append(gain)
-        merged_caps.append(float(cap_sum))
-        permutation.append(tuple(order[lo:hi].tolist()))
-        source_caps.append(tuple(gc.tolist()))
-    return StdMacChannel(
-        np.array(merged_h),
-        np.array(merged_caps),
-        tuple(permutation),
-        tuple(source_caps),
-    )
+    (order,), h, first = _tie_groups(h[None])
+    caps, bounds = caps[order], np.append(first, True).nonzero()[0]
+    gains, group_caps = _merge_groups(h[0], caps, bounds)
+    return StdMacChannel(gains, group_caps, np.split(order, bounds[1:-1]), np.split(caps, bounds[1:-1]))
 
 
 # Each standardized quantity of one user, as a formula over its raw fields

@@ -23,6 +23,7 @@ scalar kernel bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -113,10 +114,48 @@ def rho_eval(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> float:
     return term_neg + term_pos
 
 
-def _all_silent_solution(k: int, diagnostics: Dict) -> JammingSolution:
+def _role_solution(sends, jams, powers, rate, diagnostics: Dict, pivot=None, coeffs=None) -> JammingSolution:
+    """The solution in which the users set in the masks ``sends`` and
+    ``jams`` transmit and jam and the rest stay silent; ``pivot`` names the
+    pivot jammer, whose quadratic has ``coeffs``."""
+    users = range(len(powers))
     return JammingSolution(
-        (), (), tuple(range(k)), PowerAllocation.zeros(k), 0.0, None, None, None, diagnostics
+        tuple(compress(users, sends.tolist())),
+        tuple(compress(users, jams.tolist())),
+        tuple(compress(users, (~(sends | jams)).tolist())),
+        PowerAllocation(powers),
+        rate,
+        pivot,
+        coeffs,
+        None if pivot is None else float(powers[pivot]),
+        diagnostics,
     )
+
+
+def _all_silent_solution(k: int, diagnostics: Dict) -> JammingSolution:
+    silent = np.zeros(k, dtype=bool)
+    return _role_solution(silent, silent, np.zeros(k), 0.0, diagnostics)
+
+
+def _mac_roles(t: np.ndarray, p: np.ndarray, powers: np.ndarray, rate: np.ndarray):
+    """The transmit and jam masks and the branch label "T=t,J=j" (j the
+    1-based pivot, or "none" without a jammer) of N solved role patterns
+    (t, p), one per row of the (N, K) ``powers``: users before t transmit
+    and users from p on jam, if their power is positive.  A row whose rate
+    is <= 0 is all silent, labelled "all-silent" (one whose rate is NaN is
+    not)."""
+    k = powers.shape[1]
+    silent = rate <= 0.0
+    shown = (powers > 0.0) & ~silent[:, None]
+    users = np.arange(k)
+    sends, jams = shown & (users < t[:, None]), shown & (users >= p[:, None])
+    # (K + 1) t + (pivot + 1, or 0 without jammers), and -1 for all-silent
+    code = (k + 1) * t + (p + 1) * jams.any(axis=1)
+    code[silent] = -1
+    code = code.tolist()
+    label = {c: f"T={c // (k + 1)},J={c % (k + 1) or 'none'}" for c in set(code)}
+    label[-1] = "all-silent"
+    return sends, jams, [label[c] for c in code]
 
 
 def _partition_solution(
@@ -129,27 +168,16 @@ def _partition_solution(
     case: str,
 ) -> JammingSolution:
     k = ch.k_users
-    transmit = tuple(i for i in range(t_count) if powers[i] > 0)
-    jam_start = k if pivot_idx is None else pivot_idx
-    jam = tuple(i for i in range(jam_start, k) if powers[i] > 0)
-    active = set(transmit).union(jam)
-    silent = tuple(i for i in range(k) if i not in active)
-    pivot_active = pivot_idx is not None and powers[pivot_idx] > 0
-    jam_label = str(jam_start + 1) if jam else "none"
-    diagnostics = {"branch": f"T={t_count},J={jam_label}", "case": case}
+    p = k if pivot_idx is None else pivot_idx
+    (sends,), (jams,), (branch,) = _mac_roles(
+        np.array([t_count]), np.array([p]), powers[None], np.array([rate])
+    )
+    diagnostics = {"branch": branch, "case": case}
     if coeffs is not None:
         diagnostics["discriminant"] = coeffs[1] ** 2 - 4.0 * coeffs[0] * coeffs[2]
-    return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(powers),
-        rate,
-        pivot_idx if pivot_active else None,
-        coeffs if pivot_active else None,
-        float(powers[pivot_idx]) if pivot_active else None,
-        diagnostics,
-    )
+    if pivot_idx is None or not powers[pivot_idx] > 0:
+        return _role_solution(sends, jams, powers, rate, diagnostics)
+    return _role_solution(sends, jams, powers, rate, diagnostics, pivot_idx, coeffs)
 
 
 def _finalists(h: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -461,18 +489,6 @@ def tw_cj_optimal(ch: StdTwChannel) -> JammingSolution:
         "psi_tie": bool(psi_tie[0]),
         "branch": TW_BRANCHES[branch[0]],
     }
-    if rate[0] <= 0.0:
+    if rate[0] <= 0.0:  # the rule leaves such a channel all silent
         diagnostics["case"] = "no-positive-rate"
-        return _all_silent_solution(2, diagnostics)
-    active = transmit[0] | jam[0]
-    return JammingSolution(
-        tuple(np.flatnonzero(transmit[0]).tolist()),
-        tuple(np.flatnonzero(jam[0]).tolist()),
-        tuple(np.flatnonzero(~active).tolist()),
-        PowerAllocation(powers[0]),
-        float(rate[0]),
-        None,
-        None,
-        None,
-        diagnostics,
-    )
+    return _role_solution(transmit[0], jam[0], powers[0], float(rate[0]), diagnostics)

@@ -5,6 +5,8 @@ for each transmit/jam/silent role assignment it is given (silent users
 pinned to zero); an oracle supplies only its objective and its roles.
 The superposition and two-way oracles search the single role in which
 everyone transmits; the cooperative-jamming oracles search every role.
+The MAC superposition oracle is the MAC jamming objective on that one
+role.
 The search knows nothing about prefix structures or quadratic
 coefficient algebra.  Corner points are always on the grid, which makes
 the oracles exact for the superposition and two-way objectives whose
@@ -46,7 +48,7 @@ from .channels import (
     StdTwChannel,
 )
 from .allocation import SumRateSolution
-from .jamming import JammingSolution, rho_eval
+from .jamming import JammingSolution, _all_silent_solution, _role_solution, rho_eval
 
 MAX_GRID_CELLS = 10**8
 # Cells per slab of a role's mesh: each float64 temporary of an objective is
@@ -176,31 +178,12 @@ def _jamming_solution(ch, spec: GridSpec, rate_grid, extras=None) -> JammingSolu
         ch, spec, rate_grid, itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k), extras
     )
     if best_rate <= 0.0:
-        return JammingSolution(
-            (), (), tuple(range(k)), PowerAllocation.zeros(k), 0.0,
-            diagnostics={"branch": "all-silent", "oracle": "grid"},
-        )
-    transmit = tuple(i for i in range(k) if best_roles[i] == _TRANSMIT and best_alloc[i] > 0)
-    jam = tuple(i for i in range(k) if best_roles[i] == _JAM and best_alloc[i] > 0)
-    silent = tuple(i for i in range(k) if i not in transmit and i not in jam)
-    return JammingSolution(
-        transmit,
-        jam,
-        silent,
-        PowerAllocation(best_alloc),
-        float(best_rate),
-        diagnostics={
-            "branch": "oracle",
-            "oracle": "grid",
-            "points_per_axis": spec.points_per_axis,
-        },
+        return _all_silent_solution(k, {"branch": "all-silent", "oracle": "grid"})
+    roles, shown = np.array(best_roles), best_alloc > 0
+    diagnostics = {"branch": "oracle", "oracle": "grid", "points_per_axis": spec.points_per_axis}
+    return _role_solution(
+        (roles == _TRANSMIT) & shown, (roles == _JAM) & shown, best_alloc, float(best_rate), diagnostics
     )
-
-
-def _mac_sup_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
-    total_p = sum(grids)
-    total_hp = sum(float(h[i]) * grids[i] for i in range(len(grids)))
-    yield 0.5 * (np.log2(1.0 + total_p) - np.log2(1.0 + total_hp))
 
 
 def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation, float]:
@@ -212,7 +195,7 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     k = ch.k_users
     if k > 4:
         raise ValueError("grid_max_mac_sup supports at most 4 users")
-    best, alloc, _ = _search(ch, spec, _mac_sup_rate, [(_TRANSMIT,) * k])
+    best, alloc, _ = _search(ch, spec, _mac_cj_rate, [(_TRANSMIT,) * k])
     if best <= 0.0:
         return PowerAllocation.zeros(k), 0.0
     return PowerAllocation(alloc), best

@@ -8,12 +8,12 @@ cooperative-jamming optimizer, and records per-user transmit/jam powers
 
 Conditions that fail every cell (see sweep) raise a ValueError before
 any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
-on the calling thread, in the per-cell path's steps: the gains (_gains,
-the one path-loss law), standardization with tied MAC gains merged into
-one user, the solve (``jamming._mac_cj_batch``, which mac_cj_optimal
-calls with a batch of one, or the two-way rule ``jamming._tw_cj_rule``)
-and the raw-domain mapping.  Each step repeats the per-cell floating-point
-operations in the same order, so every cell equals gains_from_geometry ->
+on the calling thread, through the per-cell path's own array code: the
+gains (_gains, the one path-loss law); standardization, with the MAC
+tie-merge of merge_tied_users; the solve (``jamming._mac_cj_batch``,
+which mac_cj_optimal calls with a batch of one, or the two-way rule
+``jamming._tw_cj_rule``) and its roles; the split of split_back and the
+raw-domain mapping.  So every cell equals gains_from_geometry ->
 standardize_* -> *_cj_optimal bit for bit, and a failed cell records the
 exception that path raises.
 """
@@ -37,12 +37,14 @@ from .channels import (
     _TW_GAIN,
     RawMacChannel,
     RawTwChannel,
+    _merge_groups,
     _not_finite_error,
-    _tied_neighbors,
+    _split_power,
+    _tie_groups,
     standardize_tw,
     to_jsonable,
 )
-from .jamming import _FAILURES, TW_BRANCHES, _mac_cj_batch, _tw_cj_rule
+from .jamming import _FAILURES, TW_BRANCHES, _mac_cj_batch, _mac_roles, _tw_cj_rule
 
 SWEEP_COLUMNS = ("x", "y", "p1_tx", "p2_tx", "p1_jam", "p2_jam", "sum_rate_bits", "branch")
 
@@ -264,66 +266,45 @@ def _main_gains(scene: Scene, mode: str) -> np.ndarray:
     return main
 
 
-# two-user MAC branch labels, indexed 3 t + (pivot + 1, or 0 without jammers),
-# then all-silent
-_MAC_LABELS = [f"T={t},J={j}" for t in range(3) for j in ("none", "1", "2")] + ["all-silent"]
-_MAC_SILENT = len(_MAC_LABELS) - 1
-
-
 def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
     """The per-cell path (gains_from_geometry -> standardize_mac ->
     mac_cj_optimal -> split_back -> raw-domain powers) for every row of the
-    (N, 2) eavesdropper gains, given the positive main gains of _main_gains.
+    (N, K) eavesdropper gains, given the positive main gains of _main_gains.
 
-    Each step repeats the per-cell operations in order: standardize_mac's
-    h and caps; merge_tied_users' sort, each singleton's gain h * c / c and
-    a tied pair merged into one user (cap-weighted mean gain, with np.vecdot
-    as np.dot, and summed cap); _mac_cj_batch over the two-user rows and
-    over the merged one-user rows; split_back by caps; the raw mapping.
-    Returns tx, jam, rate, branch labels and, by row, the first exception
-    of the path: a standardized or merged gain or cap that is not finite,
-    or a failed solve.
+    The rows go through the code of that path, as arrays: standardize_mac's
+    h and caps; the tie-merge of merge_tied_users (_tie_groups and
+    _merge_groups); _mac_cj_batch once per merged width; the roles and
+    labels of _partition_solution (_mac_roles); the split of split_back
+    (_split_power); the raw mapping.  Returns tx, jam, rate, branch labels
+    and, by row, the first exception of the path: a standardized or merged
+    gain or cap that is not finite, or a failed solve.
     """
-    n = len(eve)
+    n, k = eve.shape
     mn, tn = float(scene.main_noise), float(scene.tap_noise)
     caps = main * np.asarray(scene.raw_power_caps, dtype=float) / mn
     with np.errstate(all="ignore"):
         std = eve * mn / (main * tn)
-        # merge_tied_users: a stable sort of each pair, then its merged users
-        perm = np.where((std[:, 0] > std[:, 1])[:, None], [1, 0], [0, 1])
-        h, caps = np.take_along_axis(std, perm, axis=1), caps[perm]
-        tied = _tied_neighbors(h)[:, 0]
-        cap_sum = caps[:, 0] + caps[:, 1]
-        merged = np.where(cap_sum > 0, np.vecdot(h, caps) / cap_sum, h.mean(axis=1))
-        singles = np.where(caps > 0, h * caps / caps, h)
-        # StdMacChannel's checks of the merged channel
-        bad_gains = np.where(tied, ~np.isfinite(merged), ~np.isfinite(singles).all(axis=1))
-        bad_caps = tied & ~np.isfinite(cap_sum)
-        # per sorted user: its merged user's power and cap, and its role
-        power, group_cap = np.zeros((n, 2)), np.zeros((n, 2))
-        sends, jams = np.zeros((n, 2), dtype=bool), np.zeros((n, 2), dtype=bool)
-        rate, code, status = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-        for cells, gains, group_caps, users in (
-            (~tied, singles, caps, [0, 1]),
-            (tied, merged[:, None], cap_sum[:, None], [0, 0]),
-        ):
-            if not cells.any():
-                continue
-            gains, group_caps = gains[cells], group_caps[cells]
-            t, p, powers, r, _, _, status[cells] = _mac_cj_batch(gains, group_caps)
-            # _partition_solution's roles, wherever it reports the rate (a NaN too)
-            shown = (powers > 0) & ~(r <= 0.0)[:, None]
-            role = np.arange(powers.shape[1])
-            sent, jammed = shown & (role < t[:, None]), shown & (role >= p[:, None])
-            power[cells], group_cap[cells] = powers[:, users], group_caps[:, users]
-            sends[cells], jams[cells], rate[cells] = sent[:, users], jammed[:, users], r
-            label = 3 * t + np.where(jammed.any(axis=1), p + 1, 0)
-            code[cells] = np.where(r <= 0.0, _MAC_SILENT, label)
-        # split_back: each user's share of its merged user's power, by caps
-        raw = np.where(group_cap > 0, power * caps / group_cap, 0.0) * mn / main[perm]
-    # each sort is its own inverse
-    tx = np.take_along_axis(np.where(sends, raw, 0.0), perm, axis=1)
-    jam = np.take_along_axis(np.where(jams, raw, 0.0), perm, axis=1)
+        order, h, first = _tie_groups(std)
+        caps = caps[order]
+        gains, group_caps = _merge_groups(h.ravel(), caps.ravel(), np.append(first, True).nonzero()[0])
+        # each sorted user's merged user, and each row's merged width
+        group = np.cumsum(first).reshape(n, k) - 1
+        width = first.sum(axis=1)
+        power, sends, jams = np.zeros(len(gains)), np.zeros(len(gains), bool), np.zeros(len(gains), bool)
+        rate, status, branch = np.zeros(n), np.zeros(n, dtype=int), np.empty(n, dtype=object)
+        for w in set(width.tolist()):
+            rows = np.flatnonzero(width == w)
+            merged = group[rows, :1] + np.arange(w)
+            solved = _mac_cj_batch(gains[merged], group_caps[merged])
+            t, p, power[merged], rate[rows], _, _, status[rows] = solved
+            sends[merged], jams[merged], branch[rows] = _mac_roles(t, p, power[merged], rate[rows])
+        raw = _split_power(power[group], caps, group_caps[group]) * mn / main[order]
+    # StdMacChannel's checks of the merged channel
+    bad_gains = ~np.isfinite(gains[group]).all(axis=1)
+    bad_caps = ~np.isfinite(group_caps[group]).all(axis=1)
+    tx, jam = np.zeros((n, k)), np.zeros((n, k))
+    np.put_along_axis(tx, order, np.where(sends[group], raw, 0.0), axis=1)
+    np.put_along_axis(jam, order, np.where(jams[group], raw, 0.0), axis=1)
     bad_std = ~np.isfinite(std).all(axis=1)
     faults = {}
     for i in np.flatnonzero(bad_std | bad_gains | bad_caps | (status > 0)).tolist():
@@ -334,7 +315,7 @@ def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
         else:
             error, message = _FAILURES[status[i]]
             faults[i] = error(message)
-    return tx, jam, rate, [_MAC_LABELS[i] for i in code.tolist()], faults
+    return tx, jam, rate, branch.tolist(), faults
 
 
 def _tw_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:

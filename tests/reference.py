@@ -10,8 +10,9 @@ against, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
-oracles' search and the nested TDMA share search (Newton on the
-multiplier around a full burst solve per step).
+oracles' search, the nested TDMA share search (Newton on the
+multiplier around a full burst solve per step) and the per-group loops
+that merge tied users and split their power back.
 Nothing in ``secrecy_rates`` imports this module.
 """
 
@@ -31,8 +32,10 @@ from secrecy_rates.channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
+    _as_float_array,
     _gains_of,
     _powers_of,
+    _tied_neighbors,
     gaussian_bits,
 )
 from secrecy_rates.jamming import (
@@ -370,6 +373,20 @@ def random_degraded_mac_instance(
     return StdMacChannel(np.full(k_users, h), caps)
 
 
+def random_tied_mac_row(rng: np.random.Generator, k_users: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unsorted gains and caps of K users in groups of 1 to 4 whose gains lie
+    within 2e-10 of a common value, relative, so each group ties; about one
+    cap in ten is 0, and now and then all of a group's caps are."""
+    h, caps = [], []
+    while len(h) < k_users:
+        size = min(int(rng.integers(1, 5)), k_users - len(h))
+        h += (rng.uniform(0.05, 3.0) * (1.0 + rng.uniform(-2e-10, 2e-10, size))).tolist()
+        group_caps = rng.uniform(0.1, 5.0, size) * (rng.random(size) >= 0.1)
+        caps += (group_caps * (rng.random() >= 0.1)).tolist()
+    order = rng.permutation(k_users)
+    return np.array(h)[order], np.array(caps)[order]
+
+
 def random_tw_instance(
     rng: np.random.Generator,
     gain_range: Tuple[float, float] = (0.0, 2.0),
@@ -380,6 +397,63 @@ def random_tw_instance(
     self_gains = rng.uniform(0.1, 2.0, 2)
     caps = rng.uniform(cap_range[0], cap_range[1], 2)
     return StdTwChannel(h, self_gains, caps)
+
+
+def reference_merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
+    """merge_tied_users as a loop over one channel's tie groups: a stable
+    sort, cuts where neighbours do not tie, then per group the gain
+    np.dot(gh, gc) / cap_sum (the plain mean when the caps sum to 0) and the
+    summed cap gc.sum()."""
+    h = _as_float_array(eve_gains, "eve_gains")
+    caps = _as_float_array(power_caps, "power_caps")
+    if len(h) != len(caps):
+        raise ValueError("eve_gains and power_caps must have equal length")
+    order = np.argsort(h, kind="stable")
+    h_sorted = h[order]
+    caps_sorted = caps[order]
+    cuts = (np.flatnonzero(~_tied_neighbors(h_sorted)) + 1).tolist()
+    groups = zip([0] + cuts, cuts + [len(h)]) if len(h) else ()
+
+    merged_h = []
+    merged_caps = []
+    permutation = []
+    source_caps = []
+    for lo, hi in groups:
+        gh = h_sorted[lo:hi]
+        gc = caps_sorted[lo:hi]
+        cap_sum = gc.sum()
+        gain = float(np.dot(gh, gc) / cap_sum) if cap_sum > 0 else float(gh.mean())
+        merged_h.append(gain)
+        merged_caps.append(float(cap_sum))
+        permutation.append(tuple(order[lo:hi].tolist()))
+        source_caps.append(tuple(gc.tolist()))
+    return StdMacChannel(
+        np.array(merged_h),
+        np.array(merged_caps),
+        tuple(permutation),
+        tuple(source_caps),
+    )
+
+
+def reference_split_back(ch: StdMacChannel, powers) -> np.ndarray:
+    """StdMacChannel.split_back as a loop over the channel's groups: each
+    original user gets power * cap / group_cap (0 where the group's caps sum
+    to 0), with the caps cap / len(group) when source_caps is None."""
+    powers = np.asarray(powers, dtype=float)
+    if len(powers) != ch.k_users:
+        raise ValueError("powers length must match k_users")
+    n_orig = sum(len(g) for g in ch.permutation)
+    out = np.zeros(n_orig)
+    for i, group in enumerate(ch.permutation):
+        if ch.source_caps is not None:
+            caps = np.asarray(ch.source_caps[i], dtype=float)
+        else:
+            caps = np.full(len(group), ch.power_caps[i] / max(len(group), 1))
+        total = float(powers[i])
+        cap_sum = caps.sum()
+        for j, orig in enumerate(group):
+            out[orig] = total * caps[j] / cap_sum if cap_sum > 0 else 0.0
+    return out
 
 
 def _gain(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:

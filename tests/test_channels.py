@@ -25,7 +25,14 @@ from secrecy_rates import (
     standardize_mac,
     standardize_tw,
 )
-from reference import cap_eve, phi, psi
+from reference import (
+    cap_eve,
+    phi,
+    psi,
+    random_tied_mac_row,
+    reference_merge_tied_users,
+    reference_split_back,
+)
 
 TOL = 1e-12
 
@@ -211,6 +218,52 @@ def test_merge_keeps_distinct_gains_apart():
         assert StdMacChannel(gains, np.ones(len(gains))).has_strictly_ascending_gains() is (
             groups == len(gains)
         )
+
+
+def _assert_same_channel(ch, ref):
+    assert np.array_equal(ch.eve_gains, ref.eve_gains) and np.array_equal(ch.power_caps, ref.power_caps)
+    assert ch.permutation == ref.permutation and ch.source_caps == ref.source_caps
+
+
+def test_merge_and_split_back_equal_the_per_group_loops():
+    """merge_tied_users and split_back, one array code over the tie groups,
+    equal the per-group loops of reference.py (== on every float) on seeded
+    channels of 1 to 8 users (and some of 9 to 16) with 2-, 3- and 4-way
+    ties and groups whose caps sum to 0 (the plain-mean gain), with and
+    without source_caps."""
+    rng = np.random.default_rng(16)
+    sizes, zero_groups = set(), 0
+    for trial in range(3000):
+        h, caps = random_tied_mac_row(rng, 1 + trial % 8 if trial < 2800 else int(rng.integers(9, 17)))
+        ch = merge_tied_users(h, caps)
+        _assert_same_channel(ch, reference_merge_tied_users(h, caps))
+        sizes.update(map(len, ch.permutation))
+        zero_groups += int((ch.power_caps == 0).sum())
+        powers = rng.uniform(0.0, 3.0, ch.k_users) * (rng.random(ch.k_users) >= 0.2)
+        bare = StdMacChannel(ch.eve_gains, ch.power_caps, ch.permutation)
+        for channel in (ch, bare):
+            assert np.array_equal(channel.split_back(powers), reference_split_back(channel, powers))
+    assert {1, 2, 3, 4} <= sizes and zero_groups > 100
+
+
+def test_split_back_of_a_json_channel_without_source_caps():
+    """A standardized channel read from JSON with no source_caps splits each
+    group's power by cap / group size, as the per-group loop does (six
+    times 1/6 sums to 1 - 2**-53, so the group's cap is not the cap)."""
+    doc = {
+        "form": "standardized",
+        "model": "mac",
+        "eve_gains": [0.3, 0.7, 1.4],
+        "power_caps": [1.0, 5.0, 0.0],
+        "permutation": [[2, 4, 5, 7, 8, 9], [1, 6], [3]],
+    }
+    ch = channel_from_json(doc)
+    assert ch.source_caps is None and np.full(6, 1.0 / 6).sum() == 1.0 - 2.0**-53
+    for powers in ([1.7, 0.3, 0.0], [1.0, 5.0, 2.0], [0.1, 0.0, 0.4]):
+        assert np.array_equal(ch.split_back(powers), reference_split_back(ch, powers))
+    assert ch.split_back([1.0, 5.0, 2.0])[[0, 5, 2]].tolist() == [2.5, 2.5, 0.0]
+    with pytest.raises(ValueError, match="source_caps"):
+        StdMacChannel([0.3], [3.0], ((0, 1),), ((1.0, 1.0, 1.0),)).split_back([1.0])
 
 
 def test_std_channel_requires_ascending_gains():

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -13,7 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from secrecy_rates import cli
+from secrecy_rates import cli, default_scene
+
+from test_sweep import ODD_UNITS
 
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
@@ -575,6 +578,42 @@ def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, m
     assert branches.count("error") == 2
     assert "2 of 25 cells failed" in err
     assert "x=-0.5, y=0" in err and "OverflowError" in err
+
+
+
+@pytest.mark.parametrize(
+    "model, digest, tied_rows",
+    [
+        (
+            "mac",
+            "38c9d861637a7777eae8c5e87e7ee3710c3ff0806a3ec06968b894dd2bfa71b5",
+            ['0,-1,1.3,2.9,0,0,1.58739640441,"T=1,J=none"',
+             '0,-0.875,1.3,2.9,0,0,1.48820494808,"T=1,J=none"'],
+        ),
+        (
+            "tw",
+            "78814d61911f8715df9f6b1c169ff439cf478f02bae8794a6fee02d5332680a3",
+            ["0,-1,1.3,2.9,0,0,0.94734244481,both-transmit",
+             "0,-0.875,1.3,2.9,0,0,0.848150988488,both-transmit"],
+        ),
+    ],
+)
+def test_sweep_csv_bytes_with_odd_units(capsys, tmp_path, model, digest, tied_rows):
+    """A 17 x 17 sweep of the default geometry with unequal caps and noises
+    (ODD_UNITS), pinned byte for byte by its SHA-256.  The x = 0 column of
+    the odd grid holds the MAC cells whose two users tie, merge into one and
+    split their power back by caps, and these units move some singleton
+    gains by an ulp."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**default_scene().to_json(), **ODD_UNITS}))
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", model, "--grid", "17", "--format", "csv", "--scene", str(path)
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 1 + 17 * 17
+    assert [line for line in lines if line.startswith("0,")][:2] == tied_rows
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 DEFAULT_TRANSMITTERS = [[-0.5, 0.0], [0.5, 0.0]]

@@ -391,7 +391,7 @@ def test_slab_search_keeps_the_first_of_tied_cells_in_different_slabs():
     assert (rate, alloc.tolist()) == (want_rate, want_alloc.tolist())
 
     flat = StdMacChannel([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
-    rate, alloc, _ = oracle._search(flat, spec, oracle._mac_sup_rate, roles)
+    rate, alloc, _ = oracle._search(flat, spec, oracle._mac_cj_rate, roles)
     assert rate == 0.0 and alloc.tolist() == [0.0, 0.0, 0.0]
 
 

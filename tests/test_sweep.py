@@ -1,6 +1,7 @@
 """Tests for the eavesdropper-position sweep and its path-loss geometry."""
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from secrecy_rates import (
 from secrecy_rates.jamming import RATE_TIE_TOL, _finalists
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
-from reference import _gain
+from reference import _gain, random_tied_mac_row
 
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
@@ -627,14 +628,54 @@ def test_mac_batch_settles_tied_finalists():
 
 def test_mac_batch_merges_tied_gains_as_merge_tied_users():
     """Gains within GAIN_MERGE_RTOL merge into one user with the summed cap
-    and the cap-weighted mean gain, np.dot in merge_tied_users and np.vecdot
-    in the batch (a hand-written a * b + c * d differs on many rows), and
-    its power splits back by caps."""
+    and the cap-weighted mean gain, np.vecdot on each group's C-contiguous
+    row in the one merge that merge_tied_users and the sweep share (it
+    rounds as np.dot; a hand-written a * b + c * d differs on many rows),
+    and its power splits back by caps."""
     rng = np.random.default_rng(31)
     g = rng.uniform(0.05, 3.0, 300)
     eve = np.column_stack([g, g * (1.0 + rng.uniform(-5e-10, 5e-10, 300))])
     assert all(standardize_mac(RawMacChannel([1.0, 1.0], e, 1.0, 1.0, [1.0, 1.0])).k_users == 1 for e in eve)
     _assert_mac_rows_match_per_cell(eve, (1.3, 2.9))
+
+
+@pytest.mark.parametrize("raw_caps", [(1.3, 2.9, 0.6), (1.3, 0.0, 2.9), (0.0, 0.0, 2.0)])
+def test_mac_cells_of_three_users_match_per_cell(raw_caps):
+    """_mac_cells on three users, which the sweep's two-transmitter Scene
+    never gives it: with odd main gains and noises, every row equals
+    standardize_mac -> mac_cj_optimal -> split_back -> raw mapping (== on
+    every float, the same label, the same exception), for rows of distinct
+    gains, 2- and 3-way ties, zero caps, huge gains, and a standardized
+    gain that overflows."""
+    rng = np.random.default_rng(37)
+    units = SimpleNamespace(raw_power_caps=raw_caps, main_noise=0.7, tap_noise=1.9)
+    main = np.array([0.8, 1.7, 0.25])
+    gains = [random_tied_mac_row(rng, 3)[0] for _ in range(600)] + [[1e300, 0.5, 2.0], [1e300, 1e300, 3.0]]
+    eve = np.vstack([np.array(gains) * main * units.tap_noise / units.main_noise, [1.0, 1.0, 1.5e308]])
+    tx, jam, rate, branch, faults = sweep_module._mac_cells(units, main, eve)
+    widths = []
+    for i, row in enumerate(eve):
+        raw = RawMacChannel(main, row, units.main_noise, units.tap_noise, raw_caps)
+        try:
+            ch = standardize_mac(raw)
+            sol = mac_cj_optimal(ch)
+        except Exception as exc:
+            assert (type(faults[i]), str(faults[i])) == (type(exc), str(exc)), i
+            continue
+        assert i not in faults, i
+        widths.append(ch.k_users)
+        assert rate[i] == sol.sum_rate and branch[i] == sol.diagnostics["branch"], i
+        split = ch.split_back(sol.allocation.powers)
+        want_tx, want_jam = np.zeros(3), np.zeros(3)
+        for mi, group in enumerate(ch.permutation):
+            for orig in group:
+                power = split[orig] * units.main_noise / main[orig]
+                if mi in sol.transmit_set:
+                    want_tx[orig] = power
+                elif mi in sol.jam_set:
+                    want_jam[orig] = power
+        assert np.array_equal(tx[i], want_tx) and np.array_equal(jam[i], want_jam), i
+    assert set(widths) == {1, 2, 3} and len(faults) == len(eve) - len(widths) > 0
 
 
 @pytest.mark.parametrize("mode", ["MAC-CJ", "TW-CJ"])
