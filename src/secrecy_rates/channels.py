@@ -169,6 +169,9 @@ class StdMacChannel:
             self.permutation = tuple(tuple(int(i) for i in g) for g in self.permutation)
         if len(self.permutation) != len(self.eve_gains):
             raise ValueError("permutation must list one group per stored user")
+        members = sorted(chain.from_iterable(self.permutation))
+        if not all(self.permutation) or members != list(range(len(members))):
+            raise ValueError("permutation must list each original user exactly once, in non-empty groups")
         if self.source_caps is not None:
             self.source_caps = tuple(tuple(float(c) for c in g) for g in self.source_caps)
 

@@ -21,16 +21,28 @@ full-mesh terms (for MAC jamming, the two logarithms over everyone) once
 for the group and then yields each role's rate; every cell is computed
 with the same operations, in the same order, as on the role's own mesh.
 A role sets the union planes its own axes lack, the other roles' pivot
-candidates, to -inf before its argmax.  The mesh is evaluated in slabs
-along its first axis, about _SLAB_CELLS cells at a time, so the
-temporaries stay cache-sized and peak memory does not grow with the grid.
-Per role, a running argmax takes a slab's best cell only when it is
-strictly higher than the best so far, which keeps the C-order first
-maximum of the role's mesh: ties resolve to the lexicographically smallest
-power vector within a role.  Roles are then compared in the order given: a
-strictly higher rate wins, and an equal rate goes to the lexicographically
-smaller allocation.  Caps at which the objective would overflow are
-rejected before any role runs, so no cell is NaN or infinite.
+candidates, to -inf before its argmax.  The mesh is evaluated in
+k-dimensional tiles of at most _TILE_CELLS cells, so the temporaries stay
+cache-sized and peak memory does not grow with the grid.  Per role, the
+search keeps its best cell as (rate, index in the union mesh), an
+equal rate going to the smaller index, which is the C-order first maximum
+of the role's mesh in any tile order: ties resolve to the lexicographically
+smallest power vector within a role.
+
+The MAC jamming objective also has a box form, its own operations with
+each sum taken at the corner of a box that raises the rate, which is the
+rate itself on a one-cell box.  Float addition, multiplication by a gain
+and subtraction are monotone, so only np.log2's rounding can lift a cell
+above its box's value; a slack of _SLACK_ULPS ulps of the largest
+logarithm covers it.  For a group of several tiles, the search bounds each
+role on each tile from sub-blocks of _BLOCK points per axis, visits the
+tiles in order of decreasing bound and evaluates in each only the roles
+whose bound reaches the best role maximum found so far.  A skipped cell
+can neither win nor tie, so the answer is that of the unpruned search.
+Roles are then compared in the order given: a strictly higher rate wins,
+and an equal rate goes to the lexicographically smaller allocation.  Caps
+at which the objective would overflow are rejected before any role runs,
+so no cell is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -51,9 +63,13 @@ from .allocation import SumRateSolution
 from .jamming import JammingSolution, _all_silent_solution, _role_solution, rho_eval
 
 MAX_GRID_CELLS = 10**8
-# Cells per slab of a role's mesh: each float64 temporary of an objective is
-# 512 KB, small enough to stay in cache instead of being page-faulted afresh.
-_SLAB_CELLS = 65536
+# Cells per tile of a union mesh: each float64 temporary of an objective is
+# 128 KB, small enough to stay in cache instead of being page-faulted afresh.
+_TILE_CELLS = 16384
+# Points per axis of the sub-blocks whose box bounds are reduced to a tile's.
+_BLOCK = 4
+# Ulps of the largest logarithm allowed for np.log2's rounding in a bound.
+_SLACK_ULPS = 32
 
 _TRANSMIT, _JAM, _SILENT = "T", "J", "S"
 
@@ -103,6 +119,55 @@ def _check_corner(ch, rate_grid) -> None:
         ) from None
 
 
+def _tile_sides(shape: Sequence[int]) -> List[int]:
+    """Points per axis of a tile of a mesh of the given shape.
+
+    Every axis gets the same multiple of _BLOCK points, or the whole axis
+    where that is shorter, the largest for which a tile holds at most
+    _TILE_CELLS cells.  A mesh of at most _TILE_CELLS cells is one tile.
+    """
+    if math.prod(shape) <= _TILE_CELLS:
+        return list(shape)
+    lo, hi = 1, -(-max(shape) // _BLOCK)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.prod(min(mid * _BLOCK, n) for n in shape) <= _TILE_CELLS:
+            lo = mid
+        else:
+            hi = mid - 1
+    return [min(lo * _BLOCK, n) for n in shape]
+
+
+def _unravel(flat: int, shape: Sequence[int]) -> List[int]:
+    """The C-order multi-index of a flat index into shape, in Python ints."""
+    index = []
+    for n in reversed(shape):
+        flat, i = divmod(flat, n)
+        index.append(i)
+    return index[::-1]
+
+
+def _tile_bounds(h, bound, union, sides, t_sets) -> np.ndarray:
+    """Per transmit set and tile (C order), an upper bound on the rate.
+
+    bound(h, lo, hi, t_sets) is evaluated once on the open mesh of the
+    sub-blocks of _BLOCK points per axis, lo and hi being each sub-block's
+    first and last points, and each transmit set's sub-block bounds are
+    reduced to its tiles' maxima.
+    """
+    starts = [np.arange(0, len(ax), _BLOCK) for ax in union]
+    lo = np.ix_(*(ax[s] for ax, s in zip(union, starts)))
+    hi = np.ix_(*(ax[np.minimum(s + _BLOCK, len(ax)) - 1] for ax, s in zip(union, starts)))
+    shape = tuple(len(s) for s in starts)
+    out = []
+    for block in bound(h, lo, hi, t_sets):
+        block = np.broadcast_to(block, shape)
+        for d, (ax, side) in enumerate(zip(union, sides)):
+            block = np.maximum.reduceat(block, np.arange(0, len(ax), side) // _BLOCK, axis=d)
+        out.append(block.ravel())
+    return np.array(out)
+
+
 def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
     """Best (rate, allocation, roles) over the role assignments in role_sets.
 
@@ -110,18 +175,27 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
     grid: silent users get the single point zero, and each jammer i gets
     extras(t_set, jam_users, i) as extra points on its axis.  Roles with
     the same silent users form a group searched on one union mesh, per user
-    the sorted union of the group's axes.  rate_grid(h, grids, t_sets)
-    evaluates the objective on the open mesh, one slab of rows of the first
-    axis at a time, and yields a new rate array for each transmit set in
-    t_sets.  Each role sets the union planes its own axes lack to -inf in
-    its array, so within a role the C-order first maximum of its own mesh
-    wins.  Roles are then taken in order: a later role replaces the best
-    with a strictly higher rate, or with an equal rate at a
-    lexicographically smaller allocation.
+    the sorted union of the group's axes, one tile at a time (_tile_sides).
+    rate_grid(h, grids, t_sets) evaluates the objective on a tile's open
+    mesh and yields a new rate array for each transmit set in t_sets.  Each
+    role sets the union planes its own axes lack to -inf in its array, and
+    keeps its best cell as (rate, index in the union mesh), an equal rate
+    going to the lexicographically smaller index: the C-order first maximum
+    of its own mesh, whatever order the tiles come in.
+
+    If rate_grid has a ``bound`` attribute, its box form plus a slack for
+    rounding (_tile_bounds), a group of several tiles visits them in order
+    of decreasing bound, and evaluates in each only the roles whose bound
+    reaches the incumbent, the best role maximum found so far in any group.
+    A cell it skips is below the incumbent, so it can neither win nor tie,
+    and a role all of whose cells are skipped cannot win.  Roles are then
+    taken in order: a later role replaces the best with a strictly higher
+    rate, or with an equal rate at a lexicographically smaller allocation.
     """
     _check_corner(ch, rate_grid)
     k = ch.k_users
     caps = ch.power_caps
+    bound = getattr(rate_grid, "bound", None)
     roles_of, t_sets, role_axes, groups = [], [], [], {}
     for roles in role_sets:
         t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
@@ -140,30 +214,49 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
         t_sets.append(t_set)
         role_axes.append(axes)
     found = [None] * len(roles_of)
+    incumbent = -np.inf
     for members in groups.values():
         union = [np.unique(np.concatenate([role_axes[r][d] for r in members])) for d in range(k)]
         holes = {
             r: [(d, ~np.isin(union[d], ax)) for d, ax in enumerate(role_axes[r]) if len(ax) < len(union[d])]
             for r in members
         }
-        grids = np.ix_(*union)
         shape = tuple(len(ax) for ax in union)
-        stride = math.prod(shape[1:])
-        rows = max(1, _SLAB_CELLS // stride)
-        for start in range(0, shape[0], rows):
-            window = slice(start, start + rows)
-            rates = rate_grid(ch.eve_gains, (grids[0][window],) + grids[1:], [t_sets[r] for r in members])
-            for r, rate in zip(members, rates):
+        sides = _tile_sides(shape)
+        counts = tuple(-(-n // side) for n, side in zip(shape, sides))
+        order = range(math.prod(counts))
+        bounds = None
+        if bound is not None and len(order) > 1:
+            bounds = _tile_bounds(ch.eve_gains, bound, union, sides, [t_sets[r] for r in members])
+            order = np.argsort(-bounds.max(axis=0), kind="stable").tolist()
+        for tile in order:
+            if bounds is None:
+                live = members
+            else:
+                live = [r for r, b in zip(members, bounds[:, tile].tolist()) if b >= incumbent]
+                if not live:
+                    continue
+            corner = [i * side for i, side in zip(_unravel(tile, counts), sides)]
+            window = [slice(c, c + side) for c, side in zip(corner, sides)]
+            grids = np.ix_(*(ax[w] for ax, w in zip(union, window)))
+            for r, rate in zip(live, rate_grid(ch.eve_gains, grids, [t_sets[r] for r in live])):
                 for d, lack in holes[r]:
-                    rate[(slice(None),) * d + (lack[window] if d == 0 else lack,)] = -np.inf
+                    rate[(slice(None),) * d + (lack[window[d]],)] = -np.inf
                 flat = int(np.argmax(rate))
-                if found[r] is None or rate.flat[flat] > found[r][0]:
-                    found[r] = (float(rate.flat[flat]), start * stride + flat)
+                value = float(rate.flat[flat])
+                if found[r] is None or value >= found[r][0]:
+                    cell = tuple(c + i for c, i in zip(corner, _unravel(flat, rate.shape)))
+                    if found[r] is None or value > found[r][0] or cell < found[r][1]:
+                        found[r] = (value, cell)
+                incumbent = max(incumbent, value)
         for r in members:
-            idx = np.unravel_index(found[r][1], shape)
-            found[r] = (found[r][0], np.array([float(union[d][i]) for d, i in enumerate(idx)]))
+            if found[r] is not None:
+                found[r] = (found[r][0], np.array([float(union[d][i]) for d, i in enumerate(found[r][1])]))
     best = None
-    for roles, (rate_max, alloc) in zip(roles_of, found):
+    for roles, result in zip(roles_of, found):
+        if result is None:
+            continue
+        rate_max, alloc = result
         if best is None or rate_max > best[0] or (
             rate_max == best[0] and tuple(alloc) < tuple(best[1])
         ):
@@ -251,17 +344,46 @@ def _threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) ->
     return out
 
 
-def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
-    """The jamming rate of each transmit set; the full-mesh logarithms are shared."""
-    total_p = sum(grids)
-    total_hp = sum(float(h[i]) * g for i, g in enumerate(grids))
-    log_p, log_hp = np.log2(1.0 + total_p), np.log2(1.0 + total_hp)
+def _mac_cj_box(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
+    """Each transmit set's jamming rate, bounded over the boxes [lo, hi].
+
+    The rate's own operations in its own order, with each sum taken at the
+    corner of the box that raises the rate: everyone's power and the
+    non-transmitters' h-weighted power at hi, everyone's h-weighted power
+    and the non-transmitters' power at lo.  Float addition, multiplication
+    by h >= 0, subtraction and halving are monotone, so only np.log2's
+    rounding can lift a cell above its box's value.  At lo = hi it is the
+    rate itself; the full-mesh logarithms are shared by the transmit sets.
+    """
+    log_p = np.log2(1.0 + sum(hi))
+    log_hp = np.log2(1.0 + sum(float(h[i]) * g for i, g in enumerate(lo)))
     for t_set in t_sets:
-        comp = [i for i in range(len(grids)) if i not in set(t_set)]
-        comp_p = sum(grids[i] for i in comp) if comp else 0.0
-        comp_hp = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
+        comp = [i for i in range(len(lo)) if i not in set(t_set)]
+        comp_p = sum(lo[i] for i in comp) if comp else 0.0
+        comp_hp = sum(float(h[i]) * hi[i] for i in comp) if comp else 0.0
         # rate = 1/2 [ log2(phi over complement) - log2(phi over everyone) ]
         yield 0.5 * (np.log2(1.0 + comp_hp) - np.log2(1.0 + comp_p) + log_p - log_hp)
+
+
+def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
+    """The jamming rate of each transmit set; the full-mesh logarithms are shared."""
+    return _mac_cj_box(h, grids, grids, t_sets)
+
+
+def _mac_cj_bound(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
+    """_mac_cj_box plus _SLACK_ULPS ulps of the largest logarithm it can form.
+
+    That logarithm is of the largest sum, at the boxes' top corner: np.log2
+    is within a few ulps of the exact logarithm, so every cell of a box is
+    at most its bound.
+    """
+    top = [float(np.max(g)) for g in hi]
+    largest = math.log2(1.0 + max(sum(top), sum(float(h[i]) * c for i, c in enumerate(top))))
+    slack = _SLACK_ULPS * math.ulp(largest)
+    return (box + slack for box in _mac_cj_box(h, lo, hi, t_sets))
+
+
+_mac_cj_rate.bound = _mac_cj_bound
 
 
 def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:

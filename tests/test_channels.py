@@ -266,6 +266,21 @@ def test_split_back_of_a_json_channel_without_source_caps():
         StdMacChannel([0.3], [3.0], ((0, 1),), ((1.0, 1.0, 1.0),)).split_back([1.0])
 
 
+@pytest.mark.parametrize(
+    "permutation",
+    [[[1], [1]], [[1], [5]], [[1, 2], []]],
+    ids=["repeated-user", "unknown-user", "empty-group"],
+)
+def test_std_channel_permutation_must_partition_the_original_users(permutation):
+    """A permutation that repeats, skips or leaves empty an original user is
+    refused by name, instead of splitting power to the wrong users, raising
+    IndexError, or averaging an empty group."""
+    doc = {"form": "standardized", "model": "mac", "eve_gains": [0.3, 0.7], "power_caps": [1.0, 2.0]}
+    with pytest.raises(ValueError, match="permutation"):
+        channel_from_json({**doc, "permutation": permutation})
+    assert channel_from_json({**doc, "permutation": [[2], [1]]}).split_back([1.0, 2.0]).tolist() == [2.0, 1.0]
+
+
 def test_std_channel_requires_ascending_gains():
     with pytest.raises(ValueError):
         StdMacChannel([0.5, 0.3], [1.0, 1.0])

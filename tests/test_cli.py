@@ -290,6 +290,15 @@ def test_exit_one_on_missing_channel_field(capsys, tmp_path):
     assert "power_caps" in err
 
 
+def test_exit_one_on_a_permutation_that_repeats_a_user(capsys, tmp_path):
+    path = tmp_path / "chan.json"
+    doc = {"form": "standardized", "model": "mac", "eve_gains": [0.3, 0.7], "power_caps": [1.0, 2.0]}
+    path.write_text(json.dumps({**doc, "permutation": [[1], [1]]}))
+    code, out, err = run_cli(capsys, "jam", "--channel", str(path))
+    assert code == 1 and out == ""
+    assert "permutation" in err
+
+
 def test_exit_one_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "sumrate", "--channel", "no-such-channel.json")
     assert code == 1

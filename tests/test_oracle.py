@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy_rates import (
     GridSpec,
@@ -194,8 +196,8 @@ def test_generators_are_seed_stable():
 # where the lexicographically smaller allocation wins) or in two cells of
 # one role (k3-two-jammers, where the C-order first cell wins).  In the
 # two-way case with gains 0 and 1, several cells of one role round to the
-# best rate.  The 101-point K=3 case spans many slabs of the search; its
-# superposition optimum sits in the last of 17.
+# best rate.  The 101-point K=3 case spans 125 tiles of the search; its
+# superposition optimum sits in a short tile at the end of the first axis.
 _MAC_PINS = [
     (
         ([1.1, 1.4], [2.0, 2.0], 101),
@@ -295,7 +297,7 @@ def _values(out):
     return out.sum_rate, out.allocation.powers.tolist(), roles, getattr(out, "diagnostics", None)
 
 
-def _assert_slabs_match_reference(monkeypatch, oracle_fn, ch, spec):
+def _assert_tiles_match_reference(monkeypatch, oracle_fn, ch, spec):
     got = _values(oracle_fn(ch, spec))
     with monkeypatch.context() as m:
         m.setattr(oracle, "_search", reference_search)
@@ -303,13 +305,13 @@ def _assert_slabs_match_reference(monkeypatch, oracle_fn, ch, spec):
     assert got == want, f"h={ch.eve_gains}, caps={ch.power_caps}, points={spec.points_per_axis}"
 
 
-def _slab_rows(k, points):
-    return max(1, oracle._SLAB_CELLS // points ** (k - 1))
+def _tile_sides(k, points):
+    return oracle._tile_sides((points,) * k)
 
 
-# (users, points per axis): one slab, and several slabs whose rows do not
-# divide the first axis
-_SLAB_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
+# (users, points per axis): one tile, and several tiles with sides that do not
+# divide their axes
+_TILE_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
 
 
 def _jammer_axes(ch, spec):
@@ -328,10 +330,35 @@ def _jammer_axes(ch, spec):
     return axes
 
 
-@pytest.mark.parametrize("k, points", _SLAB_CASES)
+def _objective_calls(monkeypatch, oracle_fn, ch, spec):
+    """oracle_fn's output, and for each call of the MAC jamming objective or of
+    its bound, the cells of the mesh it was given and its number of transmit
+    sets."""
+    calls = []
+    rate_grid = oracle._mac_cj_rate
+
+    def size(grids):
+        return math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids)))
+
+    def counted(h, grids, t_sets):
+        calls.append((size(grids), len(t_sets)))
+        return rate_grid(h, grids, t_sets)
+
+    def counted_bound(h, lo, hi, t_sets):
+        calls.append((size(lo), len(t_sets)))
+        return rate_grid.bound(h, lo, hi, t_sets)
+
+    counted.bound = counted_bound
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_mac_cj_rate", counted)
+        out = oracle_fn(ch, spec)
+    return out, calls
+
+
+@pytest.mark.parametrize("k, points", _TILE_CASES)
 def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
-    if points ** k > oracle._SLAB_CELLS:
-        assert points % _slab_rows(k, points) != 0
+    if points ** k > oracle._TILE_CELLS:
+        assert any(points % side for side in _tile_sides(k, points))
     rng = np.random.default_rng(70 + 10 * k + points % 7)
     channels = [random_mac_instance(rng, k) for _ in range(2)]
     channels.append(random_degraded_mac_instance(rng, k))
@@ -345,18 +372,29 @@ def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
         report_like = [random_mac_instance(rng, 3, cap_range=(0.5, 5.0)) for _ in range(12)]
         assert any(len(axes) > 1 for ch in report_like for axes in _jammer_axes(ch, spec))
         channels += report_like
+        # where pruning is weakest: a flat channel with a low rate, and one whose
+        # best rate, 1.7e-18, is far below the bound's slack
+        channels.append(StdMacChannel([0.768, 0.953, 1.279], [0.86, 4.29, 1.5]))
+        channels.append(StdMacChannel([2.0, 2.1, 2.2], [1.0, 1.0, 1.0]))
+    if (k, points) == (2, 400):
+        # several tiles per role, some of them pruned
+        pruned = StdMacChannel([0.5, 1.4], [2.0, 3.0])
+        for oracle_fn, roles in ((grid_max_mac_sup, 1), (grid_max_mac_cj, 4)):
+            _, calls = _objective_calls(monkeypatch, oracle_fn, pruned, spec)
+            assert sum(cells * n for cells, n in calls) < roles * points**2 / 2
+        channels.append(pruned)
     for ch in channels:
-        _assert_slabs_match_reference(monkeypatch, grid_max_mac_sup, ch, spec)
-        _assert_slabs_match_reference(monkeypatch, grid_max_mac_cj, ch, spec)
+        _assert_tiles_match_reference(monkeypatch, grid_max_mac_sup, ch, spec)
+        _assert_tiles_match_reference(monkeypatch, grid_max_mac_cj, ch, spec)
 
 
 @pytest.mark.parametrize("points", [5, 17, 31])
 def test_four_user_superposition_matches_the_single_pass_search(monkeypatch, points):
-    if points ** 4 > oracle._SLAB_CELLS:
-        assert points % _slab_rows(4, points) != 0
+    if points ** 4 > oracle._TILE_CELLS:
+        assert any(points % side for side in _tile_sides(4, points))
     rng = np.random.default_rng(90 + points)
     for ch in [random_mac_instance(rng, 4) for _ in range(3)] + [random_degraded_mac_instance(rng, 4)]:
-        _assert_slabs_match_reference(monkeypatch, grid_max_mac_sup, ch, GridSpec(points_per_axis=points))
+        _assert_tiles_match_reference(monkeypatch, grid_max_mac_sup, ch, GridSpec(points_per_axis=points))
 
 
 @pytest.mark.parametrize("points", [5, 101, 400])
@@ -367,28 +405,36 @@ def test_tw_oracles_match_the_single_pass_search(monkeypatch, points):
     channels.append(StdTwChannel([0.3, 0.7], [1.0, 1.0], [0.0, 4.0]))
     spec = GridSpec(points_per_axis=points)
     for ch in channels:
-        _assert_slabs_match_reference(monkeypatch, grid_max_tw, ch, spec)
-        _assert_slabs_match_reference(monkeypatch, grid_max_tw_cj, ch, spec)
+        _assert_tiles_match_reference(monkeypatch, grid_max_tw, ch, spec)
+        _assert_tiles_match_reference(monkeypatch, grid_max_tw_cj, ch, spec)
 
 
-def test_slab_search_keeps_the_first_of_tied_cells_in_different_slabs():
-    """Tied best cells in two later slabs: the C-order first one wins, as in
-    one argmax over the whole mesh, and a flat objective keeps the very first
-    cell."""
+def test_tile_search_keeps_the_first_of_tied_cells_in_different_tiles():
+    """Tied best cells in two later tiles: the C-order first one wins, as in
+    one argmax over the whole mesh, also when a bound has the search visit the
+    later tile first; and a flat objective keeps the very first cell."""
     ch = StdMacChannel([0.2, 0.5, 0.8], [10.0, 10.0, 10.0])
     spec = GridSpec(points_per_axis=101)
     axis = np.linspace(0.0, 10.0, 101)
-    rows = _slab_rows(3, 101)
-    early, late = axis[2 * rows + 1], axis[9 * rows + 3]
+    side = _tile_sides(3, 101)[0]
+    early, late = axis[side + 1], axis[3 * side + 3]
 
     def two_peaks(h, grids, t_sets):
         yield -np.minimum(np.abs(grids[0] - early), np.abs(grids[0] - late)) + 0.0 * (grids[1] + grids[2])
 
+    def late_first(h, lo, hi, t_sets):
+        yield np.where(hi[0] >= late, 1.0, 0.0) + 0.0 * (hi[1] + hi[2])
+
+    def late_first_peaks(h, grids, t_sets):
+        return two_peaks(h, grids, t_sets)
+
+    late_first_peaks.bound = late_first
     roles = [("T", "T", "T")]
-    rate, alloc, _ = oracle._search(ch, spec, two_peaks, roles)
-    assert rate == 0.0 and alloc.tolist() == [early, 0.0, 0.0]
     want_rate, want_alloc, _ = reference_search(ch, spec, two_peaks, roles)
-    assert (rate, alloc.tolist()) == (want_rate, want_alloc.tolist())
+    for rate_grid in (two_peaks, late_first_peaks):
+        rate, alloc, _ = oracle._search(ch, spec, rate_grid, roles)
+        assert rate == 0.0 and alloc.tolist() == [early, 0.0, 0.0]
+        assert (rate, alloc.tolist()) == (want_rate, want_alloc.tolist())
 
     flat = StdMacChannel([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
     rate, alloc, _ = oracle._search(flat, spec, oracle._mac_cj_rate, roles)
@@ -442,6 +488,54 @@ def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
     assert sum(cells) <= 1_200_000
 
 
+def test_mac_jamming_oracle_prunes_most_cells_by_its_bound(monkeypatch):
+    """Summed over the calls of the objective and of its bound, the cells come
+    to at most a third of the 1,081,914 that the unpruned search of one union
+    mesh per group evaluates for this channel."""
+    ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
+    sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, ch, SPEC_101)
+    assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
+    assert sum(cells for cells, _ in calls) <= 1_081_914 // 3
+
+
+@st.composite
+def _mac_sub_boxes(draw):
+    """Gains, a sorted grid per axis from 0 to a cap up to 1e300, and a sub-box
+    of it as index ranges."""
+    k = draw(st.integers(1, 3))
+    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k))
+    axes, box = [], []
+    for _ in range(k):
+        cap = draw(st.floats(0.0, 1e300))
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+        axis = np.unique(np.r_[0.0, cap, cap * np.array(fractions)])
+        first = draw(st.integers(0, len(axis) - 1))
+        box.append(slice(first, draw(st.integers(first + 1, len(axis)))))
+        axes.append(axis)
+    return np.sort(gains), axes, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mac_sub_boxes())
+def test_mac_jamming_box_form_bounds_every_cell_of_its_box(sub_box):
+    """For every transmit set, the box form at lo = hi is the rate, and every
+    cell of a box is at most its bound, the box form plus the slack."""
+    h, axes, box = sub_box
+    k = len(axes)
+    t_sets = [t for n in range(k + 1) for t in itertools.combinations(range(k), n)]
+    grids = np.ix_(*(ax[b] for ax, b in zip(axes, box)))
+    lo = np.ix_(*(ax[b][:1] for ax, b in zip(axes, box)))
+    hi = np.ix_(*(ax[b][-1:] for ax, b in zip(axes, box)))
+    rates = list(oracle._mac_cj_rate(h, grids, t_sets))
+    for at_cells, rate in zip(oracle._mac_cj_box(h, grids, grids, t_sets), rates):
+        assert np.array_equal(at_cells, rate)
+    for corner, cell in ((lo, (0,) * k), (hi, (-1,) * k)):
+        for at_corner, rate in zip(oracle._mac_cj_box(h, corner, corner, t_sets), rates):
+            assert at_corner.item() == np.broadcast_to(rate, np.broadcast_shapes(*(g.shape for g in grids)))[cell]
+    for bound, rate, t_set in zip(oracle._mac_cj_bound(h, lo, hi, t_sets), rates, t_sets):
+        assert np.all(rate <= bound), (t_set, rate.max(), bound)
+
+
 @pytest.mark.parametrize(
     "oracle_fn, ch",
     [
@@ -464,5 +558,5 @@ def test_overflow_check_follows_each_objective(monkeypatch):
     no cell of its search overflows: the oracle answers, as the single-pass
     search does."""
     ch = StdTwChannel([0.1, 0.1], [1.0, 1.0], [1e308, 1e308])
-    _assert_slabs_match_reference(monkeypatch, grid_max_tw, ch, SPEC_101)
+    _assert_tiles_match_reference(monkeypatch, grid_max_tw, ch, SPEC_101)
     assert grid_max_tw(ch, SPEC_101).allocation.powers.tolist() == [1e308, 1e308]
