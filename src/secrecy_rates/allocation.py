@@ -23,10 +23,10 @@ from .channels import (
     StdTwChannel,
     _gains_of,
     _powers_of,
-    cap_eve_tilde,
-    gaussian_bits,
     is_degraded,
+    secrecy_bits,
     to_jsonable,
+    tw_secrecy_bits,
 )
 from .regions import TdmaShares, _tdma_user_bounds
 
@@ -65,14 +65,7 @@ def _mac_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]
     in_t[list(transmit)] = True
     hp = h * powers
     p_t, hp_t = powers * in_t, hp * in_t
-    heard = gaussian_bits(float(p_t.sum()) / (1.0 + float((powers - p_t).sum())))
-    return max(heard - gaussian_bits(float(hp_t.sum()) / (1.0 + float((hp - hp_t).sum()))), 0.0)
-
-
-def _tw_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
-    """Two-way secrecy sum rate [sum_T C(P_k) - C(H_T / (1 + H_N))]^+ in bits."""
-    t = sorted(set(transmit))
-    return max(sum(gaussian_bits(float(powers[k])) for k in t) - cap_eve_tilde(powers, h, t), 0.0)
+    return max(float(secrecy_bits(p_t.sum(), (powers - p_t).sum(), hp_t.sum(), (hp - hp_t).sum())), 0.0)
 
 
 def sup_sum_rate(alloc, gains) -> float:
@@ -83,7 +76,7 @@ def sup_sum_rate(alloc, gains) -> float:
 
 def tw_sum_rate(alloc, gains) -> float:
     """Clamped two-way secrecy sum rate at an allocation, in bits."""
-    return _tw_secrecy_bits(_powers_of(alloc), _gains_of(gains), (0, 1))
+    return max(float(tw_secrecy_bits(_powers_of(alloc), _gains_of(gains), True)), 0.0)
 
 
 _TIED_GAINS = "gains must be strictly ascending; merge tied users first (standardize_mac / merge_tied_users do this)"
@@ -135,9 +128,8 @@ def mac_sup_optimal(ch: StdMacChannel) -> SumRateSolution:
 
 
 def _tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
-    """TDMA sum rate in bits: each user's clamped slot secrecy rate at cap / share."""
-    users = zip(h.tolist(), caps.tolist(), shares.tolist())
-    return sum(_tdma_user_bounds(hk, ck, sk)[1] for hk, ck, sk in users)
+    """TDMA sum rate in bits: the users' clamped slot rates at cap / share, added in order."""
+    return sum(_tdma_user_bounds(h, caps, shares)[1].tolist())
 
 
 def _marginal(x: np.ndarray, h: np.ndarray, c=1.0):

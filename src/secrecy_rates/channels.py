@@ -7,12 +7,14 @@ other's receivers).  Standardization rescales either setup to unit main
 gains and unit noise, condensing the eavesdropper's advantage for user k
 into a single dimensionless gain h_k.  Everything downstream (regions,
 optimizers, oracles) works on the standardized form, and all rates are
-reported in bits per channel use.  Every solver and region rate takes its
-logarithm in one kernel, ``gaussian_bits`` (C(snr) = 1/2 log2(1 + snr)
-through log1p, so small SNRs keep their relative accuracy), or in its
-array forms: ``gaussian_bits_array`` (np.log1p, for ranking) and
-``gaussian_bits_each`` (math.log1p per element, bit-identical to the
-scalar kernel).
+reported in bits per channel use.  Each scheme's secrecy rate is written
+once, for every solver, region and jamming site: ``secrecy_bits`` (MAC),
+``tw_secrecy_bits`` (two-way) and ``regions._tdma_user_bounds`` (TDMA).
+They take each logarithm in one log1p kernel, ``gaussian_bits`` (C(snr) =
+1/2 log2(1 + snr), so small SNRs keep their relative accuracy), or in its
+bit-identical array form ``gaussian_bits_each``.  Only the jamming ranking
+(np.log1p by ``gaussian_bits_array``; it reports no rate) and the grid
+oracles (np.log2, the independent check) take their own.
 """
 
 from __future__ import annotations
@@ -426,6 +428,30 @@ def gaussian_bits_each(snr: np.ndarray) -> np.ndarray:
     """
     logs = np.fromiter(map(math.log1p, np.ravel(snr).tolist()), float, np.size(snr))
     return 0.5 * logs.reshape(np.shape(snr)) / _LN2
+
+
+def secrecy_bits(p_t, p_n, h_t, h_n):
+    """The GGMAC-WT secrecy rate C(p_t / (1 + p_n)) - C(h_t / (1 + h_n)) in
+    bits, unclamped and elementwise, from the sums of the powers (p) and of
+    h_k P_k (h) over the transmitters (t) and over the users heard as noise
+    (n).  The callers form the sums; p_n = 0 gives C(p_t) bit for bit."""
+    with np.errstate(all="ignore"):  # inf / inf and inf - inf are NaN, as for Python floats
+        heard, leaked = np.divide(p_t, 1.0 + p_n), np.divide(h_t, 1.0 + h_n)
+        return gaussian_bits_each(heard) - gaussian_bits_each(leaked)
+
+
+def tw_secrecy_bits(powers, h, transmit):
+    """The GTW-WT secrecy rate sum_T C(P_k) - C(H_T / (1 + H_N)) in bits,
+    unclamped, of two-terminal rows (arrays broadcasting over (..., 2)) with
+    T the mask ``transmit``; H_T and H_N sum h_k P_k over T and the rest."""
+    if np.shape(powers)[-1] != 2:
+        raise ValueError("allocation length must be 2")
+    with np.errstate(all="ignore"):
+        gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
+        hp = h * powers
+        inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)
+        gross, inside, outside = (v[..., 0] + v[..., 1] for v in (gross, inside, outside))
+        return gross - gaussian_bits_each(inside / (1.0 + outside))
 
 
 def cap_main(alloc, subset: Iterable[int]) -> float:

@@ -9,9 +9,10 @@ sorted, and rates carry a _bits suffix.  JSON output, and the CSV of
 region, sumrate and jam, are strict: a NaN or infinity anywhere in them is
 an internal failure, named by its key path or CSV column, and nothing is
 written.  The channel flags belong to region, sumrate, jam and verify; a
-sweep takes its channels from --scene.  Exit codes: 0 success, 1
-validation error (an unknown flag included), 2 internal numerical
-failure; a sweep with failed cells writes its output, then exits 2.
+sweep takes its channels from --scene.  The oracle reports are JSON only.
+Exit codes: 0 success, 1 validation error (an unknown flag, or --format
+csv with --verify, included), 2 internal numerical failure; a sweep with
+failed cells writes its output, then exits 2.
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_channel=True, with_verify=True):
+    def add_common(p, with_channel=True, with_verify=True, formats=("json", "csv")):
         p.add_argument("--model", choices=("mac", "tw"), default="mac")
         if with_channel:
             p.add_argument("--channel", help="channel JSON (inline or file path)")
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--main-gains", dest="main_gains", help="raw main-channel gains; switches input to raw form")
             p.add_argument("--noises", help="noise variances: mac 'main,tap', tw 'rx1,rx2,tap'")
             p.add_argument("--self-gains", dest="self_gains", help="tw standardized self gains (default 0,0)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--grid", type=int, help="grid resolution (oracle points per axis, hull sampling, or sweep cells)")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if with_verify:
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run solvers and oracles side by side")
-    add_common(p_verify, with_verify=False)
+    add_common(p_verify, with_verify=False, formats=("json",))
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -389,6 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.grid is not None and args.grid < 2:
             raise ValueError(f"invalid --grid: expected at least 2 points per axis, got {args.grid}")
+        if getattr(args, "verify", False) and args.format == "csv":
+            raise ValueError("--verify cannot be combined with --format csv: the oracle report is JSON only")
         args.func(args)
     except (ValueError, NonStandardizableChannel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,11 @@ patterns tied with it to rounding, settles those by one lexsort, and gives
 each channel the status of the exception a single solve raises.
 mac_cj_optimal is that solve for one channel, the eavesdropper sweep for a
 grid.  The two-way variant only ever jams at full power, decided by a
-five-branch rule written once over arrays of channels.  The rates are the
-superposition and two-way rate expressions of ``allocation`` with jammers
-counted as noise, so they take their logarithms in the one kernel,
-``channels.gaussian_bits``, or in its array forms: np.log1p for the
-ranking, math.log1p per element wherever a reported rate must equal the
-scalar kernel bit for bit.
+five-branch rule written once over arrays of channels.  Every reported
+rate is ``channels.secrecy_bits`` or ``channels.tw_secrecy_bits`` with
+jammers counted as noise, as ``allocation``'s solvers report theirs.
+Only the ranking in _finalists takes its own logarithms (np.log1p), for
+rates it never reports.
 """
 
 from __future__ import annotations
@@ -36,10 +35,11 @@ from .channels import (
     _powers_of,
     _tied_neighbors,
     gaussian_bits_array,
-    gaussian_bits_each,
+    secrecy_bits,
     to_jsonable,
+    tw_secrecy_bits,
 )
-from .allocation import _TIED_GAINS, _mac_secrecy_bits, _tw_secrecy_bits
+from .allocation import _TIED_GAINS, _mac_secrecy_bits
 
 # Rates closer than this count as equal when ranking candidate role
 # patterns; see mac_cj_optimal.
@@ -83,7 +83,8 @@ def mac_cj_rate(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
 
 def tw_cj_rate(ch: StdTwChannel, alloc, transmit_set: Iterable[int]) -> float:
     """Clamped two-way cooperative-jamming secrecy sum rate in bits."""
-    return _tw_secrecy_bits(_powers_of(alloc), ch.eve_gains, transmit_set)
+    in_t = np.isin(np.arange(2), list(transmit_set))
+    return max(float(tw_secrecy_bits(_powers_of(alloc), ch.eve_gains, in_t)), 0.0)
 
 
 def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
@@ -293,7 +294,8 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
     the row, the (M, 3) coefficients (NaN without a pivot) and each row's
     index into _CASES.  It cannot where its discriminant's c2 ** 2 raises
     OverflowError, exactly where a finite c2 * c2 is not: from |c2| = 2 **
-    512, about 1.3408e154.  The logarithms are math.log1p.
+    512, about 1.3408e154.  The rate is channels.secrecy_bits on sums
+    masked over all users, as mac_cj_rate forms them.
     """
     m, k = caps.shape
     users = np.arange(k)
@@ -344,11 +346,11 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
         at_cap = positive & (root >= cap_j)
         pivot = np.where(at_cap, cap_j, np.where(positive, root, 0.0))
         powers = np.where(users == p[:, None], pivot[:, None], powers)
-        # mac_cj_rate, heard and leaked as [p, hp] rows
+        # mac_cj_rate, with its sums masked over all users as [p, hp] rows
         both = np.array((powers, h * powers))
         inside = both * in_t
-        bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
-        rate = bits[0] - bits[1]
+        (p_in, hp_in), (p_out, hp_out) = inside.sum(axis=2), (both - inside).sum(axis=2)
+        rate = secrecy_bits(p_in, p_out, hp_in, hp_out)
         ok = np.isfinite(c2 * c2) | ~np.isfinite(c2)
     case = np.where(jam, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
     # max(rate, 0.0), which keeps a NaN
@@ -429,8 +431,8 @@ def _tw_cj_rule(h: np.ndarray, caps: np.ndarray):
     of the (N, 2) ``h`` and ``caps``.
 
     Returns the powers, the transmit and jam masks of the users with
-    positive power, the rate (tw_cj_rate's operations in its order, with
-    math.log1p), each row's index into TW_BRANCHES, the single-user psi
+    positive power, the rate (channels.tw_secrecy_bits, as tw_cj_rate
+    reports it), each row's index into TW_BRANCHES, the single-user psi
     values and whether they tie.  Rows whose rate is not positive come out
     all silent.
     """
@@ -453,12 +455,7 @@ def _tw_cj_rule(h: np.ndarray, caps: np.ndarray):
         powers = np.where((both | jams)[:, None], caps, 0.0)
         transmit = (both[:, None] | (jams[:, None] & (users != jammer[:, None]))) & (powers > 0)
         jam = jams[:, None] & (users == jammer[:, None]) & (powers > 0)
-        # tw_cj_rate: sum_T C(P_k) - C(H_T / (1 + H_N))
-        gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
-        hp = h * powers
-        inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)
-        gross, inside, outside = (v[:, 0] + v[:, 1] for v in (gross, inside, outside))
-        rate = gross - gaussian_bits_each(inside / (1.0 + outside))
+    rate = tw_secrecy_bits(powers, h, transmit)
     branch = np.where(both, 0, np.where(jams, 1 + jammer, 3))
     silent = rate <= 0.0
     branch[silent] = 3

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -81,9 +82,9 @@ class GridSpec:
     points_per_axis: int = 101
 
     def __post_init__(self):
+        if not isinstance(self.points_per_axis, numbers.Integral) or self.points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be an integer of at least 2, got {self.points_per_axis!r}")
         self.points_per_axis = int(self.points_per_axis)
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be at least 2")
 
 
 def _axis(cap: float, spec: GridSpec, extras: Sequence[float] = ()) -> np.ndarray:

@@ -9,6 +9,7 @@ grids and returns the convex closure of everything it saw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -18,11 +19,10 @@ from .channels import (
     StdMacChannel,
     StdTwChannel,
     _powers_of,
-    cap_eve_tilde,
-    cap_main,
-    gaussian_bits,
     gaussian_bits_each,
+    secrecy_bits,
     to_jsonable,
+    tw_secrecy_bits,
 )
 
 REGION_TOL = 1e-9
@@ -71,8 +71,8 @@ class TdmaShares:
         self.shares = np.asarray(self.shares, dtype=float)
         if self.shares.ndim != 1 or len(self.shares) == 0:
             raise ValueError("shares must be a nonempty 1-D sequence")
-        if np.any(self.shares < 0) or np.any(self.shares > 1):
-            raise ValueError("shares must lie in [0, 1]")
+        if not np.all((self.shares >= 0) & (self.shares <= 1)):  # NaN fails both
+            raise ValueError("shares must be finite and lie in [0, 1]")
         if abs(float(self.shares.sum()) - 1.0) > 1e-12:
             raise ValueError("shares must sum to 1 within 1e-12")
 
@@ -182,36 +182,38 @@ def mac_sup_region(ch: StdMacChannel, alloc) -> SecrecyRegion:
     For every nonempty user subset S there is a total-rate bound (the
     receiver's sum capacity over S) and a secrecy bound, the excess of that
     capacity over what the eavesdropper collects from S treating the rest
-    as noise, clamped at zero.
+    as noise, clamped at zero: secrecy_bits(P_S, 0.0, H_S, H_rest), with
+    each sum over its own index set.
     """
     powers = _powers_of(alloc)
     k = ch.k_users
     if len(powers) != k:
         raise ValueError("allocation length must match k_users")
+    subsets = _nonempty_subsets(k)
+    hp = ch.eve_gains * powers
+    sums = [(powers[list(s)].sum(), hp[list(s)].sum(), np.delete(hp, s).sum()) for s in subsets]
+    p_s, hp_s, hp_rest = np.array(sums).T
+    raw, totals = secrecy_bits(p_s, 0.0, hp_s, hp_rest), gaussian_bits_each(p_s).tolist()
+    secrecy = np.where(raw < 0, 0.0, raw).tolist()
     constraints: List[RateConstraint] = []
-    bounds = {}
-    for subset in _nonempty_subsets(k):
-        total = cap_main(powers, subset)
-        raw = total - cap_eve_tilde(powers, ch, subset)
-        clamped = raw < 0
-        secrecy = 0.0 if clamped else raw
+    for subset, total, bound, clamped in zip(subsets, totals, secrecy, (raw < 0).tolist()):
         constraints.append(RateConstraint(subset, KIND_TOTAL, total))
-        constraints.append(RateConstraint(subset, KIND_SECRECY, secrecy, clamped))
-        bounds[subset] = secrecy
-    vertices = None
-    if k == 2:
-        vertices = _secrecy_pentagon(bounds[(0,)], bounds[(1,)], bounds[(0, 1)])
+        constraints.append(RateConstraint(subset, KIND_SECRECY, bound, clamped))
+    # two users' subsets are (0,), (1,) and (0, 1)
+    vertices = _secrecy_pentagon(*secrecy) if k == 2 else None
     return SecrecyRegion(constraints, vertices, "SUP", {"allocation": list(powers)})
 
 
-def _tdma_user_bounds(h: float, cap: float, share: float) -> Tuple[float, float, bool]:
-    """(total, secrecy, clamped) for one TDMA user at full cap in its slot."""
-    if share <= 0 or cap <= 0:
-        return 0.0, 0.0, False
-    burst = cap / share
-    total = share * gaussian_bits(burst)
-    raw = total - share * gaussian_bits(h * burst)
-    return total, max(raw, 0.0), raw < 0
+def _tdma_user_bounds(h, cap, share) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(total, secrecy, clamped) of TDMA users at full cap in their slots,
+    elementwise over arrays: share * C(cap / share), and that less
+    share * C(h cap / share) clamped at 0; 0 where share or cap is not > 0."""
+    off = (share <= 0) | (cap <= 0)
+    with np.errstate(all="ignore"):
+        burst = cap / np.where(off, 1.0, share)
+        total = share * gaussian_bits_each(burst)
+        raw = total - share * gaussian_bits_each(h * burst)
+    return np.where(off, 0.0, total), np.where(off | (raw < 0), 0.0, raw), ~off & (raw < 0)
 
 
 def mac_tdma_region(ch: StdMacChannel, shares) -> SecrecyRegion:
@@ -223,14 +225,11 @@ def mac_tdma_region(ch: StdMacChannel, shares) -> SecrecyRegion:
     if len(alpha) != k:
         raise ValueError("shares length must match k_users")
     constraints: List[RateConstraint] = []
-    secrecy_bounds = []
-    for u in range(k):
-        total, secrecy, clamped = _tdma_user_bounds(
-            float(ch.eve_gains[u]), float(ch.power_caps[u]), float(alpha[u])
-        )
+    bounds = _tdma_user_bounds(ch.eve_gains, ch.power_caps, alpha)
+    totals, secrecy_bounds, clamps = (b.tolist() for b in bounds)
+    for u, (total, secrecy, clamped) in enumerate(zip(totals, secrecy_bounds, clamps)):
         constraints.append(RateConstraint((u,), KIND_USER_TOTAL, total))
         constraints.append(RateConstraint((u,), KIND_USER_SECRECY, secrecy, clamped))
-        secrecy_bounds.append(secrecy)
     vertices = None
     if k == 2:
         b1, b2 = secrecy_bounds
@@ -246,20 +245,14 @@ def tw_region(ch: StdTwChannel, alloc) -> SecrecyRegion:
     capacities over the eavesdropper's view of the subset.
     """
     powers = _powers_of(alloc)
-    if len(powers) != 2:
-        raise ValueError("allocation length must be 2")
-    constraints: List[RateConstraint] = []
-    totals = [gaussian_bits(float(powers[u])) for u in range(2)]
-    for u in range(2):
-        constraints.append(RateConstraint((u,), KIND_USER_TOTAL, totals[u]))
-    bounds = {}
-    for subset in _nonempty_subsets(2):
-        raw = sum(totals[u] for u in subset) - cap_eve_tilde(powers, ch, subset)
-        clamped = raw < 0
-        secrecy = 0.0 if clamped else raw
-        constraints.append(RateConstraint(subset, KIND_SECRECY, secrecy, clamped))
-        bounds[subset] = secrecy
-    vertices = _secrecy_pentagon(bounds[(0,)], bounds[(1,)], bounds[(0, 1)])
+    subsets = _nonempty_subsets(2)
+    raw = tw_secrecy_bits(powers, ch.eve_gains, np.array([[u in s for u in range(2)] for s in subsets]))
+    totals = gaussian_bits_each(powers).tolist()
+    constraints = [RateConstraint((u,), KIND_USER_TOTAL, totals[u]) for u in range(2)]
+    secrecy = np.where(raw < 0, 0.0, raw).tolist()
+    for subset, bound, clamped in zip(subsets, secrecy, (raw < 0).tolist()):
+        constraints.append(RateConstraint(subset, KIND_SECRECY, bound, clamped))
+    vertices = _secrecy_pentagon(*secrecy)
     return SecrecyRegion(constraints, vertices, "TW", {"allocation": list(powers)})
 
 
@@ -267,31 +260,13 @@ def _sup_grid_bounds(ch: StdMacChannel, resolution: int):
     """Secrecy bounds (b1, b2, b12) of ``mac_sup_region`` at every power pair of
     the resolution x resolution grid, as flat arrays in the same arithmetic."""
     h1, h2 = (float(g) for g in ch.eve_gains)
-    axis1 = np.linspace(0.0, float(ch.power_caps[0]), resolution)
-    axis2 = np.linspace(0.0, float(ch.power_caps[1]), resolution)
-    p1, p2 = (a.ravel() for a in np.meshgrid(axis1, axis2, indexing="ij"))
+    axes = (np.linspace(0.0, float(c), resolution) for c in ch.power_caps)
+    p1, p2 = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
     hp1, hp2 = h1 * p1, h2 * p2
-    own1 = np.repeat(gaussian_bits_each(axis1), resolution)
-    own2 = np.tile(gaussian_bits_each(axis2), resolution)
-    raw1 = own1 - gaussian_bits_each(hp1 / (1.0 + hp2))
-    raw2 = own2 - gaussian_bits_each(hp2 / (1.0 + hp1))
-    raw12 = gaussian_bits_each(p1 + p2) - gaussian_bits_each(hp1 + hp2)
-    return tuple(np.where(raw < 0, 0.0, raw) for raw in (raw1, raw2, raw12))
-
-
-def _tdma_grid_bounds(ch: StdMacChannel, resolution: int):
-    """Per-user secrecy bounds (b1, b2) of ``mac_tdma_region`` at every share
-    pair (a, 1 - a) of the grid, in ``_tdma_user_bounds``' arithmetic."""
-    a1 = np.linspace(0.0, 1.0, resolution)
-    out = []
-    for share, h, cap in zip((a1, 1.0 - a1), ch.eve_gains, ch.power_caps):
-        h, cap = float(h), float(cap)
-        on = (share > 0) & (cap > 0)
-        burst = cap / np.where(on, share, 1.0)
-        total = share * gaussian_bits_each(burst)
-        raw = total - share * gaussian_bits_each(h * burst)
-        out.append(np.where(on & ~(raw < 0), raw, 0.0))
-    return tuple(out)
+    # the subsets {1}, {2} and {1, 2}, each with the rest heard as noise
+    p_s, hp_s, hp_rest = np.array(((p1, p2, p1 + p2), (hp1, hp2, hp1 + hp2), (hp2, hp1, np.zeros_like(p1))))
+    raw = secrecy_bits(p_s, 0.0, hp_s, hp_rest)
+    return tuple(np.where(raw < 0, 0.0, raw))
 
 
 def _distinct_ascending(points: np.ndarray) -> List[Tuple[float, float]]:
@@ -316,8 +291,10 @@ def mac_hull_region(
     recorded in the metadata; ``schemes`` restricts which families are
     sampled.
     """
-    if power_grid_resolution < 2 or share_grid_resolution < 2:
-        raise ValueError("grid resolutions must be at least 2")
+    resolutions = {"power_grid_resolution": power_grid_resolution, "share_grid_resolution": share_grid_resolution}
+    for name, value in resolutions.items():
+        if not isinstance(value, numbers.Integral) or value < 2:
+            raise ValueError(f"{name} must be an integer of at least 2, got {value!r}")
     unknown = set(schemes) - {"SUP", "TDMA"}
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -330,14 +307,17 @@ def mac_hull_region(
         "schemes": list(schemes),
     }
     if k == 1:
-        _, bound, _ = _tdma_user_bounds(float(ch.eve_gains[0]), float(ch.power_caps[0]), 1.0)
+        (bound,) = _tdma_user_bounds(ch.eve_gains, ch.power_caps, np.ones(1))[1].tolist()
         vertices = [(0.0, 0.0)] if bound == 0 else [(0.0, 0.0), (bound, 0.0)]
         constraints = [RateConstraint((0,), KIND_SECRECY, bound)]
         return SecrecyRegion(constraints, vertices, "HULL", meta)
 
+    a1 = np.linspace(0.0, 1.0, share_grid_resolution)
     with np.errstate(over="ignore", invalid="ignore"):
         sup = _sup_grid_bounds(ch, power_grid_resolution) if "SUP" in schemes else ()
-        tdma = _tdma_grid_bounds(ch, share_grid_resolution) if "TDMA" in schemes else ()
+    # each user's TDMA secrecy bound at every share pair (a, 1 - a)
+    tdma = _tdma_user_bounds(ch.eve_gains[:, None], ch.power_caps[:, None], np.array((a1, 1.0 - a1)))[1]
+    tdma = tuple(tdma) if "TDMA" in schemes else ()
     if not all(np.isfinite(b).all() for b in sup + tdma):
         raise ValueError(
             "power_caps are too large for the hull: a sampled secrecy-rate bound is not finite"

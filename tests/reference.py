@@ -11,8 +11,10 @@ generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
 oracles' search, the nested TDMA share search (Newton on the
-multiplier around a full burst solve per step) and the per-group loops
-that merge tied users and split their power back.
+multiplier around a full burst solve per step), the per-group loops
+that merge tied users and split their power back, and the secrecy-rate
+arithmetic that each solver, region and jamming site wrote out for
+itself before they shared one function per scheme.
 Nothing in ``secrecy_rates`` imports this module.
 """
 
@@ -24,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from secrecy_rates import allocation
+from secrecy_rates import allocation, regions
 from secrecy_rates.allocation import _MAX_BURST, SumRateSolution, _solution, _tdma_rate, sup_sum_rate
 from secrecy_rates.channels import (
     GAIN_MERGE_RTOL,
@@ -36,7 +38,10 @@ from secrecy_rates.channels import (
     _gains_of,
     _powers_of,
     _tied_neighbors,
+    cap_eve_tilde,
+    cap_main,
     gaussian_bits,
+    gaussian_bits_each,
 )
 from secrecy_rates.jamming import (
     RATE_TIE_TOL,
@@ -54,10 +59,8 @@ from secrecy_rates.regions import (
     REGION_TOL,
     RateConstraint,
     SecrecyRegion,
-    _tdma_user_bounds,
+    TdmaShares,
     convex_hull_2d,
-    mac_sup_region,
-    mac_tdma_region,
 )
 
 
@@ -497,6 +500,154 @@ def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, flo
     return convex_hull_2d(feas)
 
 
+# The rate arithmetic of each site as it was written out before the sites
+# shared channels.secrecy_bits, channels.tw_secrecy_bits and the array form
+# of regions._tdma_user_bounds.  The library must stay == to these.
+
+
+def reference_mac_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
+    """MAC secrecy sum rate [C(P_T / (1 + P_N)) - C(H_T / (1 + H_N))]^+ in bits.
+
+    T is the transmit set and N the rest, heard as noise; P sums powers, H
+    gain-weighted powers.  The sums are masked over all users, so a silent
+    N gives the same bits as T = everyone.
+    """
+    in_t = np.zeros(len(powers), dtype=bool)
+    in_t[list(transmit)] = True
+    hp = h * powers
+    p_t, hp_t = powers * in_t, hp * in_t
+    heard = gaussian_bits(float(p_t.sum()) / (1.0 + float((powers - p_t).sum())))
+    return max(heard - gaussian_bits(float(hp_t.sum()) / (1.0 + float((hp - hp_t).sum()))), 0.0)
+
+
+def reference_tw_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
+    """Two-way secrecy sum rate [sum_T C(P_k) - C(H_T / (1 + H_N))]^+ in bits."""
+    t = sorted(set(transmit))
+    return max(sum(gaussian_bits(float(powers[k])) for k in t) - cap_eve_tilde(powers, h, t), 0.0)
+
+
+def reference_pattern_rates(h: np.ndarray, powers: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The clamped rate of ``jamming._evaluate_patterns`` at its powers: users
+    [0, t) of each row transmit, the rest are heard as noise."""
+    in_t = np.arange(powers.shape[1]) < t[:, None]
+    # mac_cj_rate, heard and leaked as [p, hp] rows
+    both = np.array((powers, h * powers))
+    inside = both * in_t
+    bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
+    rate = bits[0] - bits[1]
+    return np.where(rate < 0.0, 0.0, rate)
+
+
+def reference_tw_rule_rates(h: np.ndarray, powers: np.ndarray, transmit: np.ndarray) -> np.ndarray:
+    """The unclamped rate of ``jamming._tw_cj_rule`` for (N, 2) rows."""
+    with np.errstate(all="ignore"):
+        # tw_cj_rate: sum_T C(P_k) - C(H_T / (1 + H_N))
+        gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
+        hp = h * powers
+        inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)
+        gross, inside, outside = (v[:, 0] + v[:, 1] for v in (gross, inside, outside))
+        rate = gross - gaussian_bits_each(inside / (1.0 + outside))
+    return rate
+
+
+def reference_tdma_user_bounds(h: float, cap: float, share: float) -> Tuple[float, float, bool]:
+    """(total, secrecy, clamped) for one TDMA user at full cap in its slot."""
+    if share <= 0 or cap <= 0:
+        return 0.0, 0.0, False
+    burst = cap / share
+    total = share * gaussian_bits(burst)
+    raw = total - share * gaussian_bits(h * burst)
+    return total, max(raw, 0.0), raw < 0
+
+
+def reference_tdma_rate(h: np.ndarray, caps: np.ndarray, shares: np.ndarray) -> float:
+    """TDMA sum rate in bits: each user's clamped slot secrecy rate at cap / share."""
+    users = zip(h.tolist(), caps.tolist(), shares.tolist())
+    return sum(reference_tdma_user_bounds(hk, ck, sk)[1] for hk, ck, sk in users)
+
+
+def reference_mac_sup_region(ch: StdMacChannel, alloc) -> SecrecyRegion:
+    """Superposition region at a fixed allocation, one subset at a time."""
+    powers = _powers_of(alloc)
+    k = ch.k_users
+    if len(powers) != k:
+        raise ValueError("allocation length must match k_users")
+    constraints: List[RateConstraint] = []
+    bounds = {}
+    for subset in regions._nonempty_subsets(k):
+        total = cap_main(powers, subset)
+        raw = total - cap_eve_tilde(powers, ch, subset)
+        clamped = raw < 0
+        secrecy = 0.0 if clamped else raw
+        constraints.append(RateConstraint(subset, KIND_TOTAL, total))
+        constraints.append(RateConstraint(subset, KIND_SECRECY, secrecy, clamped))
+        bounds[subset] = secrecy
+    vertices = None
+    if k == 2:
+        vertices = regions._secrecy_pentagon(bounds[(0,)], bounds[(1,)], bounds[(0, 1)])
+    return SecrecyRegion(constraints, vertices, "SUP", {"allocation": list(powers)})
+
+
+def reference_mac_tdma_region(ch: StdMacChannel, shares) -> SecrecyRegion:
+    """TDMA region for the given time shares, one user at a time."""
+    if not isinstance(shares, TdmaShares):
+        shares = TdmaShares(np.asarray(shares, dtype=float))
+    alpha = shares.shares
+    k = ch.k_users
+    if len(alpha) != k:
+        raise ValueError("shares length must match k_users")
+    constraints: List[RateConstraint] = []
+    secrecy_bounds = []
+    for u in range(k):
+        total, secrecy, clamped = reference_tdma_user_bounds(
+            float(ch.eve_gains[u]), float(ch.power_caps[u]), float(alpha[u])
+        )
+        constraints.append(RateConstraint((u,), KIND_USER_TOTAL, total))
+        constraints.append(RateConstraint((u,), KIND_USER_SECRECY, secrecy, clamped))
+        secrecy_bounds.append(secrecy)
+    vertices = None
+    if k == 2:
+        b1, b2 = secrecy_bounds
+        vertices = convex_hull_2d([(0.0, 0.0), (b1, 0.0), (b1, b2), (0.0, b2)])
+    return SecrecyRegion(constraints, vertices, "TDMA", {"shares": list(alpha)})
+
+
+def reference_tw_region(ch: StdTwChannel, alloc) -> SecrecyRegion:
+    """Two-way region at a fixed allocation, one subset at a time."""
+    powers = _powers_of(alloc)
+    if len(powers) != 2:
+        raise ValueError("allocation length must be 2")
+    constraints: List[RateConstraint] = []
+    totals = [gaussian_bits(float(powers[u])) for u in range(2)]
+    for u in range(2):
+        constraints.append(RateConstraint((u,), KIND_USER_TOTAL, totals[u]))
+    bounds = {}
+    for subset in regions._nonempty_subsets(2):
+        raw = sum(totals[u] for u in subset) - cap_eve_tilde(powers, ch, subset)
+        clamped = raw < 0
+        secrecy = 0.0 if clamped else raw
+        constraints.append(RateConstraint(subset, KIND_SECRECY, secrecy, clamped))
+        bounds[subset] = secrecy
+    vertices = regions._secrecy_pentagon(bounds[(0,)], bounds[(1,)], bounds[(0, 1)])
+    return SecrecyRegion(constraints, vertices, "TW", {"allocation": list(powers)})
+
+
+def reference_sup_grid_bounds(ch: StdMacChannel, resolution: int):
+    """Secrecy bounds (b1, b2, b12) of ``mac_sup_region`` at every power pair of
+    the resolution x resolution grid, as flat arrays in the same arithmetic."""
+    h1, h2 = (float(g) for g in ch.eve_gains)
+    axis1 = np.linspace(0.0, float(ch.power_caps[0]), resolution)
+    axis2 = np.linspace(0.0, float(ch.power_caps[1]), resolution)
+    p1, p2 = (a.ravel() for a in np.meshgrid(axis1, axis2, indexing="ij"))
+    hp1, hp2 = h1 * p1, h2 * p2
+    own1 = np.repeat(gaussian_bits_each(axis1), resolution)
+    own2 = np.tile(gaussian_bits_each(axis2), resolution)
+    raw1 = own1 - gaussian_bits_each(hp1 / (1.0 + hp2))
+    raw2 = own2 - gaussian_bits_each(hp2 / (1.0 + hp1))
+    raw12 = gaussian_bits_each(p1 + p2) - gaussian_bits_each(hp1 + hp2)
+    return tuple(np.where(raw < 0, 0.0, raw) for raw in (raw1, raw2, raw12))
+
+
 def reference_mac_hull_region(
     ch: StdMacChannel,
     power_grid_resolution: int = 33,
@@ -505,9 +656,9 @@ def reference_mac_hull_region(
 ) -> SecrecyRegion:
     """Convex closure of superposition and TDMA regions over sample grids.
 
-    The per-cell form of ``mac_hull_region``: one ``mac_sup_region`` per
-    power pair and one ``mac_tdma_region`` per share, each contributing its
-    vertex polygon to the hull.
+    The per-cell form of ``mac_hull_region``: one superposition region per
+    power pair and one TDMA region per share, each in the scalar arithmetic
+    above, contributing its vertex polygon to the hull.
     """
     if power_grid_resolution < 2 or share_grid_resolution < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -523,7 +674,7 @@ def reference_mac_hull_region(
         "schemes": list(schemes),
     }
     if k == 1:
-        _, bound, _ = _tdma_user_bounds(float(ch.eve_gains[0]), float(ch.power_caps[0]), 1.0)
+        _, bound, _ = reference_tdma_user_bounds(float(ch.eve_gains[0]), float(ch.power_caps[0]), 1.0)
         vertices = [(0.0, 0.0)] if bound == 0 else [(0.0, 0.0), (bound, 0.0)]
         constraints = [RateConstraint((0,), KIND_SECRECY, bound)]
         return SecrecyRegion(constraints, vertices, "HULL", meta)
@@ -534,11 +685,11 @@ def reference_mac_hull_region(
         axis2 = np.linspace(0.0, float(ch.power_caps[1]), power_grid_resolution)
         for p1 in axis1:
             for p2 in axis2:
-                region = mac_sup_region(ch, np.array([p1, p2]))
+                region = reference_mac_sup_region(ch, np.array([p1, p2]))
                 points.extend(region.vertices2d)
     if "TDMA" in schemes:
         for a1 in np.linspace(0.0, 1.0, share_grid_resolution):
-            region = mac_tdma_region(ch, np.array([a1, 1.0 - a1]))
+            region = reference_mac_tdma_region(ch, np.array([a1, 1.0 - a1]))
             points.extend(region.vertices2d)
     hull = convex_hull_2d(points)
     max_x = max(p[0] for p in hull)

@@ -23,6 +23,7 @@ from secrecy_rates import (
     tdma_share_search,
     tw_cj_rate,
     tw_optimal,
+    tw_region,
     tw_sum_rate,
 )
 from secrecy_rates import allocation
@@ -549,6 +550,20 @@ def test_transmit_set_matches_positive_powers():
     for _ in range(100):
         tw = tw_optimal(random_tw_instance(rng))
         assert tw.transmit_set == tuple(np.flatnonzero(tw.allocation.powers > 0))
+
+
+def test_two_way_rates_refuse_an_allocation_of_other_than_two_powers():
+    """A third power used to be counted as noise by one rate function and
+    dropped by another; every two-way rate now refuses it by name."""
+    ch = StdTwChannel([0.1, 0.2], [0.0, 0.0], [1.0, 2.0])
+    for rate in (
+        lambda: tw_sum_rate([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]),
+        lambda: tw_cj_rate(ch, [1.0, 2.0, 3.0], (0,)),
+        lambda: tw_region(ch, [1.0, 2.0, 3.0]),
+        lambda: tw_region(ch, [1.0]),
+    ):
+        with pytest.raises(ValueError, match="allocation length must be 2"):
+            rate()
 
 
 def test_rate_helpers_clamp():

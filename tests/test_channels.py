@@ -25,13 +25,35 @@ from secrecy_rates import (
     standardize_mac,
     standardize_tw,
 )
+from secrecy_rates.allocation import _tdma_rate, sup_sum_rate, tw_sum_rate
+from secrecy_rates.channels import tw_secrecy_bits
+from secrecy_rates.jamming import _evaluate_patterns, _tw_cj_rule, mac_cj_rate, tw_cj_rate
+from secrecy_rates.regions import (
+    _sup_grid_bounds,
+    _tdma_user_bounds,
+    mac_hull_region,
+    mac_sup_region,
+    mac_tdma_region,
+    tw_region,
+)
 from reference import (
     cap_eve,
     phi,
     psi,
     random_tied_mac_row,
+    reference_mac_hull_region,
+    reference_mac_secrecy_bits,
+    reference_mac_sup_region,
+    reference_mac_tdma_region,
     reference_merge_tied_users,
+    reference_pattern_rates,
     reference_split_back,
+    reference_sup_grid_bounds,
+    reference_tdma_rate,
+    reference_tdma_user_bounds,
+    reference_tw_region,
+    reference_tw_rule_rates,
+    reference_tw_secrecy_bits,
 )
 
 TOL = 1e-12
@@ -387,3 +409,78 @@ def test_channel_json_missing_field_names_it():
     del doc["power_caps"]
     with pytest.raises(ValueError, match="power_caps"):
         channel_from_json(doc)
+
+
+def _scaled_powers(rng, k):
+    """k powers at one scale drawn from 1e-8 to 1e8, about a quarter of them 0."""
+    return 10.0 ** rng.uniform(-8.0, 8.0) * rng.uniform(0.0, 1.0, k) * (rng.random(k) > 0.25)
+
+
+def _shares(rng, k):
+    """Time shares on the simplex, about a quarter of them 0 (never all)."""
+    w = rng.uniform(0.0, 1.0, k) * (rng.random(k) > 0.25)
+    w[rng.integers(k)] += 0.5
+    return w / w.sum()
+
+
+def _region_bits(region):
+    return region.constraints, region.vertices2d
+
+
+TW_TRANSMIT_SETS = ((), (0,), (1,), (0, 1))
+
+
+def test_secrecy_rate_sites_equal_their_written_out_forms():
+    """Every site that evaluates a secrecy rate is == to the arithmetic it
+    wrote out before the rates had one function per scheme (reference.py):
+    the MAC rate and its solvers, the pattern evaluator, the superposition
+    region's subset bounds, whose index-set sums group differently from a
+    masked sum's from K = 8 on, its 2-user grid, the TDMA slot bounds and
+    rate, the 1-user hull, and the two-way rule, rate and region on all four
+    transmit sets.  K runs from 1 to 12 at power scales from 1e-8 to 1e8,
+    and the TDMA rate also at K = 128."""
+    rng = np.random.default_rng(18)
+    for draw in range(480):
+        k = draw % 12 + 1
+        h, powers = np.sort(rng.uniform(0.0, 2.0, k)), _scaled_powers(rng, k)
+        ch = StdMacChannel(h, powers)
+        transmit = np.flatnonzero(rng.random(k) < 0.5).tolist()
+        assert mac_cj_rate(ch, powers, transmit) == reference_mac_secrecy_bits(powers, h, transmit)
+        assert sup_sum_rate(powers, h) == reference_mac_secrecy_bits(powers, h, range(k))
+        # every ordered pattern (t, p) of the jamming evaluator, with the powers as caps
+        t, p = np.array([(t, p) for t in range(k + 1) for p in range(t, k + 1)]).T
+        rows = np.repeat(h[None], len(t), axis=0), np.repeat(powers[None], len(t), axis=0)
+        got, rate, *_ = _evaluate_patterns(*rows, t, p)
+        assert np.array_equal(rate, reference_pattern_rates(rows[0], got, t))
+        if k <= 10 and draw % 3 == 0:
+            assert _region_bits(mac_sup_region(ch, powers)) == _region_bits(reference_mac_sup_region(ch, powers))
+        shares = _shares(rng, k)
+        want = [reference_tdma_user_bounds(*u) for u in zip(h.tolist(), powers.tolist(), shares.tolist())]
+        assert list(zip(*(b.tolist() for b in _tdma_user_bounds(h, powers, shares)))) == want
+        assert _region_bits(mac_tdma_region(ch, shares)) == _region_bits(reference_mac_tdma_region(ch, shares))
+        assert _tdma_rate(h, powers, shares) == reference_tdma_rate(h, powers, shares)
+        if k == 1:
+            assert _region_bits(mac_hull_region(ch)) == _region_bits(reference_mac_hull_region(ch))
+        if k == 2:
+            got, want = _sup_grid_bounds(ch, 9), reference_sup_grid_bounds(ch, 9)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            two_way = StdTwChannel(h[rng.permutation(2)], [0.0, 0.0], powers)
+            gains = two_way.eve_gains
+            for t_set in TW_TRANSMIT_SETS:
+                mask = np.isin(np.arange(2), t_set)
+                assert tw_cj_rate(two_way, powers, t_set) == reference_tw_secrecy_bits(powers, gains, t_set)
+                assert tw_secrecy_bits(powers, gains, mask) == reference_tw_rule_rates(gains[None], powers[None], mask)
+            assert tw_sum_rate(powers, gains) == reference_tw_secrecy_bits(powers, gains, (0, 1))
+            assert _region_bits(tw_region(two_way, powers)) == _region_bits(reference_tw_region(two_way, powers))
+    for _ in range(10):
+        h, caps = np.sort(rng.uniform(0.0, 1.2, 128)), _scaled_powers(rng, 128)
+        shares = _shares(rng, 128)
+        assert _tdma_rate(h, caps, shares) == reference_tdma_rate(h, caps, shares)
+    # the two-way rule on channels on both sides of every threshold; its
+    # rates are reported where positive, and those rows keep their powers
+    h = rng.uniform(0.0, 3.0, (2000, 2))
+    caps = 10.0 ** rng.uniform(-8.0, 8.0, (2000, 1)) * rng.uniform(0.0, 1.0, (2000, 2))
+    powers, transmit, _, rate, *_ = _tw_cj_rule(h, caps)
+    shown = rate > 0.0
+    assert shown.sum() > 500
+    assert np.array_equal(rate[shown], reference_tw_rule_rates(h, powers, transmit)[shown])

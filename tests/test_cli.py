@@ -731,6 +731,33 @@ def test_sweep_refuses_channel_flags(capsys, tmp_path, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sumrate", "jam"])
+def test_verify_with_csv_format_exits_one_naming_both_flags(capsys, tmp_path, command):
+    """The oracle report has no CSV form, so the pair is refused before any
+    solve: exit 1, nothing written, both flags named."""
+    out_path = tmp_path / "out.csv"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, err = run_cli(
+            capsys, command, "--caps", "4,4", "--eve-gains", "0.1,0.3", "--format", "csv",
+            "--verify", *extra,
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert "--verify" in err and "--format csv" in err
+
+
+def test_verify_command_takes_json_format_only(capsys, tmp_path):
+    out_path = tmp_path / "verify.csv"
+    argv = ["verify", "--caps", "4,4", "--eve-gains", "0.1,0.3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == "" and not out_path.exists()
+    assert "argument --format: invalid choice" in captured.err
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and "jam" in json.loads(out)
+
+
 def test_usage_errors_exit_one_and_help_exits_zero(capsys):
     for argv in (["bogus"], ["jam", "--model", "xx"], ["sumrate", "--grid", "two"], []):
         with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,14 @@ def test_grid_spec_validation():
         GridSpec(points_per_axis=1)
 
 
+@pytest.mark.parametrize("points", [2.7, 101.0, "x", "101", None])
+def test_grid_spec_rejects_non_integer_points_naming_the_field(points):
+    """A fractional size would be truncated to fewer points than asked for."""
+    with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+        GridSpec(points)
+    assert GridSpec(np.int64(5)).points_per_axis == 5
+
+
 def test_grid_max_mac_sup_examples():
     ch = StdMacChannel([0.1, 0.3], [4.0, 4.0])
     alloc, rate = grid_max_mac_sup(ch, SPEC_101)

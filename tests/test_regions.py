@@ -255,6 +255,13 @@ def test_hull_single_user_segment():
     assert np.isclose(hull.vertices2d[1][0], top, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["power_grid_resolution", "share_grid_resolution"])
+@pytest.mark.parametrize("value", [2.5, 33.0, "33"])
+def test_hull_rejects_non_integer_resolutions_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        mac_hull_region(FIG4_CH, **{field: value})
+
+
 def test_hull_rejects_three_users():
     ch = StdMacChannel([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
@@ -383,6 +390,16 @@ def test_tdma_shares_validation():
         TdmaShares(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         TdmaShares(np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize("shares", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0]])
+def test_tdma_shares_reject_non_finite_values(shares):
+    """A NaN passed the range and sum checks, which compared false, and gave
+    NaN bounds; the region refuses it by name."""
+    with pytest.raises(ValueError, match="shares must be finite"):
+        TdmaShares(shares)
+    with pytest.raises(ValueError, match="shares must be finite"):
+        mac_tdma_region(FIG4_CH, shares)
 
 
 def test_rate_point_rejects_negative():
