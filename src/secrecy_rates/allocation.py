@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -54,24 +54,12 @@ class SumRateSolution:
         )
 
 
-def _mac_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Iterable[int]) -> float:
-    """MAC secrecy sum rate [C(P_T / (1 + P_N)) - C(H_T / (1 + H_N))]^+ in bits.
-
-    T is the transmit set and N the rest, heard as noise; P sums powers, H
-    gain-weighted powers.  The sums are masked over all users, so a silent
-    N gives the same bits as T = everyone.
-    """
-    in_t = np.zeros(len(powers), dtype=bool)
-    in_t[list(transmit)] = True
-    hp = h * powers
-    p_t, hp_t = powers * in_t, hp * in_t
-    return max(float(secrecy_bits(p_t.sum(), (powers - p_t).sum(), hp_t.sum(), (hp - hp_t).sum())), 0.0)
-
-
 def sup_sum_rate(alloc, gains) -> float:
-    """Clamped superposition secrecy sum rate at an allocation, in bits."""
+    """Clamped superposition secrecy sum rate [C(P) - C(H)]^+ at an
+    allocation, in bits: everyone transmits, P sums the powers and H the
+    gain-weighted powers."""
     powers = _powers_of(alloc)
-    return _mac_secrecy_bits(powers, _gains_of(gains), range(len(powers)))
+    return max(float(secrecy_bits(powers.sum(), 0.0, (_gains_of(gains) * powers).sum(), 0.0)), 0.0)
 
 
 def tw_sum_rate(alloc, gains) -> float:

@@ -10,20 +10,21 @@ optimizers, oracles) works on the standardized form, and all rates are
 reported in bits per channel use.  Each scheme's secrecy rate is written
 once, for every solver, region and jamming site: ``secrecy_bits`` (MAC),
 ``tw_secrecy_bits`` (two-way) and ``regions._tdma_user_bounds`` (TDMA).
-They take each logarithm in one log1p kernel, ``gaussian_bits`` (C(snr) =
-1/2 log2(1 + snr), so small SNRs keep their relative accuracy), or in its
-bit-identical array form ``gaussian_bits_each``.  Only the jamming ranking
-(np.log1p by ``gaussian_bits_array``; it reports no rate) and the grid
-oracles (np.log2, the independent check) take their own.
+They take each logarithm in one kernel, ``gaussian_bits_each`` (C(snr) =
+1/2 log2(1 + snr) by math.log1p per element, so small SNRs keep their
+relative accuracy).  Only the jamming ranking (np.log1p by
+``gaussian_bits_array``; it reports no rate) and the grid oracles
+(np.log2, the independent check) take their own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -167,15 +168,25 @@ class StdMacChannel:
             raise ValueError("eve_gains must be sorted ascending")
         if not self.permutation:
             self.permutation = tuple((k,) for k in range(len(self.eve_gains)))
-        else:
-            self.permutation = tuple(tuple(int(i) for i in g) for g in self.permutation)
+        groups = tuple(map(tuple, self.permutation))
+        if not all(isinstance(i, numbers.Integral) for g in groups for i in g):
+            raise ValueError("permutation entries must be integer user indices")
+        self.permutation = tuple(tuple(int(i) for i in g) for g in groups)
         if len(self.permutation) != len(self.eve_gains):
             raise ValueError("permutation must list one group per stored user")
         members = sorted(chain.from_iterable(self.permutation))
         if not all(self.permutation) or members != list(range(len(members))):
             raise ValueError("permutation must list each original user exactly once, in non-empty groups")
         if self.source_caps is not None:
-            self.source_caps = tuple(tuple(float(c) for c in g) for g in self.source_caps)
+            try:
+                self.source_caps = tuple(tuple(float(c) for c in g) for g in self.source_caps)
+            except (TypeError, ValueError):
+                raise ValueError("source_caps must list groups of numbers") from None
+            if list(map(len, self.source_caps)) != list(map(len, self.permutation)):
+                raise ValueError("source_caps must list one cap per member of each permutation group")
+            caps = np.fromiter(chain.from_iterable(self.source_caps), float, len(members))
+            if not np.all(np.isfinite(caps)) or np.any(caps < 0):
+                raise ValueError("source_caps must be finite and nonnegative")
 
     @property
     def k_users(self) -> int:
@@ -197,10 +208,8 @@ class StdMacChannel:
         sizes = np.fromiter(map(len, self.permutation), int, self.k_users)
         if self.source_caps is None:
             caps = np.repeat(self.power_caps / np.maximum(sizes, 1), sizes)
-        elif list(map(len, self.source_caps)) == sizes.tolist():
-            caps = np.fromiter(chain.from_iterable(self.source_caps), float, sizes.sum())
         else:
-            raise ValueError("source_caps must list one cap per member of each permutation group")
+            caps = np.fromiter(chain.from_iterable(self.source_caps), float, sizes.sum())
         # each group's cap, summed as the merge sums it
         _, group_caps = _merge_groups(caps, caps, np.append(0, np.cumsum(sizes)))
         group = np.repeat(np.arange(self.k_users), sizes)
@@ -410,21 +419,18 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     return StdTwChannel(h, self_gains, caps)
 
 
-def gaussian_bits(snr: float) -> float:
-    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits, computed with log1p."""
-    return 0.5 * math.log1p(snr) / _LN2
-
-
 def gaussian_bits_array(snr: np.ndarray) -> np.ndarray:
-    """gaussian_bits of every element of an array of SNRs (np.log1p)."""
+    """C(snr) of every element of an array of SNRs by np.log1p, which may
+    differ from gaussian_bits_each by an ulp."""
     return 0.5 * np.log1p(snr) / _LN2
 
 
 def gaussian_bits_each(snr: np.ndarray) -> np.ndarray:
-    """gaussian_bits of every element, equal to the scalar kernel bit for bit.
+    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits of every element.
 
     The logarithm is math.log1p per element: np.log1p may differ from it by
-    an ulp, while numpy's multiply and divide round exactly as Python's.
+    an ulp, while numpy's multiply and divide round exactly as Python's, so
+    each element equals 0.5 * math.log1p(snr) / ln 2 bit for bit.
     """
     logs = np.fromiter(map(math.log1p, np.ravel(snr).tolist()), float, np.size(snr))
     return 0.5 * logs.reshape(np.shape(snr)) / _LN2
@@ -452,28 +458,6 @@ def tw_secrecy_bits(powers, h, transmit):
         inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)
         gross, inside, outside = (v[..., 0] + v[..., 1] for v in (gross, inside, outside))
         return gross - gaussian_bits_each(inside / (1.0 + outside))
-
-
-def cap_main(alloc, subset: Iterable[int]) -> float:
-    """Receiver-side Gaussian sum capacity of a user subset, in bits.
-
-    Returns C(sum of subset powers); the empty subset gives 0.
-    """
-    powers = _powers_of(alloc)
-    idx = list(subset)
-    return gaussian_bits(float(powers[idx].sum()))
-
-
-def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
-    """Eavesdropper capacity of a subset with everyone else heard as noise."""
-    powers = _powers_of(alloc)
-    h = _gains_of(gains)
-    idx = list(subset)
-    inside = float((h[idx] * powers[idx]).sum())
-    members = set(idx)
-    comp = [k for k in range(len(powers)) if k not in members]
-    outside = float((h[comp] * powers[comp]).sum()) if comp else 0.0
-    return gaussian_bits(inside / (1.0 + outside))
 
 
 def is_degraded(ch: StdMacChannel) -> bool:
@@ -512,48 +496,29 @@ def to_jsonable(obj):
     return obj
 
 
+# The channel class of each (form, model) pair.  A document's fields are
+# the class's dataclass fields, in their order; only StdMacChannel's
+# permutation is rewritten, to 1-based user indices.
+_CHANNEL_TYPES = {
+    ("raw", "mac"): RawMacChannel,
+    ("standardized", "mac"): StdMacChannel,
+    ("raw", "tw"): RawTwChannel,
+    ("standardized", "tw"): StdTwChannel,
+}
+
+
 def channel_to_json(ch) -> Dict:
     """Serialize any channel type to a plain JSON-ready dictionary."""
-    if isinstance(ch, RawMacChannel):
-        doc = {
-            "form": "raw",
-            "model": "mac",
-            "main_gains": ch.main_gains,
-            "tap_gains": ch.tap_gains,
-            "main_noise": ch.main_noise,
-            "tap_noise": ch.tap_noise,
-            "power_caps": ch.power_caps,
-        }
-    elif isinstance(ch, StdMacChannel):
-        doc = {
-            "form": "standardized",
-            "model": "mac",
-            "eve_gains": ch.eve_gains,
-            "power_caps": ch.power_caps,
-            "permutation": [[i + 1 for i in grp] for grp in ch.permutation],
-        }
-        if ch.source_caps is not None:
-            doc["source_caps"] = [list(grp) for grp in ch.source_caps]
-    elif isinstance(ch, RawTwChannel):
-        doc = {
-            "form": "raw",
-            "model": "tw",
-            "main_gains": ch.main_gains,
-            "tap_gains": ch.tap_gains,
-            "receiver_noises": ch.receiver_noises,
-            "tap_noise": ch.tap_noise,
-            "power_caps": ch.power_caps,
-        }
-    elif isinstance(ch, StdTwChannel):
-        doc = {
-            "form": "standardized",
-            "model": "tw",
-            "eve_gains": ch.eve_gains,
-            "self_gains": ch.self_gains,
-            "power_caps": ch.power_caps,
-        }
-    else:
+    kind = next((kind for kind, cls in _CHANNEL_TYPES.items() if isinstance(ch, cls)), None)
+    if kind is None:
         raise TypeError(f"not a channel type: {type(ch)!r}")
+    doc = {"form": kind[0], "model": kind[1]}
+    for f in fields(ch):
+        value = getattr(ch, f.name)
+        if f.name == "permutation":
+            value = [[i + 1 for i in grp] for grp in value]
+        if value is not None:  # a StdMacChannel without source_caps
+            doc[f.name] = value
     return to_jsonable(doc)
 
 
@@ -584,37 +549,18 @@ def channel_from_json(doc):
         raise ValueError(f"channel JSON field 'form' must be raw or standardized, got {form!r}")
     if model not in ("mac", "tw"):
         raise ValueError(f"channel JSON field 'model' must be mac or tw, got {model!r}")
-    if form == "raw" and model == "mac":
-        return RawMacChannel(
-            _require(doc, "main_gains"),
-            _require(doc, "tap_gains"),
-            _require(doc, "main_noise"),
-            _require(doc, "tap_noise"),
-            _require(doc, "power_caps"),
-        )
-    if form == "raw" and model == "tw":
-        return RawTwChannel(
-            _require(doc, "main_gains"),
-            _require(doc, "tap_gains"),
-            _require(doc, "receiver_noises"),
-            _require(doc, "tap_noise"),
-            _require(doc, "power_caps"),
-        )
-    if model == "mac":
-        permutation = tuple(
-            tuple(i - 1 for i in grp) for grp in doc.get("permutation", [])
-        )
-        source_caps = doc.get("source_caps")
-        if source_caps is not None:
-            source_caps = tuple(tuple(grp) for grp in source_caps)
-        return StdMacChannel(
-            _require(doc, "eve_gains"),
-            _require(doc, "power_caps"),
-            permutation,
-            source_caps,
-        )
-    return StdTwChannel(
-        _require(doc, "eve_gains"),
-        _require(doc, "self_gains"),
-        _require(doc, "power_caps"),
-    )
+    cls = _CHANNEL_TYPES[form, model]
+    values = {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            values[f.name] = _require(doc, f.name)
+        elif f.name in doc:
+            values[f.name] = doc[f.name]
+    if "permutation" in values:
+        try:
+            values["permutation"] = tuple(tuple(i - 1 for i in grp) for grp in values["permutation"])
+        except TypeError:
+            raise ValueError(
+                "channel JSON field 'permutation' must list groups of 1-based user indices"
+            ) from None
+    return cls(**values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,14 +32,13 @@ from .channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
-    _powers_of,
     _tied_neighbors,
     gaussian_bits_array,
     secrecy_bits,
     to_jsonable,
     tw_secrecy_bits,
 )
-from .allocation import _TIED_GAINS, _mac_secrecy_bits
+from .allocation import _TIED_GAINS
 
 # Rates closer than this count as equal when ranking candidate role
 # patterns; see mac_cj_optimal.
@@ -74,45 +73,6 @@ class JammingSolution:
                 "diagnostics": self.diagnostics,
             }
         )
-
-
-def mac_cj_rate(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> float:
-    """Clamped cooperative-jamming secrecy sum rate in bits; sup_sum_rate's expression."""
-    return _mac_secrecy_bits(_powers_of(alloc), ch.eve_gains, transmit_set)
-
-
-def tw_cj_rate(ch: StdTwChannel, alloc, transmit_set: Iterable[int]) -> float:
-    """Clamped two-way cooperative-jamming secrecy sum rate in bits."""
-    in_t = np.isin(np.arange(2), list(transmit_set))
-    return max(float(tw_secrecy_bits(_powers_of(alloc), ch.eve_gains, in_t)), 0.0)
-
-
-def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
-    """The two summands of rho_j, useful for relative-scale comparisons."""
-    powers = _powers_of(alloc)
-    t_set = sorted(set(transmit_set))
-    if j not in set(jam_set):
-        raise ValueError("rho is defined for jamming users only")
-    in_t = set(t_set)
-    comp = [k for k in range(ch.k_users) if k not in in_t]
-    h = ch.eve_gains
-    hj = float(h[j])
-    sum_p_all = float(powers.sum())
-    sum_hp_all = float((h * powers).sum())
-    sum_p_comp = float(powers[comp].sum())
-    sum_hp_comp = float((h[comp] * powers[comp]).sum())
-    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
-    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
-    term_neg = -hj * (1.0 + sum_p_all) * (1.0 + sum_p_comp) * sum_hp_t
-    term_pos = (1.0 + sum_hp_all) * (1.0 + sum_hp_comp) * sum_p_t
-    return term_neg, term_pos
-
-
-def rho_eval(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> float:
-    """Derivative indicator for jammer j's power: the objective ratio falls
-    in P_j exactly while rho_j < 0, so an interior pivot has rho_j = 0."""
-    term_neg, term_pos = rho_terms(ch, transmit_set, jam_set, alloc, j)
-    return term_neg + term_pos
 
 
 def _role_solution(sends, jams, powers, rate, diagnostics: Dict, pivot=None, coeffs=None) -> JammingSolution:
@@ -290,12 +250,12 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
     in the pivot, which stays at 0.
 
     Returns the powers (finite: caps or a root clamped to [0, cap]), the
-    rate as mac_cj_rate clamps it, whether _partition_solution can report
-    the row, the (M, 3) coefficients (NaN without a pivot) and each row's
-    index into _CASES.  It cannot where its discriminant's c2 ** 2 raises
+    rate clamped at 0, whether _partition_solution can report the row, the
+    (M, 3) coefficients (NaN without a pivot) and each row's index into
+    _CASES.  It cannot where its discriminant's c2 ** 2 raises
     OverflowError, exactly where a finite c2 * c2 is not: from |c2| = 2 **
     512, about 1.3408e154.  The rate is channels.secrecy_bits on sums
-    masked over all users, as mac_cj_rate forms them.
+    masked over all users: the transmitters' and the rest's.
     """
     m, k = caps.shape
     users = np.arange(k)
@@ -346,7 +306,7 @@ def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.nda
         at_cap = positive & (root >= cap_j)
         pivot = np.where(at_cap, cap_j, np.where(positive, root, 0.0))
         powers = np.where(users == p[:, None], pivot[:, None], powers)
-        # mac_cj_rate, with its sums masked over all users as [p, hp] rows
+        # the secrecy rate, with its sums masked over all users as [p, hp] rows
         both = np.array((powers, h * powers))
         inside = both * in_t
         (p_in, hp_in), (p_out, hp_out) = inside.sum(axis=2), (both - inside).sum(axis=2)
@@ -431,10 +391,9 @@ def _tw_cj_rule(h: np.ndarray, caps: np.ndarray):
     of the (N, 2) ``h`` and ``caps``.
 
     Returns the powers, the transmit and jam masks of the users with
-    positive power, the rate (channels.tw_secrecy_bits, as tw_cj_rate
-    reports it), each row's index into TW_BRANCHES, the single-user psi
-    values and whether they tie.  Rows whose rate is not positive come out
-    all silent.
+    positive power, the rate (channels.tw_secrecy_bits), each row's index
+    into TW_BRANCHES, the single-user psi values and whether they tie.
+    Rows whose rate is not positive come out all silent.
     """
     swap = h[:, 0] > h[:, 1]
     # original index of each row's lower-gain user, and the sorted pairs

@@ -59,9 +59,10 @@ from .channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
+    _powers_of,
 )
 from .allocation import SumRateSolution
-from .jamming import JammingSolution, _all_silent_solution, _role_solution, rho_eval
+from .jamming import JammingSolution, _all_silent_solution, _role_solution
 
 MAX_GRID_CELLS = 10**8
 # Cells per tile of a union mesh: each float64 temporary of an objective is
@@ -295,6 +296,30 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     return PowerAllocation(alloc), best
 
 
+def _rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
+    """The two summands of rho_j, the derivative indicator for jammer j's
+    power: the objective ratio falls in P_j exactly while their sum is < 0,
+    so an interior pivot has rho_j = 0.  Each alone sets the scale for a
+    relative comparison of the sum with 0."""
+    powers = _powers_of(alloc)
+    t_set = sorted(set(transmit_set))
+    if j not in set(jam_set):
+        raise ValueError("rho is defined for jamming users only")
+    in_t = set(t_set)
+    comp = [k for k in range(ch.k_users) if k not in in_t]
+    h = ch.eve_gains
+    hj = float(h[j])
+    sum_p_all = float(powers.sum())
+    sum_hp_all = float((h * powers).sum())
+    sum_p_comp = float(powers[comp].sum())
+    sum_hp_comp = float((h[comp] * powers[comp]).sum())
+    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
+    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
+    term_neg = -hj * (1.0 + sum_p_all) * (1.0 + sum_p_comp) * sum_hp_t
+    term_pos = (1.0 + sum_hp_all) * (1.0 + sum_hp_comp) * sum_p_t
+    return term_neg, term_pos
+
+
 def _rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.ndarray) -> List[float]:
     """Pivot-power candidates from a quadratic fit of rho along one axis.
 
@@ -315,7 +340,8 @@ def _rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.nda
     samples = []
     for x in (0.0, step, 2.0 * step):
         powers[pivot] = x
-        samples.append(rho_eval(ch, t_set, jam_users, powers, pivot))
+        term_neg, term_pos = _rho_terms(ch, t_set, jam_users, powers, pivot)
+        samples.append(term_neg + term_pos)
     r0, r1, r2 = samples
     c1 = (r2 - 2.0 * r1 + r0) / (2.0 * step * step)
     c3 = r0

@@ -14,7 +14,8 @@ oracles' search, the nested TDMA share search (Newton on the
 multiplier around a full burst solve per step), the per-group loops
 that merge tied users and split their power back, and the secrecy-rate
 arithmetic that each solver, region and jamming site wrote out for
-itself before they shared one function per scheme.
+itself before they shared one function per scheme, with the scalar
+log1p kernel and subset capacities that arithmetic was built from.
 Nothing in ``secrecy_rates`` imports this module.
 """
 
@@ -34,20 +35,17 @@ from secrecy_rates.channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
+    _LN2,
     _as_float_array,
     _gains_of,
     _powers_of,
     _tied_neighbors,
-    cap_eve_tilde,
-    cap_main,
-    gaussian_bits,
     gaussian_bits_each,
 )
 from secrecy_rates.jamming import (
     RATE_TIE_TOL,
     JammingSolution,
     _all_silent_solution,
-    mac_cj_rate,
 )
 from secrecy_rates.oracle import _JAM, _SILENT, _TRANSMIT, GridSpec, _axis, _guard_size
 from secrecy_rates.sweep import Scene
@@ -62,6 +60,33 @@ from secrecy_rates.regions import (
     TdmaShares,
     convex_hull_2d,
 )
+
+
+def gaussian_bits(snr: float) -> float:
+    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits, computed with log1p."""
+    return 0.5 * math.log1p(snr) / _LN2
+
+
+def cap_main(alloc, subset: Iterable[int]) -> float:
+    """Receiver-side Gaussian sum capacity of a user subset, in bits.
+
+    Returns C(sum of subset powers); the empty subset gives 0.
+    """
+    powers = _powers_of(alloc)
+    idx = list(subset)
+    return gaussian_bits(float(powers[idx].sum()))
+
+
+def cap_eve_tilde(alloc, gains, subset: Iterable[int]) -> float:
+    """Eavesdropper capacity of a subset with everyone else heard as noise."""
+    powers = _powers_of(alloc)
+    h = _gains_of(gains)
+    idx = list(subset)
+    inside = float((h[idx] * powers[idx]).sum())
+    members = set(idx)
+    comp = [k for k in range(len(powers)) if k not in members]
+    outside = float((h[comp] * powers[comp]).sum()) if comp else 0.0
+    return gaussian_bits(inside / (1.0 + outside))
 
 
 def cap_eve(alloc, gains, subset: Iterable[int]) -> float:
@@ -135,7 +160,8 @@ def cj_objective_mac(ch: StdMacChannel, alloc, transmit_set: Iterable[int]) -> f
 
     Smaller is better: jamming power inflates the denominator, discounting
     the eavesdropper's gain on the jammers.  The rate, -1/2 log2 of this
-    ratio clamped at 0, is computed by mac_cj_rate without forming it.
+    ratio clamped at 0, is computed by reference_mac_secrecy_bits without
+    forming it.
     """
     powers = _powers_of(alloc)
     t_set = set(transmit_set)
@@ -262,7 +288,7 @@ def mac_cj_two_user(ch: StdMacChannel) -> JammingSolution:
         powers = np.array([cap1, p2])
         t_count, branch, pivot = 1, "jam-or-quit", 1
 
-    rate = mac_cj_rate(ch, powers, range(t_count))
+    rate = reference_mac_secrecy_bits(powers, ch.eve_gains, range(t_count))
     diagnostics["branch"] = branch
     if rate <= RATE_TIE_TOL:
         diagnostics["case"] = "no-positive-rate"
@@ -530,7 +556,7 @@ def reference_pattern_rates(h: np.ndarray, powers: np.ndarray, t: np.ndarray) ->
     """The clamped rate of ``jamming._evaluate_patterns`` at its powers: users
     [0, t) of each row transmit, the rest are heard as noise."""
     in_t = np.arange(powers.shape[1]) < t[:, None]
-    # mac_cj_rate, heard and leaked as [p, hp] rows
+    # reference_mac_secrecy_bits, heard and leaked as [p, hp] rows
     both = np.array((powers, h * powers))
     inside = both * in_t
     bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
@@ -541,7 +567,7 @@ def reference_pattern_rates(h: np.ndarray, powers: np.ndarray, t: np.ndarray) ->
 def reference_tw_rule_rates(h: np.ndarray, powers: np.ndarray, transmit: np.ndarray) -> np.ndarray:
     """The unclamped rate of ``jamming._tw_cj_rule`` for (N, 2) rows."""
     with np.errstate(all="ignore"):
-        # tw_cj_rate: sum_T C(P_k) - C(H_T / (1 + H_N))
+        # sum_T C(P_k) - C(H_T / (1 + H_N))
         gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
         hp = h * powers
         inside, outside = np.where(transmit, hp, 0.0), np.where(transmit, 0.0, hp)

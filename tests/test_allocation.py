@@ -15,19 +15,18 @@ from secrecy_rates import (
     grid_max_mac_sup,
     is_degraded,
     mac_best_sum_rate,
-    mac_cj_rate,
     mac_sup_optimal,
     mac_tdma_optimal,
     merge_tied_users,
     sup_sum_rate,
     tdma_share_search,
-    tw_cj_rate,
     tw_optimal,
     tw_region,
     tw_sum_rate,
 )
 from secrecy_rates import allocation
 from secrecy_rates.allocation import _marginal
+from secrecy_rates.channels import secrecy_bits, tw_secrecy_bits
 from reference import (
     mac_two_user_closed_form,
     nested_tdma_share_search,
@@ -558,7 +557,7 @@ def test_two_way_rates_refuse_an_allocation_of_other_than_two_powers():
     ch = StdTwChannel([0.1, 0.2], [0.0, 0.0], [1.0, 2.0])
     for rate in (
         lambda: tw_sum_rate([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]),
-        lambda: tw_cj_rate(ch, [1.0, 2.0, 3.0], (0,)),
+        lambda: tw_sum_rate([1.0, 2.0, 3.0], ch),
         lambda: tw_region(ch, [1.0, 2.0, 3.0]),
         lambda: tw_region(ch, [1.0]),
     ):
@@ -616,7 +615,9 @@ def test_rates_match_high_precision_reference(users):
             return heard - leaked, heard + leaked
 
         _assert_near_reference(sup_sum_rate(powers, h), *mac(range(k)))
-        _assert_near_reference(mac_cj_rate(ch, powers, transmit), *mac(transmit))
+        in_t, gained = np.isin(np.arange(k), transmit), h * powers
+        cj = secrecy_bits(powers[in_t].sum(), powers[~in_t].sum(), gained[in_t].sum(), gained[~in_t].sum())
+        _assert_near_reference(max(float(cj), 0.0), *mac(transmit))
 
         slots = []
         for a, c, g in zip(shares.tolist(), powers.tolist(), h.tolist()):
@@ -627,12 +628,12 @@ def test_rates_match_high_precision_reference(users):
         _assert_near_reference(tdma_rate, sum(r for r, _ in slots), sum(s for _, s in slots))
 
         if k >= 2:
-            tw = StdTwChannel(h[:2], [0.0, 0.0], powers[:2])
             t = [i for i in transmit if i < 2]
             gross = sum(_dec_bits(p[i]) for i in t)
             cover = sum(hp[i] for i in range(2) if i not in t)
             leaked = _dec_bits(sum(hp[i] for i in t) / (1 + cover))
-            _assert_near_reference(tw_cj_rate(tw, powers[:2], t), gross - leaked, gross + leaked)
+            tw_cj = max(float(tw_secrecy_bits(powers[:2], h[:2], np.isin([0, 1], t))), 0.0)
+            _assert_near_reference(tw_cj, gross - leaked, gross + leaked)
             both = _dec_bits(p[0]) + _dec_bits(p[1])
             leaked = _dec_bits(hp[0] + hp[1])
             _assert_near_reference(tw_sum_rate(powers[:2], h[:2]), both - leaked, both + leaked)

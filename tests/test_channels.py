@@ -16,8 +16,6 @@ from secrecy_rates import (
     RawTwChannel,
     StdMacChannel,
     StdTwChannel,
-    cap_eve_tilde,
-    cap_main,
     channel_from_json,
     channel_to_json,
     is_degraded,
@@ -26,8 +24,8 @@ from secrecy_rates import (
     standardize_tw,
 )
 from secrecy_rates.allocation import _tdma_rate, sup_sum_rate, tw_sum_rate
-from secrecy_rates.channels import tw_secrecy_bits
-from secrecy_rates.jamming import _evaluate_patterns, _tw_cj_rule, mac_cj_rate, tw_cj_rate
+from secrecy_rates.channels import secrecy_bits, tw_secrecy_bits
+from secrecy_rates.jamming import _evaluate_patterns, _tw_cj_rule
 from secrecy_rates.regions import (
     _sup_grid_bounds,
     _tdma_user_bounds,
@@ -38,6 +36,8 @@ from secrecy_rates.regions import (
 )
 from reference import (
     cap_eve,
+    cap_eve_tilde,
+    cap_main,
     phi,
     psi,
     random_tied_mac_row,
@@ -411,6 +411,56 @@ def test_channel_json_missing_field_names_it():
         channel_from_json(doc)
 
 
+# One channel of each class (the standardized MAC channel with and without
+# source_caps) and its JSON document, keys in the order they are written.
+JSON_CHANNELS = [
+    (
+        RawMacChannel([2.0, 1.0], [1.0, 0.5], 1.0, 2.0, [2.0, 4.0]),
+        {"form": "raw", "model": "mac", "main_gains": [2.0, 1.0], "tap_gains": [1.0, 0.5],
+         "main_noise": 1.0, "tap_noise": 2.0, "power_caps": [2.0, 4.0]},
+    ),
+    (
+        merge_tied_users([0.5, 0.3, 0.5], [1.0, 2.0, 3.0]),
+        {"form": "standardized", "model": "mac", "eve_gains": [0.3, 0.5], "power_caps": [2.0, 4.0],
+         "permutation": [[2], [1, 3]], "source_caps": [[2.0], [1.0, 3.0]]},
+    ),
+    (
+        StdMacChannel([0.1, 0.3], [4.0, 4.0]),
+        {"form": "standardized", "model": "mac", "eve_gains": [0.1, 0.3], "power_caps": [4.0, 4.0],
+         "permutation": [[1], [2]]},
+    ),
+    (
+        RawTwChannel([1.0, 2.0], [1.0, 0.5], [1.0, 2.0], 1.5, [1.0, 3.0]),
+        {"form": "raw", "model": "tw", "main_gains": [1.0, 2.0], "tap_gains": [1.0, 0.5],
+         "receiver_noises": [1.0, 2.0], "tap_noise": 1.5, "power_caps": [1.0, 3.0]},
+    ),
+    (
+        StdTwChannel([0.5, 4.2], [0.0, 0.25], [2.0, 2.0]),
+        {"form": "standardized", "model": "tw", "eve_gains": [0.5, 4.2], "self_gains": [0.0, 0.25],
+         "power_caps": [2.0, 2.0]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ch, want", JSON_CHANNELS, ids=["raw-mac", "std-mac-merged", "std-mac", "raw-tw", "std-tw"]
+)
+def test_channel_json_fields_and_missing_field_errors(ch, want):
+    """Each channel class writes its fields in a fixed order and reads them
+    back; a document without any one required field is refused naming it,
+    and one without all of them names the first."""
+    doc = channel_to_json(ch)
+    assert list(doc.items()) == list(want.items())
+    assert channel_to_json(channel_from_json(doc)) == doc
+    required = [key for key in want if key not in ("permutation", "source_caps")]
+    for key in required:
+        partial = {k: v for k, v in want.items() if k != key}
+        with pytest.raises(ValueError, match=re.escape(f"channel JSON is missing field '{key}'")):
+            channel_from_json(partial)
+    with pytest.raises(ValueError, match=re.escape(f"channel JSON is missing field '{required[2]}'")):
+        channel_from_json({"form": want["form"], "model": want["model"]})
+
+
 def _scaled_powers(rng, k):
     """k powers at one scale drawn from 1e-8 to 1e8, about a quarter of them 0."""
     return 10.0 ** rng.uniform(-8.0, 8.0) * rng.uniform(0.0, 1.0, k) * (rng.random(k) > 0.25)
@@ -445,7 +495,10 @@ def test_secrecy_rate_sites_equal_their_written_out_forms():
         h, powers = np.sort(rng.uniform(0.0, 2.0, k)), _scaled_powers(rng, k)
         ch = StdMacChannel(h, powers)
         transmit = np.flatnonzero(rng.random(k) < 0.5).tolist()
-        assert mac_cj_rate(ch, powers, transmit) == reference_mac_secrecy_bits(powers, h, transmit)
+        in_t, hp = np.isin(np.arange(k), transmit), h * powers
+        p_t, hp_t = powers * in_t, hp * in_t
+        masked = secrecy_bits(p_t.sum(), (powers - p_t).sum(), hp_t.sum(), (hp - hp_t).sum())
+        assert max(float(masked), 0.0) == reference_mac_secrecy_bits(powers, h, transmit)
         assert sup_sum_rate(powers, h) == reference_mac_secrecy_bits(powers, h, range(k))
         # every ordered pattern (t, p) of the jamming evaluator, with the powers as caps
         t, p = np.array([(t, p) for t in range(k + 1) for p in range(t, k + 1)]).T
@@ -468,8 +521,9 @@ def test_secrecy_rate_sites_equal_their_written_out_forms():
             gains = two_way.eve_gains
             for t_set in TW_TRANSMIT_SETS:
                 mask = np.isin(np.arange(2), t_set)
-                assert tw_cj_rate(two_way, powers, t_set) == reference_tw_secrecy_bits(powers, gains, t_set)
-                assert tw_secrecy_bits(powers, gains, mask) == reference_tw_rule_rates(gains[None], powers[None], mask)
+                rate = tw_secrecy_bits(powers, gains, mask)
+                assert max(float(rate), 0.0) == reference_tw_secrecy_bits(powers, gains, t_set)
+                assert rate == reference_tw_rule_rates(gains[None], powers[None], mask)
             assert tw_sum_rate(powers, gains) == reference_tw_secrecy_bits(powers, gains, (0, 1))
             assert _region_bits(tw_region(two_way, powers)) == _region_bits(reference_tw_region(two_way, powers))
     for _ in range(10):

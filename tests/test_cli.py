@@ -299,6 +299,31 @@ def test_exit_one_on_a_permutation_that_repeats_a_user(capsys, tmp_path):
     assert "permutation" in err
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ('"source_caps": [[NaN], [4]]', "source_caps"),
+        ('"source_caps": [[-3], [4]]', "source_caps"),
+        ('"source_caps": [[1, 2], [4]], "permutation": [[1], [2]]', "source_caps"),
+        ('"source_caps": [1, 2]', "source_caps"),
+        ('"permutation": "12"', "permutation"),
+        ('"permutation": [[1.5], [2]]', "permutation"),
+    ],
+    ids=[
+        "nan-cap", "negative-cap", "group-size", "ungrouped-caps", "string-permutation",
+        "fractional-index",
+    ],
+)
+def test_exit_one_on_a_malformed_standardized_mac_field(capsys, fields, name):
+    """A standardized MAC document whose source_caps or permutation is malformed
+    is an input error naming the field, not an internal failure or a silent
+    echo of a repaired value."""
+    doc = '{"form": "standardized", "model": "mac", "eve_gains": [0.1, 0.3], "power_caps": [4, 4], '
+    code, out, err = run_cli(capsys, "jam", "--channel", doc + fields + "}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and name in err
+
+
 def test_exit_one_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "sumrate", "--channel", "no-such-channel.json")
     assert code == 1

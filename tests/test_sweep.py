@@ -13,7 +13,6 @@ from secrecy_rates import (
     default_scene,
     gains_from_geometry,
     mac_cj_optimal,
-    mac_cj_rate,
     standardize_mac,
     standardize_tw,
     sweep,
@@ -22,7 +21,7 @@ from secrecy_rates import (
 from secrecy_rates.jamming import RATE_TIE_TOL, _finalists
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
-from reference import _gain, random_tied_mac_row
+from reference import _gain, random_tied_mac_row, reference_mac_secrecy_bits
 
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
@@ -589,7 +588,7 @@ def test_sweep_overflow_cells_fail_loudly_or_beat_a_tiny_jammer():
         jammer = next(mi for mi, group in enumerate(std.permutation) if user in group)
         powers = std.power_caps.copy()
         powers[jammer] = 1e-20
-        floor = mac_cj_rate(std, powers, [mi for mi in range(std.k_users) if mi != jammer])
+        floor = reference_mac_secrecy_bits(powers, std.eve_gains, [mi for mi in range(std.k_users) if mi != jammer])
         assert floor > 50.0
         assert result.sum_rate[iy, ix] >= floor - RATE_TIE_TOL
 
