@@ -85,8 +85,18 @@ def _split_power(power: np.ndarray, caps: np.ndarray, group_caps: np.ndarray) ->
     return np.divide(power * caps, group_caps, out=np.zeros(caps.shape), where=group_caps > 0)
 
 
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number") from None
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a 1-D sequence of numbers") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -116,8 +126,8 @@ class RawMacChannel:
         self.main_gains = _as_float_array(self.main_gains, "main_gains")
         self.tap_gains = _as_float_array(self.tap_gains, "tap_gains")
         self.power_caps = _as_float_array(self.power_caps, "power_caps")
-        self.main_noise = float(self.main_noise)
-        self.tap_noise = float(self.tap_noise)
+        self.main_noise = _as_float(self.main_noise, "main_noise")
+        self.tap_noise = _as_float(self.tap_noise, "tap_noise")
         k = len(self.main_gains)
         if len(self.tap_gains) != k or len(self.power_caps) != k:
             raise ValueError("main_gains, tap_gains and power_caps must have equal length")
@@ -239,7 +249,7 @@ class RawTwChannel:
         self.tap_gains = _as_float_array(self.tap_gains, "tap_gains")
         self.receiver_noises = _as_float_array(self.receiver_noises, "receiver_noises")
         self.power_caps = _as_float_array(self.power_caps, "power_caps")
-        self.tap_noise = float(self.tap_noise)
+        self.tap_noise = _as_float(self.tap_noise, "tap_noise")
         for name, arr in (
             ("main_gains", self.main_gains),
             ("tap_gains", self.tap_gains),
@@ -440,10 +450,15 @@ def secrecy_bits(p_t, p_n, h_t, h_n):
     """The GGMAC-WT secrecy rate C(p_t / (1 + p_n)) - C(h_t / (1 + h_n)) in
     bits, unclamped and elementwise, from the sums of the powers (p) and of
     h_k P_k (h) over the transmitters (t) and over the users heard as noise
-    (n).  The callers form the sums; p_n = 0 gives C(p_t) bit for bit."""
+    (n).  The callers form the sums; p_n = 0 gives C(p_t) bit for bit.  Both
+    logarithms are taken in one gaussian_bits_each call, on the stacked
+    (heard, leaked) pair broadcast to one shape."""
     with np.errstate(all="ignore"):  # inf / inf and inf - inf are NaN, as for Python floats
         heard, leaked = np.divide(p_t, 1.0 + p_n), np.divide(h_t, 1.0 + h_n)
-        return gaussian_bits_each(heard) - gaussian_bits_each(leaked)
+        if np.shape(heard) != np.shape(leaked):
+            heard, leaked = np.broadcast_arrays(heard, leaked)
+        heard, leaked = gaussian_bits_each(np.array([heard, leaked]))
+        return heard - leaked
 
 
 def tw_secrecy_bits(powers, h, transmit):

@@ -13,15 +13,21 @@ the oracles exact for the superposition and two-way objectives whose
 optima sit at corners.  For MAC jamming, the search's ``extras`` hook adds
 candidate pivot powers to each jammer's axis: the real roots of a
 quadratic fitted through three evaluations of rho along the jammer's
-axis, then the two-user branch thresholds.
+axis, then the two-user branch thresholds.  The hook serves them from a
+table that its first call builds in one array pass over every (transmit
+set, jammers, pivot) triple (_pivot_candidates): rho as masked sums, the
+roots by one np.linalg.eigvals over the stacked companion matrices, and
+the thresholds as one array, each bit for bit the scalar fit's.
 
 Roles that silence the same users are searched together on one union
 mesh, per user the sorted union of their axes, so the objective forms its
 full-mesh terms (for MAC jamming, the two logarithms over everyone) once
 for the group and then yields each role's rate; every cell is computed
 with the same operations, in the same order, as on the role's own mesh.
-A role sets the union planes its own axes lack, the other roles' pivot
-candidates, to -inf before its argmax.  The mesh is evaluated in
+Each user's plain axis is built once, and a group's union per user is one
+np.unique of it and the members' pivot candidates.  A role sets the union
+planes its own axes lack, the other roles' pivot candidates, found by
+np.searchsorted, to -inf before its argmax.  The mesh is evaluated in
 k-dimensional tiles of at most _TILE_CELLS cells, so the temporaries stay
 cache-sized and peak memory does not grow with the grid.  Per role, the
 search keeps its best cell as (rate, index in the union mesh), an
@@ -47,11 +53,12 @@ so no cell is NaN or infinite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +66,6 @@ from .channels import (
     PowerAllocation,
     StdMacChannel,
     StdTwChannel,
-    _powers_of,
 )
 from .allocation import SumRateSolution
 from .jamming import JammingSolution, _all_silent_solution, _role_solution
@@ -96,8 +102,8 @@ def _axis(cap: float, spec: GridSpec, extras: Sequence[float] = ()) -> np.ndarra
     return np.unique(np.concatenate([np.linspace(0.0, cap, spec.points_per_axis), good_extras]))
 
 
-def _guard_size(axes: Sequence[np.ndarray]) -> None:
-    size = math.prod(len(ax) for ax in axes)
+def _guard_shape(shape: Sequence[int]) -> None:
+    size = math.prod(shape)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid too large: {size} cells exceeds the {MAX_GRID_CELLS} guard")
 
@@ -185,6 +191,12 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
     going to the lexicographically smaller index: the C-order first maximum
     of its own mesh, whatever order the tiles come in.
 
+    Every axis is a user's plain axis (_axis) plus the jammer's extra
+    points off it, so each user's plain axis is built once; a group's union
+    is one np.unique of the plain axis and its members' extra points, and a
+    role's holes are the union points that neither its plain axis nor its
+    own extra points reach (np.searchsorted into the union).
+
     If rate_grid has a ``bound`` attribute, its box form plus a slack for
     rounding (_tile_bounds), a group of several tiles visits them in order
     of decreasing bound, and evaluates in each only the roles whose bound
@@ -196,33 +208,45 @@ def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[floa
     """
     _check_corner(ch, rate_grid)
     k = ch.k_users
-    caps = ch.power_caps
+    caps = [float(c) for c in ch.power_caps]
     bound = getattr(rate_grid, "bound", None)
-    roles_of, t_sets, role_axes, groups = [], [], [], {}
+    plain = [_axis(cap, spec) for cap in caps]
+    on_plain = [set(ax.tolist()) for ax in plain] if extras is not None else None
+    roles_of, t_sets, role_extras, groups = [], [], [], {}
     for roles in role_sets:
         t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
         jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
-        axes = []
-        for i in range(k):
-            if roles[i] == _SILENT:
-                axes.append(np.zeros(1))
-            elif roles[i] == _JAM and extras is not None:
-                axes.append(_axis(caps[i], spec, extras(t_set, jam_users, i)))
-            else:
-                axes.append(_axis(caps[i], spec))
-        _guard_size(axes)
+        added = {}
+        for i in jam_users if extras is not None else ():
+            off_axis = {x for x in extras(t_set, jam_users, i) if 0.0 < x < caps[i] and math.isfinite(x)}
+            off_axis -= on_plain[i]
+            if off_axis:
+                added[i] = np.array(sorted(off_axis))
+        _guard_shape([1 if roles[i] == _SILENT else len(plain[i]) + len(added.get(i, ())) for i in range(k)])
         groups.setdefault(tuple(r == _SILENT for r in roles), []).append(len(roles_of))
         roles_of.append(roles)
         t_sets.append(t_set)
-        role_axes.append(axes)
+        role_extras.append(added)
     found = [None] * len(roles_of)
     incumbent = -np.inf
-    for members in groups.values():
-        union = [np.unique(np.concatenate([role_axes[r][d] for r in members])) for d in range(k)]
-        holes = {
-            r: [(d, ~np.isin(union[d], ax)) for d, ax in enumerate(role_axes[r]) if len(ax) < len(union[d])]
-            for r in members
-        }
+    for silent, members in groups.items():
+        union, holes = [], {r: [] for r in members}
+        for d in range(k):
+            extra = [role_extras[r][d] for r in members if d in role_extras[r]]
+            if not extra:
+                union.append(np.zeros(1) if silent[d] else plain[d])
+                continue
+            axis = np.unique(np.concatenate([plain[d], *extra]))
+            base = np.zeros(len(axis), dtype=bool)
+            base[np.searchsorted(axis, plain[d])] = True
+            for r in members:
+                has = base
+                if d in role_extras[r]:
+                    has = base.copy()
+                    has[np.searchsorted(axis, role_extras[r][d])] = True
+                if not has.all():
+                    holes[r].append((d, ~has))
+            union.append(axis)
         shape = tuple(len(ax) for ax in union)
         sides = _tile_sides(shape)
         counts = tuple(-(-n // side) for n, side in zip(shape, sides))
@@ -296,79 +320,102 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     return PowerAllocation(alloc), best
 
 
-def _rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
-    """The two summands of rho_j, the derivative indicator for jammer j's
-    power: the objective ratio falls in P_j exactly while their sum is < 0,
-    so an interior pivot has rho_j = 0.  Each alone sets the scale for a
-    relative comparison of the sum with 0."""
-    powers = _powers_of(alloc)
-    t_set = sorted(set(transmit_set))
-    if j not in set(jam_set):
-        raise ValueError("rho is defined for jamming users only")
-    in_t = set(t_set)
-    comp = [k for k in range(ch.k_users) if k not in in_t]
-    h = ch.eve_gains
-    hj = float(h[j])
-    sum_p_all = float(powers.sum())
-    sum_hp_all = float((h * powers).sum())
-    sum_p_comp = float(powers[comp].sum())
-    sum_hp_comp = float((h[comp] * powers[comp]).sum())
-    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
-    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
-    term_neg = -hj * (1.0 + sum_p_all) * (1.0 + sum_p_comp) * sum_hp_t
-    term_pos = (1.0 + sum_hp_all) * (1.0 + sum_hp_comp) * sum_p_t
-    return term_neg, term_pos
+def _pivot_candidates(ch: StdMacChannel) -> Dict[tuple, object]:
+    """Each jammer's pivot-power candidates, keyed (t_set, jam_users, pivot).
 
+    One row per jammer of every role, in role order.  rho, the derivative
+    indicator of the pivot's power, is evaluated at pivot powers 0, s and 2s
+    (s = max(cap, 1)/2), everyone else at their role's fixed powers (caps for
+    transmitters and fellow jammers, zero for silent users); the quadratic
+    through the three is exact, since rho is quadratic in the pivot power.
+    A row's candidates are its real roots in (0, cap), then the two-user
+    branch thresholds (h_i - 1)/(h_pivot - h_i) in (0, cap) over its
+    transmitters i; a row whose fit is not finite holds the ValueError to
+    raise in its place, and a pivot with no power has none.
 
-def _rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.ndarray) -> List[float]:
-    """Pivot-power candidates from a quadratic fit of rho along one axis.
-
-    rho is evaluated at three pivot powers with everyone else at their
-    partition-fixed values (caps for transmitters and fellow jammers, zero
-    for silent users); the interpolating quadratic is exact because rho is
-    a quadratic in the pivot power.
+    Every row is one array pass: the sums of rho are masked sums over an
+    (R, 3, K) array, which for K <= 3 add the same nonnegative terms in the
+    same order as sums over index sets (+0.0 changes none), and the roots
+    of the companion matrices of all full quadratics come from one
+    np.linalg.eigvals, as np.roots takes them one at a time.  Rows with a
+    zero leading or constant coefficient, which np.roots strips, or whose
+    companion is not finite, call np.roots itself.
     """
-    cap_j = float(caps[pivot])
-    if cap_j <= 0:
-        return []
-    powers = np.zeros(ch.k_users)
-    for u in t_set:
-        powers[u] = caps[u]
-    for u in jam_users:
-        powers[u] = caps[u]
-    step = max(cap_j, 1.0) / 2.0
-    samples = []
-    for x in (0.0, step, 2.0 * step):
-        powers[pivot] = x
-        term_neg, term_pos = _rho_terms(ch, t_set, jam_users, powers, pivot)
-        samples.append(term_neg + term_pos)
-    r0, r1, r2 = samples
-    c1 = (r2 - 2.0 * r1 + r0) / (2.0 * step * step)
-    c3 = r0
-    c2 = (r1 - c3 - c1 * step * step) / step
-    if not all(math.isfinite(x) for x in (r0, r1, r2, c1, c2, c3)):
-        raise ValueError(
-            f"power_caps are too large for the grid oracle: the rho fit along user {pivot + 1}'s axis "
-            "is not finite"
+    keys, pivot, sends, on = _jammer_rows(ch.k_users)
+    h, caps = ch.eve_gains, ch.power_caps
+    cap = caps[pivot]
+    step = np.maximum(cap, 1.0) / 2.0
+    powers = np.repeat(np.where(on, caps, 0.0)[:, None, :], 3, axis=1)
+    powers[np.arange(len(keys)), :, pivot] = step[:, None] * np.array([0.0, 1.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hp = h * powers
+        inside = sends[:, None]
+        p_t, hp_t = (np.where(inside, v, 0.0).sum(axis=2) for v in (powers, hp))
+        p_n, hp_n = (np.where(inside, 0.0, v).sum(axis=2) for v in (powers, hp))
+        hj = h[pivot]
+        rho = -hj[:, None] * (1.0 + powers.sum(axis=2)) * (1.0 + p_n) * hp_t + (
+            (1.0 + hp.sum(axis=2)) * (1.0 + hp_n) * p_t
         )
-    roots = np.roots([c1, c2, c3]) if (c1 != 0 or c2 != 0) else np.array([])
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and 0.0 < r.real < cap_j:
-            out.append(float(r.real))
-    return out
+        r0, r1, r2 = rho.T
+        c1 = (r2 - 2.0 * r1 + r0) / (2.0 * step * step)
+        c3 = r0
+        c2 = (r1 - c3 - c1 * step * step) / step
+        companion = np.stack([-c2 / c1, -c3 / c1], axis=1)
+        den = hj[:, None] - h
+        thr = (h - 1.0) / den
+    fails = (cap > 0) & ~(np.isfinite(rho).all(axis=1) & np.isfinite(c1) & np.isfinite(c2))
+    fits = (cap > 0) & ~fails & ((c1 != 0) | (c2 != 0))
+    full = fits & (c1 != 0) & (c3 != 0) & np.isfinite(companion).all(axis=1)
+    roots = {}
+    if full.any():
+        matrices = np.zeros((int(full.sum()), 2, 2))
+        matrices[:, 0] = companion[full]
+        matrices[:, 1, 0] = 1.0
+        roots.update(zip(np.flatnonzero(full).tolist(), _roots_in(np.linalg.eigvals(matrices), cap[full])))
+    for r in np.flatnonzero(fits & ~full).tolist():
+        try:
+            roots[r] = _roots_in(np.roots([c1[r], c2[r], c3[r]])[None], cap[r : r + 1])[0]
+        except np.linalg.LinAlgError as exc:
+            roots[r] = exc
+    thresholds = sends & (den != 0.0) & (0.0 < thr) & (thr < cap[:, None])
+    table = {}
+    for r, (key, fail, row, ok) in enumerate(zip(keys, fails.tolist(), thr.tolist(), thresholds.tolist())):
+        found = roots.get(r, [])
+        if isinstance(found, Exception):
+            table[key] = found
+        elif fail:
+            table[key] = ValueError(
+                f"power_caps are too large for the grid oracle: the rho fit along user {key[2] + 1}'s axis "
+                "is not finite"
+            )
+        else:
+            table[key] = found + [x for x, take in zip(row, ok) if take]
+    return table
 
 
-def _threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) -> List[float]:
-    h = ch.eve_gains
-    out = []
-    for i in t_set:
-        den = float(h[pivot] - h[i])
-        if den != 0.0:
-            thr = (float(h[i]) - 1.0) / den
-            if 0.0 < thr < cap_j:
-                out.append(thr)
-    return out
+@functools.lru_cache(maxsize=None)
+def _jammer_rows(k: int):
+    """One row per jammer of every role of k users, in role order: the keys
+    (t_set, jam_users, pivot), the pivots, and masks of each row's
+    transmitters and of its transmitters and jammers."""
+    keys = []
+    for roles in itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k):
+        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
+        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
+        keys += [(t_set, jam_users, i) for i in jam_users]
+    codes = np.array(list(itertools.product(range(3), repeat=k)))  # 0 transmit, 1 jam, 2 silent
+    role, pivot = np.nonzero(codes == 1)
+    out = (pivot, codes[role] == 0, codes[role] < 2)
+    for arr in out:
+        arr.flags.writeable = False
+    return (tuple(keys), *out)
+
+
+def _roots_in(roots: np.ndarray, cap: np.ndarray) -> List[List[float]]:
+    """Per row of roots, in order, the real parts of the real ones in (0, cap)."""
+    real = roots.real
+    keep = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(real))) & (0.0 < real) & (real < cap[:, None])
+    return [[x for x, take in zip(row, ok) if take] for row, ok in zip(real.tolist(), keep.tolist())]
 
 
 def _mac_cj_box(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
@@ -423,12 +470,15 @@ def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
     """
     if ch.k_users > 3:
         raise ValueError("grid_max_mac_cj supports at most 3 users")
-    caps = ch.power_caps
+    table = {}
 
     def pivot_candidates(t_set, jam_users, i):
-        return _rho_fit_roots(ch, t_set, jam_users, i, caps) + _threshold_candidates(
-            ch, t_set, i, float(caps[i])
-        )
+        if not table:
+            table.update(_pivot_candidates(ch))
+        found = table[t_set, jam_users, i]
+        if isinstance(found, Exception):
+            raise found
+        return found
 
     return _jamming_solution(ch, spec, _mac_cj_rate, pivot_candidates)
 

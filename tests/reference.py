@@ -10,8 +10,10 @@ against, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
-oracles' search, the nested TDMA share search (Newton on the
-multiplier around a full burst solve per step), the per-group loops
+oracles' search, the scalar rho fit and branch thresholds that the MAC
+jamming oracle's one-pass pivot table is checked against, the nested
+TDMA share search (Newton on the multiplier around a full burst solve
+per step), the per-group loops
 that merge tied users and split their power back, and the secrecy-rate
 arithmetic that each solver, region and jamming site wrote out for
 itself before they shared one function per scheme, with the scalar
@@ -47,7 +49,7 @@ from secrecy_rates.jamming import (
     JammingSolution,
     _all_silent_solution,
 )
-from secrecy_rates.oracle import _JAM, _SILENT, _TRANSMIT, GridSpec, _axis, _guard_size
+from secrecy_rates.oracle import _JAM, _SILENT, _TRANSMIT, GridSpec, _axis, _guard_shape
 from secrecy_rates.sweep import Scene
 from secrecy_rates.regions import (
     KIND_SECRECY,
@@ -729,6 +731,11 @@ def reference_mac_hull_region(
     return SecrecyRegion(constraints, hull, "HULL", meta)
 
 
+def _guard_size(axes: Sequence[np.ndarray]) -> None:
+    """The grid oracles' size guard on the mesh of these axes."""
+    _guard_shape([len(ax) for ax in axes])
+
+
 def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
     """Best (rate, allocation, roles) over the role assignments in role_sets.
 
@@ -763,6 +770,81 @@ def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> T
         ):
             best = (rate_max, alloc, roles)
     return best
+
+
+def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
+    """The two summands of rho_j, the derivative indicator for jammer j's
+    power: the objective ratio falls in P_j exactly while their sum is < 0,
+    so an interior pivot has rho_j = 0.  Each alone sets the scale for a
+    relative comparison of the sum with 0."""
+    powers = _powers_of(alloc)
+    t_set = sorted(set(transmit_set))
+    if j not in set(jam_set):
+        raise ValueError("rho is defined for jamming users only")
+    in_t = set(t_set)
+    comp = [k for k in range(ch.k_users) if k not in in_t]
+    h = ch.eve_gains
+    hj = float(h[j])
+    sum_p_all = float(powers.sum())
+    sum_hp_all = float((h * powers).sum())
+    sum_p_comp = float(powers[comp].sum())
+    sum_hp_comp = float((h[comp] * powers[comp]).sum())
+    sum_p_t = float(powers[t_set].sum()) if t_set else 0.0
+    sum_hp_t = float((h[t_set] * powers[t_set]).sum()) if t_set else 0.0
+    term_neg = -hj * (1.0 + sum_p_all) * (1.0 + sum_p_comp) * sum_hp_t
+    term_pos = (1.0 + sum_hp_all) * (1.0 + sum_hp_comp) * sum_p_t
+    return term_neg, term_pos
+
+
+def rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.ndarray) -> List[float]:
+    """Pivot-power candidates from a quadratic fit of rho along one axis.
+
+    rho is evaluated at three pivot powers with everyone else at their
+    partition-fixed values (caps for transmitters and fellow jammers, zero
+    for silent users); the interpolating quadratic is exact because rho is
+    a quadratic in the pivot power.
+    """
+    cap_j = float(caps[pivot])
+    if cap_j <= 0:
+        return []
+    powers = np.zeros(ch.k_users)
+    for u in t_set:
+        powers[u] = caps[u]
+    for u in jam_users:
+        powers[u] = caps[u]
+    step = max(cap_j, 1.0) / 2.0
+    samples = []
+    for x in (0.0, step, 2.0 * step):
+        powers[pivot] = x
+        term_neg, term_pos = rho_terms(ch, t_set, jam_users, powers, pivot)
+        samples.append(term_neg + term_pos)
+    r0, r1, r2 = samples
+    c1 = (r2 - 2.0 * r1 + r0) / (2.0 * step * step)
+    c3 = r0
+    c2 = (r1 - c3 - c1 * step * step) / step
+    if not all(math.isfinite(x) for x in (r0, r1, r2, c1, c2, c3)):
+        raise ValueError(
+            f"power_caps are too large for the grid oracle: the rho fit along user {pivot + 1}'s axis "
+            "is not finite"
+        )
+    roots = np.roots([c1, c2, c3]) if (c1 != 0 or c2 != 0) else np.array([])
+    out = []
+    for r in roots:
+        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and 0.0 < r.real < cap_j:
+            out.append(float(r.real))
+    return out
+
+
+def threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) -> List[float]:
+    h = ch.eve_gains
+    out = []
+    for i in t_set:
+        den = float(h[pivot] - h[i])
+        if den != 0.0:
+            thr = (float(h[i]) - 1.0) / den
+            if 0.0 < thr < cap_j:
+                out.append(thr)
+    return out
 
 
 def _marginal(x: np.ndarray, h: np.ndarray):

@@ -27,7 +27,6 @@ from secrecy_rates import (
 from secrecy_rates.allocation import tdma_share_search, tw_sum_rate
 from secrecy_rates.oracle import (
     GridSpec,
-    _rho_terms,
     grid_max_mac_cj,
     grid_max_mac_sup,
     grid_max_tw,
@@ -41,6 +40,7 @@ from reference import (
     random_mac_instance,
     random_tw_instance,
     region_contains,
+    rho_terms,
 )
 
 RATE_TOL = 1e-9
@@ -124,7 +124,7 @@ def test_criterion_03_cj_oracle_equivalence():
             cap = ch.power_caps[sol.pivot_user]
             if RATE_TOL < sol.pivot_power < cap - RATE_TOL:
                 interior += 1
-                t1, t2 = _rho_terms(
+                t1, t2 = rho_terms(
                     ch, sol.transmit_set, sol.jam_set, sol.allocation, sol.pivot_user
                 )
                 value = t1 + t2

@@ -330,21 +330,51 @@ def test_exit_one_on_missing_file(capsys):
     assert "channel file not found" in err
 
 
-def test_exit_two_on_internal_failure(capsys, tmp_path):
-    path = tmp_path / "chan.json"
-    path.write_text(
-        json.dumps(
-            {
-                "form": "standardized",
-                "model": "mac",
-                "eve_gains": {"a": 1},
-                "power_caps": [4, 4],
-            }
-        )
-    )
-    code, _, err = run_cli(capsys, "sumrate", "--channel", str(path))
-    assert code == 2
-    assert "internal error" in err
+def test_exit_two_on_internal_failure(capsys, monkeypatch):
+    """A failure inside a solver, not in the input, is an internal error."""
+
+    def broken(ch):
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setattr(cli, "mac_best_sum_rate", broken)
+    code, out, err = run_cli(capsys, "sumrate", "--caps", "4,4", "--eve-gains", "0.1,0.3")
+    assert code == 2 and out == ""
+    assert err == "internal error: solver failed\n"
+
+
+_RAW_MAC = {"form": "raw", "model": "mac", "main_gains": [1, 1], "tap_gains": [0.1, 0.3], "main_noise": 1,
+            "tap_noise": 1, "power_caps": [4, 4]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_RAW_MAC, "main_noise": [1]}, "main_noise must be a number"),
+        ({**_RAW_MAC, "main_noise": "x"}, "main_noise must be a number"),
+        ({**_RAW_MAC, "tap_noise": None}, "tap_noise must be a number"),
+        (
+            {"form": "standardized", "model": "tw", "eve_gains": [0.5, "a"], "self_gains": [0, 0], "power_caps": [2, 2]},
+            "eve_gains must be a 1-D sequence of numbers",
+        ),
+        (
+            {"form": "standardized", "model": "mac", "eve_gains": {"a": 1}, "power_caps": [4, 4]},
+            "eve_gains must be a 1-D sequence of numbers",
+        ),
+        (
+            {"form": "raw", "model": "tw", "main_gains": [1, 1], "tap_gains": [0.1, 0.3], "receiver_noises": [1, [1]],
+             "tap_noise": 1, "power_caps": [2, 2]},
+            "receiver_noises must be a 1-D sequence of numbers",
+        ),
+    ],
+    ids=["list-noise", "string-noise", "null-tap-noise", "string-gain", "object-gains", "ragged-noises"],
+)
+def test_exit_one_on_a_channel_field_of_the_wrong_type(capsys, tmp_path, doc, message):
+    """A channel JSON field that is not a number, or not a list of numbers, is
+    an input error naming the field, and nothing is written."""
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "sumrate", "--channel", json.dumps(doc), "--out", str(out_file))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
 
 
 def test_nonfinite_json_exits_two_naming_the_key(capsys, tmp_path):

@@ -26,7 +26,6 @@ from secrecy_rates.jamming import (
     _partition_solution,
 )
 from secrecy_rates.allocation import _require_strict_gains
-from secrecy_rates.oracle import _rho_terms
 from reference import (
     cj_objective_mac,
     mac_cj_two_user,
@@ -36,6 +35,7 @@ from reference import (
     random_tw_instance,
     reference_mac_secrecy_bits,
     reference_tw_secrecy_bits,
+    rho_terms,
 )
 
 RATE_TOL = 1e-9
@@ -125,7 +125,7 @@ def test_rho_zero_with_no_transmitters():
     for _ in range(20):
         ch = random_mac_instance(rng, 3)
         alloc = PowerAllocation(rng.uniform(0, 1, 3) * ch.power_caps)
-        t1, t2 = _rho_terms(ch, (), (0, 1, 2), alloc, 2)
+        t1, t2 = rho_terms(ch, (), (0, 1, 2), alloc, 2)
         assert t1 + t2 == 0.0
 
 
@@ -139,7 +139,7 @@ def test_rho_vanishes_at_interior_pivot():
             continue
         if sol.pivot_power <= 0.0:
             continue
-        t1, t2 = _rho_terms(ch, sol.transmit_set, sol.jam_set, sol.allocation, sol.pivot_user)
+        t1, t2 = rho_terms(ch, sol.transmit_set, sol.jam_set, sol.allocation, sol.pivot_user)
         rho = t1 + t2
         scale = max(abs(t1), abs(t2), 1e-300)
         assert abs(rho) / scale < 1e-9, f"stationarity violated: {rho} vs scale {scale}"
@@ -152,7 +152,7 @@ def test_rho_vanishes_at_closed_form_jam_power():
     sol = mac_cj_two_user(ch)
     assert sol.jam_set == (1,)
     assert np.isclose(sol.pivot_power, 0.06734656731265343, rtol=0, atol=1e-12)
-    t1, t2 = _rho_terms(ch, (0,), (1,), sol.allocation, 1)
+    t1, t2 = rho_terms(ch, (0,), (1,), sol.allocation, 1)
     rho = t1 + t2
     assert abs(rho) / max(abs(t1), abs(t2)) < 1e-9
 

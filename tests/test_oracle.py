@@ -25,6 +25,8 @@ from reference import (
     random_mac_instance,
     random_tw_instance,
     reference_search,
+    rho_fit_roots,
+    threshold_candidates,
 )
 
 SPEC_101 = GridSpec(points_per_axis=101)
@@ -332,10 +334,89 @@ def _jammer_axes(ch, spec):
         t_set = tuple(i for i, r in enumerate(roles) if r == "T")
         jam = tuple(i for i, r in enumerate(roles) if r == "J")
         for i in jam:
-            pivots = oracle._rho_fit_roots(ch, t_set, jam, i, caps)
-            pivots += oracle._threshold_candidates(ch, t_set, i, float(caps[i]))
+            pivots = rho_fit_roots(ch, t_set, jam, i, caps)
+            pivots += threshold_candidates(ch, t_set, i, float(caps[i]))
             axes[i].add(tuple(oracle._axis(caps[i], spec, pivots)))
     return axes
+
+
+def _scalar_pivot_candidates(ch):
+    """Per (t_set, jam_users, pivot) in role order, the scalar rho fit's roots
+    plus the branch thresholds, or the ValueError the fit raises."""
+    caps = ch.power_caps
+    table = {}
+    for roles in itertools.product("TJS", repeat=ch.k_users):
+        t_set = tuple(i for i, r in enumerate(roles) if r == "T")
+        jam = tuple(i for i, r in enumerate(roles) if r == "J")
+        for i in jam:
+            try:
+                table[t_set, jam, i] = rho_fit_roots(ch, t_set, jam, i, caps)
+            except ValueError as exc:
+                table[t_set, jam, i] = str(exc)
+                continue
+            table[t_set, jam, i] += threshold_candidates(ch, t_set, i, float(caps[i]))
+    return table
+
+
+def test_pivot_candidates_equal_the_scalar_fit_for_every_triple(monkeypatch):
+    """The one-pass table holds, for every jammer of every role at K = 1...3,
+    the scalar fit's candidates in the same order, bit for bit, or its
+    ValueError's text; the channels reach a zero-cap pivot, roles with no
+    transmitter (c1 = c2 = 0), c3 = 0, c1 = 0, complex roots and fits that
+    are not finite."""
+    rng = np.random.default_rng(2020)
+    channels = [random_mac_instance(rng, k) for k in (1, 2, 3) for _ in range(30)]
+    channels += [random_degraded_mac_instance(rng, k) for k in (1, 2, 3)]
+    channels += [
+        StdMacChannel([0.3, 0.9, 1.5], [0.0, 2.0, 3.0]),  # zero-cap pivot
+        StdMacChannel([0.5, 4 / 3], [2.0, 1.0]),  # rho is exactly 0 at pivot power 0: c3 = 0
+        StdMacChannel([0.5, 0.5, 0.5], [1.0, 2.0, 4.0]),  # tied gains: c1 = 0
+        StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0]),  # complex roots
+        StdMacChannel([1.1, 1.4], [1e104, 1e104]),  # not finite
+        StdMacChannel([0.5, 0.7, 0.9], [1e120, 1e120, 1.0]),  # finite for the first jammer only
+    ]
+    fits = []
+    numpy_roots = np.roots
+
+    def recorded(p):
+        fits.append((list(p), numpy_roots(p)))
+        return fits[-1][1]
+
+    errors = 0
+    for ch in channels:
+        got = oracle._pivot_candidates(ch)
+        with monkeypatch.context() as m:
+            m.setattr(np, "roots", recorded)
+            want = _scalar_pivot_candidates(ch)
+        assert list(got) == list(want), ch
+        for key, found in got.items():
+            if isinstance(found, Exception):
+                assert type(found) is ValueError and str(found) == want[key], (ch, key)
+                errors += 1
+            else:
+                assert found == want[key] and all(type(x) is float for x in found), (ch, key)
+    assert errors
+    assert any(c1 == 0 and c2 != 0 for (c1, c2, _), _ in fits)
+    assert any(c1 != 0 and c3 == 0 for (c1, _, c3), _ in fits)
+    assert any(np.iscomplexobj(r) and np.any(r.imag != 0) for _, r in fits)
+    assert any(ch.power_caps[i] == 0.0 for ch in channels for i in range(ch.k_users))
+
+
+@pytest.mark.parametrize(
+    "ch, user",
+    [(StdMacChannel([1.1, 1.4], [1e104, 1e104]), 2), (StdMacChannel([0.5, 0.7, 0.9], [1e120, 1e120, 1.0]), 2)],
+)
+def test_mac_jamming_oracle_names_the_first_fit_that_is_not_finite(monkeypatch, ch, user):
+    """The search raises the scalar fit's ValueError for the first jammer in
+    role order whose fit is not finite, as the single-pass search does."""
+    message = f"power_caps are too large for the grid oracle: the rho fit along user {user}'s axis is not finite"
+    with pytest.raises(ValueError) as raised:
+        grid_max_mac_cj(ch, SPEC_101)
+    assert str(raised.value) == message
+    monkeypatch.setattr(oracle, "_search", reference_search)
+    with pytest.raises(ValueError) as raised:
+        grid_max_mac_cj(ch, SPEC_101)
+    assert str(raised.value) == message
 
 
 def _objective_calls(monkeypatch, oracle_fn, ch, spec):
@@ -477,6 +558,33 @@ def test_a_role_never_reports_a_point_its_own_axes_lack(jammer):
     assert alloc[jammer] == nearest and alloc[1 - jammer] == 0.0
     want_rate, want_alloc, want_roles = reference_search(ch, spec, peak_at_x_star, roles, extras)
     assert (rate, alloc.tolist(), won) == (want_rate, want_alloc.tolist(), want_roles)
+
+
+def test_size_guard_counts_each_distinct_extra_point_off_the_plain_axis(monkeypatch):
+    """A jammer's extra points that repeat each other or lie on its plain
+    axis add no grid point, so they do not count toward the size guard, as
+    in the single-pass search; each distinct point off the axis does."""
+    ch = StdMacChannel([0.5, 0.8], [1.0, 2.0])
+    spec = GridSpec(points_per_axis=11)
+    on_axis = float(np.linspace(0.0, 2.0, 11)[1])
+    monkeypatch.setattr(oracle, "MAX_GRID_CELLS", 11 * 12)
+    roles = [("T", "J")]
+
+    def one_new_point(t_set, jam_users, i):
+        return [0.5, 0.5, on_axis, 2.0, 3.0, float("nan")]
+
+    def two_new_points(t_set, jam_users, i):
+        return [0.5, 0.7, on_axis]
+
+    def rate(h, grids, t_sets):
+        yield -np.abs(grids[1] - 0.5) + 0.0 * grids[0]
+
+    got = oracle._search(ch, spec, rate, roles, one_new_point)
+    want = reference_search(ch, spec, rate, roles, one_new_point)
+    assert (got[0], got[1].tolist()) == (want[0], want[1].tolist()) == (0.0, [0.0, 0.5])
+    for search in (oracle._search, reference_search):
+        with pytest.raises(ValueError, match="grid too large: 143 cells"):
+            search(ch, spec, rate, roles, two_new_points)
 
 
 def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
