@@ -12,9 +12,10 @@ once, for every solver, region and jamming site: ``secrecy_bits`` (MAC),
 ``tw_secrecy_bits`` (two-way) and ``regions._tdma_user_bounds`` (TDMA).
 They take each logarithm in one kernel, ``gaussian_bits_each`` (C(snr) =
 1/2 log2(1 + snr) by math.log1p per element, so small SNRs keep their
-relative accuracy).  Only the jamming ranking (np.log1p by
-``gaussian_bits_array``; it reports no rate) and the grid oracles
-(np.log2, the independent check) take their own.
+relative accuracy).  Only the jamming pass's ranking (np.log1p by
+``gaussian_bits_array``; it reports its winner's rate through
+``secrecy_bits`` on the same sums) and the grid oracles (np.log2, the
+independent check) take their own.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ def _tie_groups(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _merge_groups(h: np.ndarray, caps: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The merged gain np.vecdot(gh, gc) / cap_sum (the plain mean where the
-    caps sum to 0) and cap, the sum, of each group [bounds[i], bounds[i + 1])
-    of the flat sorted ``h`` and ``caps``.  A group is gathered as one
-    C-contiguous row, so both round as np.dot and sum on it alone."""
+    caps sum to 0; a group of one keeps its gain) and cap, the sum, of each
+    group [bounds[i], bounds[i + 1]) of the flat sorted ``h`` and ``caps``.
+    A group is gathered as one C-contiguous row, so both round as np.dot and
+    sum on it alone."""
     starts, sizes = bounds[:-1], np.diff(bounds)
     gains, group_caps = np.empty(len(starts)), np.empty(len(starts))
     with np.errstate(all="ignore"):
@@ -75,7 +77,10 @@ def _merge_groups(h: np.ndarray, caps: np.ndarray, bounds: np.ndarray) -> Tuple[
             members = starts[of_size][:, None] + np.arange(size)
             gh, gc = h[members], caps[members]
             group_caps[of_size] = cap_sum = gc.sum(axis=1)
-            gains[of_size] = np.where(cap_sum > 0, np.vecdot(gh, gc) / cap_sum, gh.mean(axis=1))
+            if size == 1:
+                gains[of_size] = gh[:, 0]
+            else:
+                gains[of_size] = np.where(cap_sum > 0, np.vecdot(gh, gc) / cap_sum, gh.mean(axis=1))
     return gains, group_caps
 
 
@@ -335,10 +340,10 @@ def merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
 
     Gains whose relative spacing is at most ``GAIN_MERGE_RTOL`` are treated
     as equal.  The merged user carries the cap-weighted mean gain (plain
-    mean when the caps sum to zero) and the summed cap; the constituent
-    original indices and caps are recorded for splitting power back.  This
-    is the eavesdropper sweep's merge (_tie_groups, then _merge_groups) on
-    one row.
+    mean when the caps sum to zero) and the summed cap; a user in no tie
+    keeps its gain as given.  The constituent original indices and caps
+    are recorded for splitting power back.  This is the eavesdropper
+    sweep's merge (_tie_groups, then _merge_groups) on one row.
     """
     h = _as_float_array(eve_gains, "eve_gains")
     caps = _as_float_array(power_caps, "power_caps")

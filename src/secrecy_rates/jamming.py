@@ -6,17 +6,17 @@ optimum has an ordered structure: a prefix of the gain-sorted users
 transmits at cap, a gap stays silent, and a suffix jams at cap except for
 at most one "pivot" jammer whose power solves a quadratic.  Every sum a
 pattern's quadratic and rate need is then a prefix or suffix sum, so one
-batched solve, ``_mac_cj_batch``, ranks all (prefix, pivot) patterns of N
-channels as O(K^2) arrays each, evaluates each channel's winner and the
-patterns tied with it to rounding, settles those by one lexsort, and gives
+batched pass, ``_mac_cj_batch``, ranks all (prefix, pivot) patterns of N
+channels as O(K^2) arrays each, settles ties by one lexsort of its own
+ranking keys, reports each channel's winner from the same sums, and gives
 each channel the status of the exception a single solve raises.
-mac_cj_optimal is that solve for one channel, the eavesdropper sweep for a
+mac_cj_optimal is that pass for one channel, the eavesdropper sweep for a
 grid.  The two-way variant only ever jams at full power, decided by a
 five-branch rule written once over arrays of channels.  Every reported
 rate is ``channels.secrecy_bits`` or ``channels.tw_secrecy_bits`` with
 jammers counted as noise, as ``allocation``'s solvers report theirs.
-Only the ranking in _finalists takes its own logarithms (np.log1p), for
-rates it never reports.
+Only the ranking takes its own logarithms (np.log1p), for rates it never
+reports.
 """
 
 from __future__ import annotations
@@ -120,19 +120,10 @@ def _mac_roles(t: np.ndarray, p: np.ndarray, powers: np.ndarray, rate: np.ndarra
 
 
 def _partition_solution(
-    ch: StdMacChannel,
-    powers: np.ndarray,
-    t_count: int,
-    rate: float,
-    pivot_idx: Optional[int],
-    coeffs: Optional[Tuple[float, float, float]],
-    case: str,
+    ch: StdMacChannel, powers: np.ndarray, t_count: int, rate: float, pivot_idx: Optional[int], coeffs, case: str
 ) -> JammingSolution:
-    k = ch.k_users
-    p = k if pivot_idx is None else pivot_idx
-    (sends,), (jams,), (branch,) = _mac_roles(
-        np.array([t_count]), np.array([p]), powers[None], np.array([rate])
-    )
+    p = ch.k_users if pivot_idx is None else pivot_idx
+    (sends,), (jams,), (branch,) = _mac_roles(np.array([t_count]), np.array([p]), powers[None], np.array([rate]))
     diagnostics = {"branch": branch, "case": case}
     if coeffs is not None:
         diagnostics["discriminant"] = coeffs[1] ** 2 - 4.0 * coeffs[0] * coeffs[2]
@@ -141,36 +132,69 @@ def _partition_solution(
     return _role_solution(sends, jams, powers, rate, diagnostics, pivot_idx, coeffs)
 
 
-def _finalists(h: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each of N channels' best ordered role pattern, ranked as arrays over
-    all of them, with the patterns whose tie-break keys match it to
-    rounding; and the mask of the rows whose ranking holds a NaN (pattern 0).
-
-    ``h`` and ``caps`` are (N, K): one channel per row, gains ascending.
-    Patterns are flat indices (n (K+1) + t)(K+1) + p in row, then scan
-    order: transmit users [0, t) of channel n at cap and make user p >= t
-    the pivot, with every user after it jamming at cap; p = K is the no-jam
-    pattern, a pivot of gain 0 and cap 0.  With P, H the transmitters' sums
-    of caps and h * caps, and R, G those of the jammers after the pivot, the
-    pivot quadratic's coefficients (see _evaluate_patterns) are
+def _pivot_root(p_t, hp_t, p_after, hp_after, h_p):
+    """The pivot quadratic's c1, c2 / 2 and c3, and its "+sqrt" root (NaN
+    where there is none), elementwise.  Users [0, t) transmit at cap, the
+    pivot p >= t has gain h_p, and the users after it jam at cap.  With P,
+    H the transmitters' sums of caps and h * caps, and R, G the jammers',
+    rho_p is exactly c1 x^2 + c2 x + c3 in the pivot's power x:
         c1 = h_p (h_p P - H),  c2 = 2 h_p ((1 + G) P - (1 + R) H),
-        c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H,
-    and the root is taken with c2 / 2, an exact scaling.  R and G
-    accumulate from the back, so a pivot at cap and the next pivot at 0
-    give bit-identical jam totals, keys and rates for one power vector.
-    Every operation is elementwise along the batch axis, so a channel's
-    finalists do not depend on the other rows.
+        c3 = (1 + H + G)(1 + G) P - h_p (1 + P + R)(1 + R) H.
+    The root takes c2 / 2, an exact scaling, and the cancellation-free form
+    when c2 > 0; c1 = 0 leaves the linear equation, and with c2 = 0 too
+    the objective is flat in the pivot, which stays at 0 (as in the no-jam
+    pattern, a pivot of gain 0 and cap 0).
+    """
+    one_r, one_g = 1.0 + p_after, 1.0 + hp_after
+    c1 = h_p * (h_p * p_t - hp_t)
+    half_c2 = h_p * (one_g * p_t - one_r * hp_t)
+    c3 = (hp_t + one_g) * one_g * p_t - (p_t + one_r) * (h_p * one_r) * hp_t
+    # NaN where the discriminant is negative (-c2 - s < 0 when c2 > 0)
+    s = np.sqrt(half_c2 * half_c2 - c1 * c3)
+    root = np.where(half_c2 <= 0.0, (s - half_c2) / c1, c3 / (-half_c2 - s))
+    root = np.where(c1 == 0.0, np.where(half_c2 == 0.0, np.nan, -0.5 * c3 / half_c2), root)
+    return c1, half_c2, c3, root
+
+
+# the case of each solved pattern, indexed as _mac_cj_batch reports it
+_CASES = ("no-jam", "pivot-zero", "pivot-at-cap", "pivot-interior")
+
+# What mac_cj_optimal raises, by the status _mac_cj_batch gives a channel
+# (0: none); 3 is where _partition_solution's c2 ** 2 would raise.
+_FAILURES = (
+    None,
+    (ValueError, _TIED_GAINS),  # 1: two gains tie
+    (FloatingPointError, "cooperative-jamming candidate rates overflow to NaN"),  # 2
+    (  # 3: the winner's c2 * c2 is not finite
+        OverflowError,
+        "power_caps are too large for the jamming solver: its pivot quadratic's c2 squares past the float range",
+    ),
+)
+
+
+def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
+    """mac_cj_optimal for the N channels in the rows of the (N, K) ``h`` and
+    ``caps`` (gains ascending): each row's winning t, p, powers, rate,
+    pivot coefficients (c1, c2, c3), index into _CASES, and its status.
+
+    Patterns are flat indices t (K+1) + p in scan order: users [0, t)
+    transmit at cap and user p >= t is the pivot (_pivot_root); p = K is the
+    no-jam pattern.  Every sum is a prefix sum or a suffix sum accumulated
+    from the back, so a pivot at cap and the next pivot at 0 give
+    bit-identical jam totals, keys and rates for one power vector.  Rates
+    within RATE_TIE_TOL of the best (np.log1p, never reported) tie, and the
+    tie goes to fewest active jammers, then least total power, then scan
+    order.  The winner's rate is channels.secrecy_bits on the same sums.
+    Every operation is elementwise along the batch axis.
     """
     n, k = caps.shape
+    rows, users = np.arange(n), np.arange(k + 1)
+    size = (k + 1) * (k + 1)
     # Inside, the batch axis is the last one, so numpy's inner loops run
     # over the channels rather than over the K + 1 pivots.
-    users = np.arange(k + 1)
     with np.errstate(all="ignore"):
         # rows: caps, h * caps, and 1 for each user with a positive cap
-        terms = np.empty((3, k, n))
-        terms[0] = caps.T
-        np.multiply(h.T, caps.T, out=terms[1])
-        terms[2] = caps.T > 0
+        terms = np.array((caps.T, h.T * caps.T, caps.T > 0), dtype=float)
         prefix = np.zeros((3, k + 1, 1, n))
         np.add.accumulate(terms, axis=1, out=prefix[:, 1:, 0])
         # per pivot column: the three sums over the users after it, then its h and cap
@@ -180,175 +204,50 @@ def _finalists(h: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
         after[4, 0, :k] = caps.T
         p_t, hp_t = prefix[0], prefix[1]
         p_after, hp_after, n_after, h_p, cap_p = after
-        one_r, one_g = 1.0 + p_after, 1.0 + hp_after
-        c1 = h_p * (h_p * p_t - hp_t)
-        half_c2 = h_p * (one_g * p_t - one_r * hp_t)
-        c3 = (hp_t + one_g) * one_g * p_t - (p_t + one_r) * (h_p * one_r) * hp_t
-        # the "+sqrt" root, NaN where the discriminant is negative (-c2 - s < 0 when c2 > 0)
-        s = np.sqrt(half_c2 * half_c2 - c1 * c3)
-        root = np.where(half_c2 <= 0.0, (s - half_c2) / c1, c3 / (-half_c2 - s))
-        root = np.where(c1 == 0.0, np.where(half_c2 == 0.0, np.nan, -0.5 * c3 / half_c2), root)
-        # free the coefficients first: each of these arrays holds (K+1)^2
-        # doubles per channel, and over a sweep pass they set its peak memory
-        del c1, half_c2, c3, s
+        # the coefficients hold (K+1)^2 doubles per channel each; over a
+        # sweep pass they set its peak memory, so only the root is kept
+        root = _pivot_root(p_t, hp_t, p_after, hp_after, h_p)[3]
         pivot = np.where(root > 0.0, np.minimum(root, cap_p), 0.0)
+        del root
         jam = pivot + p_after
         rate = gaussian_bits_array(p_t / (1.0 + jam))
         rate -= gaussian_bits_array(hp_t / (1.0 + (h_p * pivot + hp_after)))
         np.maximum(rate, 0.0, out=rate)
         np.copyto(rate, -np.inf, where=(users[:, None] > users)[:, :, None])
-        size = (k + 1) * (k + 1)
         rate = np.ascontiguousarray(rate.reshape(size, n).T)
         best = rate.max(axis=1, keepdims=True)
         pool = rate >= best - RATE_TIE_TOL
         unranked = np.isnan(best[:, 0])
         pool[unranked, 0] = True
         members = pool.ravel().nonzero()[0]
-        # every row has a member, so this is one per row
-        if len(members) == n:
-            return members, unranked
-        rows, idx = np.divmod(members, size)
-        # The tie rule on the pool members: fewest jammers, then least total
-        # power, then scan order.  A row with one member keeps it.
-        n_jam = ((pivot > 0.0) + n_after).reshape(size, n)[idx, rows]
-        total = (p_t + jam).reshape(size, n)[idx, rows]
-        root = root.reshape(size, n)[idx, rows]
-        cap = cap_p[0, idx % (k + 1), rows]
-        # sorted by row first, so each row's winner sits where the row starts
-        first = np.lexsort((members, total, n_jam, rows))[rows.searchsorted(rows)]
-        n_best, total_best = n_jam[first], total[first]
-        # A root within rounding of its cap or of 0 may clamp the other way in
-        # the scalar evaluation, moving a total by ulps or dropping a jammer, so
-        # patterns whose keys tie the winner's up to such a move are finalists.
-        # Exact key ties without such a root keep the winner: scan order.
-        edge = (np.abs(root - cap) <= 1e-9 * cap) | ((root > 0.0) & (root <= 1e-12 * total))
-        exact = (n_jam == n_best) & (total == total_best)
-        near = (total < total_best * (1.0 + 1e-12)) & (
-            (n_jam == n_best) | ((n_jam == n_best + 1) & edge)
-        )
-        near &= ~exact | edge | edge[first]
-        near[first] = True
-    return members[near], unranked
-
-
-# the case of each evaluated pattern, indexed as _evaluate_patterns reports it
-_CASES = ("no-jam", "pivot-zero", "pivot-at-cap", "pivot-interior")
-
-
-def _evaluate_patterns(h: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.ndarray):
-    """Powers, rate, pivot quadratic and case of M role patterns (t, p), one
-    per row of the (M, K) ``h`` and ``caps``.
-
-    Users [0, t) transmit at cap and users after p jam at cap.  The pivot
-    p < K jams at the "+sqrt" root of its quadratic, clamped to [0, cap];
-    p = K is the no-jam pattern.  With every other power fixed and the
-    pivot at 0, rho_p is the exact quadratic c1 P^2 + c2 P + c3 in the
-    pivot's power P, built from the sums of powers and of h * powers over
-    the transmitters, over all users and over the complement [t, K) minus
-    p.  The root takes the cancellation-free form when c2 > 0 and solves
-    the linear equation when c1 = 0; with c2 = 0 too the objective is flat
-    in the pivot, which stays at 0.
-
-    Returns the powers (finite: caps or a root clamped to [0, cap]), the
-    rate clamped at 0, whether _partition_solution can report the row, the
-    (M, 3) coefficients (NaN without a pivot) and each row's index into
-    _CASES.  It cannot where its discriminant's c2 ** 2 raises
-    OverflowError, exactly where a finite c2 * c2 is not: from |c2| = 2 **
-    512, about 1.3408e154.  The rate is channels.secrecy_bits on sums
-    masked over all users: the transmitters' and the rest's.
-    """
-    m, k = caps.shape
-    users = np.arange(k)
-    in_t = users < t[:, None]
-    jam = p < k
-    powers = np.where(in_t | (users > p[:, None]), caps, 0.0)
-    # per row, the pivot's gain and cap, and the sums of powers and of
-    # h * powers over the transmitters, over all users and over the
-    # complement minus the pivot; the sums stay NaN in rows without a pivot
-    hj, cap_j = np.zeros(m), np.zeros(m)
-    sums = np.full((3, 2, m), np.nan)
-    key = t * (k + 1) + p
-    with np.errstate(all="ignore"):
-        terms = np.array((powers, h * powers))
-        # Each pattern's rows are summed over its own index sets, as one
-        # channel alone would be: a sum masked over all K users groups its
-        # terms differently from K = 8 on.  With numpy 2.4.6 the row sums of
-        # a C-ordered array equal each row's 1-D sum, but those of the
-        # F-ordered a[:, idx] do not from 8 columns on, hence np.take.  The
-        # evaluator is exact for one row per pattern (mac_cj_optimal) and
-        # for two users (the sweep), where no sum can be grouped otherwise.
-        for pattern in set(key[jam].tolist()):
-            t_count, pivot = divmod(pattern, k + 1)
-            rows = np.flatnonzero(key == pattern)
-            hj[rows], cap_j[rows] = h[rows, pivot], caps[rows, pivot]
-            group = np.take(terms, rows, axis=1)
-            rest = np.concatenate((users[t_count:pivot], users[pivot + 1 :]))
-            sums[:, :, rows] = (
-                group[..., :t_count].sum(axis=2),
-                group.sum(axis=2),
-                np.take(group, rest, axis=2).sum(axis=2),
-            )
-        (p_t, hp_t), (p_all, hp_all), (p_comp, hp_comp) = sums
-        c1 = hj * (hj * p_t - hp_t)
-        c2 = hj * (2.0 + hp_all + hp_comp) * p_t - hj * (2.0 + p_all + p_comp) * hp_t
-        c3 = (1.0 + hp_all) * (1.0 + hp_comp) * p_t - hj * (1.0 + p_all) * (
-            1.0 + p_comp
-        ) * hp_t
-        disc = c2 * c2 - 4.0 * c1 * c3
-        # the "+sqrt" root, NaN where there is none: a negative discriminant or -c2 - s = 0
-        s = np.sqrt(disc)
-        neg = -c2
-        den = neg - s
-        stable = np.where(den == 0.0, np.nan, 2.0 * c3 / den)
-        quad = np.where(c2 <= 0.0, (neg + s) / (2.0 * c1), stable)
-        root = np.where(c1 == 0.0, np.where(c2 == 0.0, np.nan, -c3 / c2), quad)
+        # every row has a member; with one each, that is the winner
+        win = members % size
+        if len(members) > n:
+            member_rows, idx = np.divmod(members, size)
+            n_jam = ((pivot > 0.0) + n_after).reshape(size, n)[idx, member_rows]
+            total = (p_t + jam).reshape(size, n)[idx, member_rows]
+            # sorted by row first, so each row's winner heads its run
+            win = idx[np.lexsort((idx, total, n_jam, member_rows))[member_rows.searchsorted(rows)]]
+        t, p = np.divmod(win, k + 1)
+        p_t, hp_t = prefix[:2, t, 0, rows]
+        p_after, hp_after, _, h_p, cap_p = after[:, 0, p, rows]
+        c1, half_c2, c3, root = _pivot_root(p_t, hp_t, p_after, hp_after, h_p)
         positive = root > 0.0
-        at_cap = positive & (root >= cap_j)
-        pivot = np.where(at_cap, cap_j, np.where(positive, root, 0.0))
-        powers = np.where(users == p[:, None], pivot[:, None], powers)
-        # the secrecy rate, with its sums masked over all users as [p, hp] rows
-        both = np.array((powers, h * powers))
-        inside = both * in_t
-        (p_in, hp_in), (p_out, hp_out) = inside.sum(axis=2), (both - inside).sum(axis=2)
-        rate = secrecy_bits(p_in, p_out, hp_in, hp_out)
+        at_cap = positive & (root >= cap_p)
+        pivot = np.where(positive, np.minimum(root, cap_p), 0.0)
+        rate = secrecy_bits(p_t, pivot + p_after, hp_t, h_p * pivot + hp_after)
+        c2 = 2.0 * half_c2
         ok = np.isfinite(c2 * c2) | ~np.isfinite(c2)
-    case = np.where(jam, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
+    columns = np.arange(k)
+    powers = np.where((columns < t[:, None]) | (columns > p[:, None]), caps, 0.0)
+    powers = np.where(columns == p[:, None], pivot[:, None], powers)
+    case = np.where(p < k, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
     # max(rate, 0.0), which keeps a NaN
     rate = np.where(rate < 0.0, 0.0, rate)
-    return powers, rate, ok, np.array((c1, c2, c3)).T, case
-
-
-# What mac_cj_optimal raises, by the status _mac_cj_batch gives a channel
-# (0: none); the overflow is _partition_solution's c2 ** 2, in Python's words.
-_FAILURES = (
-    None,
-    (ValueError, _TIED_GAINS),  # 1: two gains tie
-    (FloatingPointError, "cooperative-jamming candidate rates overflow to NaN"),  # 2
-    (OverflowError, "(34, 'Numerical result out of range')"),  # 3: c2 * c2 is not finite
-)
-
-
-def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
-    """mac_cj_optimal for the N channels in the rows of the (N, K) ``h`` and
-    ``caps``: each row's winning t, p, powers, rate, coefficients and case,
-    and its status.  _evaluate_patterns evaluates every finalist; a row with
-    several keeps the first of them by fewest active jammers, then least
-    total power, then scan order."""
-    n, k = caps.shape
-    members, unranked = _finalists(h, caps)
-    rows, idx = np.divmod(members, (k + 1) * (k + 1))
-    t, p = np.divmod(idx, k + 1)
-    powers, rate, ok, coeffs, case = _evaluate_patterns(h[rows], caps[rows], t, p)
-    if len(members) > n:
-        jammers = ((powers > 0.0) & (np.arange(k) >= p[:, None])).sum(axis=1)
-        # rows come sorted and are the first key, so each row's winner heads its run
-        order = np.lexsort((idx, powers.sum(axis=1), jammers, rows))
-        first = order[np.flatnonzero(np.diff(rows, prepend=-1))]
-        t, p, powers, rate, ok, coeffs, case = (a[first] for a in (t, p, powers, rate, ok, coeffs, case))
     status = np.where(ok | (rate <= 0.0), 0, 3)
     status[unranked] = 2
     status[_tied_neighbors(h).any(axis=1)] = 1
-    return t, p, powers, rate, coeffs, case, status
+    return t, p, powers, rate, np.array((c1, c2, c3)).T, case, status
 
 
 def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
@@ -362,14 +261,14 @@ def mac_cj_optimal(ch: StdMacChannel) -> JammingSolution:
     branch boundary are mathematically tied but their rates land a few
     ulps apart, so rates within RATE_TIE_TOL of the best count as ties and
     resolve toward fewer active jammers, then less total power, then scan
-    order.  All (K+1)(K+2)/2 candidates are ranked as arrays in O(K^2) and
-    only the winner and its ties to rounding (usually none) are evaluated,
-    by _mac_cj_batch on a batch of one channel.
+    order.  All (K+1)(K+2)/2 candidates are ranked, and the winner
+    reported, in one O(K^2) array pass: _mac_cj_batch on a batch of one.
 
     Raises:
         ValueError: if two gains tie (merge them first).
         FloatingPointError: if the ranking rates overflow to NaN.
-        OverflowError: if the pivot quadratic's c2 squares past float range.
+        OverflowError: naming power_caps, if the winner's pivot quadratic's
+            c2 squares past the float range.
     """
     k = ch.k_users
     t, p, powers, rate, coeffs, case, status = _mac_cj_batch(ch.eve_gains[None], ch.power_caps[None])

@@ -10,9 +10,10 @@ Conditions that fail every cell (see sweep) raise a ValueError before
 any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
 on the calling thread, through the per-cell path's own array code: the
 gains (_gains, the one path-loss law); standardization, with the MAC
-tie-merge of merge_tied_users; the solve (``jamming._mac_cj_batch``,
-which mac_cj_optimal calls with a batch of one, or the two-way rule
-``jamming._tw_cj_rule``) and its roles; the split of split_back and the
+tie-merge of merge_tied_users; the solve (the one jamming pass
+``jamming._mac_cj_batch``, which ranks every role pattern and reports the
+winner, and which mac_cj_optimal calls with a batch of one, or the two-way
+rule ``jamming._tw_cj_rule``) and its roles; the split of split_back and the
 raw-domain mapping.  So every cell equals gains_from_geometry ->
 standardize_* -> *_cj_optimal bit for bit, and a failed cell records the
 exception that path raises.

@@ -5,8 +5,9 @@ ratios phi and psi, the two-user superposition corner rule and the
 two-user cooperative-jamming closed form.  The library computes every
 optimum with the general K-user solvers, so these forms live here, where
 the tests use them as independent references, together with the scalar
-pivot quadratic that the cooperative-jamming evaluator is checked
-against, the membership test for rate regions, the seeded random channel
+pivot quadratic and candidate loop that the cooperative-jamming pass is
+checked against, the scalar form of that pass's ranking, the 80-digit
+rate check, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +44,7 @@ from secrecy_rates.channels import (
     _gains_of,
     _powers_of,
     _tied_neighbors,
+    gaussian_bits_array,
     gaussian_bits_each,
 )
 from secrecy_rates.jamming import (
@@ -375,6 +378,71 @@ def region_contains(region: SecrecyRegion, pt: RatePoint, tol: float = REGION_TO
     return True
 
 
+def reference_ordered_ranking(h, caps) -> List[Tuple[int, int, float, int, float]]:
+    """The ranking keys of ``jamming._mac_cj_batch`` for one channel, as a
+    scalar loop: (t, p, rate, active jammers, total power) of every ordered
+    role pattern in scan order.  Users [0, t) transmit at cap, user p >= t
+    is the pivot at its "+sqrt" root clamped to [0, cap] and the users after
+    it jam at cap (p = K: no jammer).  The sums are running sums from the
+    front for the transmitters and from the back for the jammers, the
+    rates np.log1p of the same SNRs, clamped at 0."""
+    k = len(caps)
+    caps, h = [float(c) for c in caps], [float(g) for g in h]
+    front = [(0.0, 0.0)]
+    for c, g in zip(caps, h):
+        front.append((front[-1][0] + c, front[-1][1] + g * c))
+    # the sums over the users after each pivot, and how many have a positive cap
+    back = [(0.0, 0.0, 0)] * (k + 1)
+    for u in range(k - 2, -1, -1):
+        r, gr, m = back[u + 1]
+        c = caps[u + 1]
+        back[u] = (r + c, gr + h[u + 1] * c, m + (c > 0))
+    keys, heard, leaked = [], [], []
+    for t in range(k + 1):
+        p_t, hp_t = front[t]
+        for p in range(t, k + 1):
+            r, gr, m = back[p]
+            h_p, cap = (h[p], caps[p]) if p < k else (0.0, 0.0)
+            one_r, one_g = 1.0 + r, 1.0 + gr
+            c1 = h_p * (h_p * p_t - hp_t)
+            half_c2 = h_p * (one_g * p_t - one_r * hp_t)
+            c3 = (hp_t + one_g) * one_g * p_t - (p_t + one_r) * (h_p * one_r) * hp_t
+            if c1 == 0.0:
+                root = math.nan if half_c2 == 0.0 else -0.5 * c3 / half_c2
+            else:
+                disc = half_c2 * half_c2 - c1 * c3
+                s = math.sqrt(disc) if disc >= 0.0 else math.nan
+                root = (s - half_c2) / c1 if half_c2 <= 0.0 else c3 / (-half_c2 - s)
+            pivot = min(root, cap) if root > 0.0 else 0.0
+            heard.append(p_t / (1.0 + (pivot + r)))
+            leaked.append(hp_t / (1.0 + (h_p * pivot + gr)))
+            keys.append((t, p, int(pivot > 0.0) + m, p_t + (pivot + r)))
+    rates = np.maximum(gaussian_bits_array(np.array(heard)) - gaussian_bits_array(np.array(leaked)), 0.0)
+    return [(t, p, rate, n_jam, total) for (t, p, n_jam, total), rate in zip(keys, rates.tolist())]
+
+
+def reference_ordered_winner(h, caps) -> Tuple[int, int]:
+    """The (t, p) that the tie rule picks from reference_ordered_ranking:
+    rates within RATE_TIE_TOL of the best tie, then fewest active jammers,
+    then least total power, then scan order."""
+    ranking = reference_ordered_ranking(h, caps)
+    best = max(rate for _, _, rate, _, _ in ranking)
+    pool = [(n_jam, total, i) for i, (_, _, rate, n_jam, total) in enumerate(ranking) if rate >= best - RATE_TIE_TOL]
+    return ranking[min(pool)[2]][:2]
+
+
+def dec_bits(snr: Decimal) -> Decimal:
+    """C(snr) = 1/2 log2(1 + snr) in the current decimal context."""
+    return (1 + snr).ln() / (2 * Decimal(2).ln())
+
+
+def assert_near_reference(got: float, rate: Decimal, scale: Decimal) -> None:
+    """got matches the clamped reference rate within 1e-12 of scale, the summed size
+    of the capacities the rate subtracts: the rate itself unless those nearly cancel,
+    where no double evaluation of the difference keeps more relative accuracy."""
+    assert abs(Decimal(got) - max(rate, 0)) <= Decimal("1e-12") * scale, (got, rate, scale)
+
+
 def random_mac_instance(
     rng: np.random.Generator,
     k_users: int,
@@ -433,8 +501,8 @@ def random_tw_instance(
 def reference_merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
     """merge_tied_users as a loop over one channel's tie groups: a stable
     sort, cuts where neighbours do not tie, then per group the gain
-    np.dot(gh, gc) / cap_sum (the plain mean when the caps sum to 0) and the
-    summed cap gc.sum()."""
+    np.dot(gh, gc) / cap_sum (the plain mean when the caps sum to 0; a
+    user in no tie keeps its own) and the summed cap gc.sum()."""
     h = _as_float_array(eve_gains, "eve_gains")
     caps = _as_float_array(power_caps, "power_caps")
     if len(h) != len(caps):
@@ -453,7 +521,10 @@ def reference_merge_tied_users(eve_gains, power_caps) -> StdMacChannel:
         gh = h_sorted[lo:hi]
         gc = caps_sorted[lo:hi]
         cap_sum = gc.sum()
-        gain = float(np.dot(gh, gc) / cap_sum) if cap_sum > 0 else float(gh.mean())
+        if hi - lo == 1:
+            gain = float(gh[0])
+        else:
+            gain = float(np.dot(gh, gc) / cap_sum) if cap_sum > 0 else float(gh.mean())
         merged_h.append(gain)
         merged_caps.append(float(cap_sum))
         permutation.append(tuple(order[lo:hi].tolist()))
@@ -552,18 +623,6 @@ def reference_tw_secrecy_bits(powers: np.ndarray, h: np.ndarray, transmit: Itera
     """Two-way secrecy sum rate [sum_T C(P_k) - C(H_T / (1 + H_N))]^+ in bits."""
     t = sorted(set(transmit))
     return max(sum(gaussian_bits(float(powers[k])) for k in t) - cap_eve_tilde(powers, h, t), 0.0)
-
-
-def reference_pattern_rates(h: np.ndarray, powers: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The clamped rate of ``jamming._evaluate_patterns`` at its powers: users
-    [0, t) of each row transmit, the rest are heard as noise."""
-    in_t = np.arange(powers.shape[1]) < t[:, None]
-    # reference_mac_secrecy_bits, heard and leaked as [p, hp] rows
-    both = np.array((powers, h * powers))
-    inside = both * in_t
-    bits = gaussian_bits_each(inside.sum(axis=2) / (1.0 + (both - inside).sum(axis=2)))
-    rate = bits[0] - bits[1]
-    return np.where(rate < 0.0, 0.0, rate)
 
 
 def reference_tw_rule_rates(h: np.ndarray, powers: np.ndarray, transmit: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ from secrecy_rates import (
 from secrecy_rates import allocation
 from secrecy_rates.allocation import _marginal
 from secrecy_rates.channels import secrecy_bits, tw_secrecy_bits
+from reference import assert_near_reference as _assert_near_reference
+from reference import dec_bits as _dec_bits
 from reference import (
     mac_two_user_closed_form,
     nested_tdma_share_search,
@@ -571,18 +573,6 @@ def test_rate_helpers_clamp():
     assert sup_sum_rate([4.0, 0.0], np.array([0.1, 0.3])) == pytest.approx(
         0.9182506338585603, abs=1e-12
     )
-
-
-def _dec_bits(snr: Decimal) -> Decimal:
-    """C(snr) = 1/2 log2(1 + snr) in the current decimal context."""
-    return (1 + snr).ln() / (2 * Decimal(2).ln())
-
-
-def _assert_near_reference(got: float, rate: Decimal, scale: Decimal) -> None:
-    """got matches the clamped reference rate within 1e-12 of scale, the summed size
-    of the capacities the rate subtracts: the rate itself unless those nearly cancel,
-    where no double evaluation of the difference keeps more relative accuracy."""
-    assert abs(Decimal(got) - max(rate, 0)) <= Decimal("1e-12") * scale, (got, rate, scale)
 
 
 @st.composite

@@ -14,9 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from secrecy_rates import cli, default_scene
+from secrecy_rates import Scene, cli, default_scene
 
-from test_sweep import ODD_UNITS
+from test_sweep import ODD_UNITS, _cell_reference
 
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
@@ -377,16 +377,33 @@ def test_exit_one_on_a_channel_field_of_the_wrong_type(capsys, tmp_path, doc, me
     assert not out_file.exists()
 
 
+def test_sumrate_just_outside_the_tie_boundary_exits_zero(capsys):
+    """Two gains one ulp wider apart than GAIN_MERGE_RTOL stay two users, and
+    the merge keeps their gains as given, so the channel stays strictly
+    ascending and the solvers run."""
+    argv = ("sumrate", "--caps", "6.773061453610659,1", "--eve-gains", "0.3000000245221112,0.3000000248221113")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    solution = json.loads(out)["solution"]
+    assert (solution["mode"], solution["sum_rate_bits"]) == ("TDMA", 0.698363603571)
+
+
 def test_nonfinite_json_exits_two_naming_the_key(capsys, tmp_path):
-    """At caps 1e155 the pivot discriminant is NaN; strict JSON refuses it."""
+    """At eve gains (0.25, 2.5e149) the pivot discriminant is infinite;
+    strict JSON refuses it.  At caps 1e155 the winner's pivot quadratic
+    overflows, and the solver refuses it naming power_caps."""
     out_file = tmp_path / "jam.json"
-    argv = ("jam", "--caps", "1e155,1e155", "--eve-gains", "0.5,2")
+    argv = ("jam", "--caps", "8,8", "--eve-gains", "0.25,2.5e149")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "internal error" in err and "solution.diagnostics.discriminant" in err
     code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 2 and not out_file.exists()
+    argv = ("jam", "--caps", "1e155,1e155", "--eve-gains", "0.5,2", "--out", str(out_file))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and not out_file.exists()
+    assert err.startswith("internal error: power_caps are too large"), err
     with pytest.raises(FloatingPointError, match=r"rows\[1\]\[0\]"):
         cli._dump_json({"rows": [[0.0, 1.0], [float("-inf"), 2.0]]})
     assert cli._dump_json({"b": [1e155, 0.5], "a": None}) == (
@@ -599,14 +616,19 @@ def test_overflowing_standardization_exits_one_naming_the_user(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_with_raw_power_overflow_exits_two(capsys, tmp_path, fmt):
-    """raw_power_caps of 1e200 overflow the raw-domain powers of 24 of 25 MAC cells."""
+    """raw_power_caps of 1e200 fail 24 of 25 MAC cells: the winner's pivot
+    quadratic overflows (naming power_caps) or the raw-domain powers do
+    (naming raw_power_caps)."""
     path = tmp_path / "scene.json"
     doc = {"transmitter_positions": [[-0.5, 0], [0.5, 0]], "receiver_position": [0, 0]}
     path.write_text(json.dumps(dict(doc, raw_power_caps=[1e200, 1e200])))
     code, out, err = run_cli(capsys, "sweep", "--scene", str(path), "--grid", "5", "--format", fmt)
     assert code == 2
     assert "inf" not in out
-    assert "24 of 25 cells failed" in err and "raw_power_caps" in err
+    scene = Scene(**dict(doc, raw_power_caps=[1e200, 1e200]))
+    with pytest.raises(OverflowError) as first:
+        _cell_reference(scene, -1.0, -1.0, "MAC-CJ")
+    assert err == f"internal error: 24 of 25 cells failed; first: cell (x=-1, y=-1): OverflowError: {first.value}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -18,10 +18,10 @@ from secrecy_rates import (
     sweep,
     tw_cj_optimal,
 )
-from secrecy_rates.jamming import RATE_TIE_TOL, _finalists
+from secrecy_rates.jamming import RATE_TIE_TOL
 from secrecy_rates.sweep import SWEEP_COLUMNS
 
-from reference import _gain, random_tied_mac_row, reference_mac_secrecy_bits
+from reference import _gain, random_tied_mac_row, reference_mac_secrecy_bits, reference_ordered_ranking
 
 # the package exports the sweep function under the module's name
 sweep_module = importlib.import_module("secrecy_rates.sweep")
@@ -408,33 +408,73 @@ def test_sweep_cells_whose_gains_do_not_standardize_fail_with_its_message(mode):
         assert f"ValueError: standardized eve gain of user {user + 1} is not finite: tap_gains" in message
 
 
+_RAW_CAPS = "raw_power_caps [1e+200, 1e+200]"
+
+
+def _assert_overflow_cells_match_per_cell(scene):
+    """Every cell of the MAC sweep equals the per-cell path.  A failed cell
+    carries the per-cell path's exception, or, where that path only reports
+    infinite raw-domain powers (split_back's p * c / c overflows), an
+    OverflowError naming raw_power_caps.  Returns the failed cells' messages."""
+    result = sweep(scene, BOUNDS, 5, "MAC-CJ")
+    messages = iter(result.error_messages)
+    for iy, y in enumerate(result.ys.tolist()):
+        for ix, x in enumerate(result.xs.tolist()):
+            cell = f"cell (x={x:.12g}, y={y:.12g}): "
+            try:
+                with np.errstate(over="ignore"):
+                    tx, jam, rate, branch = _cell_reference(scene, x, y, "MAC-CJ")
+            except Exception as exc:
+                assert result.error[iy, ix] and next(messages) == f"{cell}{type(exc).__name__}: {exc}"
+                continue
+            if result.error[iy, ix]:
+                assert not np.isfinite(tx + jam).all()
+                raw = f"OverflowError: raw-domain powers overflow with {_RAW_CAPS}"
+                assert next(messages) == cell + raw
+                continue
+            assert np.array_equal(result.tx_power[iy, ix], tx)
+            assert np.array_equal(result.jam_power[iy, ix], jam)
+            assert result.sum_rate[iy, ix] == rate and result.branch[iy][ix] == branch
+    assert next(messages, None) is None
+    return result.error_messages
+
+
 def test_sweep_raw_power_overflow_is_a_failed_cell():
-    """With raw_power_caps 1e200 the mapping back to raw powers overflows
+    """With raw_power_caps 1e200, 24 of 25 MAC cells fail: most where the
+    winner's pivot quadratic overflows, which mac_cj_optimal refuses naming
+    power_caps, the rest where the mapping back to raw powers overflows
     (split_back's p * c / c), which the per-cell path reports as an
-    infinite power; the sweep fails those cells, naming raw_power_caps, and
-    every other cell equals the per-cell path."""
+    infinite power; the sweep fails those naming raw_power_caps.  Every
+    other cell equals the per-cell path."""
     scene = Scene(
         transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
         receiver_position=(0.0, 0.0),
         raw_power_caps=(1e200, 1e200),
     )
-    result = sweep(scene, BOUNDS, 5, "MAC-CJ")
-    assert int(result.error.sum()) == 24
-    messages = iter(result.error_messages)
-    for iy, y in enumerate(result.ys.tolist()):
-        for ix, x in enumerate(result.xs.tolist()):
-            with np.errstate(over="ignore"):
-                tx, jam, rate, branch = _cell_reference(scene, x, y, "MAC-CJ")
-            if result.error[iy, ix]:
-                assert not np.isfinite(tx + jam).all()
-                message = next(messages)
-                assert message.startswith(f"cell (x={x:.12g}, y={y:.12g}): OverflowError: ")
-                assert "raw_power_caps [1e+200, 1e+200]" in message
-                continue
-            assert np.array_equal(result.tx_power[iy, ix], tx)
-            assert np.array_equal(result.jam_power[iy, ix], jam)
-            assert result.sum_rate[iy, ix] == rate and result.branch[iy][ix] == branch
+    messages = _assert_overflow_cells_match_per_cell(scene)
+    assert len(messages) == 24
+    assert any(_RAW_CAPS in m for m in messages) and any("power_caps are too large" in m for m in messages)
     assert not sweep(scene, BOUNDS, 5, "TW-CJ").error.any()
+
+
+def test_sweep_raw_power_overflow_without_jammers_names_raw_power_caps():
+    """An eavesdropper far from both transmitters, behind a path-loss
+    exponent of 100, hears next to nothing: in every cell both users
+    transmit and no pivot is reported (case no-jam).  At raw_power_caps
+    1e200 every MAC cell then fails in the mapping back to raw powers,
+    naming raw_power_caps."""
+    scene = Scene(
+        transmitter_positions=((99.5, 100.0), (100.5, 100.0)),
+        receiver_position=(100.0, 100.0),
+        raw_power_caps=(1e200, 1e200),
+        path_loss_exponent=100,
+    )
+    messages = _assert_overflow_cells_match_per_cell(scene)
+    assert len(messages) == 25 and all(m.endswith(_RAW_CAPS) for m in messages)
+    for y in np.linspace(-1.0, 1.0, 5).tolist():
+        for x in np.linspace(-1.0, 1.0, 5).tolist():
+            sol = mac_cj_optimal(standardize_mac(gains_from_geometry(scene, (x, y), "mac")))
+            assert sol.diagnostics["case"] == "no-jam" and sol.pivot_user is None
 
 
 def test_sweep_rows_follow_columns():
@@ -616,12 +656,14 @@ def _assert_mac_rows_match_per_cell(eve, caps):
 
 
 def test_mac_batch_settles_tied_finalists():
-    """Gains (0.2, 3) at unit caps give two role patterns whose tie-break
-    keys match to rounding; the batch settles them by the tie rule, as
-    mac_cj_optimal does, in every row."""
-    h = np.array([[0.2, 3.0], [0.3, 3.0]])
-    members, _ = _finalists(h, np.ones((2, 2)))
-    assert np.bincount(members // 9).tolist() == [2, 1]
+    """Gains (0.2, 3) at unit caps give two role patterns whose ranking
+    rates tie within RATE_TIE_TOL (user 2 jams, or nobody does); the batch
+    settles them by the tie rule, as mac_cj_optimal does, in every row."""
+    pools = []
+    for gains in ([0.2, 3.0], [0.3, 3.0]):
+        rates = [rate for _, _, rate, _, _ in reference_ordered_ranking(gains, [1.0, 1.0])]
+        pools.append(sum(rate >= max(rates) - RATE_TIE_TOL for rate in rates))
+    assert pools == [2, 1]
     _assert_mac_rows_match_per_cell(np.array([[0.2, 3.0], [3.0, 0.2], [0.3, 3.0], [3.0, 0.3]]), (1.0, 1.0))
 
 
