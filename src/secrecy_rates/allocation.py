@@ -3,9 +3,10 @@
 Three maximizers live here: the superposition solver for the standardized
 MAC wiretap channel (the optimum is a cap-or-zero prefix of the gain
 ordering), the TDMA share optimizer (closed form when all gains are equal
-and below 1; otherwise the water-filling KKT point, found by Newton on the
-shares and their multiplier inside a certified multiplier bracket), and the
-two-way solver (a three-branch corner rule).  Each returns a SumRateSolution.
+and below 1; otherwise the water-filling KKT point, found by one-pass Newton
+steps on the shares and their multiplier that bisect a certified multiplier
+bracket where Newton leaves it), and the two-way solver (a three-branch
+corner rule).  Each returns a SumRateSolution.
 """
 
 from __future__ import annotations
@@ -149,46 +150,50 @@ _MAX_BURST = np.finfo(float).max
 _CAPS_TOO_LARGE = "power_caps are too large for the TDMA share search"
 
 
-def _share_floor(nu, c, h):
-    """c (r - h)^+ / (1 - r), r = e^-(nu+1), below the share at m = nu, as m(x) > G(x) - 1."""
-    r = math.exp(-nu - 1.0)
-    return c * np.maximum(r - h, 0.0) / (1.0 - r)
+def _multiplier(a, m, w, unit):
+    """The nu at which the positive parts of the steps a_k + (m_k - nu) w_k unit sum to 1: running
+    sums over the users sorted by their kinks b_k = m_k + a_k / (w_k unit) give each prefix's nu,
+    and the first prefix whose nu reaches the next user's b is kept."""
+    b = m + a / (w * unit)
+    order = (-b).argsort()  # users without weight (NaN) go last
+    nus = (((a / unit + m * w)[order]).cumsum() - 1.0 / unit) / w[order].cumsum()
+    return float(nus[np.count_nonzero(nus[:-1] < b[order][1:])])
 
 
-def _newton_shares(a, m, w, c, h, g_inf, unit, lo, hi):
-    """One Newton step on the KKT system from the shares a, and its multiplier nu.
+def _newton_shares(a, on, m, w, c, h, g_inf, sat, unit, lo, hi):
+    """One Newton step on the KKT system from the shares a, in one array pass.
 
-    The step a_k + (m_k - nu) w_k unit, nu the w-weighted mean marginal, keeps
-    the shares' sum; the user of largest weight takes what the others leave.
-    Where m grows like ln x, Newton moves a share by a factor near 1 + m - nu,
-    so steps are clipped to the share's bounds at nu: ``_share_floor`` and, as
-    m(x) <= ln(1+x), c / expm1(nu).  A user sent to a share <= 0 is silenced
-    if g(inf) <= nu, else takes the lesser of half its share and that ceiling,
-    and nu is formed again over the others.  A nu outside the bracket [lo, hi]
-    becomes its midpoint, where every share takes its step for the caller to
-    rescale.
+    The users with time (``on``) step to a_k + (m_k - nu) w_k unit, nu formed
+    once by ``_multiplier``.  As Newton moves a share by a factor near
+    1 + m - nu where m grows like ln x, shares are clipped to their bounds at
+    nu: c / expm1(nu) above, as m(x) <= ln(1+x); below, c (r - h)^+ / (1 - r),
+    r = e^-(nu+1), as m(x) > G(x) - 1, and sat (g(inf) - nu), sat = c h / (2(1-h)),
+    as g(inf) - m(x) < 2(1-h) / (h x).  A step that would cross 0 is cut to half
+    the share (fraction to the boundary), to 0 where g(inf) <= nu; silent users
+    with g(inf) > nu enter at their lower bound.  The user of largest weight
+    whose g(inf) reaches nu takes what the others leave, if positive.  A nu
+    outside the bracket [lo, hi] becomes its midpoint, where the bracket is
+    bisected on the sign of the shares' sum less 1 and the caller rescales
+    them.  Returns the shares, nu and the bracket.
     """
-    new, free = np.zeros(len(a)), np.ones(len(a), dtype=bool)
-    while free.any():
-        wk = w[free]
-        nu = float((np.dot(wk, m[free]) - (1.0 - new.sum() - a[free].sum()) / unit) / wk.sum())
-        newton = lo - 1e-15 * hi <= nu <= hi * (1.0 + 1e-15)
-        nu = nu if newton else 0.5 * (lo + hi)
-        ceil = np.fmin(c / min(np.expm1(max(nu, 0.0)), _MAX_BURST), 1.0)
-        step = np.where(free, a + (m - nu) * w * unit, new)
-        step = np.where(free & (step > 0.0), np.fmin(np.fmax(step, _share_floor(nu, c, h)), ceil), step)
-        if newton:
-            j = np.flatnonzero(free)[np.argmax(wk)]
-            step[j] = 0.0
-            step[j] = 1.0 - float(step.sum())
-        low = free & ~(step > 0.0)
-        if not low.any():
-            return step, nu
-        new[low] = np.where(g_inf[low] > nu * (1.0 + 1e-15), np.fmin(0.5 * a, ceil)[low], 0.0)
-        if not newton:
-            return np.where(low, new, step), nu
-        free &= ~low
-    return new, nu
+    w = np.where(on, w, 0.0)
+    nu = lo + _multiplier(a, m - lo, w, unit)  # running sums of m - lo stay small near the optimum
+    newton = lo - 1e-15 * hi <= nu <= hi * (1.0 + 1e-15)
+    nu = nu if newton else 0.5 * (lo + hi)
+    live = g_inf > nu * (1.0 + 1e-15)
+    r = math.exp(-nu - 1.0)
+    floor = np.fmax(sat * (g_inf - nu), c * np.maximum(r - h, 0.0) / (1.0 - r))
+    ceil = np.fmin(c / min(np.expm1(max(nu, 0.0)), _MAX_BURST), 1.0)
+    step = a + (m - nu) * w * unit
+    cut = np.where(live, np.fmin(np.fmax(0.5 * a, floor), ceil), 0.0)
+    new = np.where(step > 0.0, np.fmin(np.fmax(step, floor), ceil), cut)
+    if newton:
+        j = np.where(g_inf >= nu * (1.0 - 1e-15), w, -1.0).argmax()
+        rest = 1.0 - float(new.sum() - new[j])
+        new[j] = rest if rest > 0.0 else cut[j]
+    else:
+        lo, hi = (nu, hi) if float(np.sum(new, where=live)) > 1.0 else (lo, nu)
+    return new, nu, lo, hi
 
 
 def tdma_share_search(ch: StdMacChannel):
@@ -199,13 +204,14 @@ def tdma_share_search(ch: StdMacChannel):
     constraint, sum_k c_k y_k = 1.  At the optimum the users with h_k < 1, a
     positive cap and lam < g_k(inf) = 1/2 log2(1/h_k) share one marginal
     m_k = g_k(x_k) - x_k g_k'(x_k) = lam at their bursts x_k = c_k / a_k.
-    Feasible-start Newton (Boyd & Vandenberghe 10.2), one marginal evaluation
-    per step, runs from the cap-proportional shares, optimal for equal gains.
-    As m_k rises with x_k, each iterate brackets lam by the marginals of the
-    users with time and the silent users' g(inf).  It stops when the bracket
-    closes to 1e-15 relative or no share moves by 1e-13 of itself.
-    Returns (shares, rate in bits).  A ValueError names ``power_caps`` where
-    the start's cap sum and sum_k c_k m_k both overflow or no rate is finite.
+    Feasible-start Newton (Boyd & Vandenberghe 10.2) runs from cap-proportional
+    shares, optimal for equal gains, at one marginal evaluation and one
+    ``_newton_shares`` pass over fixed-size arrays per step.  Each iterate
+    brackets lam by the marginals of the users with time and the silent
+    users' g(inf); the search stops when the bracket closes to 1e-15 relative
+    or no share moves by 1e-13 of itself.  Returns (shares, rate in bits); a
+    ValueError names ``power_caps`` where the start's cap sum and
+    sum_k c_k m_k both overflow or no rate is finite.
     """
     h, caps, k = ch.eve_gains, ch.power_caps, ch.k_users
     active = np.flatnonzero((h < 1.0) & (caps > 0))
@@ -214,33 +220,27 @@ def tdma_share_search(ch: StdMacChannel):
     ha, c = h[active], caps[active]
     unit = max(float(c.max()), 1.0)  # the unit of the Newton weights c_k / (x_k^2 m'_k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g_inf = -np.log(ha)
+        g_inf, sat, c_unit = -np.log(ha), c * ha / (2.0 * (1.0 - ha)), c / unit
         if math.isinf(c.sum()) and math.isinf(np.dot(c, _marginal(np.full(len(c), _MAX_BURST), ha)[0])):
             raise ValueError(_CAPS_TOO_LARGE)
-        a = c / c.max()
+        # lam >= m_k(c_k) > G_k(c_k) - 1 for every k, so users whose g(inf) lies below start silent.
+        a = np.where(g_inf > float((np.log1p(c) - np.log1p(ha * c)).max()) - 1.0, c / c.max(), 0.0)
         a /= a.sum()
         lo, hi = 0.0, math.log(len(c)) + math.log1p(c.max())  # some share >= 1/K has m <= ln(1 + K c)
         for _ in range(100):
             on = a > 0.0
-            a_on, c_on = a[on], c[on]
-            m, w = _marginal(np.minimum(c_on / a_on, _MAX_BURST), ha[on], c_on / unit)
-            lo = max(lo, float(m.min()))
-            hi = min(hi, float(np.max(m, initial=g_inf[~on].max(initial=-math.inf))))
+            # Silent users are evaluated as deaf at the largest burst, where m is finite, then masked.
+            m, w = _marginal(np.minimum(c / a, _MAX_BURST), np.where(on, ha, 0.0), c_unit)
+            lo = max(lo, float(np.where(on, m, math.inf).min()))
+            hi = min(hi, float(np.where(on, m, g_inf).max()))
             if hi - lo <= 1e-15 * lo:
                 break
-            new, nu = _newton_shares(a_on, m, w, c_on, ha[on], g_inf[on], unit, lo, hi)
-            a[on] = new
-            # Users re-enter below their share at nu: ln(1/h) - m(x) < 2(1-h) / (h x).
-            enter = (a == 0.0) & (g_inf > nu * (1.0 + 1e-15))
-            if enter.any():
-                floor = np.fmax(c * ha * (g_inf - nu) / (2.0 * (1.0 - ha)), _share_floor(nu, c, ha))
-                a[enter] = np.fmin(floor, 1.0)[enter]
-            if not a.sum() > 0.0:  # every share at nu underflows, so lam < nu
-                a[on], hi = a_on, nu
-                continue
-            a /= a.sum()
-            if not enter.any() and np.all(np.abs(new - a_on) <= 1e-13 * new):
-                break
+            new, nu, lo, hi = _newton_shares(a, on, m, w, c, ha, g_inf, sat, unit, lo, hi)
+            total = float(new.sum())
+            if total > 0.0:  # else every share at nu underflows, so lam < nu: retry from a
+                a, done = new / total, (abs(new - a) <= 1e-13 * new).all()
+                if done:
+                    break
         shares = np.zeros(k)
         shares[active] = np.where(c / a <= _MAX_BURST, a, 0.0)
     if np.isfinite(shares).all() and shares.sum() > 0:

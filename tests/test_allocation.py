@@ -411,7 +411,10 @@ def test_tdma_search_matches_the_nested_reference_at_extreme_scales():
     moves it about 700-fold per step.  With a cap of 1e-320 beside 1.8e308
     the start leaves a deaf user silent, and with gains down to 1e-314 the
     midpoint multiplier can leave one user holding all the time, or every
-    share underflowing."""
+    share underflowing.  With gains (1.24e-282, ..., 3.79e-15) a midpoint
+    silences the users who hold the optimum's time while the others' shares
+    underflow, so the iterate cannot narrow the bracket: the midpoint has to
+    bisect it."""
     rng = np.random.default_rng(50)
     big = np.finfo(float).max
     channels = [
@@ -421,6 +424,10 @@ def test_tdma_search_matches_the_nested_reference_at_extreme_scales():
         StdMacChannel(
             [1.30e-230, 3.57e-183, 2.49e-175, 2.74e-136, 1.10e-128, 1.20e-54],
             [6.72e-256, 2.41e-187, 9.68e147, 9.62e50, 4.92e260, 2.84e-147],
+        ),
+        StdMacChannel(
+            [1.24e-282, 1.43e-266, 1.03e-231, 9.96e-201, 2.39e-23, 3.79e-15],
+            [9.1e-67, 6.6e-233, 1.01e220, 2.68e294, 4.27e-89, 3.0e-67],
         ),
     ]
     channels += [_extreme_channel(rng, i % 5) for i in range(40)]
@@ -457,6 +464,34 @@ def test_tdma_search_evaluates_the_marginal_at_most_15_times(k, monkeypatch):
         calls.clear()
         tdma_share_search(_half_weak_channel(rng, k))
         assert 1 <= len(calls) <= 15, len(calls)
+
+
+@pytest.mark.parametrize("k, mean_calls, max_calls", [(8, 4.84, 8), (32, 6.08, 7), (128, 6.35, 9)])
+def test_tdma_search_forms_one_multiplier_per_newton_step(k, mean_calls, max_calls, monkeypatch):
+    """Each Newton step forms its multiplier once, and that costs no steps:
+    on these 200 channels per K the search evaluates the marginal no more
+    often than one that formed the multiplier again after each halving,
+    which took 4.84 / 6.08 / 6.35 evaluations per solve on average at
+    K = 8 / 32 / 128, and at most 8 / 7 / 9."""
+    counts = {}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("_marginal", "_multiplier", "_newton_shares"):
+        monkeypatch.setattr(allocation, name, counted(name, getattr(allocation, name)))
+    rng = np.random.default_rng(49 + k)
+    calls = []
+    for _ in range(200):
+        counts.update(_marginal=0, _multiplier=0, _newton_shares=0)
+        tdma_share_search(_half_weak_channel(rng, k))
+        assert counts["_multiplier"] == counts["_newton_shares"], counts
+        calls.append(counts["_marginal"])
+    assert np.mean(calls) <= mean_calls and max(calls) <= max_calls, (np.mean(calls), max(calls))
 
 
 def test_tdma_marginal_newton_weight_is_finite_and_matches_the_slope():

@@ -133,6 +133,39 @@ def test_sumrate_eight_users_numeric_tdma_bytes(capsys):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_sumrate_32_users_half_weak_numeric_tdma_bytes(capsys):
+    """A many-users-shaped channel: 32 users, 16 gains below 1 and 16 above,
+    caps 1..32 in a shuffled order.  TDMA beats superposition and the
+    numeric search gives the time to three users; the document is pinned
+    byte for byte."""
+    caps = [float(c) for c in (1, 8, 15, 22, 29, 4, 11, 18, 25, 32, 7, 14, 21, 28, 3, 10,
+                               17, 24, 31, 6, 13, 20, 27, 2, 9, 16, 23, 30, 5, 12, 19, 26)]
+    gains = [round(0.03 + 0.06 * i, 2) for i in range(16)] + [round(1.05 + 0.06 * i, 2) for i in range(16)]
+    code, out, err = run_cli(
+        capsys, "sumrate", "--model", "mac", "--caps", ",".join(f"{c:g}" for c in caps),
+        "--eve-gains", ",".join(repr(g) for g in gains),
+    )
+    assert code == 0, err
+    doc = {
+        "channel": {
+            "eve_gains": gains,
+            "form": "standardized",
+            "model": "mac",
+            "permutation": [[k] for k in range(1, 33)],
+            "power_caps": caps,
+            "source_caps": [[c] for c in caps],
+        },
+        "solution": {
+            "mode": "TDMA",
+            "powers": [1.0, 8.0, 15.0] + [0.0] * 29,
+            "shares": [0.0818731206491, 0.479158871421, 0.43896800793] + [0.0] * 29,
+            "sum_rate_bits": 1.36349691515,
+            "transmit_set": [1, 2, 3],
+        },
+    }
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_sumrate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sumrate", "--model", "tw", "--caps", "4,2", "--eve-gains", "0.3,0.7",
