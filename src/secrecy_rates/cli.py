@@ -9,10 +9,12 @@ sorted, and rates carry a _bits suffix.  JSON output, and the CSV of
 region, sumrate and jam, are strict: a NaN or infinity anywhere in them is
 an internal failure, named by its key path or CSV column, and nothing is
 written.  The channel flags belong to region, sumrate, jam and verify; a
-sweep takes its channels from --scene.  The oracle reports are JSON only.
-Exit codes: 0 success, 1 validation error (an unknown flag, or --format
-csv with --verify, included), 2 internal numerical failure; a sweep with
-failed cells writes its output, then exits 2.
+sweep takes its channels from --scene, and a channel flag that the chosen
+form would not read is refused.  The oracle reports are JSON only.
+Exit codes: 0 success, 1 validation error (an unknown flag, a flag the
+channel form would not read, or --format csv with --verify, included), 2
+internal numerical failure; a sweep with failed cells writes its output,
+then exits 2.
 """
 
 from __future__ import annotations
@@ -89,11 +91,28 @@ def _standardized(ch):
     return "tw", ch
 
 
+# argparse destinations of the channel flags: --caps, --eve-gains, ...
+_CHANNEL_FLAGS = ("caps", "eve_gains", "main_gains", "noises", "self_gains")
+
+
 def _channel_from_args(args) -> Tuple[str, object]:
-    """Build (model, standardized channel) from CLI flags."""
-    if args.channel:
-        return _standardized(channel_from_json(_load_channel_doc(args.channel)))
+    """Build (model, standardized channel) from CLI flags.
+
+    A flag that the chosen form would not read is refused, naming it: any
+    channel flag beside --channel, --noises without --main-gains, and
+    --self-gains outside the standardized two-way form.
+    """
     model = args.model
+    if args.channel:
+        for name in _CHANNEL_FLAGS:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} cannot be combined with --channel, which holds the whole channel")
+        return _standardized(channel_from_json(_load_channel_doc(args.channel)))
+    if args.noises is not None and args.main_gains is None:
+        raise ValueError("--noises needs --main-gains: noise variances belong to the raw form")
+    if args.self_gains is not None and (model != "tw" or args.main_gains is not None):
+        raise ValueError("--self-gains belongs to the standardized two-way form: --model tw without --main-gains")
     if args.caps is None:
         raise ValueError("missing --caps (or provide --channel)")
     caps = _parse_floats(args.caps, "--caps")

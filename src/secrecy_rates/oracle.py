@@ -1,54 +1,44 @@
 """Brute-force grid oracles for cross-checking the closed-form solvers.
 
-All four oracles are one exhaustive search, _search, over a power grid
-for each transmit/jam/silent role assignment it is given (silent users
-pinned to zero); an oracle supplies only its objective and its roles.
-The superposition and two-way oracles search the single role in which
-everyone transmits; the cooperative-jamming oracles search every role.
-The MAC superposition oracle is the MAC jamming objective on that one
-role.
+All four oracles are one exhaustive search, _search, over one power mesh
+on which it evaluates the objective of every transmit set it is given; an
+oracle supplies only its objective and its transmit sets.  The
+superposition and two-way oracles search the one set in which everyone
+transmits, and the MAC superposition oracle is the MAC jamming objective
+on that set.  The cooperative-jamming oracles search all 2^K transmit
+sets, every other user jamming: a silent user is a jammer at power 0,
+which is on every axis, so the one mesh holds every cell of every
+transmit/jam/silent role.
 The search knows nothing about prefix structures or quadratic
 coefficient algebra.  Corner points are always on the grid, which makes
 the oracles exact for the superposition and two-way objectives whose
-optima sit at corners.  For MAC jamming, the search's ``extras`` hook adds
-candidate pivot powers to each jammer's axis: the real roots of a
-quadratic fitted through three evaluations of rho along the jammer's
-axis, then the two-user branch thresholds.  The hook serves them from a
-table that its first call builds in one array pass over every (transmit
-set, jammers, pivot) triple (_pivot_candidates): rho as masked sums, the
-roots by one np.linalg.eigvals over the stacked companion matrices, and
-the thresholds as one array, each bit for bit the scalar fit's.
+optima sit at corners.  For MAC jamming, each user's axis also carries
+that user's candidate pivot powers (_pivot_candidates): for every
+(transmit set, jammers, pivot) row of the 3^K roles, the real roots of a
+quadratic fitted through three evaluations of rho along the pivot's axis,
+then the two-user branch thresholds.  They come from one array pass over
+the rows: rho as masked sums, the roots by one np.linalg.eigvals over the
+stacked companion matrices, each bit for bit the scalar fit's.
 
-Roles that silence the same users are searched together on one union
-mesh, per user the sorted union of their axes, so the objective forms its
-full-mesh terms (for MAC jamming, the two logarithms over everyone) once
-for the group and then yields each role's rate; every cell is computed
-with the same operations, in the same order, as on the role's own mesh.
-Each user's plain axis is built once, and a group's union per user is one
-np.unique of it and the members' pivot candidates.  A role sets the union
-planes its own axes lack, the other roles' pivot candidates, found by
-np.searchsorted, to -inf before its argmax.  The mesh is evaluated in
-k-dimensional tiles of at most _TILE_CELLS cells, so the temporaries stay
-cache-sized and peak memory does not grow with the grid.  Per role, the
-search keeps its best cell as (rate, index in the union mesh), an
-equal rate going to the smaller index, which is the C-order first maximum
-of the role's mesh in any tile order: ties resolve to the lexicographically
-smallest power vector within a role.
+The mesh is evaluated in k-dimensional tiles of at most _TILE_CELLS
+cells, so the temporaries stay cache-sized and peak memory does not grow
+with the grid.  The search keeps its best cell as (rate, index in the
+mesh, transmit set), an equal rate going to the smaller index and then to
+the earlier transmit set.  That is the C-order first maximum in any tile
+order: ties resolve to the lexicographically smallest power vector.
 
 The MAC jamming objective also has a box form, its own operations with
 each sum taken at the corner of a box that raises the rate, which is the
 rate itself on a one-cell box.  Float addition, multiplication by a gain
 and subtraction are monotone, so only np.log2's rounding can lift a cell
 above its box's value; a slack of _SLACK_ULPS ulps of the largest
-logarithm covers it.  For a group of several tiles, the search bounds each
-role on each tile from sub-blocks of _BLOCK points per axis, visits the
-tiles in order of decreasing bound and evaluates in each only the roles
-whose bound reaches the best role maximum found so far.  A skipped cell
-can neither win nor tie, so the answer is that of the unpruned search.
-Roles are then compared in the order given: a strictly higher rate wins,
-and an equal rate goes to the lexicographically smaller allocation.  Caps
-at which the objective would overflow are rejected before any role runs,
-so no cell is NaN or infinite.
+logarithm covers it.  On a mesh of several tiles, the search bounds each
+transmit set on each tile from sub-blocks of _BLOCK points per axis,
+visits the tiles in order of decreasing bound and evaluates in each only
+the transmit sets whose bound reaches the best rate found so far.  A
+skipped cell can neither win nor tie, so the answer is that of the
+unpruned search.  Caps at which the objective would overflow are rejected
+before the search, so no cell is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,15 +61,13 @@ from .allocation import SumRateSolution
 from .jamming import JammingSolution, _all_silent_solution, _role_solution
 
 MAX_GRID_CELLS = 10**8
-# Cells per tile of a union mesh: each float64 temporary of an objective is
+# Cells per tile of the mesh: each float64 temporary of an objective is
 # 128 KB, small enough to stay in cache instead of being page-faulted afresh.
 _TILE_CELLS = 16384
 # Points per axis of the sub-blocks whose box bounds are reduced to a tile's.
 _BLOCK = 4
 # Ulps of the largest logarithm allowed for np.log2's rounding in a bound.
 _SLACK_ULPS = 32
-
-_TRANSMIT, _JAM, _SILENT = "T", "J", "S"
 
 
 @dataclass
@@ -111,11 +99,12 @@ def _guard_shape(shape: Sequence[int]) -> None:
 def _check_corner(ch, rate_grid) -> None:
     """Raise a ValueError naming power_caps if any cell of the search overflows.
 
-    Every sum an objective forms, in any role and cell, is of nonnegative
-    terms and at most one that it forms at the caps corner with every user
-    transmitting, itself a cell of every search.  Float addition and
-    multiplication are monotone, so the objective evaluated there, in its
-    own order of operations, overflows exactly when some cell would.
+    Every sum an objective forms, for any transmit set and cell, is of
+    nonnegative terms and at most one that it forms at the caps corner
+    with every user transmitting, itself a cell of every search.  Float
+    addition and multiplication are monotone, so the objective evaluated
+    there, in its own order of operations, overflows exactly when some cell
+    would.
     """
     caps = [float(c) for c in ch.power_caps]
     try:
@@ -155,7 +144,7 @@ def _unravel(flat: int, shape: Sequence[int]) -> List[int]:
     return index[::-1]
 
 
-def _tile_bounds(h, bound, union, sides, t_sets) -> np.ndarray:
+def _tile_bounds(h, bound, axes, sides, t_sets) -> np.ndarray:
     """Per transmit set and tile (C order), an upper bound on the rate.
 
     bound(h, lo, hi, t_sets) is evaluated once on the open mesh of the
@@ -163,146 +152,83 @@ def _tile_bounds(h, bound, union, sides, t_sets) -> np.ndarray:
     first and last points, and each transmit set's sub-block bounds are
     reduced to its tiles' maxima.
     """
-    starts = [np.arange(0, len(ax), _BLOCK) for ax in union]
-    lo = np.ix_(*(ax[s] for ax, s in zip(union, starts)))
-    hi = np.ix_(*(ax[np.minimum(s + _BLOCK, len(ax)) - 1] for ax, s in zip(union, starts)))
+    starts = [np.arange(0, len(ax), _BLOCK) for ax in axes]
+    lo = np.ix_(*(ax[s] for ax, s in zip(axes, starts)))
+    hi = np.ix_(*(ax[np.minimum(s + _BLOCK, len(ax)) - 1] for ax, s in zip(axes, starts)))
     shape = tuple(len(s) for s in starts)
     out = []
     for block in bound(h, lo, hi, t_sets):
         block = np.broadcast_to(block, shape)
-        for d, (ax, side) in enumerate(zip(union, sides)):
+        for d, (ax, side) in enumerate(zip(axes, sides)):
             block = np.maximum.reduceat(block, np.arange(0, len(ax), side) // _BLOCK, axis=d)
         out.append(block.ravel())
     return np.array(out)
 
 
-def _search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
-    """Best (rate, allocation, roles) over the role assignments in role_sets.
+def _search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, transmit set) over the transmit sets t_sets.
 
-    Each assignment is a tuple of per-user roles, swept over its power
-    grid: silent users get the single point zero, and each jammer i gets
-    extras(t_set, jam_users, i) as extra points on its axis.  Roles with
-    the same silent users form a group searched on one union mesh, per user
-    the sorted union of the group's axes, one tile at a time (_tile_sides).
-    rate_grid(h, grids, t_sets) evaluates the objective on a tile's open
-    mesh and yields a new rate array for each transmit set in t_sets.  Each
-    role sets the union planes its own axes lack to -inf in its array, and
-    keeps its best cell as (rate, index in the union mesh), an equal rate
-    going to the lexicographically smaller index: the C-order first maximum
-    of its own mesh, whatever order the tiles come in.
-
-    Every axis is a user's plain axis (_axis) plus the jammer's extra
-    points off it, so each user's plain axis is built once; a group's union
-    is one np.unique of the plain axis and its members' extra points, and a
-    role's holes are the union points that neither its plain axis nor its
-    own extra points reach (np.searchsorted into the union).
+    One mesh serves every transmit set: user i's axis is _axis of its cap
+    with extras[i] as extra points, evaluated one tile at a time
+    (_tile_sides).  rate_grid(h, grids, t_sets) evaluates the objective on
+    a tile's open mesh and yields a new rate array for each transmit set in
+    t_sets.  The best cell is kept as (rate, index in the mesh, position in
+    t_sets), an equal rate going to the smaller index and then to the
+    earlier transmit set: the C-order first maximum, whatever order the
+    tiles come in, which is the lexicographically smallest allocation.
 
     If rate_grid has a ``bound`` attribute, its box form plus a slack for
-    rounding (_tile_bounds), a group of several tiles visits them in order
-    of decreasing bound, and evaluates in each only the roles whose bound
-    reaches the incumbent, the best role maximum found so far in any group.
-    A cell it skips is below the incumbent, so it can neither win nor tie,
-    and a role all of whose cells are skipped cannot win.  Roles are then
-    taken in order: a later role replaces the best with a strictly higher
-    rate, or with an equal rate at a lexicographically smaller allocation.
+    rounding (_tile_bounds), a mesh of several tiles visits them in order
+    of decreasing bound, and evaluates in each only the transmit sets whose
+    bound reaches the best rate so far.  A cell it skips is below that
+    rate, so it can neither win nor tie.
     """
     _check_corner(ch, rate_grid)
-    k = ch.k_users
-    caps = [float(c) for c in ch.power_caps]
+    axes = [_axis(cap, spec, () if extras is None else extras[i]) for i, cap in enumerate(ch.power_caps)]
+    shape = [len(ax) for ax in axes]
+    _guard_shape(shape)
+    sides = _tile_sides(shape)
+    counts = [-(-n // side) for n, side in zip(shape, sides)]
+    order = range(math.prod(counts))
     bound = getattr(rate_grid, "bound", None)
-    plain = [_axis(cap, spec) for cap in caps]
-    on_plain = [set(ax.tolist()) for ax in plain] if extras is not None else None
-    roles_of, t_sets, role_extras, groups = [], [], [], {}
-    for roles in role_sets:
-        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
-        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
-        added = {}
-        for i in jam_users if extras is not None else ():
-            off_axis = {x for x in extras(t_set, jam_users, i) if 0.0 < x < caps[i] and math.isfinite(x)}
-            off_axis -= on_plain[i]
-            if off_axis:
-                added[i] = np.array(sorted(off_axis))
-        _guard_shape([1 if roles[i] == _SILENT else len(plain[i]) + len(added.get(i, ())) for i in range(k)])
-        groups.setdefault(tuple(r == _SILENT for r in roles), []).append(len(roles_of))
-        roles_of.append(roles)
-        t_sets.append(t_set)
-        role_extras.append(added)
-    found = [None] * len(roles_of)
-    incumbent = -np.inf
-    for silent, members in groups.items():
-        union, holes = [], {r: [] for r in members}
-        for d in range(k):
-            extra = [role_extras[r][d] for r in members if d in role_extras[r]]
-            if not extra:
-                union.append(np.zeros(1) if silent[d] else plain[d])
-                continue
-            axis = np.unique(np.concatenate([plain[d], *extra]))
-            base = np.zeros(len(axis), dtype=bool)
-            base[np.searchsorted(axis, plain[d])] = True
-            for r in members:
-                has = base
-                if d in role_extras[r]:
-                    has = base.copy()
-                    has[np.searchsorted(axis, role_extras[r][d])] = True
-                if not has.all():
-                    holes[r].append((d, ~has))
-            union.append(axis)
-        shape = tuple(len(ax) for ax in union)
-        sides = _tile_sides(shape)
-        counts = tuple(-(-n // side) for n, side in zip(shape, sides))
-        order = range(math.prod(counts))
-        bounds = None
-        if bound is not None and len(order) > 1:
-            bounds = _tile_bounds(ch.eve_gains, bound, union, sides, [t_sets[r] for r in members])
-            order = np.argsort(-bounds.max(axis=0), kind="stable").tolist()
-        for tile in order:
-            if bounds is None:
-                live = members
-            else:
-                live = [r for r, b in zip(members, bounds[:, tile].tolist()) if b >= incumbent]
-                if not live:
-                    continue
-            corner = [i * side for i, side in zip(_unravel(tile, counts), sides)]
-            window = [slice(c, c + side) for c, side in zip(corner, sides)]
-            grids = np.ix_(*(ax[w] for ax, w in zip(union, window)))
-            for r, rate in zip(live, rate_grid(ch.eve_gains, grids, [t_sets[r] for r in live])):
-                for d, lack in holes[r]:
-                    rate[(slice(None),) * d + (lack[window[d]],)] = -np.inf
-                flat = int(np.argmax(rate))
-                value = float(rate.flat[flat])
-                if found[r] is None or value >= found[r][0]:
-                    cell = tuple(c + i for c, i in zip(corner, _unravel(flat, rate.shape)))
-                    if found[r] is None or value > found[r][0] or cell < found[r][1]:
-                        found[r] = (value, cell)
-                incumbent = max(incumbent, value)
-        for r in members:
-            if found[r] is not None:
-                found[r] = (found[r][0], np.array([float(union[d][i]) for d, i in enumerate(found[r][1])]))
+    bounds = None
+    if bound is not None and len(order) > 1:
+        bounds = _tile_bounds(ch.eve_gains, bound, axes, sides, t_sets)
+        order = np.argsort(-bounds.max(axis=0), kind="stable").tolist()
     best = None
-    for roles, result in zip(roles_of, found):
-        if result is None:
-            continue
-        rate_max, alloc = result
-        if best is None or rate_max > best[0] or (
-            rate_max == best[0] and tuple(alloc) < tuple(best[1])
-        ):
-            best = (rate_max, alloc, roles)
-    return best
+    for tile in order:
+        live = range(len(t_sets))
+        if bounds is not None and best is not None:
+            live = [t for t, b in enumerate(bounds[:, tile].tolist()) if b >= best[0]]
+            if not live:
+                continue
+        corner = [i * side for i, side in zip(_unravel(tile, counts), sides)]
+        grids = np.ix_(*(ax[c : c + side] for ax, c, side in zip(axes, corner, sides)))
+        for t, rate in zip(live, rate_grid(ch.eve_gains, grids, [t_sets[t] for t in live])):
+            flat = int(np.argmax(rate))
+            value = float(rate.flat[flat])
+            if best is None or value >= best[0]:
+                cell = tuple(c + i for c, i in zip(corner, _unravel(flat, rate.shape)))
+                if best is None or value > best[0] or (cell, t) < best[1:]:
+                    best = (value, cell, t)
+    rate, cell, t = best
+    return rate, np.array([float(ax[i]) for ax, i in zip(axes, cell)]), t_sets[t]
 
 
 def _jamming_solution(ch, spec: GridSpec, rate_grid, extras=None) -> JammingSolution:
-    """The best cell of _search over every role assignment, as a solution."""
+    """The best cell of _search over every transmit set, as a solution.
+
+    The sets come in product order, transmit before jam; a user outside
+    the winning set jams if its power is positive.
+    """
     k = ch.k_users
-    best_rate, best_alloc, best_roles = _search(
-        ch, spec, rate_grid, itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k), extras
-    )
+    t_sets = [tuple(itertools.compress(range(k), sends)) for sends in itertools.product((True, False), repeat=k)]
+    best_rate, best_alloc, t_set = _search(ch, spec, rate_grid, t_sets, extras)
     if best_rate <= 0.0:
         return _all_silent_solution(k, {"branch": "all-silent", "oracle": "grid"})
-    roles, shown = np.array(best_roles), best_alloc > 0
+    sends, shown = np.isin(np.arange(k), t_set), best_alloc > 0
     diagnostics = {"branch": "oracle", "oracle": "grid", "points_per_axis": spec.points_per_axis}
-    return _role_solution(
-        (roles == _TRANSMIT) & shown, (roles == _JAM) & shown, best_alloc, float(best_rate), diagnostics
-    )
+    return _role_solution(sends & shown, ~sends & shown, best_alloc, float(best_rate), diagnostics)
 
 
 def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation, float]:
@@ -314,24 +240,25 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     k = ch.k_users
     if k > 4:
         raise ValueError("grid_max_mac_sup supports at most 4 users")
-    best, alloc, _ = _search(ch, spec, _mac_cj_rate, [(_TRANSMIT,) * k])
+    best, alloc, _ = _search(ch, spec, _mac_cj_rate, [tuple(range(k))])
     if best <= 0.0:
         return PowerAllocation.zeros(k), 0.0
     return PowerAllocation(alloc), best
 
 
-def _pivot_candidates(ch: StdMacChannel) -> Dict[tuple, object]:
-    """Each jammer's pivot-power candidates, keyed (t_set, jam_users, pivot).
+def _pivot_candidates(ch: StdMacChannel) -> List[np.ndarray]:
+    """Per user, the sorted distinct pivot-power candidates of its rows.
 
-    One row per jammer of every role, in role order.  rho, the derivative
-    indicator of the pivot's power, is evaluated at pivot powers 0, s and 2s
-    (s = max(cap, 1)/2), everyone else at their role's fixed powers (caps for
-    transmitters and fellow jammers, zero for silent users); the quadratic
-    through the three is exact, since rho is quadratic in the pivot power.
-    A row's candidates are its real roots in (0, cap), then the two-user
-    branch thresholds (h_i - 1)/(h_pivot - h_i) in (0, cap) over its
-    transmitters i; a row whose fit is not finite holds the ValueError to
-    raise in its place, and a pivot with no power has none.
+    One row per jammer of every transmit/jam/silent role, in role order.
+    rho, the derivative indicator of the pivot's power, is evaluated at
+    pivot powers 0, s and 2s (s = max(cap, 1)/2), everyone else at their
+    role's fixed powers (caps for transmitters and fellow jammers, zero for
+    silent users); the quadratic through the three is exact, since rho is
+    quadratic in the pivot power.  A row's candidates are its real roots in
+    (0, cap) and the two-user branch thresholds (h_i - 1)/(h_pivot - h_i)
+    in (0, cap) over its transmitters i; a pivot with no power has none.
+    The first row, in role order, whose fit fails raises: np.roots' error,
+    or a ValueError naming power_caps where the fit is not finite.
 
     Every row is one array pass: the sums of rho are masked sums over an
     (R, 3, K) array, which for K <= 3 add the same nonnegative terms in the
@@ -341,12 +268,12 @@ def _pivot_candidates(ch: StdMacChannel) -> Dict[tuple, object]:
     zero leading or constant coefficient, which np.roots strips, or whose
     companion is not finite, call np.roots itself.
     """
-    keys, pivot, sends, on = _jammer_rows(ch.k_users)
+    pivot, sends, on = _jammer_rows(ch.k_users)
     h, caps = ch.eve_gains, ch.power_caps
     cap = caps[pivot]
     step = np.maximum(cap, 1.0) / 2.0
     powers = np.repeat(np.where(on, caps, 0.0)[:, None, :], 3, axis=1)
-    powers[np.arange(len(keys)), :, pivot] = step[:, None] * np.array([0.0, 1.0, 2.0])
+    powers[np.arange(len(pivot)), :, pivot] = step[:, None] * np.array([0.0, 1.0, 2.0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hp = h * powers
         inside = sends[:, None]
@@ -364,58 +291,43 @@ def _pivot_candidates(ch: StdMacChannel) -> Dict[tuple, object]:
         den = hj[:, None] - h
         thr = (h - 1.0) / den
     fails = (cap > 0) & ~(np.isfinite(rho).all(axis=1) & np.isfinite(c1) & np.isfinite(c2))
-    fits = (cap > 0) & ~fails & ((c1 != 0) | (c2 != 0))
+    first_fail = int(np.argmax(fails)) if fails.any() else len(pivot)
+    fits = (cap > 0) & ((c1 != 0) | (c2 != 0)) & (np.arange(len(pivot)) < first_fail)
     full = fits & (c1 != 0) & (c3 != 0) & np.isfinite(companion).all(axis=1)
-    roots = {}
-    if full.any():
-        matrices = np.zeros((int(full.sum()), 2, 2))
-        matrices[:, 0] = companion[full]
-        matrices[:, 1, 0] = 1.0
-        roots.update(zip(np.flatnonzero(full).tolist(), _roots_in(np.linalg.eigvals(matrices), cap[full])))
+    matrices = np.zeros((int(full.sum()), 2, 2))
+    matrices[:, 0] = companion[full]
+    matrices[:, 1, 0] = 1.0
+    rows, roots = [np.repeat(np.flatnonzero(full), 2)], [np.linalg.eigvals(matrices).ravel()]
+    # fits holds only rows before the first fit that is not finite, so an
+    # np.roots error raised here is the first failure in row order
     for r in np.flatnonzero(fits & ~full).tolist():
-        try:
-            roots[r] = _roots_in(np.roots([c1[r], c2[r], c3[r]])[None], cap[r : r + 1])[0]
-        except np.linalg.LinAlgError as exc:
-            roots[r] = exc
+        roots.append(np.roots([c1[r], c2[r], c3[r]]))
+        rows.append(np.full(len(roots[-1]), r))
+    if first_fail < len(pivot):
+        raise ValueError(
+            f"power_caps are too large for the grid oracle: the rho fit along user {pivot[first_fail] + 1}'s "
+            "axis is not finite"
+        )
+    rows, roots = np.concatenate(rows), np.concatenate(roots)
+    real = roots.real
+    keep = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(real))) & (0.0 < real) & (real < cap[rows])
     thresholds = sends & (den != 0.0) & (0.0 < thr) & (thr < cap[:, None])
-    table = {}
-    for r, (key, fail, row, ok) in enumerate(zip(keys, fails.tolist(), thr.tolist(), thresholds.tolist())):
-        found = roots.get(r, [])
-        if isinstance(found, Exception):
-            table[key] = found
-        elif fail:
-            table[key] = ValueError(
-                f"power_caps are too large for the grid oracle: the rho fit along user {key[2] + 1}'s axis "
-                "is not finite"
-            )
-        else:
-            table[key] = found + [x for x, take in zip(row, ok) if take]
-    return table
+    users = np.r_[pivot[rows[keep]], np.broadcast_to(pivot[:, None], thr.shape)[thresholds]]
+    values = np.r_[real[keep], thr[thresholds]]
+    return [np.unique(values[users == i]) for i in range(ch.k_users)]
 
 
 @functools.lru_cache(maxsize=None)
 def _jammer_rows(k: int):
-    """One row per jammer of every role of k users, in role order: the keys
-    (t_set, jam_users, pivot), the pivots, and masks of each row's
-    transmitters and of its transmitters and jammers."""
-    keys = []
-    for roles in itertools.product((_TRANSMIT, _JAM, _SILENT), repeat=k):
-        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
-        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
-        keys += [(t_set, jam_users, i) for i in jam_users]
+    """One row per jammer of every transmit/jam/silent role of k users, in
+    role order: the pivots, and masks of each row's transmitters and of its
+    transmitters and jammers."""
     codes = np.array(list(itertools.product(range(3), repeat=k)))  # 0 transmit, 1 jam, 2 silent
     role, pivot = np.nonzero(codes == 1)
     out = (pivot, codes[role] == 0, codes[role] < 2)
     for arr in out:
         arr.flags.writeable = False
-    return (tuple(keys), *out)
-
-
-def _roots_in(roots: np.ndarray, cap: np.ndarray) -> List[List[float]]:
-    """Per row of roots, in order, the real parts of the real ones in (0, cap)."""
-    real = roots.real
-    keep = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(real))) & (0.0 < real) & (real < cap[:, None])
-    return [[x for x, take in zip(row, ok) if take] for row, ok in zip(real.tolist(), keep.tolist())]
+    return out
 
 
 def _mac_cj_box(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
@@ -461,26 +373,18 @@ _mac_cj_rate.bound = _mac_cj_bound
 
 
 def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
-    """Exhaustive cooperative-jamming search over roles and powers.
+    """Exhaustive cooperative-jamming search over transmit sets and powers.
 
-    Supports up to 3 users.  Every transmit/jam/silent role assignment is
-    swept over a full power grid (silent users pinned to zero); analytic
-    pivot candidates come from the rho quadratic fit and the two-user
-    branch thresholds (h_i - 1)/(h_j - h_i).
+    Supports up to 3 users.  Every transmit set is swept over one power
+    mesh, every other user jamming (a silent user jams at power 0); each
+    user's axis carries its pivot candidates from the rho quadratic fits
+    and the two-user branch thresholds (h_i - 1)/(h_j - h_i).  Caps at
+    which the objective overflows are refused before any fit.
     """
     if ch.k_users > 3:
         raise ValueError("grid_max_mac_cj supports at most 3 users")
-    table = {}
-
-    def pivot_candidates(t_set, jam_users, i):
-        if not table:
-            table.update(_pivot_candidates(ch))
-        found = table[t_set, jam_users, i]
-        if isinstance(found, Exception):
-            raise found
-        return found
-
-    return _jamming_solution(ch, spec, _mac_cj_rate, pivot_candidates)
+    _check_corner(ch, _mac_cj_rate)
+    return _jamming_solution(ch, spec, _mac_cj_rate, _pivot_candidates(ch))
 
 
 def _tw_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
@@ -493,7 +397,7 @@ def _tw_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
 
 def grid_max_tw(ch: StdTwChannel, spec: GridSpec) -> SumRateSolution:
     """Exhaustive two-way search over the power box."""
-    best, alloc, _ = _search(ch, spec, _tw_rate, [(_TRANSMIT, _TRANSMIT)])
+    best, alloc, _ = _search(ch, spec, _tw_rate, [(0, 1)])
     if best <= 0.0:
         return SumRateSolution(PowerAllocation.zeros(2), (), 0.0, "TW", None, "oracle")
     transmit = tuple(i for i in range(2) if alloc[i] > 0)

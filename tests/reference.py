@@ -11,10 +11,11 @@ rate check, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
-oracles' search, the scalar rho fit and branch thresholds that the MAC
-jamming oracle's one-pass pivot table is checked against, the nested
-TDMA share search (Newton on the multiplier around a full burst solve
-per step), the per-group loops
+oracles' search, an exhaustive search over every transmit/jam/silent
+role and the per-role search that the one mesh replaced, the scalar rho
+fit and branch thresholds that the MAC jamming oracle's one-pass pivot
+candidates are checked against, the nested TDMA share search (Newton on
+the multiplier around a full burst solve per step), the per-group loops
 that merge tied users and split their power back, and the secrecy-rate
 arithmetic that each solver, region and jamming site wrote out for
 itself before they shared one function per scheme, with the scalar
@@ -24,6 +25,7 @@ Nothing in ``secrecy_rates`` imports this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -52,7 +54,7 @@ from secrecy_rates.jamming import (
     JammingSolution,
     _all_silent_solution,
 )
-from secrecy_rates.oracle import _JAM, _SILENT, _TRANSMIT, GridSpec, _axis, _guard_shape
+from secrecy_rates.oracle import GridSpec, _axis, _guard_shape
 from secrecy_rates.sweep import Scene
 from secrecy_rates.regions import (
     KIND_SECRECY,
@@ -795,30 +797,26 @@ def _guard_size(axes: Sequence[np.ndarray]) -> None:
     _guard_shape([len(ax) for ax in axes])
 
 
-def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
-    """Best (rate, allocation, roles) over the role assignments in role_sets.
+def _mesh_axes(ch, spec: GridSpec, extras=None) -> List[np.ndarray]:
+    """The grid oracles' one mesh: each user's axis with its extra points."""
+    return [_axis(cap, spec, () if extras is None else extras[i]) for i, cap in enumerate(ch.power_caps)]
 
-    The single-pass form of ``oracle._search``: roles are never grouped.
-    Each role's whole open mesh is evaluated at once, rate_grid yielding
-    that role's rate alone, and reduced by one argmax.  Within a role the
-    C-order first maximum wins.  The first role is the incumbent, even when
-    its maximum is NaN; a later role replaces it with a strictly higher
-    rate, or with an equal rate at a lexicographically smaller allocation.
+
+def _best_role(ch, rate_grid, role_sets, axes_of) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, roles) over the transmit/jam/silent role
+    strings in role_sets ("T", "J" or "S" per user).
+
+    Each role's whole open mesh, on the axes axes_of(roles), is evaluated
+    at once, rate_grid yielding the rate of the role's transmit set alone,
+    and reduced by one argmax: within a role the C-order first maximum
+    wins.  The first role is the incumbent, even when its maximum is NaN; a
+    later role replaces it with a strictly higher rate, or with an equal
+    rate at a lexicographically smaller allocation.
     """
-    k = ch.k_users
-    caps = ch.power_caps
     best = None
     for roles in role_sets:
-        t_set = tuple(i for i in range(k) if roles[i] == _TRANSMIT)
-        jam_users = tuple(i for i in range(k) if roles[i] == _JAM)
-        axes = []
-        for i in range(k):
-            if roles[i] == _SILENT:
-                axes.append(np.zeros(1))
-            elif roles[i] == _JAM and extras is not None:
-                axes.append(_axis(caps[i], spec, extras(t_set, jam_users, i)))
-            else:
-                axes.append(_axis(caps[i], spec))
+        t_set = tuple(i for i, r in enumerate(roles) if r == "T")
+        axes = axes_of(roles)
         _guard_size(axes)
         (rate,) = rate_grid(ch.eve_gains, np.ix_(*axes), [t_set])
         idx = np.unravel_index(int(np.argmax(rate)), rate.shape)
@@ -829,6 +827,61 @@ def reference_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> T
         ):
             best = (rate_max, alloc, roles)
     return best
+
+
+def reference_search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, transmit set) over the transmit sets t_sets.
+
+    The single-pass form of ``oracle._search``: no tiles and no bounds.
+    Each transmit set's whole open mesh, every user's axis with its extra
+    points, is evaluated at once and reduced by one argmax; transmit sets
+    are then taken in order, as in ``_best_role``.
+    """
+    axes = _mesh_axes(ch, spec, extras)
+    roles = {"".join("T" if i in t_set else "J" for i in range(ch.k_users)): t_set for t_set in t_sets}
+    rate, alloc, won = _best_role(ch, rate_grid, roles, lambda _: axes)
+    return rate, alloc, roles[won]
+
+
+def role_search(ch, spec: GridSpec, rate_grid, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, roles) of an exhaustive search over all 3^K
+    transmit/jam/silent roles, each on the per-user axes of the oracles'
+    one mesh, silent users pinned to 0."""
+    axes = _mesh_axes(ch, spec, extras)
+    roles = itertools.product("TJS", repeat=ch.k_users)
+    return _best_role(ch, rate_grid, roles, lambda r: [np.zeros(1) if x == "S" else ax for x, ax in zip(r, axes)])
+
+
+def per_role_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
+    """Best (rate, allocation, roles) over the role strings in role_sets,
+    each role on its own axes: the grid oracles' search before one mesh
+    served every transmit set.  Silent users get the single point 0,
+    jammer i the plain axis plus extras(t_set, jam_users, i), and
+    transmitters the plain axis."""
+
+    def axes_of(roles):
+        t_set = tuple(i for i, r in enumerate(roles) if r == "T")
+        jam_users = tuple(i for i, r in enumerate(roles) if r == "J")
+        axes = []
+        for i, (r, cap) in enumerate(zip(roles, ch.power_caps)):
+            if r == "S":
+                axes.append(np.zeros(1))
+            elif r == "J" and extras is not None:
+                axes.append(_axis(cap, spec, extras(t_set, jam_users, i)))
+            else:
+                axes.append(_axis(cap, spec))
+        return axes
+
+    return _best_role(ch, rate_grid, role_sets, axes_of)
+
+
+def scalar_pivot_candidates(ch: StdMacChannel, t_set, jam_users, pivot: int) -> List[float]:
+    """One row's pivot candidates by the scalar forms: the rho fit's roots,
+    then the branch thresholds."""
+    caps = ch.power_caps
+    return rho_fit_roots(ch, t_set, jam_users, pivot, caps) + threshold_candidates(
+        ch, t_set, pivot, float(caps[pivot])
+    )
 
 
 def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:

@@ -841,6 +841,41 @@ def test_sweep_refuses_channel_flags(capsys, tmp_path, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+_STD_MAC = '{"form": "standardized", "model": "mac", "eve_gains": [0.1, 0.3], "power_caps": [4, 4]}'
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--noises", ["--caps", "4,4", "--eve-gains", "0.1,0.3", "--noises", "5,7"]),
+        ("--noises", ["--model", "tw", "--caps", "2,2", "--eve-gains", "0.5,4.2", "--noises", "1,1,1"]),
+        ("--self-gains", ["--caps", "4,4", "--eve-gains", "0.1,0.3", "--self-gains", "3,3"]),
+        ("--self-gains", ["--caps", "2,4", "--main-gains", "2,1", "--eve-gains", "1,1", "--self-gains", "3,3"]),
+        (
+            "--self-gains",
+            ["--model", "tw", "--caps", "2,2", "--main-gains", "1,1", "--eve-gains", "0.5,0.5", "--self-gains", "1,1"],
+        ),
+        ("--caps", ["--channel", _STD_MAC, "--caps", "4,4"]),
+        ("--eve-gains", ["--channel", _STD_MAC, "--eve-gains", "0.1,0.3"]),
+        ("--main-gains", ["--channel", _STD_MAC, "--main-gains", "1,1"]),
+        ("--noises", ["--channel", _STD_MAC, "--noises", "1,1"]),
+        ("--self-gains", ["--channel", _STD_MAC, "--self-gains", "0,0"]),
+    ],
+    ids=[
+        "noises-std-mac", "noises-std-tw", "self-gains-mac", "self-gains-raw-mac", "self-gains-raw-tw",
+        "channel-caps", "channel-eve-gains", "channel-main-gains", "channel-noises", "channel-self-gains",
+    ],
+)
+@pytest.mark.parametrize("command", ["region", "sumrate", "jam", "verify"])
+def test_channel_flags_the_form_would_not_read_exit_one_naming_the_flag(capsys, tmp_path, command, flag, argv):
+    """A channel flag that the chosen channel form would not read is an
+    input error, not ignored: exit 1, the flag named, nothing written."""
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.startswith(f"error: {flag} ")
+
+
 @pytest.mark.parametrize("command", ["sumrate", "jam"])
 def test_verify_with_csv_format_exits_one_naming_both_flags(capsys, tmp_path, command):
     """The oracle report has no CSV form, so the pair is refused before any

@@ -1,5 +1,6 @@
 """Tests for the brute-force grid oracles and the instance generators."""
 
+import functools
 import itertools
 import math
 
@@ -21,11 +22,14 @@ from secrecy_rates import (
 )
 from secrecy_rates import oracle
 from reference import (
+    per_role_search,
     random_degraded_mac_instance,
     random_mac_instance,
     random_tw_instance,
     reference_search,
     rho_fit_roots,
+    role_search,
+    scalar_pivot_candidates,
     threshold_candidates,
 )
 
@@ -324,44 +328,30 @@ def _tile_sides(k, points):
 _TILE_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
 
 
-def _jammer_axes(ch, spec):
-    """Per user, the distinct axes the MAC jamming oracle gives that user as a
-    jammer in the roles where no user is silent, built from ``_axis`` and the
-    pivot candidates."""
-    caps = ch.power_caps
-    axes = [set() for _ in range(ch.k_users)]
-    for roles in itertools.product("TJ", repeat=ch.k_users):
-        t_set = tuple(i for i, r in enumerate(roles) if r == "T")
-        jam = tuple(i for i, r in enumerate(roles) if r == "J")
-        for i in jam:
-            pivots = rho_fit_roots(ch, t_set, jam, i, caps)
-            pivots += threshold_candidates(ch, t_set, i, float(caps[i]))
-            axes[i].add(tuple(oracle._axis(caps[i], spec, pivots)))
-    return axes
-
-
 def _scalar_pivot_candidates(ch):
-    """Per (t_set, jam_users, pivot) in role order, the scalar rho fit's roots
-    plus the branch thresholds, or the ValueError the fit raises."""
+    """Per user, the union of the scalar fit's roots and the branch
+    thresholds over the user's rows, every jammer of every
+    transmit/jam/silent role; or the text of the ValueError that the first
+    row in role order whose fit fails raises."""
     caps = ch.power_caps
-    table = {}
+    found = [set() for _ in range(ch.k_users)]
     for roles in itertools.product("TJS", repeat=ch.k_users):
         t_set = tuple(i for i, r in enumerate(roles) if r == "T")
         jam = tuple(i for i, r in enumerate(roles) if r == "J")
         for i in jam:
             try:
-                table[t_set, jam, i] = rho_fit_roots(ch, t_set, jam, i, caps)
+                found[i].update(rho_fit_roots(ch, t_set, jam, i, caps))
             except ValueError as exc:
-                table[t_set, jam, i] = str(exc)
-                continue
-            table[t_set, jam, i] += threshold_candidates(ch, t_set, i, float(caps[i]))
-    return table
+                return str(exc)
+            found[i].update(threshold_candidates(ch, t_set, i, float(caps[i])))
+    return [sorted(c) for c in found]
 
 
-def test_pivot_candidates_equal_the_scalar_fit_for_every_triple(monkeypatch):
-    """The one-pass table holds, for every jammer of every role at K = 1...3,
-    the scalar fit's candidates in the same order, bit for bit, or its
-    ValueError's text; the channels reach a zero-cap pivot, roles with no
+def test_each_users_candidates_equal_the_union_of_the_scalar_fits_over_its_rows(monkeypatch):
+    """For every user at K = 1...3, the one-pass candidates are the distinct
+    values of the scalar fit's roots and the branch thresholds over the rows
+    in which the user is the pivot, bit for bit, or the first failing row's
+    ValueError; the channels reach a zero-cap pivot, roles with no
     transmitter (c1 = c2 = 0), c3 = 0, c1 = 0, complex roots and fits that
     are not finite."""
     rng = np.random.default_rng(2020)
@@ -384,18 +374,20 @@ def test_pivot_candidates_equal_the_scalar_fit_for_every_triple(monkeypatch):
 
     errors = 0
     for ch in channels:
-        got = oracle._pivot_candidates(ch)
         with monkeypatch.context() as m:
             m.setattr(np, "roots", recorded)
             want = _scalar_pivot_candidates(ch)
-        assert list(got) == list(want), ch
-        for key, found in got.items():
-            if isinstance(found, Exception):
-                assert type(found) is ValueError and str(found) == want[key], (ch, key)
-                errors += 1
-            else:
-                assert found == want[key] and all(type(x) is float for x in found), (ch, key)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as raised:
+                oracle._pivot_candidates(ch)
+            assert type(raised.value) is ValueError and str(raised.value) == want, ch
+            errors += 1
+            continue
+        got = oracle._pivot_candidates(ch)
+        assert [c.tolist() for c in got] == want, ch
+        assert all(c.dtype == np.float64 for c in got)
     assert errors
+    assert any(len(c) > 1 for ch in channels[:90] for c in oracle._pivot_candidates(ch))
     assert any(c1 == 0 and c2 != 0 for (c1, c2, _), _ in fits)
     assert any(c1 != 0 and c3 == 0 for (c1, _, c3), _ in fits)
     assert any(np.iscomplexobj(r) and np.any(r.imag != 0) for _, r in fits)
@@ -407,15 +399,15 @@ def test_pivot_candidates_equal_the_scalar_fit_for_every_triple(monkeypatch):
     [(StdMacChannel([1.1, 1.4], [1e104, 1e104]), 2), (StdMacChannel([0.5, 0.7, 0.9], [1e120, 1e120, 1.0]), 2)],
 )
 def test_mac_jamming_oracle_names_the_first_fit_that_is_not_finite(monkeypatch, ch, user):
-    """The search raises the scalar fit's ValueError for the first jammer in
-    role order whose fit is not finite, as the single-pass search does."""
+    """The oracle raises the scalar fit's ValueError for the first jammer in
+    role order whose fit is not finite, as the per-role search does."""
     message = f"power_caps are too large for the grid oracle: the rho fit along user {user}'s axis is not finite"
     with pytest.raises(ValueError) as raised:
         grid_max_mac_cj(ch, SPEC_101)
     assert str(raised.value) == message
-    monkeypatch.setattr(oracle, "_search", reference_search)
+    roles = itertools.product("TJS", repeat=ch.k_users)
     with pytest.raises(ValueError) as raised:
-        grid_max_mac_cj(ch, SPEC_101)
+        per_role_search(ch, SPEC_101, oracle._mac_cj_rate, roles, functools.partial(scalar_pivot_candidates, ch))
     assert str(raised.value) == message
 
 
@@ -456,10 +448,10 @@ def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
     spec = GridSpec(points_per_axis=points)
     if (k, points) == (3, 101):
         # gains on (0, 2) and caps on (0.5, 5), the ranges of the perfbench
-        # two-user-report draws; in some, two roles with no silent user give a
-        # jammer different axes, so the union mesh has planes one of them lacks
+        # two-user-report draws; in some, a user's axis carries several pivot
+        # candidates, so its tiles are uneven
         report_like = [random_mac_instance(rng, 3, cap_range=(0.5, 5.0)) for _ in range(12)]
-        assert any(len(axes) > 1 for ch in report_like for axes in _jammer_axes(ch, spec))
+        assert any(len(c) > 1 for ch in report_like for c in oracle._pivot_candidates(ch))
         channels += report_like
         # where pruning is weakest: a flat channel with a low rate, and one whose
         # best rate, 1.7e-18, is far below the bound's slack
@@ -498,6 +490,24 @@ def test_tw_oracles_match_the_single_pass_search(monkeypatch, points):
         _assert_tiles_match_reference(monkeypatch, grid_max_tw_cj, ch, spec)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tied_transmit_sets_go_to_the_first_in_product_order(k):
+    """Where every transmit set reaches the best rate at the same cell, the
+    first set in product order, transmit before jam, wins: everyone
+    transmits, as in the exhaustive search over every role."""
+    ch = StdMacChannel([0.2, 0.5, 0.8][:k], [1.0, 2.0, 3.0][:k])
+    spec = GridSpec(points_per_axis=5)
+
+    def same_for_every_set(h, grids, t_sets):
+        for _ in t_sets:
+            yield sum(grids)
+
+    sol = oracle._jamming_solution(ch, spec, same_for_every_set)
+    assert sol.allocation.powers.tolist() == [1.0, 2.0, 3.0][:k]
+    assert (sol.transmit_set, sol.jam_set) == (tuple(range(k)), ())
+    assert role_search(ch, spec, same_for_every_set)[2] == ("T",) * k
+
+
 def test_tile_search_keeps_the_first_of_tied_cells_in_different_tiles():
     """Tied best cells in two later tiles: the C-order first one wins, as in
     one argmax over the whole mesh, also when a bound has the search visit the
@@ -518,100 +528,190 @@ def test_tile_search_keeps_the_first_of_tied_cells_in_different_tiles():
         return two_peaks(h, grids, t_sets)
 
     late_first_peaks.bound = late_first
-    roles = [("T", "T", "T")]
-    want_rate, want_alloc, _ = reference_search(ch, spec, two_peaks, roles)
+    t_sets = [(0, 1, 2)]
+    want_rate, want_alloc, _ = reference_search(ch, spec, two_peaks, t_sets)
     for rate_grid in (two_peaks, late_first_peaks):
-        rate, alloc, _ = oracle._search(ch, spec, rate_grid, roles)
+        rate, alloc, _ = oracle._search(ch, spec, rate_grid, t_sets)
         assert rate == 0.0 and alloc.tolist() == [early, 0.0, 0.0]
         assert (rate, alloc.tolist()) == (want_rate, want_alloc.tolist())
 
     flat = StdMacChannel([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
-    rate, alloc, _ = oracle._search(flat, spec, oracle._mac_cj_rate, roles)
+    rate, alloc, _ = oracle._search(flat, spec, oracle._mac_cj_rate, t_sets)
     assert rate == 0.0 and alloc.tolist() == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("jammer", [0, 1])
-def test_a_role_never_reports_a_point_its_own_axes_lack(jammer):
-    """Two roles with no silent user share one union mesh.  The jamming role
-    adds x* to its jammer's axis; the all-transmit role, which wins, peaks at
-    x* but lacks it, so it reports its own nearest grid point, as the
-    single-pass search does."""
+@pytest.mark.parametrize("user", [0, 1])
+def test_every_transmit_set_is_searched_on_each_users_candidates(user):
+    """A user's candidate x* is on its axis for every transmit set, also the
+    one in which the user transmits: the all-transmit set, which peaks at
+    x*, reports it, where the per-role search gives x* to the jamming role
+    only and so reports the nearest point of the plain axis."""
     ch = StdMacChannel([0.5, 0.8], [1.0, 1.0])
     spec = GridSpec(points_per_axis=400)
     x_star = 0.77
-    roles = [tuple("J" if i == jammer else "T" for i in range(2)), ("T", "T")]
-
-    def extras(t_set, jam_users, i):
-        return [x_star]
+    t_sets = [(0, 1), (1 - user,)]
+    extras = [[x_star] if i == user else [] for i in range(2)]
 
     def peak_at_x_star(h, grids, t_sets):
         for t_set in t_sets:
             if len(t_set) == 2:
-                yield -np.abs(grids[jammer] - x_star) + 0.0 * grids[1 - jammer]
+                yield -np.abs(grids[user] - x_star) + 0.0 * grids[1 - user]
             else:
                 yield np.full(np.broadcast_shapes(grids[0].shape, grids[1].shape), -1.0)
 
+    rate, alloc, won = oracle._search(ch, spec, peak_at_x_star, t_sets, extras)
+    assert won == (0, 1) and rate == 0.0
+    assert alloc[user] == x_star and alloc[1 - user] == 0.0
+    want_rate, want_alloc, want_t_set = reference_search(ch, spec, peak_at_x_star, t_sets, extras)
+    assert (rate, alloc.tolist(), won) == (want_rate, want_alloc.tolist(), want_t_set)
+
     axis = np.linspace(0.0, 1.0, 400)
     nearest = axis[np.argmin(np.abs(axis - x_star))]
-    rate, alloc, won = oracle._search(ch, spec, peak_at_x_star, roles, extras)
-    assert won == ("T", "T") and rate == -abs(nearest - x_star) < 0.0
-    assert alloc[jammer] == nearest and alloc[1 - jammer] == 0.0
-    want_rate, want_alloc, want_roles = reference_search(ch, spec, peak_at_x_star, roles, extras)
-    assert (rate, alloc.tolist(), won) == (want_rate, want_alloc.tolist(), want_roles)
+    roles = [tuple("J" if i == user else "T" for i in range(2)), ("T", "T")]
+    old_rate, old_alloc, old_roles = per_role_search(ch, spec, peak_at_x_star, roles, lambda t, j, i: [x_star])
+    assert old_roles == ("T", "T") and old_rate == -abs(nearest - x_star) < rate
+    assert old_alloc[user] == nearest
 
 
-def test_size_guard_counts_each_distinct_extra_point_off_the_plain_axis(monkeypatch):
-    """A jammer's extra points that repeat each other or lie on its plain
-    axis add no grid point, so they do not count toward the size guard, as
-    in the single-pass search; each distinct point off the axis does."""
+def test_size_guard_counts_each_distinct_candidate_once_per_user_axis(monkeypatch):
+    """A user's candidates that repeat each other, lie on its plain axis or
+    fall outside (0, cap) add no grid point, and every transmit set shares
+    the one mesh, so neither counts toward the size guard, as in the
+    single-pass search; each distinct candidate inside the axis does."""
     ch = StdMacChannel([0.5, 0.8], [1.0, 2.0])
     spec = GridSpec(points_per_axis=11)
     on_axis = float(np.linspace(0.0, 2.0, 11)[1])
     monkeypatch.setattr(oracle, "MAX_GRID_CELLS", 11 * 12)
-    roles = [("T", "J")]
-
-    def one_new_point(t_set, jam_users, i):
-        return [0.5, 0.5, on_axis, 2.0, 3.0, float("nan")]
-
-    def two_new_points(t_set, jam_users, i):
-        return [0.5, 0.7, on_axis]
+    t_sets = [(0, 1), (0,), (1,), ()]
+    one_new_point = [[], [0.5, 0.5, on_axis, 2.0, 3.0, float("nan")]]
+    two_new_points = [[], [0.5, 0.7, on_axis]]
 
     def rate(h, grids, t_sets):
-        yield -np.abs(grids[1] - 0.5) + 0.0 * grids[0]
+        for _ in t_sets:
+            yield -np.abs(grids[1] - 0.5) + 0.0 * grids[0]
 
-    got = oracle._search(ch, spec, rate, roles, one_new_point)
-    want = reference_search(ch, spec, rate, roles, one_new_point)
-    assert (got[0], got[1].tolist()) == (want[0], want[1].tolist()) == (0.0, [0.0, 0.5])
+    got = oracle._search(ch, spec, rate, t_sets, one_new_point)
+    want = reference_search(ch, spec, rate, t_sets, one_new_point)
+    assert (got[0], got[1].tolist(), got[2]) == (want[0], want[1].tolist(), want[2]) == (0.0, [0.0, 0.5], (0, 1))
     for search in (oracle._search, reference_search):
         with pytest.raises(ValueError, match="grid too large: 143 cells"):
-            search(ch, spec, rate, roles, two_new_points)
+            search(ch, spec, rate, t_sets, two_new_points)
 
 
 def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
-    """Summed over calls, the cells of the objective's full-mesh terms stay
-    near one union mesh per group of roles with the same silent users; one
-    mesh per role came to 8,396,334 cells for this channel."""
-    cells = []
+    """All 8 transmit sets are one group on one mesh: without its bound, the
+    objective is called once per tile for all of them, so its full-mesh
+    terms come to one mesh, 1,071,105 cells for this channel, besides the
+    1-cell calls at the caps corner; one mesh per transmit/jam/silent role
+    came to 8,396,334."""
+    calls = []
     rate_grid = oracle._mac_cj_rate
 
-    def counted(h, grids, t_sets):
-        cells.append(math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids))))
+    def unbounded(h, grids, t_sets):
+        calls.append((math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids))), len(t_sets)))
         return rate_grid(h, grids, t_sets)
 
-    monkeypatch.setattr(oracle, "_mac_cj_rate", counted)
-    sol = grid_max_mac_cj(StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0]), SPEC_101)
+    monkeypatch.setattr(oracle, "_mac_cj_rate", unbounded)
+    ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
+    sol = grid_max_mac_cj(ch, SPEC_101)
     assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
-    assert sum(cells) <= 1_200_000
+    mesh = math.prod(len(oracle._axis(c, SPEC_101, x)) for c, x in zip(ch.power_caps, oracle._pivot_candidates(ch)))
+    assert mesh == 1_071_105
+    assert sum(cells for cells, n in calls if n == 8) == mesh
+    assert all(call == (1, 1) for call in calls if call[1] != 8)
 
 
 def test_mac_jamming_oracle_prunes_most_cells_by_its_bound(monkeypatch):
     """Summed over the calls of the objective and of its bound, the cells come
-    to at most a third of the 1,081,914 that the unpruned search of one union
-    mesh per group evaluates for this channel."""
+    to at most a third of the 1,071,105 that the unpruned search evaluates
+    for this channel."""
     ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
     sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, ch, SPEC_101)
     assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
-    assert sum(cells for cells, _ in calls) <= 1_081_914 // 3
+    assert sum(cells for cells, _ in calls) <= 1_071_105 // 3
+
+
+def _seeded_jamming_channels():
+    """Seeded MAC channels at K = 1...3 and two-way channels, with tied gains,
+    zero caps and the pinned channels among them, each with a grid size."""
+    rng = np.random.default_rng(2323)
+    cases = []
+    for k in (1, 2, 3):
+        for points in (5, 11, 21, 41):
+            cases += [(random_mac_instance(rng, k), points) for _ in range(4)]
+            cases.append((random_degraded_mac_instance(rng, k), points))
+            zero = random_mac_instance(rng, k)
+            cases.append((StdMacChannel(zero.eve_gains, np.r_[0.0, zero.power_caps[1:]]), points))
+    cases += [(StdMacChannel(gains, caps), points) for (gains, caps, points), _, _ in _MAC_PINS]
+    for points in (5, 11, 21, 41):
+        cases += [(random_tw_instance(rng), points) for _ in range(4)]
+    cases += [(StdTwChannel(gains, [1.0, 1.0], caps), points) for (gains, caps, points), _, _ in _TW_PINS]
+    return cases
+
+
+def _objective_and_candidates(ch):
+    if isinstance(ch, StdTwChannel):
+        return grid_max_tw_cj, oracle._tw_cj_rate, None, None
+    scalar = functools.partial(scalar_pivot_candidates, ch)
+    return grid_max_mac_cj, oracle._mac_cj_rate, oracle._pivot_candidates(ch), scalar
+
+
+def test_jamming_oracles_equal_an_exhaustive_search_over_every_role():
+    """Every transmit/jam/silent role searched on the same per-user axes,
+    silent users pinned to 0, gives the oracle's rate, allocation and role
+    sets: a silent user is a jammer at power 0, so the transmit sets on one
+    mesh hold every cell of every role."""
+    for ch, points in _seeded_jamming_channels():
+        oracle_fn, rate_grid, candidates, _ = _objective_and_candidates(ch)
+        spec = GridSpec(points_per_axis=points)
+        sol = oracle_fn(ch, spec)
+        rate, alloc, roles = role_search(ch, spec, rate_grid, candidates)
+        if rate <= 0.0:
+            rate, alloc = 0.0, np.zeros(ch.k_users)
+        shown = [i for i in range(ch.k_users) if alloc[i] > 0]
+        assert sol.sum_rate == rate and sol.allocation.powers.tolist() == alloc.tolist(), (ch, points)
+        assert sol.transmit_set == tuple(i for i in shown if roles[i] == "T"), (ch, points)
+        assert sol.jam_set == tuple(i for i in shown if roles[i] == "J"), (ch, points)
+
+
+def _assert_never_loses_to_the_per_role_search(ch, spec, same_rate):
+    oracle_fn, rate_grid, _, scalar = _objective_and_candidates(ch)
+    roles = itertools.product("TJS", repeat=ch.k_users)
+    old_rate, old_alloc, _ = per_role_search(ch, spec, rate_grid, roles, scalar)
+    if old_rate <= 0.0:
+        old_rate, old_alloc = 0.0, np.zeros(ch.k_users)
+    sol = oracle_fn(ch, spec)
+    assert sol.sum_rate >= old_rate, (ch, spec)
+    if same_rate:
+        assert sol.sum_rate == old_rate, (ch, spec)
+    if sol.sum_rate == old_rate:
+        assert sol.allocation.powers.tolist() <= old_alloc.tolist(), (ch, spec)
+
+
+def test_jamming_oracles_match_the_per_role_search_on_seeded_channels():
+    """On the seeded channels the one mesh finds the per-role search's rate,
+    at the same allocation or a lexicographically smaller tied one."""
+    for ch, points in _seeded_jamming_channels():
+        _assert_never_loses_to_the_per_role_search(ch, GridSpec(points_per_axis=points), same_rate=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.2, 2.5]) | st.floats(0.0, 3.0), min_size=k, max_size=k),
+            st.lists(st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 100.0), min_size=k, max_size=k),
+        )
+    ),
+    st.sampled_from([2, 5, 11]),
+)
+def test_mac_jamming_oracle_never_loses_to_the_per_role_search(gains_caps, points):
+    """Every cell of every role is a cell of the one mesh, evaluated by the
+    same operations, so the oracle's rate is at least the per-role
+    search's, and at an equal rate its allocation is no larger."""
+    gains, caps = gains_caps
+    ch = StdMacChannel(np.sort(gains), caps)
+    _assert_never_loses_to_the_per_role_search(ch, GridSpec(points_per_axis=points), same_rate=False)
 
 
 @st.composite
