@@ -25,7 +25,7 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,24 +279,17 @@ class RawTwChannel:
 class StdTwChannel:
     """Standardized two-way wiretap channel.
 
-    ``self_gains`` are the residual gains each terminal sees on its own
-    echo; receivers subtract their own transmission, so these never enter
-    any rate expression.  They are kept for serialization fidelity.
+    Each terminal subtracts its own signal, so every rate depends only on
+    the eavesdropper gains and the caps.
     """
 
     eve_gains: np.ndarray
-    self_gains: np.ndarray
     power_caps: np.ndarray
 
     def __post_init__(self):
         self.eve_gains = _as_float_array(self.eve_gains, "eve_gains")
-        self.self_gains = _as_float_array(self.self_gains, "self_gains")
         self.power_caps = _as_float_array(self.power_caps, "power_caps")
-        for name, arr in (
-            ("eve_gains", self.eve_gains),
-            ("self_gains", self.self_gains),
-            ("power_caps", self.power_caps),
-        ):
+        for name, arr in (("eve_gains", self.eve_gains), ("power_caps", self.power_caps)):
             if len(arr) != 2:
                 raise ValueError(f"{name} must have length 2")
             if np.any(arr < 0):
@@ -410,9 +403,8 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     Terminal k's power is normalized by the noise at the opposite receiver,
     so the standardized cap is main_gain_k * raw_cap_k / other_noise and the
     eavesdropper gain is tap_gain_k * other_noise / (main_gain_k *
-    tap_noise).  Self gains are recorded but never used in rate math.  A
-    standardized gain or cap that is not finite is a ValueError naming the
-    user and its raw fields.
+    tap_noise).  A standardized gain or cap that is not finite is a
+    ValueError naming the user and its raw fields.
     """
     g1, g2 = raw.main_gains
     if g1 == 0 or g2 == 0:
@@ -424,14 +416,13 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     other = raw.receiver_noises[::-1]
     with np.errstate(all="ignore"):
         h = raw.tap_gains * other / (raw.main_gains * raw.tap_noise)
-        self_gains = other / (raw.main_gains * raw.receiver_noises)
         caps = raw.main_gains * raw.power_caps / other
     error = _not_finite_error(
         _TW_GAIN, h, raw.tap_gains, other, raw.main_gains, raw.tap_noise
     ) or _not_finite_error(_TW_CAP, caps, raw.main_gains, raw.power_caps, other)
     if error:
         raise error
-    return StdTwChannel(h, self_gains, caps)
+    return StdTwChannel(h, caps)
 
 
 def gaussian_bits_array(snr: np.ndarray) -> np.ndarray:
@@ -516,6 +507,26 @@ def to_jsonable(obj):
     return obj
 
 
+def _csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text with "\n" line ends, floats to 12 significant digits; a NaN
+    or infinity is an internal failure (FloatingPointError), named by its
+    column and row, and no text is returned."""
+    lines = [",".join(header)]
+    for r, values in enumerate(rows, start=1):
+        out = []
+        for column, v in zip(header, values):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise FloatingPointError(
+                    f"non-finite value in column {column} of row {r}; not writing invalid CSV"
+                )
+            text = f"{v:.12g}" if isinstance(v, float) else str(v)
+            if "," in text or '"' in text:
+                text = '"' + text.replace('"', '""') + '"'
+            out.append(text)
+        lines.append(",".join(out))
+    return "\n".join(lines) + "\n"
+
+
 # The channel class of each (form, model) pair.  A document's fields are
 # the class's dataclass fields, in their order; only StdMacChannel's
 # permutation is rewritten, to 1-based user indices.
@@ -552,7 +563,8 @@ def channel_from_json(doc):
     """Rebuild a channel from a dictionary or JSON string.
 
     Documents that wrap a channel under a "channel" key (as solver outputs
-    do) are unwrapped, so any emitted JSON round-trips as input.
+    do) are unwrapped, so any emitted JSON round-trips as input.  Keys that
+    the channel class has no field for are ignored.
     """
     if isinstance(doc, str):
         try:

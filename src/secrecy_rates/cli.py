@@ -5,12 +5,12 @@ from --channel (inline JSON or a file path, raw or standardized form) or
 from the --caps/--eve-gains/--main-gains/--noises flags; raw channels are
 standardized automatically.  All output is deterministic: floats are
 rounded to 12 significant digits before serialization, JSON keys are
-sorted, and rates carry a _bits suffix.  JSON output, and the CSV of
-region, sumrate and jam, are strict: a NaN or infinity anywhere in them is
-an internal failure, named by its key path or CSV column, and nothing is
-written.  The channel flags belong to region, sumrate, jam and verify; a
-sweep takes its channels from --scene, and a channel flag that the chosen
-form would not read is refused.  The oracle reports are JSON only.
+sorted, and rates carry a _bits suffix.  JSON and CSV output are strict:
+a NaN or infinity anywhere in them is an internal failure, named by its
+key path or CSV column, and nothing is written.  The channel flags belong
+to region, sumrate, jam and verify; a sweep takes its channels from
+--scene, and a channel flag that the chosen form would not read is
+refused.  The oracle reports are JSON only.
 Exit codes: 0 success, 1 validation error (an unknown flag, a flag the
 channel form would not read, or --format csv with --verify, included), 2
 internal numerical failure; a sweep with failed cells writes its output,
@@ -33,6 +33,7 @@ from .channels import (
     RawTwChannel,
     StdMacChannel,
     StdTwChannel,
+    _csv_table,
     channel_from_json,
     channel_to_json,
     merge_tied_users,
@@ -92,15 +93,14 @@ def _standardized(ch):
 
 
 # argparse destinations of the channel flags: --caps, --eve-gains, ...
-_CHANNEL_FLAGS = ("caps", "eve_gains", "main_gains", "noises", "self_gains")
+_CHANNEL_FLAGS = ("caps", "eve_gains", "main_gains", "noises")
 
 
 def _channel_from_args(args) -> Tuple[str, object]:
     """Build (model, standardized channel) from CLI flags.
 
     A flag that the chosen form would not read is refused, naming it: any
-    channel flag beside --channel, --noises without --main-gains, and
-    --self-gains outside the standardized two-way form.
+    channel flag beside --channel, and --noises without --main-gains.
     """
     model = args.model
     if args.channel:
@@ -111,8 +111,6 @@ def _channel_from_args(args) -> Tuple[str, object]:
         return _standardized(channel_from_json(_load_channel_doc(args.channel)))
     if args.noises is not None and args.main_gains is None:
         raise ValueError("--noises needs --main-gains: noise variances belong to the raw form")
-    if args.self_gains is not None and (model != "tw" or args.main_gains is not None):
-        raise ValueError("--self-gains belongs to the standardized two-way form: --model tw without --main-gains")
     if args.caps is None:
         raise ValueError("missing --caps (or provide --channel)")
     caps = _parse_floats(args.caps, "--caps")
@@ -136,10 +134,7 @@ def _channel_from_args(args) -> Tuple[str, object]:
         return "mac", merge_tied_users(eve, caps)
     if len(caps) != 2:
         raise ValueError("invalid --caps: the tw model takes exactly 2 users")
-    self_gains = (
-        _parse_floats(args.self_gains, "--self-gains", expect=2) if args.self_gains else [0.0, 0.0]
-    )
-    return "tw", StdTwChannel(eve, self_gains, caps)
+    return "tw", StdTwChannel(eve, caps)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -151,7 +146,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _nonfinite_path(obj, path: str = "") -> Optional[str]:
-    """Key path, such as ``solution.diagnostics.discriminant``, of the first
+    """Key path, such as ``solution.diagnostics.psi_2``, of the first
     NaN or infinity in a JSON-ready document (``powers[1]`` for a list
     item), in sorted-key order; None if it has none."""
     if isinstance(obj, float):
@@ -177,26 +172,6 @@ def _dump_json(doc: Dict) -> str:
     except ValueError:  # to_jsonable output fails only on NaN or infinity
         path = _nonfinite_path(doc)
         raise FloatingPointError(f"non-finite value at {path}; not writing invalid JSON") from None
-
-
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """CSV text, floats to 12 significant digits; a NaN or infinity is an
-    internal failure (exit 2), named by its column and row, and nothing is
-    written."""
-    lines = [",".join(header)]
-    for r, values in enumerate(rows, start=1):
-        out = []
-        for column, v in zip(header, values):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise FloatingPointError(
-                    f"non-finite value in column {column} of row {r}; not writing invalid CSV"
-                )
-            text = f"{v:.12g}" if isinstance(v, float) else str(v)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            out.append(text)
-        lines.append(",".join(out))
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_region(args) -> None:
@@ -371,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eve-gains", dest="eve_gains", help="eavesdropper gains (tap gains when --main-gains is present)")
             p.add_argument("--main-gains", dest="main_gains", help="raw main-channel gains; switches input to raw form")
             p.add_argument("--noises", help="noise variances: mac 'main,tap', tw 'rx1,rx2,tap'")
-            p.add_argument("--self-gains", dest="self_gains", help="tw standardized self gains (default 0,0)")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--grid", type=int, help="grid resolution (oracle points per axis, hull sampling, or sweep cells)")
         p.add_argument("--out", help="write output to this file instead of stdout")

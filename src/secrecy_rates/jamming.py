@@ -125,8 +125,6 @@ def _partition_solution(
     p = ch.k_users if pivot_idx is None else pivot_idx
     (sends,), (jams,), (branch,) = _mac_roles(np.array([t_count]), np.array([p]), powers[None], np.array([rate]))
     diagnostics = {"branch": branch, "case": case}
-    if coeffs is not None:
-        diagnostics["discriminant"] = coeffs[1] ** 2 - 4.0 * coeffs[0] * coeffs[2]
     if pivot_idx is None or not powers[pivot_idx] > 0:
         return _role_solution(sends, jams, powers, rate, diagnostics)
     return _role_solution(sends, jams, powers, rate, diagnostics, pivot_idx, coeffs)
@@ -160,7 +158,9 @@ def _pivot_root(p_t, hp_t, p_after, hp_after, h_p):
 _CASES = ("no-jam", "pivot-zero", "pivot-at-cap", "pivot-interior")
 
 # What mac_cj_optimal raises, by the status _mac_cj_batch gives a channel
-# (0: none); 3 is where _partition_solution's c2 ** 2 would raise.
+# (0: none).  3 is a positive winner whose pivot quadratic leaves the float
+# range (c2 * c2 is not finite): there its roots, and so the ranking, are
+# not to be trusted, since a root <= 0 can hide a jamming optimum.
 _FAILURES = (
     None,
     (ValueError, _TIED_GAINS),  # 1: two gains tie

@@ -21,8 +21,6 @@ exception that path raises.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 import os
@@ -38,6 +36,7 @@ from .channels import (
     _TW_GAIN,
     RawMacChannel,
     RawTwChannel,
+    _csv_table,
     _merge_groups,
     _not_finite_error,
     _split_power,
@@ -211,22 +210,17 @@ class SweepResult:
                 yield (x, y, tx[0], tx[1], jam[0], jam[1], rate, self.branch[iy][ix])
 
     def to_csv(self, target) -> None:
-        """Write a SWEEP_COLUMNS header and one row per cell, floats to 12 digits."""
-        own = isinstance(target, (str, os.PathLike))
-        handle = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(SWEEP_COLUMNS)
-            for *values, branch in self.rows():
-                writer.writerow([f"{v:.12g}" for v in values] + [branch])
-        finally:
-            if own:
-                handle.close()
+        """Write csv_text to a path or an open text file."""
+        text = self.csv_text()
+        if isinstance(target, (str, os.PathLike)):
+            with open(target, "w", newline="") as handle:
+                handle.write(text)
+        else:
+            target.write(text)
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        """A SWEEP_COLUMNS header and one row per cell, by channels._csv_table."""
+        return _csv_table(SWEEP_COLUMNS, self.rows())
 
     def metadata_json(self) -> Dict:
         return to_jsonable(self.metadata)
@@ -256,7 +250,7 @@ def _main_gains(scene: Scene, mode: str) -> np.ndarray:
     main = np.repeat(_gains(scene, transmitters[1:], transmitters[0]), 2)
     noises, caps = list(scene.receiver_noises), list(scene.raw_power_caps)
     try:
-        with np.errstate(all="ignore"):  # the cross gain, self gains and caps of every cell
+        with np.errstate(all="ignore"):  # the cross gain and caps of every cell
             standardize_tw(RawTwChannel(main, np.zeros(2), noises, scene.tap_noise, caps))
     except ValueError as exc:
         raise ValueError(
@@ -278,7 +272,8 @@ def _mac_cells(scene: Scene, main: np.ndarray, eve: np.ndarray) -> tuple:
     labels of _partition_solution (_mac_roles); the split of split_back
     (_split_power); the raw mapping.  Returns tx, jam, rate, branch labels
     and, by row, the first exception of the path: a standardized or merged
-    gain or cap that is not finite, or a failed solve.
+    gain or cap that is not finite, or the _FAILURES entry of the batch's
+    status, which mac_cj_optimal raises.
     """
     n, k = eve.shape
     mn, tn = float(scene.main_noise), float(scene.tap_noise)

@@ -263,7 +263,6 @@ def mac_cj_two_user(ch: StdMacChannel) -> JammingSolution:
         d = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * cap1)
         p = (h1 - 1.0) / (h2 - h1) + math.sqrt(max(d, 0.0)) / (h2 * (h2 - h1))
         diagnostics["p"] = p
-        diagnostics["discriminant"] = d
         return p
 
     if not ch.has_strictly_ascending_gains():
@@ -495,9 +494,8 @@ def random_tw_instance(
 ) -> StdTwChannel:
     """Standardized two-way instance with random gains and caps."""
     h = rng.uniform(gain_range[0], gain_range[1], 2)
-    self_gains = rng.uniform(0.1, 2.0, 2)
     caps = rng.uniform(cap_range[0], cap_range[1], 2)
-    return StdTwChannel(h, self_gains, caps)
+    return StdTwChannel(h, caps)
 
 
 def reference_merge_tied_users(eve_gains, power_caps) -> StdMacChannel:

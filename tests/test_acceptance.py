@@ -230,7 +230,7 @@ def test_criterion_05_fixed_points():
     assert np.array_equal(a.allocation.powers, [4.0, 0.0])
     assert abs(a.sum_rate - 0.91830) < FIXED_POINT_TOL
 
-    b = tw_optimal(StdTwChannel([0.3, 0.7], [0.0, 0.0], [4.0, 2.0]))
+    b = tw_optimal(StdTwChannel([0.3, 0.7], [4.0, 2.0]))
     assert np.array_equal(b.allocation.powers, [4.0, 2.0])
     assert abs(b.sum_rate - 1.02947) < FIXED_POINT_TOL
 
@@ -238,7 +238,7 @@ def test_criterion_05_fixed_points():
     assert c.jam_set == (1,) and c.allocation.powers[1] == 2.0
     assert abs(c.sum_rate - 0.03901) < FIXED_POINT_TOL
 
-    ch_d = StdTwChannel([0.5, 4.2], [0.0, 0.0], [2.0, 2.0])
+    ch_d = StdTwChannel([0.5, 4.2], [2.0, 2.0])
     d = tw_cj_optimal(ch_d)
     assert d.jam_set == (1,)
     assert abs(d.sum_rate - TWCJ_FIXED_RATE) < FIXED_POINT_TOL

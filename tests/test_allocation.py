@@ -539,7 +539,7 @@ def test_best_sum_rate_is_max_of_branches():
 
 
 def test_tw_optimal_both_at_caps():
-    ch = StdTwChannel([0.3, 0.7], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.3, 0.7], [4.0, 2.0])
     sol = tw_optimal(ch)
     assert np.allclose(sol.allocation.powers, [4.0, 2.0], rtol=0, atol=0)
     assert np.isclose(sol.sum_rate, 1.0294468445267841, rtol=0, atol=1e-12)
@@ -547,7 +547,7 @@ def test_tw_optimal_both_at_caps():
 
 
 def test_tw_optimal_single_user_branch():
-    ch = StdTwChannel([0.5, 4.0], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.5, 4.0], [4.0, 2.0])
     sol = tw_optimal(ch)
     assert np.allclose(sol.allocation.powers, [4.0, 0.0], rtol=0, atol=0)
     assert np.isclose(sol.sum_rate, 0.36848279708310305, rtol=0, atol=1e-12)
@@ -557,7 +557,7 @@ def test_tw_optimal_single_user_branch():
 
 
 def test_tw_optimal_all_silent():
-    sol = tw_optimal(StdTwChannel([3.0, 5.0], [1.0, 1.0], [0.1, 0.1]))
+    sol = tw_optimal(StdTwChannel([3.0, 5.0], [0.1, 0.1]))
     assert np.all(sol.allocation.powers == 0.0)
     assert sol.sum_rate == 0.0
     assert sol.transmit_set == ()
@@ -565,7 +565,7 @@ def test_tw_optimal_all_silent():
 
 def test_tw_optimal_boundary_goes_single_user():
     # h2 exactly 1 + h1*P1 belongs to the user-1-only branch
-    ch = StdTwChannel([0.5, 3.0], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.5, 3.0], [4.0, 2.0])
     sol = tw_optimal(ch)
     assert np.allclose(sol.allocation.powers, [4.0, 0.0], rtol=0, atol=0)
 
@@ -573,7 +573,7 @@ def test_tw_optimal_boundary_goes_single_user():
 def test_all_zero_caps():
     sol = mac_sup_optimal(StdMacChannel([0.1, 0.3], [0.0, 0.0]))
     assert sol.transmit_set == () and sol.sum_rate == 0.0
-    tw = tw_optimal(StdTwChannel([0.3, 0.7], [1.0, 1.0], [0.0, 0.0]))
+    tw = tw_optimal(StdTwChannel([0.3, 0.7], [0.0, 0.0]))
     assert tw.transmit_set == () and tw.sum_rate == 0.0
 
 
@@ -591,7 +591,7 @@ def test_transmit_set_matches_positive_powers():
 def test_two_way_rates_refuse_an_allocation_of_other_than_two_powers():
     """A third power used to be counted as noise by one rate function and
     dropped by another; every two-way rate now refuses it by name."""
-    ch = StdTwChannel([0.1, 0.2], [0.0, 0.0], [1.0, 2.0])
+    ch = StdTwChannel([0.1, 0.2], [1.0, 2.0])
     for rate in (
         lambda: tw_sum_rate([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]),
         lambda: tw_sum_rate([1.0, 2.0, 3.0], ch),

@@ -94,7 +94,6 @@ def test_standardize_tw_identity():
     raw = RawTwChannel([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.0, [4.0, 2.0])
     ch = standardize_tw(raw)
     assert np.allclose(ch.eve_gains, [1.0, 1.0], rtol=0, atol=TOL)
-    assert np.allclose(ch.self_gains, [1.0, 1.0], rtol=0, atol=TOL)
     assert np.allclose(ch.power_caps, [4.0, 2.0], rtol=0, atol=TOL)
 
 
@@ -102,7 +101,6 @@ def test_standardize_tw_hand_values():
     raw = RawTwChannel([1.0, 2.0], [1.0, 1.0], [1.0, 2.0], 1.0, [1.0, 1.0])
     ch = standardize_tw(raw)
     assert np.allclose(ch.eve_gains, [2.0, 0.5], rtol=0, atol=TOL)
-    assert np.allclose(ch.self_gains, [2.0, 0.25], rtol=0, atol=TOL)
     assert np.allclose(ch.power_caps, [0.5, 2.0], rtol=0, atol=TOL)
 
 
@@ -415,7 +413,19 @@ def test_tw_channel_json_round_trip():
     back = channel_from_json(channel_to_json(std))
     assert isinstance(back, StdTwChannel)
     assert np.allclose(back.eve_gains, std.eve_gains)
-    assert np.allclose(back.self_gains, std.self_gains)
+    assert np.allclose(back.power_caps, std.power_caps)
+
+
+def test_std_tw_document_with_self_gains_loads_and_reemits_without_them():
+    """A standardized two-way document that still carries self_gains loads:
+    like any key the class has no field for, they are ignored, and the
+    channel is written back without them."""
+    doc = {"form": "standardized", "model": "tw", "eve_gains": [0.5, 4.2], "self_gains": [0.0, 0.25],
+           "power_caps": [2.0, 2.0]}
+    ch = channel_from_json(doc)
+    assert isinstance(ch, StdTwChannel)
+    assert channel_to_json(ch) == {"form": "standardized", "model": "tw", "eve_gains": [0.5, 4.2],
+                                   "power_caps": [2.0, 2.0]}
 
 
 def test_channel_json_missing_field_names_it():
@@ -449,9 +459,8 @@ JSON_CHANNELS = [
          "receiver_noises": [1.0, 2.0], "tap_noise": 1.5, "power_caps": [1.0, 3.0]},
     ),
     (
-        StdTwChannel([0.5, 4.2], [0.0, 0.25], [2.0, 2.0]),
-        {"form": "standardized", "model": "tw", "eve_gains": [0.5, 4.2], "self_gains": [0.0, 0.25],
-         "power_caps": [2.0, 2.0]},
+        StdTwChannel([0.5, 4.2], [2.0, 2.0]),
+        {"form": "standardized", "model": "tw", "eve_gains": [0.5, 4.2], "power_caps": [2.0, 2.0]},
     ),
 ]
 
@@ -530,7 +539,7 @@ def test_secrecy_rate_sites_equal_their_written_out_forms():
         if k == 2:
             got, want = _sup_grid_bounds(ch, 9), reference_sup_grid_bounds(ch, 9)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            two_way = StdTwChannel(h[rng.permutation(2)], [0.0, 0.0], powers)
+            two_way = StdTwChannel(h[rng.permutation(2)], powers)
             gains = two_way.eve_gains
             for t_set in TW_TRANSMIT_SETS:
                 mask = np.isin(np.arange(2), t_set)

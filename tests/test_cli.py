@@ -249,7 +249,7 @@ def test_verify_three_user_mac_bytes(capsys):
         },
         "jam": {
             "solution": {
-                "diagnostics": {"branch": "T=1,J=3", "case": "pivot-interior", "discriminant": 3.264},
+                "diagnostics": {"branch": "T=1,J=3", "case": "pivot-interior"},
                 "jam_set": [3],
                 "pivot_power": 0.0587086268471,
                 "pivot_user": 3,
@@ -386,7 +386,7 @@ _RAW_MAC = {"form": "raw", "model": "mac", "main_gains": [1, 1], "tap_gains": [0
         ({**_RAW_MAC, "main_noise": "x"}, "main_noise must be a number"),
         ({**_RAW_MAC, "tap_noise": None}, "tap_noise must be a number"),
         (
-            {"form": "standardized", "model": "tw", "eve_gains": [0.5, "a"], "self_gains": [0, 0], "power_caps": [2, 2]},
+            {"form": "standardized", "model": "tw", "eve_gains": [0.5, "a"], "power_caps": [2, 2]},
             "eve_gains must be a 1-D sequence of numbers",
         ),
         (
@@ -422,15 +422,21 @@ def test_sumrate_just_outside_the_tie_boundary_exits_zero(capsys):
 
 
 def test_nonfinite_json_exits_two_naming_the_key(capsys, tmp_path):
-    """At eve gains (0.25, 2.5e149) the pivot discriminant is infinite;
-    strict JSON refuses it.  At caps 1e155 the winner's pivot quadratic
-    overflows, and the solver refuses it naming power_caps."""
+    """At eve gains (0.25, 2.5e149) user 1 transmits alone, as
+    mac_sup_optimal gives.  At two-way caps 1e308 user 2's psi value
+    (1 + h c) / (1 + c) overflows; strict JSON refuses it.  At caps 1e155
+    the winner's pivot quadratic overflows, and the solver refuses it
+    naming power_caps."""
     out_file = tmp_path / "jam.json"
-    argv = ("jam", "--caps", "8,8", "--eve-gains", "0.25,2.5e149")
+    code, out, err = run_cli(capsys, "jam", "--caps", "8,8", "--eve-gains", "0.25,2.5e149")
+    assert (code, err) == (0, "")
+    solution = json.loads(out)["solution"]
+    assert (solution["transmit_set"], solution["sum_rate_bits"]) == ([1], 0.792481250361)
+    argv = ("jam", "--model", "tw", "--caps", "1e308,1e308", "--eve-gains", "1.2,2")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "internal error" in err and "solution.diagnostics.discriminant" in err
+    assert "internal error" in err and "solution.diagnostics.psi_2" in err
     code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 2 and not out_file.exists()
     argv = ("jam", "--caps", "1e155,1e155", "--eve-gains", "0.5,2", "--out", str(out_file))
@@ -705,13 +711,13 @@ def test_sweep_with_failed_cells_writes_output_and_exits_two(capsys, tmp_path, m
     [
         (
             "mac",
-            "38c9d861637a7777eae8c5e87e7ee3710c3ff0806a3ec06968b894dd2bfa71b5",
+            "6c15d92d81cf61d44f3b797155ad02f2c605b11fbe06dd27c1863ba49d630492",
             ['0,-1,1.3,2.9,0,0,1.58739640441,"T=1,J=none"',
              '0,-0.875,1.3,2.9,0,0,1.48820494808,"T=1,J=none"'],
         ),
         (
             "tw",
-            "78814d61911f8715df9f6b1c169ff439cf478f02bae8794a6fee02d5332680a3",
+            "5ed31c3a7d2a32929a34bd52120de4befd0c01a090d63e5b4f97571d3a43d449",
             ["0,-1,1.3,2.9,0,0,0.94734244481,both-transmit",
              "0,-0.875,1.3,2.9,0,0,0.848150988488,both-transmit"],
         ),
@@ -849,21 +855,14 @@ _STD_MAC = '{"form": "standardized", "model": "mac", "eve_gains": [0.1, 0.3], "p
     [
         ("--noises", ["--caps", "4,4", "--eve-gains", "0.1,0.3", "--noises", "5,7"]),
         ("--noises", ["--model", "tw", "--caps", "2,2", "--eve-gains", "0.5,4.2", "--noises", "1,1,1"]),
-        ("--self-gains", ["--caps", "4,4", "--eve-gains", "0.1,0.3", "--self-gains", "3,3"]),
-        ("--self-gains", ["--caps", "2,4", "--main-gains", "2,1", "--eve-gains", "1,1", "--self-gains", "3,3"]),
-        (
-            "--self-gains",
-            ["--model", "tw", "--caps", "2,2", "--main-gains", "1,1", "--eve-gains", "0.5,0.5", "--self-gains", "1,1"],
-        ),
         ("--caps", ["--channel", _STD_MAC, "--caps", "4,4"]),
         ("--eve-gains", ["--channel", _STD_MAC, "--eve-gains", "0.1,0.3"]),
         ("--main-gains", ["--channel", _STD_MAC, "--main-gains", "1,1"]),
         ("--noises", ["--channel", _STD_MAC, "--noises", "1,1"]),
-        ("--self-gains", ["--channel", _STD_MAC, "--self-gains", "0,0"]),
     ],
     ids=[
-        "noises-std-mac", "noises-std-tw", "self-gains-mac", "self-gains-raw-mac", "self-gains-raw-tw",
-        "channel-caps", "channel-eve-gains", "channel-main-gains", "channel-noises", "channel-self-gains",
+        "noises-std-mac", "noises-std-tw",
+        "channel-caps", "channel-eve-gains", "channel-main-gains", "channel-noises",
     ],
 )
 @pytest.mark.parametrize("command", ["region", "sumrate", "jam", "verify"])
@@ -874,6 +873,29 @@ def test_channel_flags_the_form_would_not_read_exit_one_naming_the_flag(capsys, 
     code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
     assert code == 1 and out == "" and not out_path.exists()
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--caps", "4,4", "--eve-gains", "0.1,0.3", "--self-gains", "3,3"],
+        ["--model", "tw", "--caps", "2,2", "--eve-gains", "0.5,4.2", "--self-gains", "3,3"],
+        ["--model", "tw", "--caps", "2,2", "--main-gains", "1,1", "--eve-gains", "0.5,0.5", "--self-gains", "3,3"],
+        ["--channel", _STD_MAC, "--self-gains", "3,3"],
+    ],
+    ids=["std-mac", "std-tw", "raw-tw", "channel"],
+)
+@pytest.mark.parametrize("command", ["region", "sumrate", "jam", "verify"])
+def test_self_gains_flag_is_refused_as_unknown(capsys, tmp_path, command, argv):
+    """No rate reads a terminal's own gain, so there is no --self-gains
+    flag: argparse refuses it, exit 1, naming it, with nothing written."""
+    out_path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *argv, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == "" and not out_path.exists()
+    assert "unrecognized arguments: --self-gains 3,3" in captured.err
 
 
 @pytest.mark.parametrize("command", ["sumrate", "jam"])

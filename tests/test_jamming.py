@@ -419,11 +419,11 @@ def test_mac_cj_overflowing_caps_raise_by_name_without_errstate():
 
 
 def test_mac_cj_overflow_status_at_the_float_power_boundary():
-    """_partition_solution's discriminant squares c2 with Python's float
-    power, which raises OverflowError from |c2| = 2 ** 512, the square root
-    of the float maximum (about 1.3408e154).  The batch's status, and so
-    mac_cj_optimal, raises exactly there.  The winner here (user 1
-    transmits, user 2 is a pivot at 0) has c2 = 12 h_2."""
+    """The batch gives status 3 where the winner's c2 squares past the float
+    range: exactly where Python's float power raises OverflowError, from
+    |c2| = 2 ** 512, the square root of the float maximum (about 1.3408e154),
+    and mac_cj_optimal raises there.  The winner here (user 1 transmits,
+    user 2 is a pivot at 0) has c2 = 12 h_2."""
     outcomes = set()
     for i in range(-6, 7):
         h2 = 2.0**512 / 12 * (1 + i * 2e-16)
@@ -552,7 +552,7 @@ def test_no_split_beats_all_or_nothing():
 
 
 def test_tw_cj_both_transmit_matches_plain_solver():
-    ch = StdTwChannel([0.3, 0.7], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.3, 0.7], [4.0, 2.0])
     cj = tw_cj_optimal(ch)
     plain = tw_optimal(ch)
     assert cj.jam_set == ()
@@ -562,7 +562,7 @@ def test_tw_cj_both_transmit_matches_plain_solver():
 
 
 def test_tw_cj_strong_eavesdropper_jams():
-    ch = StdTwChannel([0.5, 4.2], [1.0, 1.0], [2.0, 2.0])
+    ch = StdTwChannel([0.5, 4.2], [2.0, 2.0])
     sol = tw_cj_optimal(ch)
     assert sol.transmit_set == (0,) and sol.jam_set == (1,)
     assert np.allclose(sol.allocation.powers, [2.0, 2.0], rtol=0, atol=0)
@@ -580,14 +580,14 @@ def test_tw_cj_strong_eavesdropper_jams():
 
 
 def test_tw_cj_all_silent():
-    sol = tw_cj_optimal(StdTwChannel([3.0, 5.0], [1.0, 1.0], [0.1, 0.1]))
+    sol = tw_cj_optimal(StdTwChannel([3.0, 5.0], [0.1, 0.1]))
     assert sol.transmit_set == () and sol.jam_set == ()
     assert sol.sum_rate == 0.0
 
 
 def test_tw_cj_can_jam_user_one():
     # both gains above 1 and user 1 is the better jammer
-    ch = StdTwChannel([3.0, 1.2], [1.0, 1.0], [4.0, 4.0])
+    ch = StdTwChannel([3.0, 1.2], [4.0, 4.0])
     sol = tw_cj_optimal(ch)
     assert sol.jam_set == (0,), f"expected user 1 jamming, got {sol.jam_set}"
     assert sol.transmit_set == (1,)
@@ -622,7 +622,7 @@ def test_tw_jam_advantage_iff_gain_above_one():
         h1 = float(rng.uniform(0.05, 0.95))
         h2 = float(rng.uniform(0.05, 3.0))
         caps = rng.uniform(0.5, 5.0, 2)
-        ch = StdTwChannel([h1, h2], [1.0, 1.0], caps)
+        ch = StdTwChannel([h1, h2], caps)
         both = reference_tw_secrecy_bits(caps, ch.eve_gains, (0, 1))
         jammed = reference_tw_secrecy_bits(caps, ch.eve_gains, (0,))
         if h2 > 1 + 1e-9:

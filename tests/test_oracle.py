@@ -104,18 +104,18 @@ def test_grid_max_mac_cj_user_guard():
 
 
 def test_grid_max_tw_examples():
-    sol = grid_max_tw(StdTwChannel([0.3, 0.7], [1.0, 1.0], [4.0, 2.0]), SPEC_101)
+    sol = grid_max_tw(StdTwChannel([0.3, 0.7], [4.0, 2.0]), SPEC_101)
     assert np.allclose(sol.allocation.powers, [4.0, 2.0], rtol=0, atol=0)
     assert np.isclose(sol.sum_rate, 1.0294468445267841, rtol=0, atol=1e-12)
 
 
 def test_grid_max_tw_cj_examples():
-    sol = grid_max_tw_cj(StdTwChannel([0.5, 4.2], [1.0, 1.0], [2.0, 2.0]), SPEC_101)
+    sol = grid_max_tw_cj(StdTwChannel([0.5, 4.2], [2.0, 2.0]), SPEC_101)
     assert sol.transmit_set == (0,) and sol.jam_set == (1,)
     assert sol.allocation.powers[1] == 2.0
     assert np.isclose(sol.sum_rate, 0.7195558171288506, rtol=0, atol=1e-9)
 
-    zero = grid_max_tw_cj(StdTwChannel([3.0, 5.0], [1.0, 1.0], [0.1, 0.1]), SPEC_101)
+    zero = grid_max_tw_cj(StdTwChannel([3.0, 5.0], [0.1, 0.1]), SPEC_101)
     assert zero.sum_rate == 0.0
 
 
@@ -190,7 +190,6 @@ def test_random_tw_instance_shape():
     for _ in range(50):
         ch = random_tw_instance(rng)
         assert ch.k_users == 2
-        assert np.all(ch.self_gains > 0)
         assert np.all(ch.power_caps >= 0.1)
 
 
@@ -294,7 +293,7 @@ def test_mac_oracles_are_pinned_bit_for_bit(case):
 @pytest.mark.parametrize("case", _TW_PINS, ids=["jam", "all-silent", "zero-cap", "rounding-ties"])
 def test_tw_oracles_are_pinned_bit_for_bit(case):
     (gains, caps, points), (powers, rate, transmit), cj = case
-    ch, spec = StdTwChannel(gains, [1.0, 1.0], caps), GridSpec(points_per_axis=points)
+    ch, spec = StdTwChannel(gains, caps), GridSpec(points_per_axis=points)
     sol = grid_max_tw(ch, spec)
     assert sol.sum_rate == rate and type(sol.sum_rate) is float
     assert sol.allocation.powers.tolist() == powers
@@ -482,8 +481,8 @@ def test_four_user_superposition_matches_the_single_pass_search(monkeypatch, poi
 def test_tw_oracles_match_the_single_pass_search(monkeypatch, points):
     rng = np.random.default_rng(95 + points)
     channels = [random_tw_instance(rng) for _ in range(4)]
-    channels.append(StdTwChannel([0.0, 1.0], [1.0, 1.0], [2.0, 2.0]))
-    channels.append(StdTwChannel([0.3, 0.7], [1.0, 1.0], [0.0, 4.0]))
+    channels.append(StdTwChannel([0.0, 1.0], [2.0, 2.0]))
+    channels.append(StdTwChannel([0.3, 0.7], [0.0, 4.0]))
     spec = GridSpec(points_per_axis=points)
     for ch in channels:
         _assert_tiles_match_reference(monkeypatch, grid_max_tw, ch, spec)
@@ -645,7 +644,7 @@ def _seeded_jamming_channels():
     cases += [(StdMacChannel(gains, caps), points) for (gains, caps, points), _, _ in _MAC_PINS]
     for points in (5, 11, 21, 41):
         cases += [(random_tw_instance(rng), points) for _ in range(4)]
-    cases += [(StdTwChannel(gains, [1.0, 1.0], caps), points) for (gains, caps, points), _, _ in _TW_PINS]
+    cases += [(StdTwChannel(gains, caps), points) for (gains, caps, points), _, _ in _TW_PINS]
     return cases
 
 
@@ -757,8 +756,8 @@ def test_mac_jamming_box_form_bounds_every_cell_of_its_box(sub_box):
     [
         (grid_max_mac_sup, StdMacChannel([0.9, 0.95], [1e308, 1e308])),
         (grid_max_mac_cj, StdMacChannel([0.9, 0.95], [1e308, 1e308])),
-        (grid_max_tw, StdTwChannel([1.2, 1.5], [1.0, 1.0], [1e308, 1e308])),
-        (grid_max_tw_cj, StdTwChannel([1.2, 1.5], [1.0, 1.0], [1e308, 1e308])),
+        (grid_max_tw, StdTwChannel([1.2, 1.5], [1e308, 1e308])),
+        (grid_max_tw_cj, StdTwChannel([1.2, 1.5], [1e308, 1e308])),
         (grid_max_mac_cj, StdMacChannel([1.1, 1.4], [1e104, 1e104])),
         (grid_max_mac_cj, StdMacChannel([0.5, 0.7], [1e200, 1e200])),
     ],
@@ -773,6 +772,6 @@ def test_overflow_check_follows_each_objective(monkeypatch):
     """The caps sum overflows, but the two-way objective never forms it, and
     no cell of its search overflows: the oracle answers, as the single-pass
     search does."""
-    ch = StdTwChannel([0.1, 0.1], [1.0, 1.0], [1e308, 1e308])
+    ch = StdTwChannel([0.1, 0.1], [1e308, 1e308])
     _assert_tiles_match_reference(monkeypatch, grid_max_tw, ch, SPEC_101)
     assert grid_max_tw(ch, SPEC_101).allocation.powers.tolist() == [1e308, 1e308]

@@ -147,7 +147,7 @@ def test_mac_tdma_region_degenerate_share():
 
 
 def test_tw_region_hand_values():
-    ch = StdTwChannel([0.3, 0.7], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.3, 0.7], [4.0, 2.0])
     reg = tw_region(ch, PowerAllocation([4.0, 2.0]))
     sum_secrecy = _bound(reg, KIND_SECRECY, (0, 1))
     assert np.isclose(sum_secrecy, 1.0294468445267841, rtol=0, atol=TOL)
@@ -162,14 +162,14 @@ def test_tw_region_hand_values():
 
 
 def test_tw_region_deaf_eavesdropper():
-    ch = StdTwChannel([0.0, 0.0], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.0, 0.0], [4.0, 2.0])
     reg = tw_region(ch, PowerAllocation([4.0, 2.0]))
     for u in range(2):
         assert _bound(reg, KIND_SECRECY, (u,)) == _bound(reg, KIND_USER_TOTAL, (u,))
 
 
 def test_tw_region_zero_power():
-    ch = StdTwChannel([0.3, 0.7], [1.0, 1.0], [4.0, 2.0])
+    ch = StdTwChannel([0.3, 0.7], [4.0, 2.0])
     reg = tw_region(ch, PowerAllocation([0.0, 0.0]))
     for c in reg.constraints:
         assert c.bound == 0.0

@@ -251,13 +251,27 @@ def test_sweep_rejects_whole_grid_faults_naming_the_field(fields, bounds, mode, 
 
 
 def test_sweep_rejects_a_two_way_channel_that_does_not_standardize():
-    """A cross gain of 1e-300 with receiver noises 1e-5 and 1e5 overflows
-    the standardized self gains of every cell."""
+    """A raw cap of 1e307 heard over receiver noise 0.01 overflows user 1's
+    standardized cap in every cell."""
+    scene = Scene(
+        transmitter_positions=((-0.5, 0.0), (0.5, 0.0)),
+        raw_power_caps=(1e307, 1.0),
+        receiver_noises=(1.0, 0.01),
+    )
+    with pytest.raises(ValueError, match=r"raw_power_caps \[1e\+307, 1.0\]: standardized power cap of user 1"):
+        sweep(scene, BOUNDS, 3, "TW-CJ")
+
+
+def test_sweep_two_way_tiny_cross_gain_matches_per_cell():
+    """A cross gain of 1e-300 with receiver noises 1e-5 and 1e5 leaves
+    finite gains and caps in every cell: the sweep answers each one as the
+    per-cell path does."""
     scene = Scene(
         transmitter_positions=((-5e149, 0.0), (5e149, 0.0)), receiver_noises=(1e-5, 1e5)
     )
-    with pytest.raises(ValueError, match="receiver_noises .* self_gains must be finite"):
-        sweep(scene, (1e149, 1.1e149, -1.0, 1.0), 3, "TW-CJ")
+    result = sweep(scene, (1e149, 1.1e149, -1.0, 1.0), 3, "TW-CJ")
+    assert not result.error.any()
+    _assert_matches_per_cell(result, scene, "TW-CJ")
 
 
 def test_sweep_receiver_cell_and_transmitter_cells():
@@ -358,6 +372,23 @@ def test_sweep_csv_and_metadata():
     assert "workers" not in meta
     assert meta["resolution"] == 5
     assert meta["mode"] == "MAC-CJ"
+
+
+def test_sweep_csv_is_strict_with_newline_ends(tmp_path):
+    """The sweep's CSV is channels._csv_table's, as the CLI's other CSV is:
+    "\n" line ends, and a NaN cell is a FloatingPointError naming its
+    column and row, with no file written."""
+    result = sweep(default_scene(), BOUNDS, 3, "TW-CJ")
+    target = tmp_path / "map.csv"
+    result.to_csv(target)
+    assert target.read_bytes() == result.csv_text().encode()
+    assert "\r" not in result.csv_text() and result.csv_text().count("\n") == 1 + 9
+    result.sum_rate[1, 0] = float("nan")
+    with pytest.raises(FloatingPointError, match="column sum_rate_bits of row 4"):
+        result.csv_text()
+    with pytest.raises(FloatingPointError):
+        result.to_csv(tmp_path / "nan.csv")
+    assert not (tmp_path / "nan.csv").exists()
 
 
 
