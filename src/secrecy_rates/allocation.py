@@ -2,11 +2,10 @@
 
 Three maximizers live here: the superposition solver for the standardized
 MAC wiretap channel (the optimum is a cap-or-zero prefix of the gain
-ordering), the TDMA share optimizer (closed form when all gains are equal
-and below 1; otherwise the water-filling KKT point, found by one-pass Newton
-steps on the shares and their multiplier that bisect a certified multiplier
-bracket where Newton leaves it), and the two-way solver (a three-branch
-corner rule).  Each returns a SumRateSolution.
+ordering), the TDMA share optimizer (the water-filling KKT point, found by
+one-pass Newton steps on the shares and their multiplier that bisect a
+certified multiplier bracket where Newton leaves it), and the two-way solver
+(a three-branch corner rule).  Each returns a SumRateSolution.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .channels import (
     StdTwChannel,
     _gains_of,
     _powers_of,
-    is_degraded,
     secrecy_bits,
     to_jsonable,
     tw_secrecy_bits,
@@ -210,8 +208,7 @@ def tdma_share_search(ch: StdMacChannel):
     brackets lam by the marginals of the users with time and the silent
     users' g(inf); the search stops when the bracket closes to 1e-15 relative
     or no share moves by 1e-13 of itself.  Returns (shares, rate in bits); a
-    ValueError names ``power_caps`` where the start's cap sum and
-    sum_k c_k m_k both overflow or no rate is finite.
+    ValueError names ``power_caps`` where no share or rate is finite.
     """
     h, caps, k = ch.eve_gains, ch.power_caps, ch.k_users
     active = np.flatnonzero((h < 1.0) & (caps > 0))
@@ -221,8 +218,6 @@ def tdma_share_search(ch: StdMacChannel):
     unit = max(float(c.max()), 1.0)  # the unit of the Newton weights c_k / (x_k^2 m'_k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g_inf, sat, c_unit = -np.log(ha), c * ha / (2.0 * (1.0 - ha)), c / unit
-        if math.isinf(c.sum()) and math.isinf(np.dot(c, _marginal(np.full(len(c), _MAX_BURST), ha)[0])):
-            raise ValueError(_CAPS_TOO_LARGE)
         # lam >= m_k(c_k) > G_k(c_k) - 1 for every k, so users whose g(inf) lies below start silent.
         a = np.where(g_inf > float((np.log1p(c) - np.log1p(ha * c)).max()) - 1.0, c / c.max(), 0.0)
         a /= a.sum()
@@ -252,29 +247,20 @@ def tdma_share_search(ch: StdMacChannel):
 
 
 def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:
-    """Best TDMA solution: closed-form shares when degraded, numeric otherwise.
+    """Best TDMA solution, by the share search (tdma_share_search).
 
-    When all gains are equal and below 1 the optimal share is exactly the
-    user's fraction of the total cap.  The reported allocation gives cap
-    power to every user with a positive share (each bursts at cap during
-    its slot); with no useful user the shares are reported uniform and the
-    rate is 0.
+    Equal gains below 1 need no closed form: the search starts from the
+    cap-proportional shares, which are then optimal.  The reported
+    allocation gives cap power to every user with a positive share (each
+    bursts at cap during its slot); with no useful user the shares are
+    reported uniform and the rate is 0.
     """
-    h = ch.eve_gains
     caps = ch.power_caps
     k = ch.k_users
-    with np.errstate(over="ignore"):
-        cap_sum = float(caps.sum())
-    if is_degraded(ch) and 0 < cap_sum < math.inf:
-        shares = caps / cap_sum
-        rate = _tdma_rate(h, caps, shares)
-        branch = "degraded-closed-form"
-    else:
-        shares, rate = tdma_share_search(ch)
-        branch = "numeric"
+    shares, rate = tdma_share_search(ch)
     if rate <= 0.0:
         shares = np.full(k, 1.0 / k)
-    return _solution(np.where(shares > 0, caps, 0.0), rate, "TDMA", branch, TdmaShares(shares))
+    return _solution(np.where(shares > 0, caps, 0.0), rate, "TDMA", "numeric", TdmaShares(shares))
 
 
 def mac_best_sum_rate(ch: StdMacChannel) -> SumRateSolution:

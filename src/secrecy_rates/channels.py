@@ -471,15 +471,6 @@ def tw_secrecy_bits(powers, h, transmit):
         return gross - gaussian_bits_each(inside / (1.0 + outside))
 
 
-def is_degraded(ch: StdMacChannel) -> bool:
-    """True when all gains are equal (within merge tolerance) and below 1."""
-    h = ch.eve_gains
-    span = float(h[-1] - h[0])
-    if span > GAIN_MERGE_RTOL * max(abs(h[-1]), abs(h[0]), 1e-300):
-        return False
-    return float(h.mean()) < 1.0
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers.  Channels and solutions travel as JSON documents
 # with a "form" field (raw or standardized) and a "model" field (mac or tw);

@@ -15,10 +15,10 @@ the oracles exact for the superposition and two-way objectives whose
 optima sit at corners.  For MAC jamming, each user's axis also carries
 that user's candidate pivot powers (_pivot_candidates): for every
 (transmit set, jammers, pivot) row of the 3^K roles, the real roots of a
-quadratic fitted through three evaluations of rho along the pivot's axis,
-then the two-user branch thresholds.  They come from one array pass over
-the rows: rho as masked sums, the roots by one np.linalg.eigvals over the
-stacked companion matrices, each bit for bit the scalar fit's.
+quadratic fitted through three evaluations of rho along the pivot's axis.
+They come from one array pass over the rows: rho as masked sums, the roots
+by one np.linalg.eigvals over the stacked companion matrices, each bit for
+bit the scalar fit's.
 
 The mesh is evaluated in k-dimensional tiles of at most _TILE_CELLS
 cells, so the temporaries stay cache-sized and peak memory does not grow
@@ -255,8 +255,7 @@ def _pivot_candidates(ch: StdMacChannel) -> List[np.ndarray]:
     role's fixed powers (caps for transmitters and fellow jammers, zero for
     silent users); the quadratic through the three is exact, since rho is
     quadratic in the pivot power.  A row's candidates are its real roots in
-    (0, cap) and the two-user branch thresholds (h_i - 1)/(h_pivot - h_i)
-    in (0, cap) over its transmitters i; a pivot with no power has none.
+    (0, cap); a pivot with no power has none.
     The first row, in role order, whose fit fails raises: np.roots' error,
     or a ValueError naming power_caps where the fit is not finite.
 
@@ -288,8 +287,6 @@ def _pivot_candidates(ch: StdMacChannel) -> List[np.ndarray]:
         c3 = r0
         c2 = (r1 - c3 - c1 * step * step) / step
         companion = np.stack([-c2 / c1, -c3 / c1], axis=1)
-        den = hj[:, None] - h
-        thr = (h - 1.0) / den
     fails = (cap > 0) & ~(np.isfinite(rho).all(axis=1) & np.isfinite(c1) & np.isfinite(c2))
     first_fail = int(np.argmax(fails)) if fails.any() else len(pivot)
     fits = (cap > 0) & ((c1 != 0) | (c2 != 0)) & (np.arange(len(pivot)) < first_fail)
@@ -311,9 +308,7 @@ def _pivot_candidates(ch: StdMacChannel) -> List[np.ndarray]:
     rows, roots = np.concatenate(rows), np.concatenate(roots)
     real = roots.real
     keep = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(real))) & (0.0 < real) & (real < cap[rows])
-    thresholds = sends & (den != 0.0) & (0.0 < thr) & (thr < cap[:, None])
-    users = np.r_[pivot[rows[keep]], np.broadcast_to(pivot[:, None], thr.shape)[thresholds]]
-    values = np.r_[real[keep], thr[thresholds]]
+    users, values = pivot[rows[keep]], real[keep]
     return [np.unique(values[users == i]) for i in range(ch.k_users)]
 
 
@@ -377,9 +372,9 @@ def grid_max_mac_cj(ch: StdMacChannel, spec: GridSpec) -> JammingSolution:
 
     Supports up to 3 users.  Every transmit set is swept over one power
     mesh, every other user jamming (a silent user jams at power 0); each
-    user's axis carries its pivot candidates from the rho quadratic fits
-    and the two-user branch thresholds (h_i - 1)/(h_j - h_i).  Caps at
-    which the objective overflows are refused before any fit.
+    user's axis carries its pivot candidates, the roots of the rho
+    quadratic fits.  Caps at which the objective overflows are refused
+    before any fit.
     """
     if ch.k_users > 3:
         raise ValueError("grid_max_mac_cj supports at most 3 users")

@@ -57,19 +57,11 @@ _BLOCK = 2048
 
 MODE_MAC = "MAC-CJ"
 MODE_TW = "TW-CJ"
-_MODE_ALIASES = {
-    "mac-cj": MODE_MAC,
-    "mac": MODE_MAC,
-    "tw-cj": MODE_TW,
-    "tw": MODE_TW,
-}
 
 
-def _normalize_mode(mode: str) -> str:
-    key = str(mode).strip().lower()
-    if key not in _MODE_ALIASES:
+def _check_mode(mode: str) -> None:
+    if mode not in (MODE_MAC, MODE_TW):
         raise ValueError(f"unknown sweep mode {mode!r}; use {MODE_MAC} or {MODE_TW}")
-    return _MODE_ALIASES[key]
 
 
 def _is_finite_number(value) -> bool:
@@ -159,15 +151,16 @@ def _gains(scene: Scene, points, target) -> np.ndarray:
 def gains_from_geometry(scene: Scene, eve_position, mode: Optional[str] = None):
     """Raw channel for an eavesdropper location under the scene's path loss.
 
-    ``mode`` picks the channel model ("mac" or "tw"); by default MAC when
-    the scene has a receiver, two-way otherwise.
+    ``mode`` picks the channel model, MODE_MAC ("MAC-CJ") or MODE_TW
+    ("TW-CJ"); by default MAC when the scene has a receiver, two-way
+    otherwise.
     """
     eve = (float(eve_position[0]), float(eve_position[1]))
     if not all(math.isfinite(c) for c in eve):
         raise ValueError("eve_position must be finite")
     if mode is None:
         mode = MODE_MAC if scene.receiver_position is not None else MODE_TW
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     transmitters, caps = scene.transmitter_positions, np.asarray(scene.raw_power_caps, dtype=float)
     tap_gains = _gains(scene, transmitters, eve)
     if mode == MODE_TW:
@@ -360,7 +353,7 @@ def sweep(scene: Scene, grid_bounds, resolution: int, mode: str) -> SweepResult:
             standardized cap that overflows, a two-way scene with a zero
             cross gain or a channel that cannot standardize.
     """
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     if not isinstance(resolution, numbers.Integral):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:

@@ -13,8 +13,10 @@ intersection form of the two-user secrecy pentagon, the per-cell
 sampling loop of the two-user hull, the single-pass form of the grid
 oracles' search, an exhaustive search over every transmit/jam/silent
 role and the per-role search that the one mesh replaced, the scalar rho
-fit and branch thresholds that the MAC jamming oracle's one-pass pivot
-candidates are checked against, the nested TDMA share search (Newton on
+fit that the MAC jamming oracle's one-pass pivot candidates are checked
+against, the two-user branch thresholds shown to change no oracle answer,
+the equal-gain test ``is_degraded`` under which the cap-proportional TDMA
+shares are optimal, the nested TDMA share search (Newton on
 the multiplier around a full burst solve per step), the per-group loops
 that merge tied users and split their power back, and the secrecy-rate
 arithmetic that each solver, region and jamming site wrote out for
@@ -473,6 +475,16 @@ def random_degraded_mac_instance(
     return StdMacChannel(np.full(k_users, h), caps)
 
 
+def is_degraded(ch: StdMacChannel) -> bool:
+    """True when all gains are equal (within merge tolerance) and below 1:
+    then the cap-proportional TDMA shares are optimal."""
+    h = ch.eve_gains
+    span = float(h[-1] - h[0])
+    if span > GAIN_MERGE_RTOL * max(abs(h[-1]), abs(h[0]), 1e-300):
+        return False
+    return float(h.mean()) < 1.0
+
+
 def random_tied_mac_row(rng: np.random.Generator, k_users: int) -> Tuple[np.ndarray, np.ndarray]:
     """Unsorted gains and caps of K users in groups of 1 to 4 whose gains lie
     within 2e-10 of a common value, relative, so each group ties; about one
@@ -874,12 +886,8 @@ def per_role_search(ch, spec: GridSpec, rate_grid, role_sets, extras=None) -> Tu
 
 
 def scalar_pivot_candidates(ch: StdMacChannel, t_set, jam_users, pivot: int) -> List[float]:
-    """One row's pivot candidates by the scalar forms: the rho fit's roots,
-    then the branch thresholds."""
-    caps = ch.power_caps
-    return rho_fit_roots(ch, t_set, jam_users, pivot, caps) + threshold_candidates(
-        ch, t_set, pivot, float(caps[pivot])
-    )
+    """One row's pivot candidates by the scalar form: the rho fit's roots."""
+    return rho_fit_roots(ch, t_set, jam_users, pivot, ch.power_caps)
 
 
 def rho_terms(ch: StdMacChannel, transmit_set, jam_set, alloc, j: int) -> Tuple[float, float]:
@@ -946,6 +954,9 @@ def rho_fit_roots(ch: StdMacChannel, t_set, jam_users, pivot: int, caps: np.ndar
 
 
 def threshold_candidates(ch: StdMacChannel, t_set, pivot: int, cap_j: float) -> List[float]:
+    """The two-user branch thresholds (h_i - 1)/(h_pivot - h_i) in (0, cap_j)
+    over the transmitters i: pivot candidates that the rho fit's roots make
+    redundant, kept to show that adding them changes no oracle answer."""
     h = ch.eve_gains
     out = []
     for i in t_set:

@@ -17,7 +17,6 @@ from secrecy_rates import (
     mac_cj_optimal,
     mac_sup_optimal,
     mac_sup_region,
-    mac_tdma_optimal,
     mac_tdma_region,
     sweep,
     tw_cj_optimal,
@@ -39,6 +38,7 @@ from reference import (
     random_degraded_mac_instance,
     random_mac_instance,
     random_tw_instance,
+    reference_tdma_rate,
     region_contains,
     rho_terms,
 )
@@ -266,8 +266,8 @@ def test_criterion_06_degraded_tdma_shares():
         gap = float(np.max(np.abs(shares - expected)))
         worst = max(worst, gap)
         assert gap <= 1e-6, f"shares {shares} vs {expected} at caps={ch.power_caps}"
-        closed = mac_tdma_optimal(ch)
-        assert abs(rate - closed.sum_rate) <= RATE_TOL
+        closed = reference_tdma_rate(ch.eve_gains, caps, expected)
+        assert abs(rate - closed) <= RATE_TOL
     elapsed = time.perf_counter() - start
     _report(
         True,

@@ -1,5 +1,6 @@
 """Tests for the sum-rate maximizing power allocations."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,7 +14,6 @@ from secrecy_rates import (
     StdMacChannel,
     StdTwChannel,
     grid_max_mac_sup,
-    is_degraded,
     mac_best_sum_rate,
     mac_sup_optimal,
     mac_tdma_optimal,
@@ -30,6 +30,7 @@ from secrecy_rates.channels import secrecy_bits, tw_secrecy_bits
 from reference import assert_near_reference as _assert_near_reference
 from reference import dec_bits as _dec_bits
 from reference import (
+    is_degraded,
     mac_two_user_closed_form,
     nested_tdma_share_search,
     phi,
@@ -310,21 +311,58 @@ def test_tdma_never_loses_to_a_share_scan_at_large_cap_ratios(e):
     assert sol.sum_rate >= best * (1.0 - 1e-9), (sol.sum_rate, best, sol.shares.shares)
 
 
-@pytest.mark.parametrize("gains", [[0.1, 0.3], [0.5, 0.5]])
-def test_tdma_search_without_finite_result_names_power_caps(gains):
-    """At caps 1e308 the shares of gains (0.1, 0.3) come out all zero, and
-    the tied gains (0.5, 0.5), whose cap sum overflows, get finite shares
-    but bursts of inf and a NaN rate; the search reports the field instead."""
+def test_tdma_search_gives_all_time_to_user_one_at_caps_whose_sum_overflows():
+    """At caps 1e308 the cap sum of gains (0.1, 0.3) overflows, yet the
+    optimum is finite: all time to user 1, which is what superposition
+    gives too."""
+    ch = StdMacChannel([0.1, 0.3], [1e308, 1e308])
+    sol = mac_tdma_optimal(ch)
+    assert sol.shares.shares.tolist() == [1.0, 0.0]
+    assert sol.sum_rate == mac_sup_optimal(ch).sum_rate == 1.660964047443656
+
+
+def test_tdma_search_answers_where_the_cap_sum_overflows():
+    """On seeded channels with gains below 1 and caps near the float limit,
+    whose cap sum overflows, the search answers, and no draw of 2,000
+    Dirichlet share vectors beats its rate by more than 1e-12 relative.  The
+    rate of a share vector a is written out as sum_k a_k/2 log2(1 + (1 - h_k)
+    c_k / (a_k + h_k c_k)), which forms no burst c_k / a_k to overflow."""
+
+    def bits(h, caps, shares):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slot = 0.5 * shares * np.log1p((1.0 - h) * caps / (shares + h * caps)) / np.log(2.0)
+        return np.where(shares > 0, slot, 0.0).sum(axis=-1)
+
+    rng = np.random.default_rng(2525)
+    channels = [(np.array([0.1, 0.3]), np.array([1e308, 1e308]))]
+    for k in range(2, 9):
+        channels += [
+            (np.sort(rng.uniform(0.0, 1.0, k)), rng.uniform(0.6, 1.0, k) * np.finfo(float).max) for _ in range(6)
+        ]
+    for h, caps in channels:
+        with np.errstate(over="ignore"):
+            assert np.isinf(caps.sum())
+        shares, rate = tdma_share_search(StdMacChannel(h, caps))
+        assert np.isfinite(shares).all() and math.isfinite(rate) and rate > 0, (h, caps)
+        draws = rng.dirichlet(np.ones(len(h)), 2000)
+        assert bits(h, caps, draws).max() <= rate * (1.0 + 1e-12), (h, caps, shares)
+
+
+def test_tdma_search_without_finite_result_names_power_caps():
+    """The tied gains (0.5, 0.5) at caps 1e308, whose cap sum overflows, get
+    finite shares but bursts of inf and a NaN rate; the search reports the
+    field instead."""
     with pytest.raises(ValueError, match="power_caps"):
-        mac_tdma_optimal(StdMacChannel(gains, [1e308, 1e308]))
+        mac_tdma_optimal(StdMacChannel([0.5, 0.5], [1e308, 1e308]))
 
 
 def test_tdma_never_loses_to_a_share_scan_at_random_cap_scales():
     """Two users with caps 10^U(-5, 308), after gains (0.235, 0.887) with caps
     (2.4e14, 2.0e182): there user 2's marginal at its burst rounds to its
     level ln(1/h2), and the optimum is user 1 alone, whose marginal lies
-    2.7e-14 below ln(1/h1).  The search refuses caps only where the cap sum
-    and sum_k c_k m_k both overflow, which needs sum_k c_k ln(1/h_k) to."""
+    2.7e-14 below ln(1/h1).  The search refuses caps only where no finite
+    share or rate comes out, which needs the cap sum and sum_k c_k ln(1/h_k)
+    to overflow."""
     rng = np.random.default_rng(47)
     channels = [(np.array([0.235, 0.887]), np.array([2.4e14, 2.0e182]))] + [
         (np.sort(rng.uniform(0.0, 1.0, 2)), 10.0 ** rng.uniform(-5.0, 308.0, 2)) for _ in range(200)

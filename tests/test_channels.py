@@ -18,7 +18,6 @@ from secrecy_rates import (
     StdTwChannel,
     channel_from_json,
     channel_to_json,
-    is_degraded,
     mac_cj_optimal,
     merge_tied_users,
     standardize_mac,
@@ -39,6 +38,7 @@ from reference import (
     cap_eve,
     cap_eve_tilde,
     cap_main,
+    is_degraded,
     phi,
     psi,
     random_tied_mac_row,

@@ -328,10 +328,9 @@ _TILE_CASES = [(1, 5), (1, 70001), (2, 5), (2, 400), (3, 5), (3, 41), (3, 101)]
 
 
 def _scalar_pivot_candidates(ch):
-    """Per user, the union of the scalar fit's roots and the branch
-    thresholds over the user's rows, every jammer of every
-    transmit/jam/silent role; or the text of the ValueError that the first
-    row in role order whose fit fails raises."""
+    """Per user, the union of the scalar fit's roots over the user's rows,
+    every jammer of every transmit/jam/silent role; or the text of the
+    ValueError that the first row in role order whose fit fails raises."""
     caps = ch.power_caps
     found = [set() for _ in range(ch.k_users)]
     for roles in itertools.product("TJS", repeat=ch.k_users):
@@ -342,14 +341,13 @@ def _scalar_pivot_candidates(ch):
                 found[i].update(rho_fit_roots(ch, t_set, jam, i, caps))
             except ValueError as exc:
                 return str(exc)
-            found[i].update(threshold_candidates(ch, t_set, i, float(caps[i])))
     return [sorted(c) for c in found]
 
 
 def test_each_users_candidates_equal_the_union_of_the_scalar_fits_over_its_rows(monkeypatch):
     """For every user at K = 1...3, the one-pass candidates are the distinct
-    values of the scalar fit's roots and the branch thresholds over the rows
-    in which the user is the pivot, bit for bit, or the first failing row's
+    values of the scalar fit's roots over the rows in which the user is the
+    pivot, bit for bit, or the first failing row's
     ValueError; the channels reach a zero-cap pivot, roles with no
     transmitter (c1 = c2 = 0), c3 = 0, c1 = 0, complex roots and fits that
     are not finite."""
@@ -391,6 +389,58 @@ def test_each_users_candidates_equal_the_union_of_the_scalar_fits_over_its_rows(
     assert any(c1 != 0 and c3 == 0 for (c1, _, c3), _ in fits)
     assert any(np.iscomplexobj(r) and np.any(r.imag != 0) for _, r in fits)
     assert any(ch.power_caps[i] == 0.0 for ch in channels for i in range(ch.k_users))
+
+
+def _candidates_with_thresholds(pivot_candidates):
+    """pivot_candidates with the two-user branch thresholds of every row of
+    every transmit/jam/silent role added to each user's candidates."""
+
+    def candidates(ch):
+        found = [set(c.tolist()) for c in pivot_candidates(ch)]
+        for roles in itertools.product("TJS", repeat=ch.k_users):
+            t_set = tuple(i for i, r in enumerate(roles) if r == "T")
+            for i in (i for i, r in enumerate(roles) if r == "J"):
+                found[i].update(threshold_candidates(ch, t_set, i, float(ch.power_caps[i])))
+        return [np.array(sorted(c)) for c in found]
+
+    return candidates
+
+
+def test_branch_thresholds_on_the_axes_change_no_mac_jamming_answer(monkeypatch):
+    """The oracle's axes carry the rho fits' roots alone.  Adding the
+    two-user branch thresholds (h_i - 1)/(h_pivot - h_i) of every row to
+    each user's candidates gives the same rate, powers, roles and
+    diagnostics, on seeded K = 2 and 3 channels at 11, 21 and 101 points,
+    gains near 1 and zero caps among them, and on the pinned channels."""
+    rng = np.random.default_rng(2525)
+    cases = []
+    for k in (2, 3):
+        for points in (11, 21, 101):
+            chans = [random_mac_instance(rng, k) for _ in range(12)]
+            chans += [random_mac_instance(rng, k, gain_range=(0.9, 1.1)) for _ in range(3)]
+            zero = random_mac_instance(rng, k)
+            chans.append(StdMacChannel(zero.eve_gains, np.r_[zero.power_caps[:-1], 0.0]))
+            cases += [(ch, points) for ch in chans]
+    cases += [(StdMacChannel(gains, caps), points) for (gains, caps, points), _, _ in _MAC_PINS]
+    cases += [
+        (StdMacChannel(gains, caps), 101)
+        for gains, caps in (([0.5, 1.2, 1.6], [1.0, 2.0, 3.0]), ([0.33, 1.85], [2.3, 2.8]), ([2, 2.1, 2.2], [1, 1, 1]))
+    ]
+    with_thresholds = _candidates_with_thresholds(oracle._pivot_candidates)
+
+    def answer(ch, spec):
+        sol = grid_max_mac_cj(ch, spec)
+        return sol.sum_rate, sol.allocation.powers.tolist(), sol.transmit_set, sol.jam_set, sol.diagnostics
+
+    grown = 0
+    for ch, points in cases:
+        spec = GridSpec(points_per_axis=points)
+        want = answer(ch, spec)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_pivot_candidates", with_thresholds)
+            assert answer(ch, spec) == want, (ch, points)
+        grown += sum(map(len, with_thresholds(ch))) > sum(map(len, oracle._pivot_candidates(ch)))
+    assert grown >= len(cases) // 2
 
 
 @pytest.mark.parametrize(
@@ -600,9 +650,10 @@ def test_size_guard_counts_each_distinct_candidate_once_per_user_axis(monkeypatc
 def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
     """All 8 transmit sets are one group on one mesh: without its bound, the
     objective is called once per tile for all of them, so its full-mesh
-    terms come to one mesh, 1,071,105 cells for this channel, besides the
+    terms come to one mesh, 1,060,904 cells for this channel, besides the
     1-cell calls at the caps corner; one mesh per transmit/jam/silent role
-    came to 8,396,334."""
+    came to 8,396,334, and the mesh with the two-user branch thresholds on
+    its axes to 1,071,105."""
     calls = []
     rate_grid = oracle._mac_cj_rate
 
@@ -615,19 +666,19 @@ def test_mac_jamming_oracle_shares_the_full_mesh_terms_of_a_group(monkeypatch):
     sol = grid_max_mac_cj(ch, SPEC_101)
     assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
     mesh = math.prod(len(oracle._axis(c, SPEC_101, x)) for c, x in zip(ch.power_caps, oracle._pivot_candidates(ch)))
-    assert mesh == 1_071_105
+    assert mesh == 1_060_904
     assert sum(cells for cells, n in calls if n == 8) == mesh
     assert all(call == (1, 1) for call in calls if call[1] != 8)
 
 
 def test_mac_jamming_oracle_prunes_most_cells_by_its_bound(monkeypatch):
     """Summed over the calls of the objective and of its bound, the cells come
-    to at most a third of the 1,071,105 that the unpruned search evaluates
+    to at most a third of the 1,060,904 that the unpruned search evaluates
     for this channel."""
     ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
     sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, ch, SPEC_101)
     assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
-    assert sum(cells for cells, _ in calls) <= 1_071_105 // 3
+    assert sum(cells for cells, _ in calls) <= 1_060_904 // 3
 
 
 def _seeded_jamming_channels():

@@ -14,7 +14,6 @@ from secrecy_rates import (
     StdTwChannel,
     TdmaShares,
     convex_hull_2d,
-    is_degraded,
     mac_hull_region,
     mac_sup_region,
     mac_tdma_region,
@@ -25,6 +24,7 @@ from secrecy_rates.regions import _secrecy_pentagon
 from reference import (
     RatePoint,
     _secrecy_pentagon as line_pair_pentagon,
+    is_degraded,
     random_mac_instance,
     random_tw_instance,
     reference_mac_hull_region,

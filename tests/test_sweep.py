@@ -19,7 +19,7 @@ from secrecy_rates import (
     tw_cj_optimal,
 )
 from secrecy_rates.jamming import RATE_TIE_TOL
-from secrecy_rates.sweep import SWEEP_COLUMNS
+from secrecy_rates.sweep import MODE_MAC, MODE_TW, SWEEP_COLUMNS
 
 from reference import _gain, random_tied_mac_row, reference_mac_secrecy_bits, reference_ordered_ranking
 
@@ -89,8 +89,8 @@ def test_gains_from_geometry_follow_the_scalar_gain_law():
         scene = _moved_scene(seed)
         t1, t2 = scene.transmitter_positions
         eve = tuple(rng.uniform(-1.5, 1.5, 2).tolist())
-        mac = gains_from_geometry(scene, eve, "mac")
-        tw = gains_from_geometry(scene, eve, "tw")
+        mac = gains_from_geometry(scene, eve, MODE_MAC)
+        tw = gains_from_geometry(scene, eve, MODE_TW)
         taps = [_gain(scene, t, eve) for t in (t1, t2)]
         assert mac.tap_gains.tolist() == taps and tw.tap_gains.tolist() == taps
         assert mac.main_gains.tolist() == [_gain(scene, t, scene.receiver_position) for t in (t1, t2)]
@@ -100,11 +100,14 @@ def test_gains_from_geometry_follow_the_scalar_gain_law():
 def test_mode_inference():
     with_rx = default_scene()
     assert isinstance(gains_from_geometry(with_rx, (1.0, 1.0)), RawMacChannel)
-    assert isinstance(gains_from_geometry(with_rx, (1.0, 1.0), "tw"), RawTwChannel)
+    assert isinstance(gains_from_geometry(with_rx, (1.0, 1.0), MODE_TW), RawTwChannel)
     no_rx = Scene(transmitter_positions=((-0.5, 0.0), (0.5, 0.0)))
     assert isinstance(gains_from_geometry(no_rx, (1.0, 1.0)), RawTwChannel)
     with pytest.raises(ValueError):
-        gains_from_geometry(no_rx, (1.0, 1.0), "mac")
+        gains_from_geometry(no_rx, (1.0, 1.0), MODE_MAC)
+    for spelling in ("mac", "tw", "mac-cj", " TW-CJ"):
+        with pytest.raises(ValueError, match="unknown sweep mode"):
+            gains_from_geometry(with_rx, (1.0, 1.0), spelling)
 
 
 def test_scene_validation():
@@ -504,7 +507,7 @@ def test_sweep_raw_power_overflow_without_jammers_names_raw_power_caps():
     assert len(messages) == 25 and all(m.endswith(_RAW_CAPS) for m in messages)
     for y in np.linspace(-1.0, 1.0, 5).tolist():
         for x in np.linspace(-1.0, 1.0, 5).tolist():
-            sol = mac_cj_optimal(standardize_mac(gains_from_geometry(scene, (x, y), "mac")))
+            sol = mac_cj_optimal(standardize_mac(gains_from_geometry(scene, (x, y), MODE_MAC)))
             assert sol.diagnostics["case"] == "no-jam" and sol.pivot_user is None
 
 
