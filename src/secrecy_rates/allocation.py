@@ -53,17 +53,25 @@ class SumRateSolution:
         )
 
 
+def _powers_and_gains(alloc, gains) -> Tuple[np.ndarray, np.ndarray]:
+    """The checked powers of ``alloc`` and the gains, one power per gain."""
+    powers, h = _powers_of(alloc), _gains_of(gains)
+    if len(powers) != len(h):
+        raise ValueError(f"allocation length must be {len(h)}, one per gain, got powers of length {len(powers)}")
+    return powers, h
+
+
 def sup_sum_rate(alloc, gains) -> float:
     """Clamped superposition secrecy sum rate [C(P) - C(H)]^+ at an
     allocation, in bits: everyone transmits, P sums the powers and H the
     gain-weighted powers."""
-    powers = _powers_of(alloc)
-    return max(float(secrecy_bits(powers.sum(), 0.0, (_gains_of(gains) * powers).sum(), 0.0)), 0.0)
+    powers, h = _powers_and_gains(alloc, gains)
+    return max(float(secrecy_bits(powers.sum(), 0.0, (h * powers).sum(), 0.0)), 0.0)
 
 
 def tw_sum_rate(alloc, gains) -> float:
     """Clamped two-way secrecy sum rate at an allocation, in bits."""
-    return max(float(tw_secrecy_bits(_powers_of(alloc), _gains_of(gains), True)), 0.0)
+    return max(float(tw_secrecy_bits(*_powers_and_gains(alloc, gains), True)), 0.0)
 
 
 _TIED_GAINS = "gains must be strictly ascending; merge tied users first (standardize_mac / merge_tied_users do this)"

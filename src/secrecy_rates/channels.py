@@ -10,12 +10,11 @@ optimizers, oracles) works on the standardized form, and all rates are
 reported in bits per channel use.  Each scheme's secrecy rate is written
 once, for every solver, region and jamming site: ``secrecy_bits`` (MAC),
 ``tw_secrecy_bits`` (two-way) and ``regions._tdma_user_bounds`` (TDMA).
-They take each logarithm in one kernel, ``gaussian_bits_each`` (C(snr) =
-1/2 log2(1 + snr) by math.log1p per element, so small SNRs keep their
-relative accuracy).  Only the jamming pass's ranking (np.log1p by
-``gaussian_bits_array``; it reports its winner's rate through
-``secrecy_bits`` on the same sums) and the grid oracles (np.log2, the
-independent check) take their own.
+They, and the jamming pass that ranks every role pattern by
+``secrecy_bits``, take each logarithm in one kernel, ``gaussian_bits_each``
+(C(snr) = 1/2 log2(1 + snr) by np.log1p, so small SNRs keep their relative
+accuracy).  Only the grid oracles (np.log2, the independent check) take
+their own.
 """
 
 from __future__ import annotations
@@ -317,9 +316,8 @@ class PowerAllocation:
 
 
 def _powers_of(alloc) -> np.ndarray:
-    if isinstance(alloc, PowerAllocation):
-        return alloc.powers
-    return np.asarray(alloc, dtype=float)
+    """The powers of a PowerAllocation, or of a sequence checked as one."""
+    return (alloc if isinstance(alloc, PowerAllocation) else PowerAllocation(alloc)).powers
 
 
 def _gains_of(gains) -> np.ndarray:
@@ -425,36 +423,20 @@ def standardize_tw(raw: RawTwChannel) -> StdTwChannel:
     return StdTwChannel(h, caps)
 
 
-def gaussian_bits_array(snr: np.ndarray) -> np.ndarray:
-    """C(snr) of every element of an array of SNRs by np.log1p, which may
-    differ from gaussian_bits_each by an ulp."""
+def gaussian_bits_each(snr):
+    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits of every element,
+    by np.log1p, which keeps its relative accuracy at SNRs far below machine
+    epsilon."""
     return 0.5 * np.log1p(snr) / _LN2
-
-
-def gaussian_bits_each(snr: np.ndarray) -> np.ndarray:
-    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits of every element.
-
-    The logarithm is math.log1p per element: np.log1p may differ from it by
-    an ulp, while numpy's multiply and divide round exactly as Python's, so
-    each element equals 0.5 * math.log1p(snr) / ln 2 bit for bit.
-    """
-    logs = np.fromiter(map(math.log1p, np.ravel(snr).tolist()), float, np.size(snr))
-    return 0.5 * logs.reshape(np.shape(snr)) / _LN2
 
 
 def secrecy_bits(p_t, p_n, h_t, h_n):
     """The GGMAC-WT secrecy rate C(p_t / (1 + p_n)) - C(h_t / (1 + h_n)) in
     bits, unclamped and elementwise, from the sums of the powers (p) and of
     h_k P_k (h) over the transmitters (t) and over the users heard as noise
-    (n).  The callers form the sums; p_n = 0 gives C(p_t) bit for bit.  Both
-    logarithms are taken in one gaussian_bits_each call, on the stacked
-    (heard, leaked) pair broadcast to one shape."""
+    (n).  The callers form the sums; p_n = 0 gives C(p_t) bit for bit."""
     with np.errstate(all="ignore"):  # inf / inf and inf - inf are NaN, as for Python floats
-        heard, leaked = np.divide(p_t, 1.0 + p_n), np.divide(h_t, 1.0 + h_n)
-        if np.shape(heard) != np.shape(leaked):
-            heard, leaked = np.broadcast_arrays(heard, leaked)
-        heard, leaked = gaussian_bits_each(np.array([heard, leaked]))
-        return heard - leaked
+        return gaussian_bits_each(np.divide(p_t, 1.0 + p_n)) - gaussian_bits_each(np.divide(h_t, 1.0 + h_n))
 
 
 def tw_secrecy_bits(powers, h, transmit):
@@ -462,7 +444,7 @@ def tw_secrecy_bits(powers, h, transmit):
     unclamped, of two-terminal rows (arrays broadcasting over (..., 2)) with
     T the mask ``transmit``; H_T and H_N sum h_k P_k over T and the rest."""
     if np.shape(powers)[-1] != 2:
-        raise ValueError("allocation length must be 2")
+        raise ValueError(f"allocation length must be 2, got powers of length {np.shape(powers)[-1]}")
     with np.errstate(all="ignore"):
         gross = np.where(transmit, gaussian_bits_each(powers), 0.0)
         hp = h * powers

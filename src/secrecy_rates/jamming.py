@@ -6,17 +6,16 @@ optimum has an ordered structure: a prefix of the gain-sorted users
 transmits at cap, a gap stays silent, and a suffix jams at cap except for
 at most one "pivot" jammer whose power solves a quadratic.  Every sum a
 pattern's quadratic and rate need is then a prefix or suffix sum, so one
-batched pass, ``_mac_cj_batch``, ranks all (prefix, pivot) patterns of N
+batched pass, ``_mac_cj_batch``, rates all (prefix, pivot) patterns of N
 channels as O(K^2) arrays each, settles ties by one lexsort of its own
-ranking keys, reports each channel's winner from the same sums, and gives
-each channel the status of the exception a single solve raises.
+ranking keys, reports each channel's winner with its rate from that
+ranking, and gives each channel the status of the exception a single solve
+raises.
 mac_cj_optimal is that pass for one channel, the eavesdropper sweep for a
 grid.  The two-way variant only ever jams at full power, decided by a
 five-branch rule written once over arrays of channels.  Every reported
 rate is ``channels.secrecy_bits`` or ``channels.tw_secrecy_bits`` with
 jammers counted as noise, as ``allocation``'s solvers report theirs.
-Only the ranking takes its own logarithms (np.log1p), for rates it never
-reports.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .channels import (
     StdMacChannel,
     StdTwChannel,
     _tied_neighbors,
-    gaussian_bits_array,
     secrecy_bits,
     to_jsonable,
     tw_secrecy_bits,
@@ -181,11 +179,12 @@ def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
     transmit at cap and user p >= t is the pivot (_pivot_root); p = K is the
     no-jam pattern.  Every sum is a prefix sum or a suffix sum accumulated
     from the back, so a pivot at cap and the next pivot at 0 give
-    bit-identical jam totals, keys and rates for one power vector.  Rates
-    within RATE_TIE_TOL of the best (np.log1p, never reported) tie, and the
-    tie goes to fewest active jammers, then least total power, then scan
-    order.  The winner's rate is channels.secrecy_bits on the same sums.
-    Every operation is elementwise along the batch axis.
+    bit-identical jam totals, keys and rates for one power vector.  Each
+    pattern's rate is channels.secrecy_bits on its sums, clamped at 0; rates
+    within RATE_TIE_TOL of the best tie, and the tie goes to fewest active
+    jammers, then least total power, then scan order.  The winner reports
+    its own entry of that ranking.  Every operation is elementwise along the
+    batch axis.
     """
     n, k = caps.shape
     rows, users = np.arange(n), np.arange(k + 1)
@@ -210,9 +209,8 @@ def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
         pivot = np.where(root > 0.0, np.minimum(root, cap_p), 0.0)
         del root
         jam = pivot + p_after
-        rate = gaussian_bits_array(p_t / (1.0 + jam))
-        rate -= gaussian_bits_array(hp_t / (1.0 + (h_p * pivot + hp_after)))
-        np.maximum(rate, 0.0, out=rate)
+        rate = secrecy_bits(p_t, jam, hp_t, h_p * pivot + hp_after)
+        np.maximum(rate, 0.0, out=rate)  # which keeps a NaN
         np.copyto(rate, -np.inf, where=(users[:, None] > users)[:, :, None])
         rate = np.ascontiguousarray(rate.reshape(size, n).T)
         best = rate.max(axis=1, keepdims=True)
@@ -229,21 +227,19 @@ def _mac_cj_batch(h: np.ndarray, caps: np.ndarray):
             # sorted by row first, so each row's winner heads its run
             win = idx[np.lexsort((idx, total, n_jam, member_rows))[member_rows.searchsorted(rows)]]
         t, p = np.divmod(win, k + 1)
+        rate = rate[rows, win]
         p_t, hp_t = prefix[:2, t, 0, rows]
         p_after, hp_after, _, h_p, cap_p = after[:, 0, p, rows]
         c1, half_c2, c3, root = _pivot_root(p_t, hp_t, p_after, hp_after, h_p)
         positive = root > 0.0
         at_cap = positive & (root >= cap_p)
         pivot = np.where(positive, np.minimum(root, cap_p), 0.0)
-        rate = secrecy_bits(p_t, pivot + p_after, hp_t, h_p * pivot + hp_after)
         c2 = 2.0 * half_c2
         ok = np.isfinite(c2 * c2) | ~np.isfinite(c2)
     columns = np.arange(k)
     powers = np.where((columns < t[:, None]) | (columns > p[:, None]), caps, 0.0)
     powers = np.where(columns == p[:, None], pivot[:, None], powers)
     case = np.where(p < k, np.where(at_cap, 2, np.where(positive, 3, 1)), 0)
-    # max(rate, 0.0), which keeps a NaN
-    rate = np.where(rate < 0.0, 0.0, rate)
     status = np.where(ok | (rate <= 0.0), 0, 3)
     status[unranked] = 2
     status[_tied_neighbors(h).any(axis=1)] = 1

@@ -188,7 +188,7 @@ def mac_sup_region(ch: StdMacChannel, alloc) -> SecrecyRegion:
     powers = _powers_of(alloc)
     k = ch.k_users
     if len(powers) != k:
-        raise ValueError("allocation length must match k_users")
+        raise ValueError(f"allocation length must match k_users {k}, got powers of length {len(powers)}")
     subsets = _nonempty_subsets(k)
     hp = ch.eve_gains * powers
     sums = [(powers[list(s)].sum(), hp[list(s)].sum(), np.delete(hp, s).sum()) for s in subsets]

@@ -9,10 +9,11 @@ cooperative-jamming optimizer, and records per-user transmit/jam powers
 Conditions that fail every cell (see sweep) raise a ValueError before
 any cell runs.  The grid is then solved as arrays, 2,048 cells per pass
 on the calling thread, through the per-cell path's own array code: the
-gains (_gains, the one path-loss law); standardization, with the MAC
-tie-merge of merge_tied_users; the solve (the one jamming pass
-``jamming._mac_cj_batch``, which ranks every role pattern and reports the
-winner, and which mac_cj_optimal calls with a batch of one, or the two-way
+gains (_gains, the one path-loss law, np.hypot and np.power over the
+whole grid); standardization, with the MAC tie-merge of merge_tied_users;
+the solve (the one jamming pass ``jamming._mac_cj_batch``, which rates
+every role pattern by channels.secrecy_bits and reports the winner's
+entry, and which mac_cj_optimal calls with a batch of one, or the two-way
 rule ``jamming._tw_cj_rule``) and its roles; the split of split_back and the
 raw-domain mapping.  So every cell equals gains_from_geometry ->
 standardize_* -> *_cj_optimal bit for bit, and a failed cell records the
@@ -26,7 +27,6 @@ import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -109,8 +109,8 @@ class Scene:
             value = getattr(self, name)
             if not (_is_finite_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        # The largest gain is at distance_floor; _gains raises computing
-        # distance_floor ** -path_loss_exponent beyond the float range.
+        # The largest gain is at distance_floor; beyond the float range
+        # _gains' distance_floor ** -path_loss_exponent would be inf.
         log_power = -self.path_loss_exponent * math.log(self.distance_floor)
         if max(log_power, log_power + math.log(self.reference_gain)) >= _LOG_FLOAT_MAX:
             raise ValueError(
@@ -139,13 +139,13 @@ def default_scene() -> Scene:
 
 def _gains(scene: Scene, points, target) -> np.ndarray:
     """The scene's path-loss gain from ``target`` to each of the (N, 2)
-    ``points``, with math.hypot and ``**`` per element (np.hypot and
-    np.power may differ from them by an ulp); far points underflow to 0."""
+    ``points``, by np.hypot and np.power over the whole array; far points
+    underflow to 0, as do those whose distance overflows."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    dx, dy = (target[0] - points[:, 0]).tolist(), (target[1] - points[:, 1]).tolist()
-    d = np.maximum(np.fromiter(map(math.hypot, dx, dy), float, len(dx)), scene.distance_floor)
-    power = list(map(pow, d.tolist(), repeat(-scene.path_loss_exponent)))
-    return scene.reference_gain * np.array(power)
+    with np.errstate(over="ignore"):
+        dx, dy = target[0] - points[:, 0], target[1] - points[:, 1]
+        d = np.maximum(np.hypot(dx, dy), scene.distance_floor)
+    return scene.reference_gain * np.power(d, -scene.path_loss_exponent)
 
 
 def gains_from_geometry(scene: Scene, eve_position, mode: Optional[str] = None):

@@ -48,7 +48,6 @@ from secrecy_rates.channels import (
     _gains_of,
     _powers_of,
     _tied_neighbors,
-    gaussian_bits_array,
     gaussian_bits_each,
 )
 from secrecy_rates.jamming import (
@@ -72,8 +71,9 @@ from secrecy_rates.regions import (
 
 
 def gaussian_bits(snr: float) -> float:
-    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits, computed with log1p."""
-    return 0.5 * math.log1p(snr) / _LN2
+    """Gaussian capacity C(snr) = 1/2 log2(1 + snr) in bits of one SNR, by
+    np.log1p on the scalar."""
+    return 0.5 * float(np.log1p(snr)) / _LN2
 
 
 def cap_main(alloc, subset: Iterable[int]) -> float:
@@ -420,8 +420,8 @@ def reference_ordered_ranking(h, caps) -> List[Tuple[int, int, float, int, float
             heard.append(p_t / (1.0 + (pivot + r)))
             leaked.append(hp_t / (1.0 + (h_p * pivot + gr)))
             keys.append((t, p, int(pivot > 0.0) + m, p_t + (pivot + r)))
-    rates = np.maximum(gaussian_bits_array(np.array(heard)) - gaussian_bits_array(np.array(leaked)), 0.0)
-    return [(t, p, rate, n_jam, total) for (t, p, n_jam, total), rate in zip(keys, rates.tolist())]
+    rates = [max(gaussian_bits(a) - gaussian_bits(b), 0.0) for a, b in zip(heard, leaked)]
+    return [(t, p, rate, n_jam, total) for (t, p, n_jam, total), rate in zip(keys, rates)]
 
 
 def reference_ordered_winner(h, caps) -> Tuple[int, int]:
@@ -571,9 +571,9 @@ def reference_split_back(ch: StdMacChannel, powers) -> np.ndarray:
 
 
 def _gain(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:
-    d = math.hypot(a[0] - b[0], a[1] - b[1])
+    d = float(np.hypot(a[0] - b[0], a[1] - b[1]))
     d = max(d, scene.distance_floor)
-    return scene.reference_gain * d ** (-scene.path_loss_exponent)
+    return scene.reference_gain * float(np.power(d, -scene.path_loss_exponent))
 
 
 def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:

@@ -16,6 +16,7 @@ from secrecy_rates import (
     grid_max_mac_sup,
     mac_best_sum_rate,
     mac_sup_optimal,
+    mac_sup_region,
     mac_tdma_optimal,
     merge_tied_users,
     sup_sum_rate,
@@ -638,6 +639,24 @@ def test_two_way_rates_refuse_an_allocation_of_other_than_two_powers():
     ):
         with pytest.raises(ValueError, match="allocation length must be 2"):
             rate()
+
+
+def test_rates_at_an_allocation_refuse_invalid_powers_by_name():
+    """A negative, NaN or infinite power, or one power too few or too many
+    for the gains, is a ValueError naming powers: no NaN, infinite or
+    broadcast rate comes back."""
+    mac, two_way = StdMacChannel([0.1, 0.3], [4.0, 4.0]), StdTwChannel([0.5, 4.2], [2.0, 2.0])
+    rates = (
+        lambda a: sup_sum_rate(a, mac),
+        lambda a: sup_sum_rate(a, mac.eve_gains),
+        lambda a: tw_sum_rate(a, two_way),
+        lambda a: mac_sup_region(mac, a),
+        lambda a: tw_region(two_way, a),
+    )
+    for rate in rates:
+        for powers in ([-2.0, 1.0], [math.nan, 1.0], [math.inf, 1.0], [1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="powers"):
+                rate(powers)
 
 
 def test_rate_helpers_clamp():

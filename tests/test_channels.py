@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from secrecy_rates import (
     standardize_tw,
 )
 from secrecy_rates.allocation import _tdma_rate, sup_sum_rate, tw_sum_rate
-from secrecy_rates.channels import secrecy_bits, tw_secrecy_bits
+from secrecy_rates.channels import gaussian_bits_each, secrecy_bits, tw_secrecy_bits
 from secrecy_rates.jamming import _tw_cj_rule
 from secrecy_rates.regions import (
     _sup_grid_bounds,
@@ -38,6 +39,7 @@ from reference import (
     cap_eve,
     cap_eve_tilde,
     cap_main,
+    dec_bits,
     is_degraded,
     phi,
     psi,
@@ -482,6 +484,23 @@ def test_channel_json_fields_and_missing_field_errors(ch, want):
             channel_from_json(partial)
     with pytest.raises(ValueError, match=re.escape(f"channel JSON is missing field '{required[2]}'")):
         channel_from_json({"form": want["form"], "model": want["model"]})
+
+
+def test_gaussian_bits_each_is_within_a_few_ulps_of_an_80_digit_reference():
+    """The one logarithm kernel against dec_bits with 80 significant digits
+    of the rate, at SNRs spread over the float range, in (0, 4), and from
+    1e-17 to 0.1, where 1 + snr rounds away most of the SNR: relative error
+    at most 4 * 2**-53 (a correctly rounded C(snr) is within 2**-53)."""
+    rng = np.random.default_rng(26)
+    snr = np.concatenate(
+        [10.0 ** rng.uniform(-290.0, 308.0, 1000), rng.uniform(0.0, 4.0, 1000), 10.0 ** rng.uniform(-17.0, -1.0, 1000)]
+    )
+    bound = 4 * Decimal(2) ** -53
+    with localcontext() as ctx:
+        for x, got in zip(snr.tolist(), gaussian_bits_each(snr).tolist()):
+            ctx.prec = 80 - min(0, Decimal(x).adjusted())  # 1 + x keeps x's 80 digits
+            want = dec_bits(Decimal(x))
+            assert abs(Decimal(got) - want) <= bound * want, (x, got)
 
 
 def _scaled_powers(rng, k):

@@ -1,6 +1,7 @@
 """Tests for the eavesdropper-position sweep and its path-loss geometry."""
 
 import importlib
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +80,38 @@ def test_gains_match_the_scalar_gain_law_bit_for_bit():
             got_all += got
     assert any(0.0 < g < np.finfo(float).tiny for g in got_all), "no subnormal gain"
     assert 0.0 in got_all and max(got_all) == _gain(Scene(tx, path_loss_exponent=102), tx[0], tx[0])
+
+
+def test_gains_are_within_a_few_ulps_of_an_80_digit_gain_law():
+    """sweep._gains against the gain law in 80-digit Decimal arithmetic
+    from the exact coordinates, at exponents 2 to 6.5 and points up to 3
+    units away, some inside distance_floor.  Rounding dx and dy and np.hypot
+    leave d within 3 * 2**-53 relative, which the power multiplies by the
+    exponent; np.power and the reference_gain product add 4 * 2**-53."""
+    rng = np.random.default_rng(27)
+    tx = ((-0.5, 0.0), (0.5, 0.0))
+    near = np.repeat(tx, 10, axis=0) + rng.uniform(-2e-3, 2e-3, (20, 2))
+    for exponent in (2.0, 3.0, float(rng.uniform(2.0, 4.0)), 6.5):
+        scene = Scene(tx, path_loss_exponent=exponent, reference_gain=float(10.0 ** rng.uniform(-2.0, 2.0)))
+        points = np.vstack([near, rng.uniform(-3.0, 3.0, (500, 2))])
+        bound = (3 * Decimal(exponent) + 4) * Decimal(2) ** -53
+        with localcontext() as ctx:
+            ctx.prec = 80
+            floor, law = Decimal(scene.distance_floor), -Decimal(exponent)
+            for target in tx:
+                got = sweep_module._gains(scene, points, target).tolist()
+                for (x, y), g in zip(points.tolist(), got):
+                    dx, dy = Decimal(target[0]) - Decimal(x), Decimal(target[1]) - Decimal(y)
+                    want = Decimal(scene.reference_gain) * max((dx * dx + dy * dy).sqrt(), floor) ** law
+                    assert abs(Decimal(g) - want) <= bound * want, (exponent, target, x, y)
+
+
+def test_gains_of_points_whose_distance_overflows_are_zero():
+    """A distance past the float range, in the difference of coordinates or
+    in np.hypot, gives gain 0 without a RuntimeWarning."""
+    scene = Scene(transmitter_positions=((1e308, 1e308), (0.5, 0.0)))
+    points = [(-5e307, -5e307), (-1e308, 0.0)]
+    assert sweep_module._gains(scene, points, scene.transmitter_positions[0]).tolist() == [0.0, 0.0]
 
 
 def test_gains_from_geometry_follow_the_scalar_gain_law():
