@@ -271,11 +271,14 @@ def mac_tdma_optimal(ch: StdMacChannel) -> SumRateSolution:
     return _solution(np.where(shares > 0, caps, 0.0), rate, "TDMA", "numeric", TdmaShares(shares))
 
 
+def _better_sum_rate(sup: SumRateSolution, tdma: SumRateSolution) -> SumRateSolution:
+    """Better of a superposition and a TDMA optimum; ties go to superposition."""
+    return tdma if tdma.sum_rate > sup.sum_rate else sup
+
+
 def mac_best_sum_rate(ch: StdMacChannel) -> SumRateSolution:
     """Better of the superposition and TDMA optima; ties go to superposition."""
-    sup = mac_sup_optimal(ch)
-    tdma = mac_tdma_optimal(ch)
-    return tdma if tdma.sum_rate > sup.sum_rate else sup
+    return _better_sum_rate(mac_sup_optimal(ch), mac_tdma_optimal(ch))
 
 
 def tw_optimal(ch: StdTwChannel) -> SumRateSolution:

@@ -5,6 +5,12 @@ users, the vertex polygon of the projection onto the secrecy-rate plane
 (R_s1, R_s2).  Superposition and TDMA regions are built for a fixed power
 allocation or share vector; the hull builder samples both families over
 grids and returns the convex closure of everything it saw.
+
+Every sampled pentagon and rectangle is down-closed (it holds each point
+below or left of its own), so a sampled point that another one weakly
+dominates is never a vertex of the closure.  The hull builder therefore
+reduces the samples in numpy to their Pareto frontier, the origin and the
+farthest point on each axis, and runs the monotone chain over those few.
 """
 
 from __future__ import annotations
@@ -144,20 +150,14 @@ def convex_hull_2d(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, f
     return _sorted_hull(sorted(set((float(x), float(y)) for x, y in points)))
 
 
-def _pentagon_points(b1: np.ndarray, b2: np.ndarray, b12: np.ndarray) -> np.ndarray:
-    """Candidate vertices of the pentagons {x,y >= 0, x <= b1, y <= b2, x+y <= b12}.
-
-    Every vertex is a crossing of two of the five bounding lines.  For each
-    (b1, b2, b12) element the eight crossings of non-parallel pairs are
-    listed, the feasible ones kept and clamped into the box [0, b1] x [0, b2],
-    and all of them returned as one (M, 2) array.  The clamp follows Python's
-    ``min(max(v, 0.0), b) + 0.0`` exactly, NaN bounds included.
+def _clamped_crossings(b1, b2, b12, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The crossings (x, y) of pentagon bounding lines that meet every bound
+    of their (b1, b2, b12) within REGION_TOL, clamped into the box
+    [0, b1] x [0, b2], as one (M, 2) array.  The bounds are (N, 1) columns
+    and x, y (N, C) arrays, one column per crossing.  The clamp follows
+    Python's ``min(max(v, 0.0), b) + 0.0`` exactly, NaN bounds included.
     """
-    b1, b2, b12 = (np.asarray(b, dtype=float)[:, None] for b in (b1, b2, b12))
-    zero = np.zeros_like(b1)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
-        x = np.hstack([zero, zero, zero, b1, b12, b1, b1, b12 - b2])
-        y = np.hstack([zero, b2, b12, zero, zero, b2, b12 - b1, b2])
         infeasible = (
             (x < -REGION_TOL) | (y < -REGION_TOL)
             | (x > b1 + REGION_TOL) | (y > b2 + REGION_TOL) | (x + y > b12 + REGION_TOL)
@@ -168,6 +168,21 @@ def _pentagon_points(b1: np.ndarray, b2: np.ndarray, b12: np.ndarray) -> np.ndar
     y = np.where(b2 < y, b2, y) + 0.0
     keep = ~infeasible
     return np.stack([x[keep], y[keep]], axis=1)
+
+
+def _pentagon_points(b1: np.ndarray, b2: np.ndarray, b12: np.ndarray) -> np.ndarray:
+    """Candidate vertices of the pentagons {x,y >= 0, x <= b1, y <= b2, x+y <= b12}.
+
+    Every vertex is a crossing of two of the five bounding lines.  For each
+    (b1, b2, b12) element the eight crossings of non-parallel pairs are
+    listed, and the feasible ones, clamped, returned as one (M, 2) array.
+    """
+    b1, b2, b12 = (np.asarray(b, dtype=float)[:, None] for b in (b1, b2, b12))
+    zero = np.zeros_like(b1)
+    with np.errstate(invalid="ignore"):
+        x = np.hstack([zero, zero, zero, b1, b12, b1, b1, b12 - b2])
+        y = np.hstack([zero, b2, b12, zero, zero, b2, b12 - b1, b2])
+    return _clamped_crossings(b1, b2, b12, x, y)
 
 
 def _secrecy_pentagon(b1: float, b2: float, b12: float) -> List[Tuple[float, float]]:
@@ -269,6 +284,40 @@ def _sup_grid_bounds(ch: StdMacChannel, resolution: int):
     return tuple(np.where(raw < 0, 0.0, raw))
 
 
+def _sup_hull_points(b1: np.ndarray, b2: np.ndarray, b12: np.ndarray) -> np.ndarray:
+    """The points of the pentagons ``_pentagon_points`` lists for these bounds
+    that can be vertices of the hull of their union: every crossing off the
+    axes, and the farthest crossing on each axis.  A pentagon's crossings on
+    the x axis are (b1, 0), where it meets x + y <= b12 within REGION_TOL,
+    and (b12, 0) clamped to b1, so its farthest one is (b12, 0) only where
+    (b1, 0) is infeasible; likewise on the y axis.
+    """
+    b1, b2, b12 = (b[:, None] for b in (b1, b2, b12))
+    off_axes = _clamped_crossings(b1, b2, b12, np.hstack([b1, b1, b12 - b2]), np.hstack([b2, b12 - b1, b2]))
+    x_end = np.where(b1 > b12 + REGION_TOL, b12, b1).max() + 0.0
+    y_end = np.where(b2 > b12 + REGION_TOL, b12, b2).max() + 0.0
+    return np.concatenate([off_axes, [[x_end, 0.0], [0.0, y_end]]])
+
+
+def _frontier(points: np.ndarray) -> np.ndarray:
+    """The points of an (M, 2) array that can be vertices of the hull of a
+    union of down-closed sets that contains them: those no other point weakly
+    dominates (in order of x descending, then y descending, each point whose
+    y is above every y before it), the origin, and (X, 0) and (0, Y) at the
+    largest x and y, which each set reaches on its own axis.
+
+    Every other point is weakly dominated by a kept one, so it lies inside
+    their hull or on one of its axis-parallel edges, where the monotone
+    chain drops it (cross product <= 0).
+    """
+    points = points[np.lexsort((points[:, 1], points[:, 0]))]
+    y = points[:, 1]
+    above = np.ones(len(points), dtype=bool)
+    above[:-1] = y[:-1] > np.maximum.accumulate(y[::-1])[-2::-1]
+    ends = [[0.0, 0.0], [points[-1, 0], 0.0], [0.0, y.max()]]
+    return np.concatenate([points[above], ends])
+
+
 def _distinct_ascending(points: np.ndarray) -> List[Tuple[float, float]]:
     """``sorted(set(...))`` of an (M, 2) array of finite points without
     negative zeros, as tuples of Python floats."""
@@ -290,6 +339,16 @@ def mac_hull_region(
     allocations is approximated by uniform grids whose resolutions are
     recorded in the metadata; ``schemes`` restricts which families are
     sampled.
+
+    The monotone chain sees only the samples that can be vertices
+    (``_frontier``): those no other sample weakly dominates, the origin and
+    the farthest sample on each axis.  Of the pentagons only the crossings
+    off the axes and the axis ends are listed (``_sup_hull_points``), of the
+    rectangles only the corners.  Each sampled region holds its own axis
+    points and everything below them, so every other sample lies inside the
+    hull of the kept ones or on one of its axis-parallel edges, which the
+    chain drops; the tests check that the vertices are, bit for bit, the
+    ones of the chain over every sample.
     """
     resolutions = {"power_grid_resolution": power_grid_resolution, "share_grid_resolution": share_grid_resolution}
     for name, value in resolutions.items():
@@ -324,12 +383,11 @@ def mac_hull_region(
         )
     points = [np.zeros((1, 2))]
     if sup:
-        points.append(_pentagon_points(*sup))
+        points.append(_sup_hull_points(*sup))
     if tdma:
-        b1, b2 = tdma
-        zero = np.zeros_like(b1)
-        points.append(np.stack([zero, zero, b1, zero, b1, b2, zero, b2], axis=1).reshape(-1, 2))
-    hull = _sorted_hull(_distinct_ascending(np.concatenate(points)))
+        # each rectangle's corner; the largest of them reach the axes' ends
+        points.append(np.stack(tdma, axis=1))
+    hull = _sorted_hull(_distinct_ascending(_frontier(np.concatenate(points))))
     max_x = max(p[0] for p in hull)
     max_y = max(p[1] for p in hull)
     max_sum = max(p[0] + p[1] for p in hull)

@@ -10,11 +10,12 @@ checked against, the scalar form of that pass's ranking, the 80-digit
 rate check, the membership test for rate regions, the seeded random channel
 generators, the scalar path-loss law of the sweep, the line-pair
 intersection form of the two-user secrecy pentagon, the per-cell
-sampling loop of the two-user hull, the single-pass form of the grid
-oracles' search, an exhaustive search over every transmit/jam/silent
-role and the per-role search that the one mesh replaced, the scalar rho
-fit that the MAC jamming oracle's one-pass pivot candidates are checked
-against, the two-user branch thresholds shown to change no oracle answer,
+sampling loop of the two-user hull and its chain over every sampled
+point, the single-pass form of the grid oracles' search, an exhaustive
+search over every transmit/jam/silent role and the per-role search that
+the one mesh replaced, the scalar rho fit that the MAC jamming oracle's
+one-pass pivot candidates are checked against, the two-user branch
+thresholds shown to change no oracle answer,
 the equal-gain test ``is_degraded`` under which the cap-proportional TDMA
 shares are optimal, the nested TDMA share search (Newton on
 the multiplier around a full burst solve per step), the per-group loops
@@ -790,7 +791,12 @@ def reference_mac_hull_region(
         for a1 in np.linspace(0.0, 1.0, share_grid_resolution):
             region = reference_mac_tdma_region(ch, np.array([a1, 1.0 - a1]))
             points.extend(region.vertices2d)
-    hull = convex_hull_2d(points)
+    return _hull_region(convex_hull_2d(points), meta)
+
+
+def _hull_region(hull: List[Tuple[float, float]], meta: Dict) -> SecrecyRegion:
+    """The hull region of two users with these vertices: each user's largest
+    rate and the largest sum over them."""
     max_x = max(p[0] for p in hull)
     max_y = max(p[1] for p in hull)
     max_sum = max(p[0] + p[1] for p in hull)
@@ -800,6 +806,33 @@ def reference_mac_hull_region(
         RateConstraint((0, 1), KIND_SECRECY, max_sum),
     ]
     return SecrecyRegion(constraints, hull, "HULL", meta)
+
+
+def reference_hull_of_every_point(
+    ch: StdMacChannel,
+    power_grid_resolution: int = 33,
+    share_grid_resolution: int = 33,
+    schemes: Tuple[str, ...] = ("SUP", "TDMA"),
+) -> SecrecyRegion:
+    """``mac_hull_region`` of two users as one monotone chain over every
+    distinct point of every sampled pentagon and rectangle, in the array
+    arithmetic of the library, before the Pareto frontier reduced them."""
+    meta = {
+        "power_grid_resolution": power_grid_resolution,
+        "share_grid_resolution": share_grid_resolution,
+        "schemes": list(schemes),
+    }
+    points = [np.zeros((1, 2))]
+    if "SUP" in schemes:
+        with np.errstate(over="ignore", invalid="ignore"):
+            points.append(regions._pentagon_points(*regions._sup_grid_bounds(ch, power_grid_resolution)))
+    if "TDMA" in schemes:
+        a1 = np.linspace(0.0, 1.0, share_grid_resolution)
+        bounds = regions._tdma_user_bounds(ch.eve_gains[:, None], ch.power_caps[:, None], np.array((a1, 1.0 - a1)))
+        b1, b2 = bounds[1]
+        zero = np.zeros_like(b1)
+        points.append(np.stack([zero, zero, b1, zero, b1, b2, zero, b2], axis=1).reshape(-1, 2))
+    return _hull_region(convex_hull_2d(np.concatenate(points).tolist()), meta)
 
 
 def _guard_size(axes: Sequence[np.ndarray]) -> None:

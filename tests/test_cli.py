@@ -14,7 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from secrecy_rates import Scene, cli, default_scene
+from secrecy_rates import Scene, allocation, cli, default_scene
+from secrecy_rates.channels import canonical_float
 
 from test_sweep import ODD_UNITS, _cell_reference
 
@@ -205,6 +206,31 @@ def test_verify_flag_sumrate(capsys):
     assert verify["objective"] == "superposition"
     assert abs(verify["difference_bits"]) <= 1e-9
     assert verify["oracle_powers"] == [4.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "caps, gains, mode", [("4,4", "0.5,2", "SUP"), ("4,4", "0.1,0.2", "TDMA")]
+)
+def test_sumrate_verify_solves_superposition_once(capsys, monkeypatch, caps, gains, mode):
+    """The oracle checks the superposition optimum that the answer was chosen
+    against, solved once; the solution is the one printed without --verify."""
+    calls = []
+    solve = allocation.mac_sup_optimal
+
+    def counted(ch):
+        calls.append(ch)
+        return solve(ch)
+
+    monkeypatch.setattr(allocation, "mac_sup_optimal", counted)
+    monkeypatch.setattr(cli, "mac_sup_optimal", counted)
+    argv = ("sumrate", "--model", "mac", "--caps", caps, "--eve-gains", gains)
+    code, out, _ = run_cli(capsys, *argv, "--verify", "--grid", "21")
+    assert code == 0 and len(calls) == 1
+    doc = json.loads(out)
+    assert doc["solution"]["mode"] == mode
+    assert doc["verify"]["solver_sum_rate_bits"] == canonical_float(solve(calls[0]).sum_rate)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(plain)["solution"] == doc["solution"]
 
 
 def test_verify_flag_jam(capsys):

@@ -20,6 +20,7 @@ from secrecy_rates import (
     merge_tied_users,
     tw_region,
 )
+from secrecy_rates import regions
 from secrecy_rates.regions import _secrecy_pentagon
 from reference import (
     RatePoint,
@@ -27,6 +28,7 @@ from reference import (
     is_degraded,
     random_mac_instance,
     random_tw_instance,
+    reference_hull_of_every_point,
     reference_mac_hull_region,
     region_contains,
 )
@@ -315,6 +317,90 @@ def test_hull_equals_the_per_cell_reference_on_fine_grids(resolution):
             got = mac_hull_region(ch, *resolution, schemes=schemes)
             want = reference_mac_hull_region(ch, *resolution, schemes=schemes)
             assert _hull_bits(got) == _hull_bits(want), (ch, schemes)
+
+
+def _frontier_channels(count, seed):
+    """Two-user channels with caps 10^U(-3, 3), in turn: both gains at least
+    1, exactly one gain at least 1, a zero cap, gains within 1e-3 of each
+    other, and sorted gains U(0, 2.5)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        caps = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        edge = i % 5
+        if edge == 0:
+            h = rng.uniform(1.0, 2.5, 2)
+        elif edge == 1:
+            h = np.array([rng.uniform(0.0, 1.0), rng.uniform(1.0, 2.5)])
+        elif edge == 3:
+            h = rng.uniform(0.0, 2.0) + np.array([0.0, rng.uniform(0.0, 1e-3)])
+        else:
+            h = rng.uniform(0.0, 2.5, 2)
+        if edge == 2:
+            caps[rng.integers(2)] = 0.0
+        out.append(StdMacChannel(np.sort(h), caps))
+    return out
+
+
+HULL_RESOLUTIONS = [(2, 2), (33, 33), (65, 129)]
+
+
+@pytest.mark.parametrize("resolution", HULL_RESOLUTIONS, ids=["2x2", "33x33", "65x129"])
+def test_hull_equals_the_chain_over_every_sampled_point(resolution):
+    """The chain sees only the Pareto frontier and the axes' ends of the
+    sampled points, and gives the hull of all of them: the same document,
+    bit for bit.  Where both gains are at least 1 no sum rate is secret, and
+    the hull is the origin alone."""
+    for ch in _frontier_channels(100 if resolution[0] < 65 else 40, 41):
+        for schemes in ALL_SCHEMES:
+            got = mac_hull_region(ch, *resolution, schemes=schemes).to_json()
+            assert got == reference_hull_of_every_point(ch, *resolution, schemes=schemes).to_json(), (ch, schemes)
+            if ch.eve_gains[0] >= 1.0:
+                assert got["vertices2d"] == [[0.0, 0.0]], ch
+
+
+@pytest.mark.parametrize("resolution", HULL_RESOLUTIONS, ids=["2x2", "33x33", "65x129"])
+def test_hull_of_the_frontier_equals_the_per_cell_reference(resolution):
+    """One channel of each kind above against the per-cell hull; its
+    superposition loop takes about 0.7 s a call at 65 powers per axis, so
+    there the channels are sampled on the share grid alone."""
+    for ch in _frontier_channels(5, 43):
+        for schemes in ALL_SCHEMES if resolution[0] < 65 else [("TDMA",)]:
+            got = mac_hull_region(ch, *resolution, schemes=schemes).to_json()
+            assert got == reference_mac_hull_region(ch, *resolution, schemes=schemes).to_json(), (ch, schemes)
+
+
+def test_frontier_of_pentagons_keeps_every_hull_vertex():
+    """For bounds at the REGION_TOL edge of every feasibility test, and for
+    random ones whose sum bound may be slack, the hull of the frontier of
+    ``_sup_hull_points`` is the hull of every ``_pentagon_points`` crossing,
+    bit for bit: one pentagon at a time and unions of 1 to 40 of them."""
+    edge = [0.0, 1e-12, 3e-10, 1.0 - 5e-10, 1.0, 1.0 + 5e-10]
+    triples = [(b1, b2, b1 + b2 + d) for b1 in edge for b2 in edge for d in (0.0, 1e-10, -1e-10, 5e-9, -5e-9)]
+    triples += [(b1, b2, b12) for b1 in edge for b2 in edge for b12 in edge + [b1, b2]]
+    rng = np.random.default_rng(71)
+    triples += [tuple(b) for b in rng.uniform(0.0, 2.0, (2000, 3)).tolist()]
+    triples = np.array(triples)
+    groups = [triples[i : i + 1] for i in range(len(triples))]
+    groups += [triples[rng.choice(len(triples), rng.integers(1, 41))] for _ in range(1000)]
+    for bounds in groups:
+        b1, b2, b12 = bounds.T
+        every = np.concatenate([np.zeros((1, 2)), regions._pentagon_points(b1, b2, b12)])
+        reduced = regions._frontier(np.concatenate([np.zeros((1, 2)), regions._sup_hull_points(b1, b2, b12)]))
+        want = convex_hull_2d(every.tolist())
+        assert regions._sorted_hull(regions._distinct_ascending(reduced)) == want, bounds
+
+
+def test_the_chain_walks_only_the_frontier(monkeypatch):
+    """Count guard: on the Fig. 4 channel at 33 x 33 the monotone chain gets
+    46 of the 3,717 distinct sampled points (the 15 hull vertices among
+    them); the chain over every point took 3,717."""
+    sizes = []
+    chain = regions._sorted_hull
+    monkeypatch.setattr(regions, "_sorted_hull", lambda pts: sizes.append(len(pts)) or chain(pts))
+    hull = mac_hull_region(FIG4_CH, 33, 33)
+    assert len(hull.vertices2d) == 15
+    assert sizes and max(sizes) <= 64, sizes
 
 
 @pytest.mark.parametrize("schemes", ALL_SCHEMES, ids=["SUP", "TDMA", "both"])
