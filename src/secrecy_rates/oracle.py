@@ -21,24 +21,25 @@ by one np.linalg.eigvals over the stacked companion matrices, each bit for
 bit the scalar fit's.
 
 The mesh is evaluated in k-dimensional tiles of at most _TILE_CELLS
-cells, so the temporaries stay cache-sized and peak memory does not grow
-with the grid.  The search keeps its best cell as (rate, index in the
-mesh, transmit set), an equal rate going to the smaller index and then to
-the earlier transmit set.  That is the C-order first maximum in any tile
-order: ties resolve to the lexicographically smallest power vector.
+cells, so the temporaries stay cache-sized.  The search keeps its best
+cell as (rate, index in the mesh, transmit set), an equal rate going to
+the smaller index and then to the earlier transmit set.  That is the
+C-order first maximum in any order of evaluation: ties resolve to the
+lexicographically smallest power vector.
 
-The MAC jamming objective also has a box form, its own operations with
-each sum taken at the corner of a box that raises the rate, which is the
-rate itself on a one-cell box.  Float addition, multiplication by a gain
-and subtraction are monotone, so only np.log2's rounding can lift a cell
-above its box's value; a slack of _SLACK_ULPS ulps of the largest
-logarithm covers it.  On a mesh of several tiles, the search bounds each
-transmit set on each tile from sub-blocks of _BLOCK points per axis,
-visits the tiles in order of decreasing bound and evaluates in each only
-the transmit sets whose bound reaches the best rate found so far.  A
-skipped cell can neither win nor tie, so the answer is that of the
-unpruned search.  Caps at which the objective would overflow are rejected
-before the search, so no cell is NaN or infinite.
+The MAC jamming objective also has a slope bound (_mac_cj_bound): its
+value at a box's lower corner, itself a cell of the mesh, plus each
+power's width times a bound on the rate's slope along it over the box,
+by the mean-value theorem, plus a slack that covers every rounding.
+On a mesh of several tiles the search bounds blocks of _COARSE points
+per axis over the whole mesh, seeds the best rate with the objective at
+their lower corners, bounds again in sub-blocks of _BLOCK points only
+the coarse blocks that reach it, and evaluates only the tiles and
+transmit sets whose sub-blocks still reach the best rate found so far,
+each tile on the box of those sub-blocks.  A skipped cell can neither
+win nor tie, so the answer is that of the unpruned search.  Caps at
+which the objective would overflow are rejected before the search, so
+no cell is NaN or infinite; a bound that is NaN prunes nothing.
 """
 
 from __future__ import annotations
@@ -64,10 +65,14 @@ MAX_GRID_CELLS = 10**8
 # Cells per tile of the mesh: each float64 temporary of an objective is
 # 128 KB, small enough to stay in cache instead of being page-faulted afresh.
 _TILE_CELLS = 16384
-# Points per axis of the sub-blocks whose box bounds are reduced to a tile's.
+# Points per axis of the blocks that bound the whole mesh, and of the
+# sub-blocks into which those that reach the best rate are split.
+_COARSE = 8
 _BLOCK = 4
-# Ulps of the largest logarithm allowed for np.log2's rounding in a bound.
-_SLACK_ULPS = 32
+# The slope bound's margins for rounding: ulps of its largest logarithm (at
+# least 1), and a relative margin of its slope terms.
+_SLACK_ULPS = 128
+_ETA = 2.0**-44
 
 
 @dataclass
@@ -121,7 +126,8 @@ def _tile_sides(shape: Sequence[int]) -> List[int]:
 
     Every axis gets the same multiple of _BLOCK points, or the whole axis
     where that is shorter, the largest for which a tile holds at most
-    _TILE_CELLS cells.  A mesh of at most _TILE_CELLS cells is one tile.
+    _TILE_CELLS cells, so that each sub-block of the search's bound lies in
+    one tile.  A mesh of at most _TILE_CELLS cells is one tile.
     """
     if math.prod(shape) <= _TILE_CELLS:
         return list(shape)
@@ -144,25 +150,9 @@ def _unravel(flat: int, shape: Sequence[int]) -> List[int]:
     return index[::-1]
 
 
-def _tile_bounds(h, bound, axes, sides, t_sets) -> np.ndarray:
-    """Per transmit set and tile (C order), an upper bound on the rate.
-
-    bound(h, lo, hi, t_sets) is evaluated once on the open mesh of the
-    sub-blocks of _BLOCK points per axis, lo and hi being each sub-block's
-    first and last points, and each transmit set's sub-block bounds are
-    reduced to its tiles' maxima.
-    """
-    starts = [np.arange(0, len(ax), _BLOCK) for ax in axes]
-    lo = np.ix_(*(ax[s] for ax, s in zip(axes, starts)))
-    hi = np.ix_(*(ax[np.minimum(s + _BLOCK, len(ax)) - 1] for ax, s in zip(axes, starts)))
-    shape = tuple(len(s) for s in starts)
-    out = []
-    for block in bound(h, lo, hi, t_sets):
-        block = np.broadcast_to(block, shape)
-        for d, (ax, side) in enumerate(zip(axes, sides)):
-            block = np.maximum.reduceat(block, np.arange(0, len(ax), side) // _BLOCK, axis=d)
-        out.append(block.ravel())
-    return np.array(out)
+def _stacked(arrays, shape) -> np.ndarray:
+    """One array per transmit set, each broadcast to shape: (sets, *shape)."""
+    return np.array([np.broadcast_to(a, shape) for a in arrays])
 
 
 def _search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
@@ -171,46 +161,82 @@ def _search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, 
     One mesh serves every transmit set: user i's axis is _axis of its cap
     with extras[i] as extra points, evaluated one tile at a time
     (_tile_sides).  rate_grid(h, grids, t_sets) evaluates the objective on
-    a tile's open mesh and yields a new rate array for each transmit set in
+    an open mesh and yields a new rate array for each transmit set in
     t_sets.  The best cell is kept as (rate, index in the mesh, position in
     t_sets), an equal rate going to the smaller index and then to the
     earlier transmit set: the C-order first maximum, whatever order the
-    tiles come in, which is the lexicographically smallest allocation.
+    cells come in, which is the lexicographically smallest allocation.
 
-    If rate_grid has a ``bound`` attribute, its box form plus a slack for
-    rounding (_tile_bounds), a mesh of several tiles visits them in order
-    of decreasing bound, and evaluates in each only the transmit sets whose
-    bound reaches the best rate so far.  A cell it skips is below that
-    rate, so it can neither win nor tie.
+    If rate_grid has a ``bound`` attribute, bound(h, lo, hi, t_sets)
+    yielding for each transmit set an upper bound on its rate over each
+    box [lo, hi] of the mesh, a mesh of several tiles is searched coarse to
+    fine.  Blocks of _COARSE points per axis are bounded over the whole
+    mesh, and the objective at their first points, which are cells of the
+    mesh, gives the first best rate.  Only the coarse blocks whose bound
+    reaches it are bounded again, in sub-blocks of _BLOCK points.  The
+    tiles are visited in order of decreasing sub-block bound, and in each
+    only the transmit sets whose bound reaches the best rate so far are
+    evaluated, on the smallest box holding every sub-block where one of
+    them does.  A cell it skips is below that rate, so it can neither win
+    nor tie; a NaN bound skips nothing.
     """
     _check_corner(ch, rate_grid)
     axes = [_axis(cap, spec, () if extras is None else extras[i]) for i, cap in enumerate(ch.power_caps)]
     shape = [len(ax) for ax in axes]
     _guard_shape(shape)
     sides = _tile_sides(shape)
-    counts = [-(-n // side) for n, side in zip(shape, sides)]
-    order = range(math.prod(counts))
-    bound = getattr(rate_grid, "bound", None)
-    bounds = None
-    if bound is not None and len(order) > 1:
-        bounds = _tile_bounds(ch.eve_gains, bound, axes, sides, t_sets)
-        order = np.argsort(-bounds.max(axis=0), kind="stable").tolist()
+    h = ch.eve_gains
     best = None
-    for tile in order:
-        live = range(len(t_sets))
-        if bounds is not None and best is not None:
-            live = [t for t, b in enumerate(bounds[:, tile].tolist()) if b >= best[0]]
-            if not live:
-                continue
-        corner = [i * side for i, side in zip(_unravel(tile, counts), sides)]
-        grids = np.ix_(*(ax[c : c + side] for ax, c, side in zip(axes, corner, sides)))
-        for t, rate in zip(live, rate_grid(ch.eve_gains, grids, [t_sets[t] for t in live])):
-            flat = int(np.argmax(rate))
-            value = float(rate.flat[flat])
-            if best is None or value >= best[0]:
-                cell = tuple(c + i for c, i in zip(corner, _unravel(flat, rate.shape)))
-                if best is None or value > best[0] or (cell, t) < best[1:]:
-                    best = (value, cell, t)
+
+    def offer(rate, start, step, t):
+        nonlocal best
+        flat = int(np.argmax(rate))
+        value = float(rate.flat[flat])
+        if best is None or value >= best[0]:
+            cell = tuple(a + step * i for a, i in zip(start, _unravel(flat, rate.shape)))
+            if best is None or value > best[0] or (cell, t) < best[1:]:
+                best = (value, cell, t)
+
+    def visit(start, stop, live):
+        grids = np.ix_(*(ax[a:b] for ax, a, b in zip(axes, start, stop)))
+        for t, rate in zip(live, rate_grid(h, grids, [t_sets[t] for t in live])):
+            offer(rate, start, 1, t)
+
+    bound = getattr(rate_grid, "bound", None)
+    if bound is None or sides == shape:
+        for start in itertools.product(*(range(0, n, side) for n, side in zip(shape, sides))):
+            visit(start, [a + side for a, side in zip(start, sides)], range(len(t_sets)))
+    else:
+        firsts = [np.arange(0, n, _COARSE) for n in shape]
+        lo = np.ix_(*(ax[f] for ax, f in zip(axes, firsts)))
+        hi = np.ix_(*(ax[np.minimum(f + _COARSE, n) - 1] for ax, f, n in zip(axes, firsts, shape)))
+        coarse = _stacked(bound(h, lo, hi, t_sets), tuple(len(f) for f in firsts))
+        for t, rate in enumerate(rate_grid(h, lo, t_sets)):
+            offer(rate, (0,) * len(shape), _COARSE, t)
+        # the sub-blocks of the coarse blocks that reach the best rate, as flat arrays
+        per = _COARSE // _BLOCK
+        reach = ~(coarse < best[0]).all(axis=0)
+        blocks = np.nonzero(reach[np.ix_(*(np.arange(-(-n // _BLOCK)) // per for n in shape))])
+        first = [b * _BLOCK for b in blocks]
+        last = [np.minimum(f + _BLOCK, n) - 1 for f, n in zip(first, shape)]
+        lo, hi = [ax[f] for ax, f in zip(axes, first)], [ax[l] for ax, l in zip(axes, last)]
+        fine = _stacked(bound(h, lo, hi, t_sets), blocks[0].shape)
+        # each sub-block is bounded by its own bound and by its coarse block's
+        fine = np.minimum(fine, coarse[(slice(None), *(b // per for b in blocks))])
+        # grouped by tile: each tile's bound is its sub-blocks' largest
+        counts = [-(-n // side) for n, side in zip(shape, sides)]
+        tile = np.ravel_multi_index([f // side for f, side in zip(first, sides)], counts)
+        order = np.argsort(tile, kind="stable")
+        tile, fine, first, last = tile[order], fine[:, order], [f[order] for f in first], [l[order] for l in last]
+        starts = np.flatnonzero(np.r_[True, tile[1:] != tile[:-1]])
+        groups = [slice(a, b) for a, b in zip(starts.tolist(), starts[1:].tolist() + [len(tile)])]
+        tile_bounds = np.maximum.reduceat(fine, starts, axis=1)
+        for j in np.argsort(-tile_bounds.max(axis=0), kind="stable").tolist():
+            live = [t for t, b in enumerate(tile_bounds[:, j].tolist()) if not b < best[0]]
+            if live:
+                keep = ~(fine[live, groups[j]] < best[0]).all(axis=0)
+                start = [int(f[groups[j]][keep].min()) for f in first]
+                visit(start, [int(l[groups[j]][keep].max()) + 1 for l in last], live)
     rate, cell, t = best
     return rate, np.array([float(ax[i]) for ax, i in zip(axes, cell)]), t_sets[t]
 
@@ -325,43 +351,75 @@ def _jammer_rows(k: int):
     return out
 
 
-def _mac_cj_box(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
-    """Each transmit set's jamming rate, bounded over the boxes [lo, hi].
-
-    The rate's own operations in its own order, with each sum taken at the
-    corner of the box that raises the rate: everyone's power and the
-    non-transmitters' h-weighted power at hi, everyone's h-weighted power
-    and the non-transmitters' power at lo.  Float addition, multiplication
-    by h >= 0, subtraction and halving are monotone, so only np.log2's
-    rounding can lift a cell above its box's value.  At lo = hi it is the
-    rate itself; the full-mesh logarithms are shared by the transmit sets.
-    """
-    log_p = np.log2(1.0 + sum(hi))
-    log_hp = np.log2(1.0 + sum(float(h[i]) * g for i, g in enumerate(lo)))
+def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
+    """The jamming rate of each transmit set; the full-mesh logarithms are shared."""
+    log_p = np.log2(1.0 + sum(grids))
+    log_hp = np.log2(1.0 + sum(float(h[i]) * g for i, g in enumerate(grids)))
     for t_set in t_sets:
-        comp = [i for i in range(len(lo)) if i not in set(t_set)]
-        comp_p = sum(lo[i] for i in comp) if comp else 0.0
-        comp_hp = sum(float(h[i]) * hi[i] for i in comp) if comp else 0.0
+        comp = [i for i in range(len(grids)) if i not in set(t_set)]
+        comp_p = sum(grids[i] for i in comp) if comp else 0.0
+        comp_hp = sum(float(h[i]) * grids[i] for i in comp) if comp else 0.0
         # rate = 1/2 [ log2(phi over complement) - log2(phi over everyone) ]
         yield 0.5 * (np.log2(1.0 + comp_hp) - np.log2(1.0 + comp_p) + log_p - log_hp)
 
 
-def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
-    """The jamming rate of each transmit set; the full-mesh logarithms are shared."""
-    return _mac_cj_box(h, grids, grids, t_sets)
-
-
 def _mac_cj_bound(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
-    """_mac_cj_box plus _SLACK_ULPS ulps of the largest logarithm it can form.
+    """Each transmit set's slope bound on its jamming rate over the boxes [lo, hi].
 
-    That logarithm is of the largest sum, at the boxes' top corner: np.log2
-    is within a few ulps of the exact logarithm, so every cell of a box is
-    at most its bound.
+    With S and H the sums of P and of h P over everyone, and S_J and H_J
+    over the jammers (every user outside the transmit set), the rate is
+    f = 1/2 [log2(1 + H_J) - log2(1 + S_J) + log2(1 + S) - log2(1 + H)],
+    whose slope along P_i is g_i / (2 ln 2) with
+    g_i = 1/(1 + S) - h_i/(1 + H), plus h_i/(1 + H_J) - 1/(1 + S_J) for a
+    jammer.  On a box every sum is smallest at lo and largest at hi, so
+    g_i <= ub_i, each fraction taken at the corner that raises it:
+    ub_i = 1/(1 + S(lo)) - h_i/(1 + H(hi)), plus
+    h_i/(1 + H_J(lo)) - 1/(1 + S_J(hi)) for a jammer.  Every cell P of the
+    box is at least lo, so by the mean-value theorem
+    f(P) <= f(lo) + sum_i max(0, ub_i) (hi_i - lo_i) / (2 ln 2), and the
+    bound is that sum plus a slack: in floats, three roundings are covered.
+
+    - The bound's own rounding.  Each fraction is a few correctly rounded
+      operations on a sum of at most three nonnegative terms, so it is
+      within a relative 8 ulps of its exact value; so are the widths, the
+      products and the sum of nonnegative terms.  The raising fractions are
+      scaled by 1 + _ETA, the lowering ones by 1 - _ETA and the constant
+      1/(2 ln 2) by 1 + _ETA, hundreds of times those errors, so the slope
+      term computed is at least the exact one.
+    - The rate computed at a cell, at P and at the anchor lo alike.  Each
+      logarithm's argument 1 + (sum) is within a relative 4 ulps of its
+      exact value, which moves the logarithm by at most 3 ulps of 1;
+      np.log2 adds a few ulps of its result; the three additions of
+      logarithms round by ulps of their magnitude.  With L the largest
+      logarithm formed on the boxes, at their top corner, the computed
+      rate is within 40 ulps of max(1, L) of the exact one.
+    - The bound's last two additions, which lose ulps of max(1, L) and a
+      relative 2^-53 of the slope term, within its 1 + _ETA.
+
+    _SLACK_ULPS ulps of max(1, L) covers twice the second and the third,
+    so every cell of a box is at most its bound.  At lo = hi the slope term
+    is 0 and the bound is the rate plus the slack.  The terms of the
+    transmitters are the same for every transmit set and formed once.
     """
-    top = [float(np.max(g)) for g in hi]
-    largest = math.log2(1.0 + max(sum(top), sum(float(h[i]) * c for i, c in enumerate(top))))
-    slack = _SLACK_ULPS * math.ulp(largest)
-    return (box + slack for box in _mac_cj_box(h, lo, hi, t_sets))
+    gains = [float(g) for g in h]
+    up, down = 1.0 + _ETA, 1.0 - _ETA
+    width = [b - a for a, b in zip(lo, hi)]
+    over_p = up / (1.0 + sum(lo))
+    over_hp = 1.0 / (1.0 + sum(g * x for g, x in zip(gains, hi)))
+    base = [over_p - (down * g) * over_hp for g in gains]
+    sends = [np.maximum(b, 0.0) * w for b, w in zip(base, width)]
+    top = [float(np.max(x)) for x in hi]
+    largest = math.log2(1.0 + max(sum(top), sum(g * x for g, x in zip(gains, top))))
+    slack = _SLACK_ULPS * math.ulp(max(1.0, largest))
+    scale = up / (2.0 * math.log(2.0))
+    for t_set, anchor in zip(t_sets, _mac_cj_rate(h, lo, t_sets)):
+        jam = [i for i in range(len(lo)) if i not in set(t_set)]
+        terms = [sends[i] for i in t_set]
+        if jam:
+            over_jam_hp = up / (1.0 + sum(gains[j] * lo[j] for j in jam))
+            over_jam_p = down / (1.0 + sum(hi[j] for j in jam))
+            terms += [np.maximum(base[j] + (gains[j] * over_jam_hp - over_jam_p), 0.0) * width[j] for j in jam]
+        yield anchor + slack + scale * sum(terms)
 
 
 _mac_cj_rate.bound = _mac_cj_bound

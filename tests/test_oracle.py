@@ -502,6 +502,9 @@ def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
         report_like = [random_mac_instance(rng, 3, cap_range=(0.5, 5.0)) for _ in range(12)]
         assert any(len(c) > 1 for ch in report_like for c in oracle._pivot_candidates(ch))
         channels += report_like
+        # flat channels with low rates, gains straddling 1, where the sign of
+        # the slope bound's terms is least clear
+        channels += [random_mac_instance(rng, 3, gain_range=(0.75, 1.25), cap_range=(0.5, 5.0)) for _ in range(8)]
         # where pruning is weakest: a flat channel with a low rate, and one whose
         # best rate, 1.7e-18, is far below the bound's slack
         channels.append(StdMacChannel([0.768, 0.953, 1.279], [0.86, 4.29, 1.5]))
@@ -681,6 +684,17 @@ def test_mac_jamming_oracle_prunes_most_cells_by_its_bound(monkeypatch):
     assert sum(cells for cells, _ in calls) <= 1_060_904 // 3
 
 
+def test_mac_jamming_oracle_bounds_coarse_to_fine(monkeypatch):
+    """The slope bound leaves a few sub-blocks of a few tiles to evaluate:
+    the cells of the objective and of its bound, each counted once per
+    transmit set, come to at most a tenth of the 555,266 + 140,608 that
+    the box bound over every sub-block of 4 points left for this channel."""
+    ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
+    sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, ch, SPEC_101)
+    assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
+    assert sum(cells * n for cells, n in calls) <= (555_266 + 140_608) // 10
+
+
 def _seeded_jamming_channels():
     """Seeded MAC channels at K = 1...3 and two-way channels, with tied gains,
     zero caps and the pinned channels among them, each with a grid size."""
@@ -766,40 +780,81 @@ def test_mac_jamming_oracle_never_loses_to_the_per_role_search(gains_caps, point
 
 @st.composite
 def _mac_sub_boxes(draw):
-    """Gains, a sorted grid per axis from 0 to a cap up to 1e300, and a sub-box
-    of it as index ranges."""
+    """Gains, a sorted grid per axis from 0 to a cap, and a sub-box of it as
+    index ranges.  The gains are drawn on [0, 2], or all within 1e-9 of 1
+    and so of each other; each cap is 0, up to 1e300, or up to 2.9e307,
+    near the overflow guard: with gains of at most 2, no sum of at most
+    three users overflows.  Some axes hold a run of neighbouring floats."""
     k = draw(st.integers(1, 3))
-    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k))
+    near_one = st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d)
+    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k) | st.lists(near_one, min_size=k, max_size=k))
     axes, box = [], []
     for _ in range(k):
-        cap = draw(st.floats(0.0, 1e300))
+        cap = draw(st.just(0.0) | st.floats(0.0, 1e300) | st.floats(0.0, 2.9e307))
         fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-        axis = np.unique(np.r_[0.0, cap, cap * np.array(fractions)])
+        axis = np.r_[0.0, cap, cap * np.array(fractions)]
+        # a run of neighbouring floats, where the rates differ by rounding alone
+        run = [draw(st.floats(0.0, 1.0)) * cap]
+        for _ in range(draw(st.integers(0, 4))):
+            run.append(np.nextafter(run[-1], np.inf))
+        axis = np.unique(np.r_[axis, run])
+        axis = axis[axis <= cap]
         first = draw(st.integers(0, len(axis) - 1))
         box.append(slice(first, draw(st.integers(first + 1, len(axis)))))
         axes.append(axis)
     return np.sort(gains), axes, box
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_mac_sub_boxes())
 def test_mac_jamming_box_form_bounds_every_cell_of_its_box(sub_box):
-    """For every transmit set, the box form at lo = hi is the rate, and every
-    cell of a box is at most its bound, the box form plus the slack."""
+    """For every transmit set, every cell of a box is at most the slope bound
+    over the box, and the rate at the box's lower and upper corners, each
+    evaluated alone, is the rate at that cell of the grid, bit for bit: a
+    corner's rate can stand for its cell."""
     h, axes, box = sub_box
     k = len(axes)
+    oracle._check_corner(StdMacChannel(h, [ax[-1] for ax in axes]), oracle._mac_cj_rate)
     t_sets = [t for n in range(k + 1) for t in itertools.combinations(range(k), n)]
     grids = np.ix_(*(ax[b] for ax, b in zip(axes, box)))
     lo = np.ix_(*(ax[b][:1] for ax, b in zip(axes, box)))
     hi = np.ix_(*(ax[b][-1:] for ax, b in zip(axes, box)))
-    rates = list(oracle._mac_cj_rate(h, grids, t_sets))
-    for at_cells, rate in zip(oracle._mac_cj_box(h, grids, grids, t_sets), rates):
-        assert np.array_equal(at_cells, rate)
+    shape = np.broadcast_shapes(*(g.shape for g in grids))
+    rates = [np.broadcast_to(rate, shape) for rate in oracle._mac_cj_rate(h, grids, t_sets)]
     for corner, cell in ((lo, (0,) * k), (hi, (-1,) * k)):
-        for at_corner, rate in zip(oracle._mac_cj_box(h, corner, corner, t_sets), rates):
-            assert at_corner.item() == np.broadcast_to(rate, np.broadcast_shapes(*(g.shape for g in grids)))[cell]
+        for at_corner, rate in zip(oracle._mac_cj_rate(h, corner, t_sets), rates):
+            assert at_corner.item() == rate[cell]
     for bound, rate, t_set in zip(oracle._mac_cj_bound(h, lo, hi, t_sets), rates, t_sets):
+        assert not np.isnan(bound), t_set
         assert np.all(rate <= bound), (t_set, rate.max(), bound)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_nan_or_infinite_bound_prunes_nothing(value):
+    """A bound that is NaN or infinite on every box keeps every tile and
+    every transmit set: the objective is evaluated on the whole mesh, once
+    per transmit set, and the answer is the single-pass search's."""
+    ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
+    spec = GridSpec(points_per_axis=41)
+    t_sets = [tuple(itertools.compress(range(3), s)) for s in itertools.product((True, False), repeat=3)]
+    extras = oracle._pivot_candidates(ch)
+    cells = []
+
+    def rate(h, grids, t_sets):
+        cells.append(math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids))) * len(t_sets))
+        return oracle._mac_cj_rate(h, grids, t_sets)
+
+    def unknown(h, lo, hi, t_sets):
+        for _ in t_sets:
+            yield np.full(np.broadcast_shapes(*(np.shape(x) for x in lo)), value)
+
+    rate.bound = unknown
+    got = oracle._search(ch, spec, rate, t_sets, extras)
+    want = reference_search(ch, spec, oracle._mac_cj_rate, t_sets, extras)
+    assert (got[0], got[1].tolist(), got[2]) == (want[0], want[1].tolist(), want[2])
+    mesh = math.prod(len(oracle._axis(c, spec, x)) for c, x in zip(ch.power_caps, extras))
+    assert mesh > oracle._TILE_CELLS
+    assert sum(cells) >= mesh * len(t_sets)
 
 
 @pytest.mark.parametrize(
