@@ -20,26 +20,28 @@ They come from one array pass over the rows: rho as masked sums, the roots
 by one np.linalg.eigvals over the stacked companion matrices, each bit for
 bit the scalar fit's.
 
-The mesh is evaluated in k-dimensional tiles of at most _TILE_CELLS
-cells, so the temporaries stay cache-sized.  The search keeps its best
-cell as (rate, index in the mesh, transmit set), an equal rate going to
-the smaller index and then to the earlier transmit set.  That is the
-C-order first maximum in any order of evaluation: ties resolve to the
-lexicographically smallest power vector.
+The search keeps its best cell as (rate, index in the mesh, transmit
+set), an equal rate going to the smaller index and then to the earlier
+transmit set.  That is the C-order first maximum in any order of
+evaluation: ties resolve to the lexicographically smallest power vector.
+Caps at which the objective would overflow are rejected before the
+search, once per oracle call, so no cell is NaN or infinite.
 
-The MAC jamming objective also has a slope bound (_mac_cj_bound): its
-value at a box's lower corner, itself a cell of the mesh, plus each
-power's width times a bound on the rate's slope along it over the box,
-by the mean-value theorem, plus a slack that covers every rounding.
-On a mesh of several tiles the search bounds blocks of _COARSE points
-per axis over the whole mesh, seeds the best rate with the objective at
-their lower corners, bounds again in sub-blocks of _BLOCK points only
-the coarse blocks that reach it, and evaluates only the tiles and
-transmit sets whose sub-blocks still reach the best rate found so far,
-each tile on the box of those sub-blocks.  A skipped cell can neither
-win nor tie, so the answer is that of the unpruned search.  Caps at
-which the objective would overflow are rejected before the search, so
-no cell is NaN or infinite; a bound that is NaN prunes nothing.
+Without a bound, or on a mesh of one tile, the mesh is evaluated in
+k-dimensional tiles of at most _TILE_CELLS cells, so the temporaries stay
+cache-sized.  The MAC jamming objective also has a slope bound
+(_mac_cj_bound): its value at a box's lower corner, itself a cell of the
+mesh, plus each power's width times a bound on the rate's slope along it
+over the box, by the mean-value theorem, plus a slack that covers every
+rounding.  On a mesh of several tiles the search is a branch-and-bound
+over a pyramid of boxes, _TOP points per axis at the top and halved per
+level down to blocks of _BLOCK points.  Each level bounds every live
+(transmit set, box) pair in array passes of cache-sized chunks, offers
+the objective at the pairs' lower corners as candidate cells, and splits
+only the pairs whose bound reaches the best rate found so far.  The cells of the blocks that
+survive are evaluated in chunks of at most _TILE_CELLS cells.  A skipped
+cell can neither win nor tie, so the answer is that of the unpruned
+search; a bound that is NaN prunes nothing.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ MAX_GRID_CELLS = 10**8
 # Cells per tile of the mesh: each float64 temporary of an objective is
 # 128 KB, small enough to stay in cache instead of being page-faulted afresh.
 _TILE_CELLS = 16384
-# Points per axis of the blocks that bound the whole mesh, and of the
-# sub-blocks into which those that reach the best rate are split.
-_COARSE = 8
+# Points per axis of the bounded search's top boxes, and of its smallest
+# blocks, whose cells it evaluates; each level halves the boxes.  A level
+# costs some fifty numpy calls whatever its size, so coarser top levels,
+# which hold few boxes on meshes of about 100 points per axis and prune
+# little, would cost more than they save.
+_TOP = 16
 _BLOCK = 4
 # The slope bound's margins for rounding: ulps of its largest logarithm (at
 # least 1), and a relative margin of its slope terms.
@@ -126,8 +131,7 @@ def _tile_sides(shape: Sequence[int]) -> List[int]:
 
     Every axis gets the same multiple of _BLOCK points, or the whole axis
     where that is shorter, the largest for which a tile holds at most
-    _TILE_CELLS cells, so that each sub-block of the search's bound lies in
-    one tile.  A mesh of at most _TILE_CELLS cells is one tile.
+    _TILE_CELLS cells.  A mesh of at most _TILE_CELLS cells is one tile.
     """
     if math.prod(shape) <= _TILE_CELLS:
         return list(shape)
@@ -150,37 +154,29 @@ def _unravel(flat: int, shape: Sequence[int]) -> List[int]:
     return index[::-1]
 
 
-def _stacked(arrays, shape) -> np.ndarray:
-    """One array per transmit set, each broadcast to shape: (sets, *shape)."""
-    return np.array([np.broadcast_to(a, shape) for a in arrays])
-
-
 def _search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, np.ndarray, tuple]:
     """Best (rate, allocation, transmit set) over the transmit sets t_sets.
 
     One mesh serves every transmit set: user i's axis is _axis of its cap
-    with extras[i] as extra points, evaluated one tile at a time
-    (_tile_sides).  rate_grid(h, grids, t_sets) evaluates the objective on
-    an open mesh and yields a new rate array for each transmit set in
-    t_sets.  The best cell is kept as (rate, index in the mesh, position in
-    t_sets), an equal rate going to the smaller index and then to the
-    earlier transmit set: the C-order first maximum, whatever order the
-    cells come in, which is the lexicographically smallest allocation.
+    with extras[i] as extra points.  rate_grid(h, grids, t_sets) evaluates
+    the objective on powers that broadcast, one array per user, and yields
+    a new rate array for each transmit set in t_sets.  The caller has
+    checked that no cell overflows (_check_corner).  The best cell is kept
+    as (rate, index in the mesh, position in t_sets), an equal rate going
+    to the smaller index and then to the earlier transmit set: the C-order
+    first maximum, whatever order the cells come in, which is the
+    lexicographically smallest allocation.
 
-    If rate_grid has a ``bound`` attribute, bound(h, lo, hi, t_sets)
-    yielding for each transmit set an upper bound on its rate over each
-    box [lo, hi] of the mesh, a mesh of several tiles is searched coarse to
-    fine.  Blocks of _COARSE points per axis are bounded over the whole
-    mesh, and the objective at their first points, which are cells of the
-    mesh, gives the first best rate.  Only the coarse blocks whose bound
-    reaches it are bounded again, in sub-blocks of _BLOCK points.  The
-    tiles are visited in order of decreasing sub-block bound, and in each
-    only the transmit sets whose bound reaches the best rate so far are
-    evaluated, on the smallest box holding every sub-block where one of
-    them does.  A cell it skips is below that rate, so it can neither win
-    nor tie; a NaN bound skips nothing.
+    Without a ``bound`` attribute on rate_grid, or on a mesh of one tile,
+    the mesh is evaluated one tile at a time (_tile_sides), for every
+    transmit set.  Otherwise the search is _pyramid's branch-and-bound.
+    bound(h, lo, hi, sends) is given the lower and upper corners of boxes of
+    the mesh as (users, pairs) arrays, sends[i, p] true where user i is in
+    pair p's transmit set, and returns for each (transmit set, box) pair
+    the objective at lo, bit for bit its value at that cell, and an upper
+    bound on it over the box.  A cell it skips is below the best rate, so
+    it can neither win nor tie; a NaN bound skips nothing.
     """
-    _check_corner(ch, rate_grid)
     axes = [_axis(cap, spec, () if extras is None else extras[i]) for i, cap in enumerate(ch.power_caps)]
     shape = [len(ax) for ax in axes]
     _guard_shape(shape)
@@ -188,57 +184,97 @@ def _search(ch, spec: GridSpec, rate_grid, t_sets, extras=None) -> Tuple[float, 
     h = ch.eve_gains
     best = None
 
-    def offer(rate, start, step, t):
+    def offer(value, cell, t):
         nonlocal best
-        flat = int(np.argmax(rate))
-        value = float(rate.flat[flat])
-        if best is None or value >= best[0]:
-            cell = tuple(a + step * i for a, i in zip(start, _unravel(flat, rate.shape)))
-            if best is None or value > best[0] or (cell, t) < best[1:]:
-                best = (value, cell, t)
-
-    def visit(start, stop, live):
-        grids = np.ix_(*(ax[a:b] for ax, a, b in zip(axes, start, stop)))
-        for t, rate in zip(live, rate_grid(h, grids, [t_sets[t] for t in live])):
-            offer(rate, start, 1, t)
+        if best is None or value > best[0] or (value == best[0] and (cell, t) < best[1:]):
+            best = (value, cell, t)
 
     bound = getattr(rate_grid, "bound", None)
     if bound is None or sides == shape:
         for start in itertools.product(*(range(0, n, side) for n, side in zip(shape, sides))):
-            visit(start, [a + side for a, side in zip(start, sides)], range(len(t_sets)))
+            grids = np.ix_(*(ax[a:a + side] for ax, a, side in zip(axes, start, sides)))
+            for t, rate in enumerate(rate_grid(h, grids, t_sets)):
+                flat = int(np.argmax(rate))
+                value = float(rate.flat[flat])
+                if best is None or value >= best[0]:
+                    offer(value, tuple(a + i for a, i in zip(start, _unravel(flat, rate.shape))), t)
     else:
-        firsts = [np.arange(0, n, _COARSE) for n in shape]
-        lo = np.ix_(*(ax[f] for ax, f in zip(axes, firsts)))
-        hi = np.ix_(*(ax[np.minimum(f + _COARSE, n) - 1] for ax, f, n in zip(axes, firsts, shape)))
-        coarse = _stacked(bound(h, lo, hi, t_sets), tuple(len(f) for f in firsts))
-        for t, rate in enumerate(rate_grid(h, lo, t_sets)):
-            offer(rate, (0,) * len(shape), _COARSE, t)
-        # the sub-blocks of the coarse blocks that reach the best rate, as flat arrays
-        per = _COARSE // _BLOCK
-        reach = ~(coarse < best[0]).all(axis=0)
-        blocks = np.nonzero(reach[np.ix_(*(np.arange(-(-n // _BLOCK)) // per for n in shape))])
-        first = [b * _BLOCK for b in blocks]
-        last = [np.minimum(f + _BLOCK, n) - 1 for f, n in zip(first, shape)]
-        lo, hi = [ax[f] for ax, f in zip(axes, first)], [ax[l] for ax, l in zip(axes, last)]
-        fine = _stacked(bound(h, lo, hi, t_sets), blocks[0].shape)
-        # each sub-block is bounded by its own bound and by its coarse block's
-        fine = np.minimum(fine, coarse[(slice(None), *(b // per for b in blocks))])
-        # grouped by tile: each tile's bound is its sub-blocks' largest
-        counts = [-(-n // side) for n, side in zip(shape, sides)]
-        tile = np.ravel_multi_index([f // side for f, side in zip(first, sides)], counts)
-        order = np.argsort(tile, kind="stable")
-        tile, fine, first, last = tile[order], fine[:, order], [f[order] for f in first], [l[order] for l in last]
-        starts = np.flatnonzero(np.r_[True, tile[1:] != tile[:-1]])
-        groups = [slice(a, b) for a, b in zip(starts.tolist(), starts[1:].tolist() + [len(tile)])]
-        tile_bounds = np.maximum.reduceat(fine, starts, axis=1)
-        for j in np.argsort(-tile_bounds.max(axis=0), kind="stable").tolist():
-            live = [t for t, b in enumerate(tile_bounds[:, j].tolist()) if not b < best[0]]
-            if live:
-                keep = ~(fine[live, groups[j]] < best[0]).all(axis=0)
-                start = [int(f[groups[j]][keep].min()) for f in first]
-                visit(start, [int(l[groups[j]][keep].max()) + 1 for l in last], live)
+        _pyramid(axes, h, rate_grid, bound, t_sets, offer, lambda: -math.inf if best is None else best[0])
     rate, cell, t = best
     return rate, np.array([float(ax[i]) for ax, i in zip(axes, cell)]), t_sets[t]
+
+
+def _pyramid(axes, h, rate_grid, bound, t_sets, offer, best_rate) -> None:
+    """_search's branch-and-bound over the block pyramid of the mesh of axes.
+
+    The top boxes, _TOP points per axis, each paired with every transmit
+    set, are bounded in one call of bound per _TILE_CELLS // k pairs, so
+    that each (users, pairs) temporary stays cache-sized.  The objective at
+    the pairs' lower corners is offered as cells, the pairs whose bound is
+    below the best rate are dropped, and the others are split into boxes of
+    half the side, bounded in the same way, and so on down to blocks of
+    _BLOCK points.  The cells of the blocks that remain are evaluated in
+    order of decreasing bound, in chunks of at most _TILE_CELLS cells, each
+    chunk for its blocks whose bound still reaches the best rate, one
+    objective call per transmit set.  offer(rate, cell, t) offers a cell of
+    transmit set t_sets[t], and best_rate() is the best rate offered so
+    far.  A cell is kept, per user, as an index into values, all the axes
+    end to end.
+    """
+    shape, k = [len(ax) for ax in axes], len(axes)
+    values, offsets = np.concatenate(axes), np.cumsum([0] + shape[:-1])[:, None]
+    ends = offsets + np.array(shape)[:, None] - 1
+    strides = np.cumprod([1] + shape[:0:-1])[::-1]
+
+    def offer_ties(top, cells, sets):
+        """Offer the cells, one column per cell, that all reach the rate top,
+        for the transmit sets at positions sets."""
+        index, t = divmod(int((strides @ (cells - offsets) * len(t_sets) + sets).min()), len(t_sets))
+        offer(float(top), tuple(_unravel(index, shape)), t)
+
+    sends = np.array([[i in t_set for t_set in t_sets] for i in range(k)], dtype=bool).reshape(k, len(t_sets))
+    halves = np.array(list(itertools.product((0, 1), repeat=k))).T[:, :, None]
+    tops = np.indices([-(-n // _TOP) for n in shape]).reshape(k, -1) * _TOP + offsets
+    # each live (transmit set, box) pair: its position in t_sets and the box's first cell
+    t, first = np.repeat(np.arange(len(t_sets)), tops.shape[1]), np.tile(tops, len(t_sets))
+    side, per_pass = _TOP, _TILE_CELLS // k
+    while True:
+        passes = []
+        for at in range(0, len(t), per_pass):
+            f = first[:, at:at + per_pass]
+            last = np.minimum(f + (side - 1), ends)
+            passes.append(bound(h, values.take(f), values.take(last), sends.take(t[at:at + per_pass], axis=1)))
+        anchor, ub = (np.concatenate(x) for x in zip(*passes))
+        top = anchor.max()
+        if not top < best_rate():
+            tied = np.flatnonzero(anchor == top)
+            offer_ties(top, first.take(tied, axis=1), t.take(tied))
+        live = ~(ub < best_rate())
+        t, first, ub = t.compress(live), first.compress(live, axis=1), ub.compress(live)
+        if side == _BLOCK or not len(t):
+            break
+        side //= 2
+        first = (first[:, None, :] + side * halves).reshape(k, -1)
+        inside = (first <= ends).all(axis=0)
+        t, first = np.tile(t, halves.shape[1]).compress(inside), first.compress(inside, axis=1)
+    # the blocks' cells, in order of decreasing bound
+    order = np.argsort(-ub, kind="stable")
+    t, first, ub = t.take(order), first.take(order, axis=1), ub.take(order)
+    steps, per_chunk = np.arange(_BLOCK)[:, None], max(1, _TILE_CELLS // _BLOCK**k)
+    for at in range(0, len(t), per_chunk):
+        live = at + np.flatnonzero(~(ub[at:at + per_chunk] < best_rate()))
+        for s in np.unique(t.take(live)).tolist():
+            # the blocks' cells as an open mesh, the blocks on the last axis; a
+            # block that overhangs the mesh repeats its last cells
+            blocks = first.take(live.compress(t.take(live) == s), axis=1)
+            index = np.minimum(blocks[:, None, :] + steps, ends[:, :, None])
+            points = values.take(index)
+            grids = [points[i].reshape((1,) * i + (_BLOCK,) + (1,) * (k - 1 - i) + (-1,)) for i in range(k)]
+            (rate,) = rate_grid(h, grids, [t_sets[s]])
+            top = rate.max()
+            if not top < best_rate():
+                *c, b = np.nonzero(np.broadcast_to(rate, (_BLOCK,) * k + (points.shape[2],)) == top)
+                offer_ties(top, np.array([index[i, c[i], b] for i in range(k)]), s)
 
 
 def _jamming_solution(ch, spec: GridSpec, rate_grid, extras=None) -> JammingSolution:
@@ -266,6 +302,7 @@ def grid_max_mac_sup(ch: StdMacChannel, spec: GridSpec) -> Tuple[PowerAllocation
     k = ch.k_users
     if k > 4:
         raise ValueError("grid_max_mac_sup supports at most 4 users")
+    _check_corner(ch, _mac_cj_rate)
     best, alloc, _ = _search(ch, spec, _mac_cj_rate, [tuple(range(k))])
     if best <= 0.0:
         return PowerAllocation.zeros(k), 0.0
@@ -363,32 +400,48 @@ def _mac_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
         yield 0.5 * (np.log2(1.0 + comp_hp) - np.log2(1.0 + comp_p) + log_p - log_hp)
 
 
-def _mac_cj_bound(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
-    """Each transmit set's slope bound on its jamming rate over the boxes [lo, hi].
+def _mac_cj_bound(h: np.ndarray, lo: np.ndarray, hi: np.ndarray, sends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each (transmit set, box) pair's jamming rate at the box's lower corner
+    and slope bound on its jamming rate over the box [lo, hi].
 
-    With S and H the sums of P and of h P over everyone, and S_J and H_J
-    over the jammers (every user outside the transmit set), the rate is
+    lo and hi hold one row per user and one column per pair, and
+    sends[i, p] is true where user i transmits in pair p; every other user
+    jams.  The rate at lo is _mac_cj_rate's at that cell, bit for bit: the
+    masked sums over the rows add the same nonnegative terms in the same
+    order as its sums over index sets (+0.0 changes none).
+
+    With S and H the sums of P and of h P over everyone, S_T and H_T over
+    the transmitters and S_J and H_J over the jammers, the rate is
     f = 1/2 [log2(1 + H_J) - log2(1 + S_J) + log2(1 + S) - log2(1 + H)],
     whose slope along P_i is g_i / (2 ln 2) with
-    g_i = 1/(1 + S) - h_i/(1 + H), plus h_i/(1 + H_J) - 1/(1 + S_J) for a
-    jammer.  On a box every sum is smallest at lo and largest at hi, so
-    g_i <= ub_i, each fraction taken at the corner that raises it:
-    ub_i = 1/(1 + S(lo)) - h_i/(1 + H(hi)), plus
-    h_i/(1 + H_J(lo)) - 1/(1 + S_J(hi)) for a jammer.  Every cell P of the
-    box is at least lo, so by the mean-value theorem
-    f(P) <= f(lo) + sum_i max(0, ub_i) (hi_i - lo_i) / (2 ln 2), and the
-    bound is that sum plus a slack: in floats, three roundings are covered.
+    g_i = 1/(1 + S) - h_i/(1 + H) for a transmitter and
+    g_i = h_i H_T/((1 + H_J)(1 + H)) - S_T/((1 + S_J)(1 + S)) for a jammer,
+    which is 0 where nobody transmits.  On a box every sum is smallest at
+    lo and largest at hi, so g_i <= ub_i, each fraction taken at the
+    corners that raise it: ub_i = 1/(1 + S(lo)) - h_i/(1 + H(hi)) for a
+    transmitter and
+    ub_i = h_i H_T(hi)/((1 + H_J(lo))(1 + H(lo))) - S_T(lo)/((1 + S_J(hi))(1 + S(hi)))
+    for a jammer.  Every cell P of the box is at least lo, so by the
+    mean-value theorem f(P) <= f(lo) + sum_i max(0, ub_i) (hi_i - lo_i) / (2 ln 2),
+    and the bound is that sum plus a slack: in floats, three roundings are
+    covered.
 
-    - The bound's own rounding.  Each fraction is a few correctly rounded
-      operations on a sum of at most three nonnegative terms, so it is
-      within a relative 8 ulps of its exact value; so are the widths, the
-      products and the sum of nonnegative terms.  The raising fractions are
-      scaled by 1 + _ETA, the lowering ones by 1 - _ETA and the constant
-      1/(2 ln 2) by 1 + _ETA, hundreds of times those errors, so the slope
-      term computed is at least the exact one.
+    - The bound's own rounding.  Each 1 + (sum) has at most four
+      nonnegative terms, each a product or a power, so it is within a
+      relative 8 ulps of its exact value; each fraction is at most three
+      such sums and four more correctly rounded operations, dividing by
+      one denominator at a time, so it is within a relative 30 ulps of its
+      exact value; the widths, the products and the sum of nonnegative
+      terms add a few more.  The raising fractions are scaled by 1 + _ETA,
+      the lowering ones by 1 - _ETA and the constant 1/(2 ln 2) by
+      1 + _ETA, more than ten times those errors, so the slope term
+      computed is at least the exact one.  A fraction that underflows
+      loses at most a few 2^-1075, which times a width below 2^1024 is a
+      few ulps of 1, within the slack; one that overflows makes the bound
+      infinite or NaN, which prunes nothing.
     - The rate computed at a cell, at P and at the anchor lo alike.  Each
-      logarithm's argument 1 + (sum) is within a relative 4 ulps of its
-      exact value, which moves the logarithm by at most 3 ulps of 1;
+      logarithm's argument 1 + (sum) is within a relative 5 ulps of its
+      exact value, which moves the logarithm by at most 4 ulps of 1;
       np.log2 adds a few ulps of its result; the three additions of
       logarithms round by ulps of their magnitude.  With L the largest
       logarithm formed on the boxes, at their top corner, the computed
@@ -396,30 +449,29 @@ def _mac_cj_bound(h: np.ndarray, lo, hi, t_sets) -> Iterator[np.ndarray]:
     - The bound's last two additions, which lose ulps of max(1, L) and a
       relative 2^-53 of the slope term, within its 1 + _ETA.
 
-    _SLACK_ULPS ulps of max(1, L) covers twice the second and the third,
-    so every cell of a box is at most its bound.  At lo = hi the slope term
-    is 0 and the bound is the rate plus the slack.  The terms of the
-    transmitters are the same for every transmit set and formed once.
+    _SLACK_ULPS ulps of max(1, L) covers twice the second and the rest, so
+    every cell of a box is at most its bound.  At lo = hi, or for the empty
+    transmit set, the slope term is 0 and the bound is the rate plus the
+    slack.
     """
-    gains = [float(g) for g in h]
     up, down = 1.0 + _ETA, 1.0 - _ETA
-    width = [b - a for a, b in zip(lo, hi)]
-    over_p = up / (1.0 + sum(lo))
-    over_hp = 1.0 / (1.0 + sum(g * x for g, x in zip(gains, hi)))
-    base = [over_p - (down * g) * over_hp for g in gains]
-    sends = [np.maximum(b, 0.0) * w for b, w in zip(base, width)]
-    top = [float(np.max(x)) for x in hi]
-    largest = math.log2(1.0 + max(sum(top), sum(g * x for g, x in zip(gains, top))))
+    h = h[:, None]
+    jams = ~sends
+    hp_lo, hp_hi = h * lo, h * hi
+    one_s, one_h, one_hj = 1.0 + lo.sum(axis=0), 1.0 + hp_lo.sum(axis=0), 1.0 + np.where(jams, hp_lo, 0.0).sum(axis=0)
+    one_sj = 1.0 + np.where(jams, lo, 0.0).sum(axis=0)
+    anchor = 0.5 * (np.log2(one_hj) - np.log2(one_sj) + np.log2(one_s) - np.log2(one_h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sender = up / one_s - (down * h) * (1.0 / (1.0 + hp_hi.sum(axis=0)))
+        # h_j H_T(hi)/((1 + H_J(lo))(1 + H(lo))) and S_T(lo)/((1 + S_J(hi))(1 + S(hi)))
+        rise = up * np.where(sends, hp_hi, 0.0).sum(axis=0) / one_hj / one_h
+        fall = down * np.where(sends, lo, 0.0).sum(axis=0) / (1.0 + np.where(jams, hi, 0.0).sum(axis=0))
+        fall /= 1.0 + hi.sum(axis=0)
+        total = (np.maximum(np.where(sends, sender, h * rise - fall), 0.0) * (hi - lo)).sum(axis=0)
+    top = hi.max(axis=1)
+    largest = math.log2(1.0 + max(float(top.sum()), float(top @ h[:, 0])))
     slack = _SLACK_ULPS * math.ulp(max(1.0, largest))
-    scale = up / (2.0 * math.log(2.0))
-    for t_set, anchor in zip(t_sets, _mac_cj_rate(h, lo, t_sets)):
-        jam = [i for i in range(len(lo)) if i not in set(t_set)]
-        terms = [sends[i] for i in t_set]
-        if jam:
-            over_jam_hp = up / (1.0 + sum(gains[j] * lo[j] for j in jam))
-            over_jam_p = down / (1.0 + sum(hi[j] for j in jam))
-            terms += [np.maximum(base[j] + (gains[j] * over_jam_hp - over_jam_p), 0.0) * width[j] for j in jam]
-        yield anchor + slack + scale * sum(terms)
+    return anchor, anchor + slack + (up / (2.0 * math.log(2.0))) * total
 
 
 _mac_cj_rate.bound = _mac_cj_bound
@@ -450,6 +502,7 @@ def _tw_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
 
 def grid_max_tw(ch: StdTwChannel, spec: GridSpec) -> SumRateSolution:
     """Exhaustive two-way search over the power box."""
+    _check_corner(ch, _tw_rate)
     best, alloc, _ = _search(ch, spec, _tw_rate, [(0, 1)])
     if best <= 0.0:
         return SumRateSolution(PowerAllocation.zeros(2), (), 0.0, "TW", None, "oracle")
@@ -468,4 +521,5 @@ def _tw_cj_rate(h: np.ndarray, grids, t_sets) -> Iterator[np.ndarray]:
 
 def grid_max_tw_cj(ch: StdTwChannel, spec: GridSpec) -> JammingSolution:
     """Exhaustive two-way cooperative-jamming search over roles and powers."""
+    _check_corner(ch, _tw_cj_rate)
     return _jamming_solution(ch, spec, _tw_cj_rate)

@@ -461,9 +461,9 @@ def test_mac_jamming_oracle_names_the_first_fit_that_is_not_finite(monkeypatch, 
 
 
 def _objective_calls(monkeypatch, oracle_fn, ch, spec):
-    """oracle_fn's output, and for each call of the MAC jamming objective or of
-    its bound, the cells of the mesh it was given and its number of transmit
-    sets."""
+    """oracle_fn's output, and for each call of the MAC jamming objective, the
+    cells of the mesh it was given and its number of transmit sets, and for
+    each call of its bound, its number of (transmit set, box) pairs and 1."""
     calls = []
     rate_grid = oracle._mac_cj_rate
 
@@ -474,9 +474,9 @@ def _objective_calls(monkeypatch, oracle_fn, ch, spec):
         calls.append((size(grids), len(t_sets)))
         return rate_grid(h, grids, t_sets)
 
-    def counted_bound(h, lo, hi, t_sets):
-        calls.append((size(lo), len(t_sets)))
-        return rate_grid.bound(h, lo, hi, t_sets)
+    def counted_bound(h, lo, hi, sends):
+        calls.append((lo.shape[1], 1))
+        return rate_grid.bound(h, lo, hi, sends)
 
     counted.bound = counted_bound
     with monkeypatch.context() as m:
@@ -505,9 +505,10 @@ def test_mac_oracles_match_the_single_pass_search(monkeypatch, k, points):
         # flat channels with low rates, gains straddling 1, where the sign of
         # the slope bound's terms is least clear
         channels += [random_mac_instance(rng, 3, gain_range=(0.75, 1.25), cap_range=(0.5, 5.0)) for _ in range(8)]
-        # where pruning is weakest: a flat channel with a low rate, and one whose
+        # where pruning is weakest: flat channels with low rates, and one whose
         # best rate, 1.7e-18, is far below the bound's slack
         channels.append(StdMacChannel([0.768, 0.953, 1.279], [0.86, 4.29, 1.5]))
+        channels.append(StdMacChannel([1.31, 1.323, 1.445], [6.45, 5.02, 2.79]))
         channels.append(StdMacChannel([2.0, 2.1, 2.2], [1.0, 1.0, 1.0]))
     if (k, points) == (2, 400):
         # several tiles per role, some of them pruned
@@ -573,8 +574,9 @@ def test_tile_search_keeps_the_first_of_tied_cells_in_different_tiles():
     def two_peaks(h, grids, t_sets):
         yield -np.minimum(np.abs(grids[0] - early), np.abs(grids[0] - late)) + 0.0 * (grids[1] + grids[2])
 
-    def late_first(h, lo, hi, t_sets):
-        yield np.where(hi[0] >= late, 1.0, 0.0) + 0.0 * (hi[1] + hi[2])
+    def late_first(h, lo, hi, sends):
+        anchor = -np.minimum(np.abs(lo[0] - early), np.abs(lo[0] - late))
+        return anchor, np.where(hi[0] >= late, 1.0, 0.0)
 
     def late_first_peaks(h, grids, t_sets):
         return two_peaks(h, grids, t_sets)
@@ -685,14 +687,20 @@ def test_mac_jamming_oracle_prunes_most_cells_by_its_bound(monkeypatch):
 
 
 def test_mac_jamming_oracle_bounds_coarse_to_fine(monkeypatch):
-    """The slope bound leaves a few sub-blocks of a few tiles to evaluate:
-    the cells of the objective and of its bound, each counted once per
-    transmit set, come to at most a tenth of the 555,266 + 140,608 that
-    the box bound over every sub-block of 4 points left for this channel."""
-    ch = StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])
-    sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, ch, SPEC_101)
-    assert sol.allocation.powers.tolist() == [1.0, 0.0, 0.05870862684710068]
-    assert sum(cells * n for cells, n in calls) <= (555_266 + 140_608) // 10
+    """The block pyramid leaves a few blocks to evaluate: the (transmit set,
+    cell) pairs given to the objective and the (transmit set, box) pairs
+    given to its bound come to at most a fifth of the 66,682 that bounding
+    8-point boxes over the whole mesh and then 4-point sub-blocks left on
+    the CI channel, and to at most a third of the 1,595,482 they left on a
+    flat channel with a low rate, where pruning is weakest among positive
+    rates."""
+    for gains, caps, powers, most in (
+        ([0.5, 1.2, 1.6], [1.0, 2.0, 3.0], [1.0, 0.0, 0.05870862684710068], 66_682 // 5),
+        ([1.31, 1.323, 1.445], [6.45, 5.02, 2.79], [6.45, 0.0, 2.79], 1_595_482 // 3),
+    ):
+        sol, calls = _objective_calls(monkeypatch, grid_max_mac_cj, StdMacChannel(gains, caps), SPEC_101)
+        assert sol.allocation.powers.tolist() == powers
+        assert sum(cells * n for cells, n in calls) <= most, gains
 
 
 def _seeded_jamming_channels():
@@ -781,16 +789,19 @@ def test_mac_jamming_oracle_never_loses_to_the_per_role_search(gains_caps, point
 @st.composite
 def _mac_sub_boxes(draw):
     """Gains, a sorted grid per axis from 0 to a cap, and a sub-box of it as
-    index ranges.  The gains are drawn on [0, 2], or all within 1e-9 of 1
-    and so of each other; each cap is 0, up to 1e300, or up to 2.9e307,
-    near the overflow guard: with gains of at most 2, no sum of at most
-    three users overflows.  Some axes hold a run of neighbouring floats."""
+    index ranges.  The gains are drawn on [0, 2], all within 1e-9 of 1 and
+    so of each other, or flat and above 1, within 0.15 of each other on
+    [1.2, 1.6], where rates are low and many cells round to the same rate;
+    each cap is 0, up to 10, up to 1e300, or up to 2.9e307, near the
+    overflow guard: with gains of at most 2, no sum of at most three users
+    overflows.  Some axes hold a run of neighbouring floats."""
     k = draw(st.integers(1, 3))
     near_one = st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d)
-    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k) | st.lists(near_one, min_size=k, max_size=k))
+    flat = st.floats(1.2, 1.45).flatmap(lambda g: st.lists(st.floats(g, g + 0.15), min_size=k, max_size=k))
+    gains = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k) | st.lists(near_one, min_size=k, max_size=k) | flat)
     axes, box = [], []
     for _ in range(k):
-        cap = draw(st.just(0.0) | st.floats(0.0, 1e300) | st.floats(0.0, 2.9e307))
+        cap = draw(st.just(0.0) | st.floats(0.0, 10.0) | st.floats(0.0, 1e300) | st.floats(0.0, 2.9e307))
         fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
         axis = np.r_[0.0, cap, cap * np.array(fractions)]
         # a run of neighbouring floats, where the rates differ by rounding alone
@@ -808,10 +819,13 @@ def _mac_sub_boxes(draw):
 @settings(max_examples=400, deadline=None)
 @given(_mac_sub_boxes())
 def test_mac_jamming_box_form_bounds_every_cell_of_its_box(sub_box):
-    """For every transmit set, every cell of a box is at most the slope bound
-    over the box, and the rate at the box's lower and upper corners, each
-    evaluated alone, is the rate at that cell of the grid, bit for bit: a
-    corner's rate can stand for its cell."""
+    """For every transmit set, the empty one included, every cell of a box
+    is at most the slope bound over the box, whose anchor is the rate at
+    the box's lower corner, bit for bit; and the rate at the box's lower
+    and upper corners, each evaluated alone, is the rate at that cell of
+    the grid: a corner's rate can stand for its cell.  Where nobody
+    transmits, the bound adds no width term: it is the anchor plus the
+    slack, however wide the box."""
     h, axes, box = sub_box
     k = len(axes)
     oracle._check_corner(StdMacChannel(h, [ax[-1] for ax in axes]), oracle._mac_cj_rate)
@@ -821,12 +835,22 @@ def test_mac_jamming_box_form_bounds_every_cell_of_its_box(sub_box):
     hi = np.ix_(*(ax[b][-1:] for ax, b in zip(axes, box)))
     shape = np.broadcast_shapes(*(g.shape for g in grids))
     rates = [np.broadcast_to(rate, shape) for rate in oracle._mac_cj_rate(h, grids, t_sets)]
+    assert t_sets[0] == ()
     for corner, cell in ((lo, (0,) * k), (hi, (-1,) * k)):
         for at_corner, rate in zip(oracle._mac_cj_rate(h, corner, t_sets), rates):
             assert at_corner.item() == rate[cell]
-    for bound, rate, t_set in zip(oracle._mac_cj_bound(h, lo, hi, t_sets), rates, t_sets):
-        assert not np.isnan(bound), t_set
+    # one (transmit set, box) pair per transmit set, all on this box
+    lo, hi = (np.array([[ax[b][end]] for ax, b in zip(axes, box)]) for end in (0, -1))
+    sends = np.array([[i in t_set for t_set in t_sets] for i in range(k)]).reshape(k, -1)
+    anchors, bounds = oracle._mac_cj_bound(h, lo.repeat(len(t_sets), axis=1), hi.repeat(len(t_sets), axis=1), sends)
+    assert anchors.shape == bounds.shape == (len(t_sets),)
+    for anchor, bound, rate, t_set in zip(anchors.tolist(), bounds.tolist(), rates, t_sets):
+        assert anchor == rate[(0,) * k], t_set
+        assert not math.isnan(bound), t_set
         assert np.all(rate <= bound), (t_set, rate.max(), bound)
+    # the empty transmit set on the box and on its lower corner alone
+    _, (wide, narrow) = oracle._mac_cj_bound(h, lo.repeat(2, axis=1), np.c_[hi, lo], np.zeros((k, 2), dtype=bool))
+    assert wide == narrow
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -844,9 +868,9 @@ def test_a_nan_or_infinite_bound_prunes_nothing(value):
         cells.append(math.prod(np.broadcast_shapes(*(np.shape(g) for g in grids))) * len(t_sets))
         return oracle._mac_cj_rate(h, grids, t_sets)
 
-    def unknown(h, lo, hi, t_sets):
-        for _ in t_sets:
-            yield np.full(np.broadcast_shapes(*(np.shape(x) for x in lo)), value)
+    def unknown(h, lo, hi, sends):
+        anchor, _ = oracle._mac_cj_bound(h, lo, hi, sends)
+        return anchor, np.full(lo.shape[1], value)
 
     rate.bound = unknown
     got = oracle._search(ch, spec, rate, t_sets, extras)
@@ -872,6 +896,32 @@ def test_a_nan_or_infinite_bound_prunes_nothing(value):
 def test_oracles_name_power_caps_when_they_would_overflow(oracle_fn, ch):
     with pytest.raises(ValueError, match="power_caps"):
         oracle_fn(ch, SPEC_101)
+
+
+@pytest.mark.parametrize(
+    "oracle_fn, ch",
+    [
+        (grid_max_mac_sup, StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])),
+        (grid_max_mac_cj, StdMacChannel([0.5, 1.2, 1.6], [1.0, 2.0, 3.0])),
+        (grid_max_mac_cj, StdMacChannel([1.1, 1.4], [2.0, 2.0])),
+        (grid_max_tw, StdTwChannel([0.3, 0.7], [4.0, 2.0])),
+        (grid_max_tw_cj, StdTwChannel([0.5, 4.2], [2.0, 2.0])),
+    ],
+    ids=["sup-k3", "mac-cj-k3", "mac-cj-k2", "tw", "tw-cj"],
+)
+def test_each_oracle_checks_for_overflow_once(monkeypatch, oracle_fn, ch):
+    """The caps corner is evaluated once per oracle call, before the
+    jamming oracle's rho fits."""
+    checks = []
+    check = oracle._check_corner
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(oracle, "_check_corner", counted)
+    oracle_fn(ch, SPEC_101)
+    assert len(checks) == 1
 
 
 def test_overflow_check_follows_each_objective(monkeypatch):
